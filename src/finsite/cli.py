@@ -146,12 +146,16 @@ def _caps(args) -> Caps:
         raise InputError(str(err))
 
 
+def _skip_summary(report) -> str:
+    return "skipped " + " ".join("{}={}".format(reason, n) for reason, n in report.skips)
+
+
 def cmd_prop(args, out) -> int:
     if resolve_experiment_id(args.id) not in EXPERIMENTS:
         raise InputError("unknown experiment {!r}; known: {}".format(args.id, ", ".join(all_experiment_ids())))
     report = run_experiment(args.id, args.seed, _caps(args))
     out.write(report.canonical_text())
-    sys.stderr.write("# elapsed {:.2f}s\n".format(report.elapsed))
+    sys.stderr.write("# elapsed {:.2f}s, {}\n".format(report.elapsed, _skip_summary(report)))
     return 0 if report.ok else 1
 
 
@@ -167,7 +171,7 @@ def cmd_fuzz(args, out) -> int:
         report = run_experiment(exp_id, args.seed, caps)
         out.write(report.canonical_text())
         out.write("\n")
-        sys.stderr.write("# {} elapsed {:.2f}s\n".format(exp_id, report.elapsed))
+        sys.stderr.write("# {} elapsed {:.2f}s, {}\n".format(exp_id, report.elapsed, _skip_summary(report)))
         if not report.ok:
             code = 1
     return code

@@ -97,6 +97,13 @@ class SkipInstance(Exception):
     """Raised by a check when the instance exceeds an exhaustive-search cap."""
 
 
+# Why an instance was skipped: make() raised GenerationError or CapExceeded,
+# or check() raised SkipInstance.
+SKIP_REASONS = ("GenerationError", "CapExceeded", "SkipInstance")
+# Errors by which a shrunk candidate is rejected during minimisation.
+_SHRINK_REJECTS = (StructureError, GenerationError, CapExceeded, SkipInstance)
+
+
 @dataclass(frozen=True)
 class Failure:
     label: str
@@ -115,6 +122,9 @@ class Report:
     notes: tuple[str, ...]
     failures: tuple[Failure, ...]
     elapsed: float
+    # (reason, count) for each of SKIP_REASONS, summing to skipped; like
+    # elapsed, not part of the canonical report.
+    skips: tuple[tuple[str, int], ...]
 
     def canonical_text(self) -> str:
         lines = [
@@ -170,7 +180,7 @@ class _Run:
         self.seed = seed
         self.caps = caps
         self.checked = 0
-        self.skipped = 0
+        self.skips = dict.fromkeys(SKIP_REASONS, 0)
         self.notes: list[str] = []
         self.failures: list[Failure] = []
 
@@ -183,21 +193,25 @@ class _Run:
         if outcome is not None:
             self.failures.append(Failure(label, str(outcome), instance_desc, minimized or instance_desc))
 
-    def skip(self):
-        self.skipped += 1
+    @property
+    def skipped(self) -> int:
+        return sum(self.skips.values())
 
     def loop(self, make, check):
         """make(index) -> instance or raises; check(instance) -> None | message."""
         for i in range(self.caps.instances):
             try:
                 inst = make(i)
-            except (GenerationError, CapExceeded):
-                self.skip()
+            except GenerationError:
+                self.skips["GenerationError"] += 1
+                continue
+            except CapExceeded:
+                self.skips["CapExceeded"] += 1
                 continue
             try:
                 msg = check(inst)
             except SkipInstance:
-                self.skip()
+                self.skips["SkipInstance"] += 1
                 continue
             self.check("fuzz[{}]".format(i), self._describe(inst), msg, self._minimize(inst, check, msg))
 
@@ -217,9 +231,9 @@ class _Run:
                     cand = dict(inst)
                     cand.update(category=cat, topology=top)
                     return check(cand) is not None
-                except Exception:
+                except _SHRINK_REJECTS:
                     # a reduction that breaks dependent instance parts does not
-                    # count as a preserved failure
+                    # count as a preserved failure; any other error surfaces
                     return False
 
             cat, top = shrink_site(inst["category"], inst["topology"], fails)
@@ -232,7 +246,7 @@ class _Run:
                     cand = dict(inst)
                     cand.update(indexed=cix, base_topology=top)
                     return check(cand) is not None
-                except Exception:
+                except _SHRINK_REJECTS:
                     return False
 
             cix, top = shrink_fibration(inst["indexed"], inst["base_topology"], fails)
@@ -841,7 +855,7 @@ def _exp_sheafify(run: _Run):
                 targets = None
             if targets is not None:
                 for q in targets:
-                    ok, witness = unit_universal_property(p, topology, q)
+                    ok, witness = unit_universal_property(p, sh, q)
                     if not ok:
                         return "unit universal property fails: {}".format(witness)
                 run.notes_up += 1
@@ -1301,4 +1315,5 @@ def run_experiment(experiment_id: str, seed: int = 0, caps: Caps | None = None) 
         tuple(run.notes),
         tuple(run.failures),
         elapsed,
+        tuple(run.skips.items()),
     )

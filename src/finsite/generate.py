@@ -458,32 +458,6 @@ def _chain_map(rng: random.Random, src_size: int, tgt_size: int, src: FinCategor
     return validate_functor(obj_map, arr_map, src, tgt)
 
 
-def gen_cartesian_indexed(rng: random.Random, base: FinCategory, caps: Caps, base_kind: str = "poset", base_meta=None) -> IndexedCategory:
-    """Chain fibers (all finite limits exist) with top-preserving monotone
-    restrictions; non-free bases get a constant chain so strictness holds."""
-    top = max(1, min(3, caps.fiber_objects))
-    if base_kind == "free" and base_meta:
-        sizes = {c: rng.randint(1, top) for c in base.objects}
-        fibers = {c: _chain(sizes[c], "v") for c in base.objects}
-        edge_restriction = {}
-        for e, (s, t) in base_meta.items():
-            edge_restriction[e] = _chain_map(rng, sizes[t], sizes[s], fibers[t], fibers[s])
-        restriction = {}
-        for a in base.arrows:
-            if base.is_identity(a):
-                continue
-            seq = a.split("*")[::-1]
-            fn = identity_functor(fibers[base.tgt[a]])
-            for e in reversed(seq):
-                fn = compose_functors(edge_restriction[e], fn)
-            restriction[a] = fn
-        return validate_indexed(base, fibers, restriction)
-    fiber = _chain(rng.randint(1, top), "v")
-    return validate_indexed(base, {c: fiber for c in base.objects}, {
-        f: identity_functor(fiber) for f in base.arrows if not base.is_identity(f)
-    })
-
-
 def graded_chain_indexed(rng: random.Random, chain_base: FinCategory, max_fiber: int) -> IndexedCategory:
     """Over a chain base: chain fibers with one top-preserving step map per
     consecutive level; longer restrictions are the forced composites."""

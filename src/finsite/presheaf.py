@@ -8,6 +8,7 @@ lexicographic), so all tables are deterministic.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .fincat import FinCategory, FinFunctor, StructureError, validate_category, validate_functor
@@ -252,18 +253,29 @@ def representable(base: FinCategory, obj: str) -> Presheaf:
 
 
 def presheaf_morphisms(p: Presheaf, q: Presheaf):
-    """All natural maps p -> q, by per-object backtracking with naturality pruning."""
+    """All natural maps p -> q, by per-object backtracking with naturality pruning.
+
+    The naturality square of an arrow is checked once, at the object that
+    completes it: the later of its source and target in object order.
+    Identity squares commute for every validated pair of presheaves.
+    """
     base = p.base
     objs = list(base.objects)
+    position = {c: i for i, c in enumerate(objs)}
+    squares: list[list[tuple]] = [[] for _ in objs]
+    for f in base.arrows:
+        if base.is_identity(f):
+            continue
+        s, t = base.src[f], base.tgt[f]
+        squares[max(position[s], position[t])].append((s, t, p.action[f], q.action[f], p.values[t]))
     assign: dict[str, dict[str, str]] = {}
 
-    def consistent():
-        for f in base.arrows:
-            s, t = base.src[f], base.tgt[f]
-            if s in assign and t in assign:
-                for a in p.values[t]:
-                    if assign[s][p.act(f, a)] != q.act(f, assign[t][a]):
-                        return False
+    def consistent(i):
+        for s, t, pf, qf, elems in squares[i]:
+            at_s, at_t = assign[s], assign[t]
+            for a in elems:
+                if at_s[pf[a]] != qf[at_t[a]]:
+                    return False
         return True
 
     def go(i):
@@ -274,28 +286,19 @@ def presheaf_morphisms(p: Presheaf, q: Presheaf):
         dom, cod = p.values[c], q.values[c]
         for image in itertools.product(cod, repeat=len(dom)):
             assign[c] = dict(zip(dom, image))
-            if consistent():
+            if consistent(i):
                 yield from go(i + 1)
             del assign[c]
 
     yield from go(0)
 
 
-def morphism_count_budget(p: Presheaf, q: Presheaf) -> int:
-    total = 1
-    for c in p.base.objects:
-        total *= max(1, len(q.values[c])) ** len(p.values[c])
-        if total > 10**9:
-            return total
-    return total
-
-
-def compose_morphisms(p: Presheaf, outer: dict, inner: dict) -> dict:
-    return {c: {a: outer[c][inner[c][a]] for a in inner[c]} for c in inner}
-
-
 def enumerate_presheaves(base: FinCategory, max_size: int = 3, budget: int = 200_000):
     """All presheaves with value sets {0..k-1}, k <= max_size, deterministic order.
+
+    Non-identity actions are assigned one arrow at a time; a composition-table
+    entry is checked once, when the last of its non-identity arrows is
+    assigned.  Every yielded presheaf is still validated in full.
 
     Raises CapExceeded when the assignment space exceeds the budget.
     """
@@ -312,24 +315,23 @@ def enumerate_presheaves(base: FinCategory, max_size: int = 3, budget: int = 200
         space += per
         if space > budget:
             raise CapExceeded("presheaf enumeration space exceeds budget")
+    position = {f: i for i, f in enumerate(non_id)}
+    # entries[i]: the table entries (g, f) -> h whose last non-identity arrow
+    # is non_id[i]; entries made of identities alone hold for every action.
+    entries: list[list[tuple[str, str, str]]] = [[] for _ in non_id]
+    for (g, f), h in base.table.items():
+        last = max((position[a] for a in (f, g, h) if a in position), default=None)
+        if last is not None:
+            entries[last].append((g, f, h))
     for combo in sizes:
         sz = dict(zip(base.objects, combo))
         values = {c: tuple(str(i) for i in range(sz[c])) for c in base.objects}
-        assign: dict[str, dict[str, str]] = {}
+        # the action of every arrow assigned so far, identities included
+        acts = {f: {v: v for v in values[base.src[f]]} for f in base.arrows if base.is_identity(f)}
 
-        def consistent():
-            for (g, f), h in base.table.items():
-                acts = []
-                for a in (f, g, h):
-                    if base.is_identity(a):
-                        acts.append({v: v for v in values[base.src[a]]})
-                    elif a in assign:
-                        acts.append(assign[a])
-                    else:
-                        acts.append(None)
-                fa, ga, ha = acts
-                if fa is None or ga is None or ha is None:
-                    continue
+        def consistent(i):
+            for g, f, h in entries[i]:
+                fa, ga, ha = acts[f], acts[g], acts[h]
                 for a in values[base.tgt[g]]:
                     if fa[ga[a]] != ha[a]:
                         return False
@@ -337,7 +339,7 @@ def enumerate_presheaves(base: FinCategory, max_size: int = 3, budget: int = 200
 
         def go(i):
             if i == len(non_id):
-                action = {f: dict(m) for f, m in assign.items()}
+                action = {f: dict(acts[f]) for f in non_id}
                 yield validate_presheaf(base, values, action)
                 return
             f = non_id[i]
@@ -346,10 +348,10 @@ def enumerate_presheaves(base: FinCategory, max_size: int = 3, budget: int = 200
             if len(dom) > 0 and len(cod) == 0:
                 return
             for image in itertools.product(cod, repeat=len(dom)):
-                assign[f] = dict(zip(dom, image))
-                if consistent():
+                acts[f] = dict(zip(dom, image))
+                if consistent(i):
                     yield from go(i + 1)
-                del assign[f]
+                del acts[f]
 
         yield from go(0)
 
@@ -361,14 +363,22 @@ def sheaf_targets(base: FinCategory, topology: Topology, max_size: int = 3, budg
             yield p
 
 
-def unit_universal_property(p: Presheaf, topology: Topology, target: Presheaf) -> tuple[bool, tuple]:
-    """Every map p -> target (a sheaf) factors uniquely through the unit."""
-    sh = sheafify(p, topology)
-    factorisations = list(presheaf_morphisms(sh.sheaf, target))
+def unit_universal_property(p: Presheaf, sh: Sheafification, target: Presheaf) -> tuple[bool, tuple]:
+    """The unit sh.unit: p -> sh.sheaf is universal for the sheaf target:
+    h |-> h . unit is a bijection Hom(sh.sheaf, target) -> Hom(p, target).
+
+    One pass over Hom(sh.sheaf, target) counts the composites h . unit, keyed
+    by their values in a fixed (object, element of p) order; then every map
+    p -> target must have been hit exactly once.  The witness is the first
+    map, in enumeration order, hit n != 1 times.
+    """
+    slots = [(c, a) for c in p.base.objects for a in p.values[c]]
+    unit_slots = [(c, sh.unit[c][a]) for c, a in slots]
+    hits = Counter(tuple(h[c][b] for c, b in unit_slots) for h in presheaf_morphisms(sh.sheaf, target))
     for m in presheaf_morphisms(p, target):
-        hits = [h for h in factorisations if compose_morphisms(p, h, sh.unit) == m]
-        if len(hits) != 1:
-            return False, ("factorisations", len(hits), tuple(sorted((c, tuple(sorted(v.items()))) for c, v in m.items())))
+        n = hits[tuple(m[c][a] for c, a in slots)]
+        if n != 1:
+            return False, ("factorisations", n, tuple(sorted((c, tuple(sorted(v.items()))) for c, v in m.items())))
     return True, ()
 
 

@@ -62,10 +62,6 @@ def maximal_sieve(base: FinCategory, apex: str) -> Sieve:
     return Sieve(base, apex, frozenset(base.into(apex)))
 
 
-def empty_sieve(base: FinCategory, apex: str) -> Sieve:
-    return Sieve(base, apex, frozenset())
-
-
 def pullback_arrows(base: FinCategory, f: str, arrows: frozenset[str]) -> frozenset[str]:
     return frozenset(g for g in base.into(base.src[f]) if base.compose(f, g) in arrows)
 

@@ -14,6 +14,8 @@ from finsite.generate import Caps
 
 SEED = 0
 CAPS = Caps()  # instances=500, base_objects<=4, fiber_objects<=4
+# At most 5% of the fuzzed instances of any experiment may be skipped.
+SKIP_CEILING = CAPS.instances // 20
 _REPORTS: dict[str, object] = {}
 
 
@@ -21,6 +23,10 @@ def _report(experiment_id: str):
     if experiment_id not in _REPORTS:
         _REPORTS[experiment_id] = run_experiment(experiment_id, SEED, CAPS)
     return _REPORTS[experiment_id]
+
+
+def _assert_skips_bounded(report):
+    assert report.skipped <= SKIP_CEILING, (report.experiment, dict(report.skips))
 
 
 def _criterion(number: int, title: str, experiment_ids: tuple[str, ...]):
@@ -37,6 +43,7 @@ def _criterion(number: int, title: str, experiment_ids: tuple[str, ...]):
     )
     for r in reports:
         assert r.checked >= CAPS.instances - r.skipped
+        _assert_skips_bounded(r)
         if r.failures:
             pytest.fail(
                 "criterion {:02d} failed in {}: {}".format(number, r.experiment, r.failures[0].message)
@@ -141,3 +148,4 @@ def test_supporting_experiments_all_pass():
             )
         )
         assert report.ok, report.failures[0].message if report.failures else ""
+        _assert_skips_bounded(report)

@@ -191,7 +191,9 @@ def test_child_pythonpath_is_absolute_and_puts_the_imported_package_first(tmp_pa
     assert child_pythonpath({"PYTHONPATH": caller}).split(os.pathsep) == [root, extra]
 
 
-@pytest.mark.parametrize("exp_id", ["def-2.5-minimality", "prop-4.6-dense", "sheafify-soundness"])
+@pytest.mark.parametrize(
+    "exp_id", ["def-2.5-minimality", "prop-4.6-dense", "sheafify-soundness", "continuity-cross-check"]
+)
 def test_cli_output_is_identical_across_hash_seeds(exp_id):
     env = dict(os.environ)
     env["PYTHONPATH"] = child_pythonpath(os.environ)

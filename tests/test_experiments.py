@@ -13,7 +13,7 @@ from finsite.generate import (
     generate_instance,
     shrink_site,
 )
-from finsite.sieves import is_topology
+from finsite.sieves import CapExceeded, is_topology
 
 
 SMALL = Caps(instances=12)
@@ -126,3 +126,54 @@ def test_failure_records_render_with_minimized_instance():
     run.loop(make, check)
     assert len(run.failures) == 3
     assert all(f.minimized for f in run.failures)
+
+
+def _site_with_two_objects():
+    for index in range(50):
+        inst = generate_instance("site", derive_seed(0, index), Caps())
+        if len(inst["category"].objects) >= 2:
+            return inst
+    raise AssertionError("no two-object site among the first 50 seeds")
+
+
+def test_minimisation_surfaces_a_crash_on_a_shrunk_candidate():
+    # a check that fails on the original site and crashes on every smaller
+    # one: the crash is an error, not a candidate that "no longer fails"
+    from finsite.experiments import _Run
+
+    original = _site_with_two_objects()
+    run = _Run(seed=0, caps=Caps(instances=1))
+
+    def check(inst):
+        if inst["category"] is original["category"]:
+            return "synthetic failure"
+        raise RuntimeError("kernel crash while shrinking")
+
+    with pytest.raises(RuntimeError, match="kernel crash while shrinking"):
+        run.loop(lambda i: original, check)
+
+
+def test_skips_are_counted_by_reason_outside_the_canonical_report():
+    from finsite.experiments import SkipInstance, _Run
+
+    run = _Run(seed=0, caps=Caps(instances=6))
+    site = _site_with_two_objects()
+    raised_by_make = {0: GenerationError("too small"), 1: CapExceeded("too big"), 2: GenerationError("too small")}
+
+    def make(i):
+        if i in raised_by_make:
+            raise raised_by_make[i]
+        return site
+
+    def check(inst):
+        raise SkipInstance()
+
+    run.loop(make, check)
+    assert run.skips == {"GenerationError": 2, "CapExceeded": 1, "SkipInstance": 3}
+    assert run.skipped == 6 and run.checked == 0
+
+    report = run_experiment("def-2.5-minimality", 0, Caps(instances=40))
+    reasons = dict(report.skips)
+    assert list(reasons) == ["GenerationError", "CapExceeded", "SkipInstance"]
+    assert sum(reasons.values()) == report.skipped
+    assert "GenerationError" not in report.canonical_text()

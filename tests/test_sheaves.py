@@ -1,12 +1,15 @@
 import itertools
+import random
 
 import pytest
 
 from finsite import corpus
 from finsite.fincat import StructureError, compose_functors, identity_functor
+from finsite.generate import Caps, derive_seed, gen_presheaf, gen_site
 from finsite.presheaf import (
     amalgamations,
     elements_of_presheaf,
+    enumerate_presheaves,
     is_sheaf,
     matching_families,
     plus,
@@ -136,8 +139,9 @@ def test_sheafify_is_idempotent_up_to_iso(worked, sier):
 
 
 def test_unit_universal_property_on_walk2(worked, walk2, sier):
+    sh = sheafify(worked, sier)
     for target in sheaf_targets(walk2, sier, max_size=3):
-        ok, witness = unit_universal_property(worked, sier, target)
+        ok, witness = unit_universal_property(worked, sh, target)
         assert ok, witness
 
 
@@ -214,3 +218,141 @@ def test_presheaf_morphism_enumeration_counts(walk2):
     pair = validate_presheaf(walk2, {"a": ("0", "1"), "b": ("0", "1")}, {"u": {"0": "0", "1": "1"}})
     maps = list(presheaf_morphisms(singleton, pair))
     assert len(maps) == 2
+
+
+# ---------------------------------------------------------------------------
+# Differential oracles: the full-scan and pairwise-scan algorithms that the
+# incremental and counting versions in finsite.presheaf replaced.
+
+
+def reference_presheaf_morphisms(p, q):
+    """Per-object backtracking that re-checks every naturality square."""
+    base = p.base
+    objs = list(base.objects)
+    assign = {}
+
+    def consistent():
+        for f in base.arrows:
+            s, t = base.src[f], base.tgt[f]
+            if s in assign and t in assign:
+                for a in p.values[t]:
+                    if assign[s][p.act(f, a)] != q.act(f, assign[t][a]):
+                        return False
+        return True
+
+    def go(i):
+        if i == len(objs):
+            yield {c: dict(m) for c, m in assign.items()}
+            return
+        c = objs[i]
+        dom, cod = p.values[c], q.values[c]
+        for image in itertools.product(cod, repeat=len(dom)):
+            assign[c] = dict(zip(dom, image))
+            if consistent():
+                yield from go(i + 1)
+            del assign[c]
+
+    yield from go(0)
+
+
+def reference_enumerate_presheaves(base, max_size):
+    """Per-arrow backtracking that re-checks every composition-table entry."""
+    non_id = [f for f in base.arrows if not base.is_identity(f)]
+    for combo in itertools.product(range(max_size + 1), repeat=len(base.objects)):
+        sz = dict(zip(base.objects, combo))
+        values = {c: tuple(str(i) for i in range(sz[c])) for c in base.objects}
+        assign = {}
+
+        def consistent():
+            for (g, f), h in base.table.items():
+                acts = []
+                for a in (f, g, h):
+                    if base.is_identity(a):
+                        acts.append({v: v for v in values[base.src[a]]})
+                    else:
+                        acts.append(assign.get(a))
+                fa, ga, ha = acts
+                if fa is None or ga is None or ha is None:
+                    continue
+                for a in values[base.tgt[g]]:
+                    if fa[ga[a]] != ha[a]:
+                        return False
+            return True
+
+        def go(i):
+            if i == len(non_id):
+                yield validate_presheaf(base, values, {f: dict(m) for f, m in assign.items()})
+                return
+            f = non_id[i]
+            dom = values[base.tgt[f]]
+            cod = values[base.src[f]]
+            if len(dom) > 0 and len(cod) == 0:
+                return
+            for image in itertools.product(cod, repeat=len(dom)):
+                assign[f] = dict(zip(dom, image))
+                if consistent():
+                    yield from go(i + 1)
+                del assign[f]
+
+        yield from go(0)
+
+
+def reference_unit_universal_property(p, topology, target):
+    """Sheafify, then for every map p -> target scan Hom(sh, target) pairwise
+    for the h with h . unit equal to it."""
+    sh = sheafify(p, topology)
+    factorisations = list(reference_presheaf_morphisms(sh.sheaf, target))
+    for m in reference_presheaf_morphisms(p, target):
+        hits = [
+            h for h in factorisations
+            if {c: {a: h[c][sh.unit[c][a]] for a in sh.unit[c]} for c in sh.unit} == m
+        ]
+        if len(hits) != 1:
+            return False, ("factorisations", len(hits), tuple(sorted((c, tuple(sorted(v.items()))) for c, v in m.items())))
+    return True, ()
+
+
+def small_fuzzed_sites(count):
+    """Fixed-seed sites with at most two objects, each with a presheaf."""
+    caps = Caps(base_objects=2)
+    out = []
+    index = 0
+    while len(out) < count:
+        rng = random.Random(derive_seed(3, index))
+        index += 1
+        cat, topology, _, _ = gen_site(rng, caps)
+        if len(cat.objects) <= 2:
+            out.append((cat, topology, gen_presheaf(rng, cat, 3)))
+    return out
+
+
+def ordered(p):
+    return (list(p.values.items()), [(f, list(m.items())) for f, m in p.action.items()])
+
+
+def test_enumerate_presheaves_matches_the_full_scan_in_order():
+    for cat, _, _ in small_fuzzed_sites(60):
+        ours = [ordered(p) for p in enumerate_presheaves(cat, 3)]
+        oracle = [ordered(p) for p in reference_enumerate_presheaves(cat, 3)]
+        assert ours == oracle
+
+
+def test_presheaf_morphisms_match_the_full_scan_in_order():
+    for cat, _, p in small_fuzzed_sites(60):
+        for q in enumerate_presheaves(cat, 3):
+            ours = [list((c, list(m.items())) for c, m in h.items()) for h in presheaf_morphisms(p, q)]
+            oracle = [list((c, list(m.items())) for c, m in h.items()) for h in reference_presheaf_morphisms(p, q)]
+            assert ours == oracle
+
+
+def test_unit_universal_property_matches_the_pairwise_scan():
+    # every enumerated target, not only sheaves, so failing verdicts with 0
+    # and with several factorisations are compared as well
+    seen = set()
+    for cat, topology, p in small_fuzzed_sites(60):
+        sh = sheafify(p, topology)
+        for q in enumerate_presheaves(cat, 3):
+            ours = unit_universal_property(p, sh, q)
+            assert ours == reference_unit_universal_property(p, topology, q)
+            seen.add("ok" if ours[0] else min(ours[1][1], 2))
+    assert seen == {"ok", 0, 2}
