@@ -1,9 +1,11 @@
 """Finite-set-valued presheaves, the sheaf condition and the plus construction.
 
-The plus construction materialises equivalence classes of (cover, matching
-family) pairs under common-refinement agreement; applying it twice is the
-sheafification.  Class representatives are canonical (largest cover, then
-lexicographic), so all tables are deterministic.
+On a finite site the covers of c are the sieves containing the least cover
+S(c) (``sieves.least_cover``), and {S(c)} generates the topology.  The sheaf
+condition is therefore checked on S(c) alone, and the plus construction is
+P+(c) = Match(S(c), P): its elements at c are the matching families on S(c),
+sorted by their (arrow, value) items and named s0, s1, ... in that order, so
+all tables are deterministic.  Applying plus twice is the sheafification.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .fincat import FinCategory, FinFunctor, StructureError, validate_category, validate_functor
-from .sieves import CapExceeded, Topology, maximal_sieve, pullback_arrows
+from .sieves import CapExceeded, Topology, least_cover
 
 
 @dataclass(frozen=True)
@@ -92,20 +94,25 @@ def matching_families(p: Presheaf, apex: str, sieve: frozenset[str]) -> list[dic
 
 
 def amalgamations(p: Presheaf, apex: str, sieve: frozenset[str], family: dict[str, str]) -> list[str]:
-    return [a for a in p.values[apex] if all(p.act(f, a) == family[f] for f in sorted(sieve))]
+    members = sorted(sieve)
+    return [a for a in p.values[apex] if all(p.act(f, a) == family[f] for f in members)]
 
 
 def is_sheaf(p: Presheaf, topology: Topology) -> tuple[bool, tuple]:
-    """Unique amalgamation for every matching family on every cover."""
+    """Unique amalgamation for every matching family on each least cover S(c).
+
+    Every cover of c contains S(c) and {S(c)} generates the topology, so this
+    is the sheaf condition on every cover.  The witness names S(c).
+    """
     if p.base != topology.base:
         raise StructureError("presheaf and topology live on different bases")
     for c in p.base.objects:
-        for sieve in topology.sieves(c):
-            for fam in matching_families(p, c, sieve):
-                glue = amalgamations(p, c, sieve, fam)
-                if len(glue) != 1:
-                    kind = "no_amalgamation" if not glue else "ambiguous_amalgamation"
-                    return False, (kind, (c, tuple(sorted(sieve)), tuple(sorted(fam.items())), tuple(glue)))
+        sieve = least_cover(topology, c)
+        for fam in matching_families(p, c, sieve):
+            glue = amalgamations(p, c, sieve, fam)
+            if len(glue) != 1:
+                kind = "no_amalgamation" if not glue else "ambiguous_amalgamation"
+                return False, (kind, (c, tuple(sorted(sieve)), tuple(sorted(fam.items())), tuple(glue)))
     return True, ()
 
 
@@ -117,102 +124,36 @@ def _fam_key(fam: dict[str, str]) -> tuple:
 class PlusResult:
     presheaf: Presheaf
     unit: dict[str, dict[str, str]]
-    class_of: dict[str, dict[tuple, str]]
 
 
 def plus(p: Presheaf, topology: Topology) -> PlusResult:
-    """One application of the plus construction.
+    """One application of the plus construction, on the least covers.
 
-    Elements at c are classes of (cover, matching family); two pairs agree
-    when the families coincide on some common covering refinement.
+    P+(c) is the colimit of Match(S, P) over the covers S of c, which is
+    reached at the least cover S(c).  Element s<i> at c is the i-th matching
+    family on S(c) in ``_fam_key`` order.  The action along f: d -> c sends x
+    to g |-> x[f.g] on S(d), defined because S(d) lies in the cover f*S(c);
+    the unit sends a in P(c) to g |-> P(g)(a) on S(c).
     """
     base = p.base
-    pairs_at: dict[str, list[tuple[frozenset, dict[str, str]]]] = {}
+    least = {c: sorted(least_cover(topology, c)) for c in base.objects}
+    name: dict[str, dict[tuple, str]] = {}
     for c in base.objects:
-        pairs = []
-        for sieve in topology.sieves(c):
-            for fam in matching_families(p, c, sieve):
-                pairs.append((sieve, fam))
-        pairs_at[c] = pairs
-    parent: dict[tuple, tuple] = {}
-
-    def key(c, sieve, fam):
-        return (c, tuple(sorted(sieve)), _fam_key(fam))
-
-    def find(k):
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for c in base.objects:
-        for sieve, fam in pairs_at[c]:
-            parent.setdefault(key(c, sieve, fam), key(c, sieve, fam))
-        pairs = pairs_at[c]
-        for i, (s1, f1) in enumerate(pairs):
-            for (s2, f2) in pairs[i + 1 :]:
-                meet = s1 & s2
-                agree = False
-                for s3 in topology.covers[c]:
-                    if s3 <= meet and all(f1[a] == f2[a] for a in s3):
-                        agree = True
-                        break
-                if agree:
-                    union(key(c, s1, f1), key(c, s2, f2))
-    classes: dict[str, dict[tuple, list[tuple]]] = {c: {} for c in base.objects}
-    for c in base.objects:
-        for sieve, fam in pairs_at[c]:
-            k = key(c, sieve, fam)
-            classes[c].setdefault(find(k), []).append((sieve, fam))
-
-    def canonical(members):
-        best = None
-        for sieve, fam in members:
-            cand = (-len(sieve), tuple(sorted(sieve)), _fam_key(fam))
-            if best is None or cand < best:
-                best = cand
-        return (tuple(best[1]), best[2])
-
-    values: dict[str, tuple[str, ...]] = {}
-    class_of: dict[str, dict[tuple, str]] = {c: {} for c in base.objects}
-    for c in base.objects:
-        reps = sorted(canonical(m) for m in classes[c].values())
-        names = {rep: "s{}".format(i) for i, rep in enumerate(reps)}
-        values[c] = tuple(names[rep] for rep in reps)
-        for root, members in classes[c].items():
-            nm = names[canonical(members)]
-            for sieve, fam in members:
-                class_of[c][(tuple(sorted(sieve)), _fam_key(fam))] = nm
+        keys = sorted(_fam_key(fam) for fam in matching_families(p, c, frozenset(least[c])))
+        name[c] = {k: "s{}".format(i) for i, k in enumerate(keys)}
     action: dict[str, dict[str, str]] = {}
-    rep_pair: dict[str, dict[str, tuple]] = {c: {} for c in base.objects}
-    for c in base.objects:
-        for (skey, fkey), nm in class_of[c].items():
-            rep_pair[c].setdefault(nm, (skey, fkey))
     for f in base.arrows:
         s, t = base.src[f], base.tgt[f]
-        m = {}
-        for nm in values[t]:
-            skey, fkey = rep_pair[t][nm]
-            sieve = frozenset(skey)
-            fam = dict(fkey)
-            pb = pullback_arrows(base, f, sieve)
-            pulled = {g: fam[base.compose(f, g)] for g in pb}
-            m[nm] = class_of[s][(tuple(sorted(pb)), _fam_key(pulled))]
-        action[f] = m
-    out = validate_presheaf(base, values, action)
-    unit: dict[str, dict[str, str]] = {}
-    for c in base.objects:
-        top = maximal_sieve(base, c).arrows
-        unit[c] = {}
-        for a in p.values[c]:
-            fam = {f: p.act(f, a) for f in top}
-            unit[c][a] = class_of[c][(tuple(sorted(top)), _fam_key(fam))]
-    return PlusResult(out, unit, class_of)
+        action[f] = {}
+        for k, nm in name[t].items():
+            x = dict(k)
+            action[f][nm] = name[s][tuple((g, x[base.compose(f, g)]) for g in least[s])]
+    out = validate_presheaf(base, {c: tuple(name[c].values()) for c in base.objects}, action)
+    unit = {
+        c: {a: name[c][tuple((g, p.act(g, a)) for g in least[c])] for a in p.values[c]}
+        for c in base.objects
+    }
+    return PlusResult(out, unit)
 
 
 @dataclass(frozen=True)

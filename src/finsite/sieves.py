@@ -137,6 +137,23 @@ class Topology:
         return hash((self.base, tuple(sorted((c, tuple(sorted(map(tuple, map(sorted, s))))) for c, s in self.covers.items()))))
 
 
+def least_cover(topology: Topology, obj: str) -> frozenset[str]:
+    """The least covering sieve S(obj), the intersection of every cover of obj.
+
+    Covers are closed under intersection, so on a finite site J(obj) is the
+    up-set of S(obj), and {S(c)} is a coverage that generates the topology.
+    Raises StructureError when obj has no cover or the intersection is not a
+    cover; a topology from ``saturate`` or ``is_topology`` does neither.
+    """
+    covers = topology.covers[obj]
+    if not covers:
+        raise StructureError("no covering sieve at {}".format(obj), witness=obj)
+    least = frozenset.intersection(*covers)
+    if least not in covers:
+        raise StructureError("covers at {} are not closed under intersection".format(obj), witness=obj)
+    return least
+
+
 def trivial_topology(base: FinCategory) -> Topology:
     return Topology(base, {c: frozenset({maximal_sieve(base, c).arrows}) for c in base.objects})
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -22,7 +23,14 @@ from finsite.presheaf import (
     unit_universal_property,
     validate_presheaf,
 )
-from finsite.sieves import trivial_topology
+from finsite.sieves import (
+    CapExceeded,
+    Topology,
+    least_cover,
+    maximal_sieve,
+    pullback_arrows,
+    trivial_topology,
+)
 
 
 @pytest.fixture
@@ -80,6 +88,30 @@ def test_worked_example_is_not_a_sheaf(worked, sier):
     assert obj == "b"
     assert sieve == ("u",)
     assert len(glue) == 2
+
+
+def test_least_cover_of_sier_at_b(sier):
+    assert least_cover(sier, "b") == frozenset({"u"})
+
+
+@pytest.mark.parametrize(
+    "covers, match",
+    [
+        # no cover at a
+        ({"a": frozenset(), "b": frozenset({frozenset({"u", "id_b"})})}, "no covering sieve at a"),
+        # {u} and {id_b} cover b, their intersection does not
+        (
+            {"a": frozenset({frozenset({"id_a"})}), "b": frozenset({frozenset({"u"}), frozenset({"id_b"})})},
+            "not closed under intersection",
+        ),
+    ],
+)
+def test_hand_built_topology_without_a_least_cover_is_refused(worked, walk2, covers, match):
+    broken = Topology(walk2, covers)
+    with pytest.raises(StructureError, match=match):
+        plus(worked, broken)
+    with pytest.raises(StructureError, match=match):
+        is_sheaf(worked, broken)
 
 
 def test_representable_at_b_is_a_sier_sheaf(walk2, sier):
@@ -356,3 +388,191 @@ def test_unit_universal_property_matches_the_pairwise_scan():
             assert ours == reference_unit_universal_property(p, topology, q)
             seen.add("ok" if ours[0] else min(ours[1][1], 2))
     assert seen == {"ok", 0, 2}
+
+
+# ---------------------------------------------------------------------------
+# Differential oracles: the plus construction by classes of (cover, matching
+# family) under common-refinement agreement, and the sheaf condition on every
+# cover, which the least-cover versions in finsite.presheaf replaced.
+
+
+def reference_plus(p, topology):
+    """Union-find over all (cover, family) pairs; a class is named by its
+    canonical member (largest cover, then lexicographic).  Returns the
+    presheaf, the unit and the class name of every (cover, family) pair."""
+    base = p.base
+    pairs_at = {}
+    for c in base.objects:
+        pairs = []
+        for sieve in topology.sieves(c):
+            for fam in matching_families(p, c, sieve):
+                pairs.append((sieve, fam))
+        pairs_at[c] = pairs
+    parent = {}
+
+    def fam_key(fam):
+        return tuple(sorted(fam.items()))
+
+    def key(c, sieve, fam):
+        return (c, tuple(sorted(sieve)), fam_key(fam))
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    for c in base.objects:
+        for sieve, fam in pairs_at[c]:
+            parent.setdefault(key(c, sieve, fam), key(c, sieve, fam))
+        pairs = pairs_at[c]
+        for i, (s1, f1) in enumerate(pairs):
+            for (s2, f2) in pairs[i + 1 :]:
+                meet = s1 & s2
+                agree = False
+                for s3 in topology.covers[c]:
+                    if s3 <= meet and all(f1[a] == f2[a] for a in s3):
+                        agree = True
+                        break
+                if agree:
+                    union(key(c, s1, f1), key(c, s2, f2))
+    classes = {c: {} for c in base.objects}
+    for c in base.objects:
+        for sieve, fam in pairs_at[c]:
+            k = key(c, sieve, fam)
+            classes[c].setdefault(find(k), []).append((sieve, fam))
+
+    def canonical(members):
+        best = None
+        for sieve, fam in members:
+            cand = (-len(sieve), tuple(sorted(sieve)), fam_key(fam))
+            if best is None or cand < best:
+                best = cand
+        return (tuple(best[1]), best[2])
+
+    values = {}
+    class_of = {c: {} for c in base.objects}
+    for c in base.objects:
+        reps = sorted(canonical(m) for m in classes[c].values())
+        names = {rep: "s{}".format(i) for i, rep in enumerate(reps)}
+        values[c] = tuple(names[rep] for rep in reps)
+        for root, members in classes[c].items():
+            nm = names[canonical(members)]
+            for sieve, fam in members:
+                class_of[c][(tuple(sorted(sieve)), fam_key(fam))] = nm
+    action = {}
+    rep_pair = {c: {} for c in base.objects}
+    for c in base.objects:
+        for (skey, fkey), nm in class_of[c].items():
+            rep_pair[c].setdefault(nm, (skey, fkey))
+    for f in base.arrows:
+        s, t = base.src[f], base.tgt[f]
+        m = {}
+        for nm in values[t]:
+            skey, fkey = rep_pair[t][nm]
+            sieve = frozenset(skey)
+            fam = dict(fkey)
+            pb = pullback_arrows(base, f, sieve)
+            pulled = {g: fam[base.compose(f, g)] for g in pb}
+            m[nm] = class_of[s][(tuple(sorted(pb)), fam_key(pulled))]
+        action[f] = m
+    out = validate_presheaf(base, values, action)
+    unit = {}
+    for c in base.objects:
+        top = maximal_sieve(base, c).arrows
+        unit[c] = {}
+        for a in p.values[c]:
+            fam = {f: p.act(f, a) for f in top}
+            unit[c][a] = class_of[c][(tuple(sorted(top)), fam_key(fam))]
+    return out, unit, class_of
+
+
+def reference_is_sheaf(p, topology):
+    """The sheaf condition on every cover, smallest covers first."""
+    for c in p.base.objects:
+        for sieve in topology.sieves(c):
+            for fam in matching_families(p, c, sieve):
+                glue = amalgamations(p, c, sieve, fam)
+                if len(glue) != 1:
+                    kind = "no_amalgamation" if not glue else "ambiguous_amalgamation"
+                    return False, (kind, (c, tuple(sorted(sieve)), tuple(sorted(fam.items())), tuple(glue)))
+    return True, ()
+
+
+def fuzzed_site_presheaves(count, budget=100):
+    """Fixed-seed sites with at most three objects, each with every presheaf
+    of size at most 2 when that is within budget, else 20 random ones."""
+    caps = Caps(base_objects=3)
+    out = []
+    index = 0
+    while len(out) < count:
+        rng = random.Random(derive_seed(4, index))
+        index += 1
+        cat, topology, _, _ = gen_site(rng, caps)
+        if len(cat.objects) > 3:
+            continue
+        try:
+            presheaves = list(enumerate_presheaves(cat, 2, budget))
+        except CapExceeded:
+            presheaves = [gen_presheaf(rng, cat, 2) for _ in range(20)]
+        out.append((cat, topology, presheaves))
+    return out
+
+
+def assert_plus_matches_the_reference(q, topology):
+    """s<i> at c, the i-th matching family on S(c), goes to the reference
+    class of (S(c), that family); this must be a bijection that commutes
+    with the unit and with every action."""
+    ours = plus(q, topology)
+    ref, ref_unit, class_of = reference_plus(q, topology)
+    base = q.base
+    iso = {}
+    for c in base.objects:
+        least = least_cover(topology, c)
+        fams = sorted(tuple(sorted(fam.items())) for fam in matching_families(q, c, least))
+        names = tuple("s{}".format(i) for i in range(len(fams)))
+        assert ours.presheaf.values[c] == names
+        iso[c] = {nm: class_of[c][(tuple(sorted(least)), k)] for nm, k in zip(names, fams)}
+        assert sorted(iso[c].values()) == sorted(ref.values[c])
+    for c in base.objects:
+        for a in q.values[c]:
+            assert iso[c][ours.unit[c][a]] == ref_unit[c][a]
+    for f in base.arrows:
+        s, t = base.src[f], base.tgt[f]
+        for x in ours.presheaf.values[t]:
+            assert iso[s][ours.presheaf.act(f, x)] == ref.act(f, iso[t][x])
+    return ours
+
+
+def test_plus_matches_the_refinement_classes():
+    # both applications of sheafify: plus of p, then plus of that
+    resized = 0
+    for cat, topology, presheaves in fuzzed_site_presheaves(150):
+        for q in presheaves:
+            once = assert_plus_matches_the_reference(q, topology)
+            assert_plus_matches_the_reference(once.presheaf, topology)
+            resized += any(len(once.presheaf.values[c]) != len(q.values[c]) for c in cat.objects)
+    assert resized
+
+
+def test_is_sheaf_matches_the_all_covers_check():
+    verdicts = Counter()
+    for cat, topology, presheaves in fuzzed_site_presheaves(150):
+        for q in presheaves:
+            ok, witness = is_sheaf(q, topology)
+            assert ok == reference_is_sheaf(q, topology)[0]
+            verdicts[ok] += 1
+            if ok:
+                continue
+            kind, (c, sieve, fam, glue) = witness
+            assert sieve == tuple(sorted(least_cover(topology, c)))
+            assert dict(fam) in matching_families(q, c, frozenset(sieve))
+            found = amalgamations(q, c, frozenset(sieve), dict(fam))
+            assert len(found) != 1 and tuple(found) == glue
+            assert kind == ("no_amalgamation" if not found else "ambiguous_amalgamation")
+    assert verdicts[True] and verdicts[False]
