@@ -152,16 +152,16 @@ def validate_category(
             raise StructureError("composite ({}, {}) lands outside the arrow set".format(g, f), witness=(g, f))
         if src[h] != src[f] or tgt[h] != tgt[g]:
             raise StructureError("composite of ({}, {}) has wrong endpoints".format(g, f), witness=(g, f))
+    cat = FinCategory(objects, names, src, tgt, identity, table)
     for g in names:
-        for f in names:
-            if src[g] == tgt[f] and (g, f) not in table:
+        for f in cat.into(src[g]):
+            if (g, f) not in table:
                 raise StructureError("composable pair ({}, {}) left undefined".format(g, f), witness=(g, f))
     for f in names:
         if table[(f, identity[src[f]])] != f:
             raise StructureError("right unit law fails at {}".format(f), witness=f)
         if table[(identity[tgt[f]], f)] != f:
             raise StructureError("left unit law fails at {}".format(f), witness=f)
-    cat = FinCategory(objects, names, src, tgt, identity, table)
     for g in names:
         for f in cat.into(src[g]):
             gf = table[(g, f)]

@@ -133,13 +133,22 @@ def plus(p: Presheaf, topology: Topology) -> PlusResult:
     reached at the least cover S(c).  Element s<i> at c is the i-th matching
     family on S(c) in ``_fam_key`` order.  The action along f: d -> c sends x
     to g |-> x[f.g] on S(d), defined because S(d) lies in the cover f*S(c);
-    the unit sends a in P(c) to g |-> P(g)(a) on S(c).
+    the unit sends a in P(c) to g |-> P(g)(a) on S(c).  Raises StructureError,
+    witness f, when a hand-built topology breaks S(d) <= f*S(c).
     """
     base = p.base
-    least = {c: sorted(least_cover(topology, c)) for c in base.objects}
+    covers = {c: least_cover(topology, c) for c in base.objects}
+    for f in base.arrows:
+        d, c = base.src[f], base.tgt[f]
+        if not all(base.compose(f, g) in covers[c] for g in covers[d]):
+            raise StructureError(
+                "least cover at {} is not inside the pullback of the least cover at {} along {}".format(d, c, f),
+                witness=f,
+            )
+    least = {c: sorted(s) for c, s in covers.items()}
     name: dict[str, dict[tuple, str]] = {}
     for c in base.objects:
-        keys = sorted(_fam_key(fam) for fam in matching_families(p, c, frozenset(least[c])))
+        keys = sorted(_fam_key(fam) for fam in matching_families(p, c, covers[c]))
         name[c] = {k: "s{}".format(i) for i, k in enumerate(keys)}
     action: dict[str, dict[str, str]] = {}
     for f in base.arrows:

@@ -272,26 +272,49 @@ def induced_image_topology(functor: FinFunctor, target_topology: Topology) -> To
     return Topology(src, covers)
 
 
-def _upsets(lattice, top) -> list[frozenset[frozenset[str]]]:
-    """All upward-closed sieve families containing the maximal sieve."""
-    out = []
-    n = len(lattice)
+def _order_masks(lattice, top):
+    """The non-maximal sieves with, per sieve, bitmasks of those above and below it."""
     others = [s for s in lattice if s != top]
-    for bits in range(1 << len(others)):
-        fam = {top}
-        for i, s in enumerate(others):
-            if bits >> i & 1:
-                fam.add(s)
-        closed = True
-        for s in fam:
-            for t in lattice:
-                if s <= t and t not in fam:
-                    closed = False
-                    break
-            if not closed:
-                break
-        if closed:
-            out.append(frozenset(fam))
+    above = [sum(1 << j for j, t in enumerate(others) if s <= t) for s in others]
+    below = [sum(1 << j for j, t in enumerate(others) if t <= s) for s in others]
+    return others, above, below
+
+
+def _upset_count(lattice, top) -> int:
+    """Number of upward-closed sieve families containing the maximal sieve.
+
+    Splits on the lowest undecided sieve x: either x is in the family, and so
+    is every sieve above it, or x is out, and so is every sieve below it.  The
+    split is valid for any x; counts are memoised per mask of undecided sieves.
+    """
+    others, above, below = _order_masks(lattice, top)
+    memo = {0: 1}
+
+    def count(rest):
+        if rest not in memo:
+            x = (rest & -rest).bit_length() - 1
+            memo[rest] = count(rest & ~above[x]) + count(rest & ~below[x])
+        return memo[rest]
+
+    return count((1 << len(others)) - 1)
+
+
+def _upsets(lattice, top) -> list[frozenset[frozenset[str]]]:
+    """All upward-closed sieve families containing the maximal sieve, sorted."""
+    others, above, below = _order_masks(lattice, top)
+    masks = []
+
+    def split(rest, chosen):
+        if not rest:
+            masks.append(chosen)
+            return
+        x = (rest & -rest).bit_length() - 1
+        # no sieve above x is out yet, since that would have put x out
+        split(rest & ~above[x], chosen | above[x])
+        split(rest & ~below[x], chosen)
+
+    split((1 << len(others)) - 1, 0)
+    out = [frozenset([top] + [s for j, s in enumerate(others) if m >> j & 1]) for m in masks]
     out.sort(key=lambda fam: (len(fam), tuple(sorted(tuple(sorted(s)) for s in fam))))
     return out
 
@@ -300,7 +323,7 @@ def topology_candidate_count(base: FinCategory) -> int:
     """Upper bound on the covers-maps enumerate_topologies must sift through."""
     total = 1
     for c in base.objects:
-        total *= len(_upsets(sieve_lattice(base, c), maximal_sieve(base, c).arrows))
+        total *= _upset_count(sieve_lattice(base, c), maximal_sieve(base, c).arrows)
         if total > 10**9:
             return total
     return total

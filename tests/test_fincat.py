@@ -56,6 +56,18 @@ def test_missing_composite_is_rejected():
         validate_category(c3.objects, {a: (c3.src[a], c3.tgt[a]) for a in c3.arrows}, c3.identity, table)
 
 
+def test_first_missing_composite_in_arrow_name_order_is_the_witness():
+    # pairs are scanned by g, then f, in sorted arrow-name order; scanning by f
+    # first would name ("id_a2", "a0->a2") instead
+    c3 = corpus.chain3()
+    table = dict(c3.table)
+    del table[("id_a2", "a0->a2")]
+    del table[("a1->a2", "id_a1")]
+    with pytest.raises(StructureError, match="left undefined") as info:
+        validate_category(c3.objects, {a: (c3.src[a], c3.tgt[a]) for a in c3.arrows}, c3.identity, table)
+    assert info.value.witness == ("a1->a2", "id_a1")
+
+
 def test_broken_unit_law_is_rejected():
     arrows = {"e": ("x", "x"), "id_x": ("x", "x")}
     table = {("e", "e"): "e", ("e", "id_x"): "e", ("id_x", "e"): "id_x", ("id_x", "id_x"): "id_x"}

@@ -114,6 +114,21 @@ def test_hand_built_topology_without_a_least_cover_is_refused(worked, walk2, cov
         is_sheaf(worked, broken)
 
 
+def test_hand_built_topology_that_is_not_pullback_stable_is_refused(worked, walk2):
+    # S(b) is the empty sieve, so u*S(b) is empty and misses S(a) = {id_a}
+    broken = Topology(
+        walk2,
+        {
+            "a": frozenset({frozenset({"id_a"})}),
+            "b": frozenset({frozenset(), frozenset({"u"}), frozenset({"u", "id_b"})}),
+        },
+    )
+    for build in (plus, sheafify):
+        with pytest.raises(StructureError, match="not inside the pullback") as info:
+            build(worked, broken)
+        assert info.value.witness == "u"
+
+
 def test_representable_at_b_is_a_sier_sheaf(walk2, sier):
     yb = representable(walk2, "b")
     # oracle: count amalgamations for each brute-forced family

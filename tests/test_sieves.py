@@ -1,12 +1,18 @@
 
+import itertools
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from finsite import corpus
+from finsite.fibration import grothendieck
 from finsite.fincat import StructureError, identity_functor, validate_functor
+from finsite.generate import Caps, GenerationError, derive_seed, generate_instance
 from finsite.sieves import (
     CapExceeded,
     Sieve,
+    Topology,
     coverage_of,
     elements_of_sieve,
     enumerate_topologies,
@@ -19,6 +25,7 @@ from finsite.sieves import (
     pullback_sieve,
     saturate,
     sieve_lattice,
+    topology_candidate_count,
     topology_leq,
     trivial_topology,
     validate_sieve,
@@ -152,6 +159,94 @@ def test_enumerate_topologies_cap(one):
     next(gen)
     with pytest.raises(CapExceeded):
         next(gen)
+
+
+def reference_upsets(lattice, top):
+    """Independent oracle: every family of non-maximal sieves, kept when upward closed."""
+    out = []
+    others = [s for s in lattice if s != top]
+    for bits in range(1 << len(others)):
+        fam = {top} | {s for i, s in enumerate(others) if bits >> i & 1}
+        if all(t in fam for s in fam for t in lattice if s <= t):
+            out.append(frozenset(fam))
+    out.sort(key=lambda fam: (len(fam), tuple(sorted(tuple(sorted(s)) for s in fam))))
+    return out
+
+
+def reference_upsets_per_object(base):
+    return [reference_upsets(sieve_lattice(base, c), maximal_sieve(base, c).arrows) for c in base.objects]
+
+
+def reference_candidate_count(base):
+    total = 1
+    for upsets in reference_upsets_per_object(base):
+        total *= len(upsets)
+        if total > 10**9:
+            return total
+    return total
+
+
+def reference_enumerate_topologies(base):
+    for combo in itertools.product(*reference_upsets_per_object(base)):
+        covers = dict(zip(base.objects, combo))
+        if is_topology(base, covers)[0]:
+            yield Topology(base, covers)
+
+
+def fuzzed_bases(instances):
+    """Distinct fixed-seed fibration bases and total categories with at most 14 sieves per object."""
+    out = {}
+    for index in range(instances):
+        try:
+            inst = generate_instance("fibration", derive_seed(5, index), Caps())
+        except (GenerationError, CapExceeded):
+            continue
+        for cat in (inst["indexed"].base, grothendieck(inst["indexed"]).total):
+            if all(len(sieve_lattice(cat, c)) <= 14 for c in cat.objects):
+                out.setdefault(cat, None)
+    return list(out)
+
+
+def minimality_seed1_total():
+    """The def-2.5-minimality seed-1 total category with a 22-sieve lattice."""
+    inst = generate_instance("fibration", derive_seed(1, 4), replace(Caps(), base_objects=3, fiber_objects=2))
+    return grothendieck(inst["indexed"]).total
+
+
+@pytest.mark.parametrize("name, expected", [("one-trivial", 2), ("walk2-sier", 6), ("chain3", 24), ("retract", 6)])
+def test_topology_candidate_count_on_the_corpus(name, expected):
+    base = {n: cat for n, cat, _ in corpus.corpus_sites()}[name]
+    assert topology_candidate_count(base) == expected
+
+
+def test_topology_candidate_count_matches_the_subset_filter():
+    for base in fuzzed_bases(200):
+        assert topology_candidate_count(base) == reference_candidate_count(base)
+
+
+def test_enumerate_topologies_matches_the_subset_filter_in_order():
+    bases = [base for _, base, _ in corpus.corpus_sites()]
+    bases += [base for base in fuzzed_bases(200) if topology_candidate_count(base) <= 2000]
+    for base in bases:
+        assert list(enumerate_topologies(base)) == list(reference_enumerate_topologies(base))
+
+
+def test_topology_candidate_count_on_a_22_sieve_lattice():
+    total = minimality_seed1_total()
+    sizes = {c: len(sieve_lattice(total, c)) for c in total.objects}
+    assert max(sizes.values()) == 22
+    # 156 up-sets on the 22-sieve lattice were counted once by reference_upsets,
+    # which filters 2^21 families and takes seconds; the other lattices are small
+    expected = 156
+    for c in total.objects:
+        if sizes[c] != 22:
+            expected *= len(reference_upsets(sieve_lattice(total, c), maximal_sieve(total, c).arrows))
+    assert topology_candidate_count(total) == expected
+
+
+def test_enumerate_topologies_refuses_a_lattice_over_14_sieves():
+    with pytest.raises(CapExceeded, match="sieve lattice too large"):
+        next(enumerate_topologies(minimality_seed1_total()))
 
 
 def test_topology_leq_is_a_partial_order_on_walk2(walk2):
