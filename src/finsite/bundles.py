@@ -189,17 +189,14 @@ def category_to_json(cat: FinCategory) -> dict:
 
 
 def topology_to_json(top: Topology, category_name: str) -> dict:
-    """Emit a small generating set: the inclusion-minimal covers per object
-    (the maximal sieve is implied and omitted when derivable)."""
-    from .sieves import maximal_sieve
+    """Emit a small generating set: the least cover per object (omitted when
+    it is the maximal sieve, which every topology contains)."""
+    from .sieves import least_cover, maximal_sieve
 
     covers = {}
     for c in top.base.objects:
-        sieves = top.covers[c]
-        minimal = [s for s in sieves if not any(t < s for t in sieves)]
-        if minimal == [maximal_sieve(top.base, c).arrows] and len(sieves) == 1:
-            minimal = []
-        covers[c] = [sorted(s) for s in sorted(minimal, key=lambda s: (len(s), tuple(sorted(s))))]
+        least = least_cover(top, c)
+        covers[c] = [] if least == maximal_sieve(top.base, c).arrows else [sorted(least)]
     return {"category": category_name, "covers": covers}
 
 

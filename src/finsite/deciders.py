@@ -3,8 +3,11 @@
 Every "there exists a covering family such that each member ..." condition
 is decided by computing the sieve of qualifying arrows (the qualifying set
 is always precomposition-closed) and testing membership in the saturated
-cover set, which is upward closed.  Verdicts carry replayable witnesses:
-a negative witness re-fails its condition, a positive trace re-verifies.
+cover set, which is upward closed.  On a finite site the covers J(c) are
+exactly the sieves containing the least cover S(c) (``sieves.least_cover``),
+so comorphism, cover preservation and the zig-zag condition of continuity
+are decided on S(c) alone.  Verdicts carry replayable witnesses: a negative
+witness re-fails its condition, a positive trace re-verifies.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from .fincat import (
     validate_transform,
 )
 from .presheaf import Presheaf, prop33_pullback_data
-from .sieves import Sieve, Topology, elements_of_sieve, generate_sieve, sieve_lattice
+from .sieves import Sieve, Topology, elements_of_sieve, generate_sieve, least_cover, sieve_lattice
 
 
 @dataclass(frozen=True)
@@ -64,31 +67,34 @@ def _image_sieve(functor: FinFunctor, apex: str, arrows) -> frozenset[str]:
 
 
 def is_comorphism(sf: SiteFunctor) -> Verdict:
-    """Target covers of image objects lift to source covers mapping inside them."""
+    """Target covers of image objects lift to source covers mapping inside them.
+
+    Per object c it suffices that F maps S_J(c) into S_K(F c): the least
+    target cover is the hardest to lift into, and S_J(c) lifts whenever any
+    cover does.
+    """
     functor, j_src, j_tgt = sf.functor, sf.source_topology, sf.target_topology
     trace = []
     for c in functor.source.objects:
-        for sieve in j_tgt.sieves(functor.ob(c)):
-            lift = None
-            for cand in j_src.sieves(c):
-                if all(functor.ar(f) in sieve for f in cand):
-                    lift = cand
-                    break
-            if lift is None:
-                return Verdict(False, "comorphism", (c, tuple(sorted(sieve))))
-            trace.append((c, tuple(sorted(sieve)), tuple(sorted(lift))))
+        sieve = least_cover(j_tgt, functor.ob(c))
+        lift = least_cover(j_src, c)
+        if not all(functor.ar(f) in sieve for f in lift):
+            return Verdict(False, "comorphism", (c, tuple(sorted(sieve))))
+        trace.append((c, tuple(sorted(sieve)), tuple(sorted(lift))))
     return Verdict(True, "comorphism", (), tuple(trace))
 
 
 def is_cover_preserving(sf: SiteFunctor) -> Verdict:
+    """The image of every source cover covers; the image of S_J(c) is the
+    least of them, since generated images are monotone."""
     functor, j_src, j_tgt = sf.functor, sf.source_topology, sf.target_topology
     trace = []
     for c in functor.source.objects:
-        for sieve in j_src.sieves(c):
-            image = _image_sieve(functor, c, sieve)
-            if not j_tgt.is_cover(functor.ob(c), image):
-                return Verdict(False, "cover-preserving", (c, tuple(sorted(sieve)), tuple(sorted(image))))
-            trace.append((c, tuple(sorted(sieve)), tuple(sorted(image))))
+        sieve = least_cover(j_src, c)
+        image = _image_sieve(functor, c, sieve)
+        if not j_tgt.is_cover(functor.ob(c), image):
+            return Verdict(False, "cover-preserving", (c, tuple(sorted(sieve)), tuple(sorted(image))))
+        trace.append((c, tuple(sorted(sieve)), tuple(sorted(image))))
     return Verdict(True, "cover-preserving", (), tuple(trace))
 
 
@@ -111,7 +117,13 @@ def _comma_component_table(functor_to_d, d_i: str):
 def is_continuous(sf: SiteFunctor) -> Verdict:
     """Cover preservation plus the zig-zag cofinality condition: every square
     over a pair of cover members is locally connected in the comma category
-    of the cover's elements."""
+    of the cover's elements.
+
+    The zig-zag condition is checked on S_J(c) only.  If it holds there, it
+    holds on every R containing S(c): a square on f, g in R pulls back along
+    a K-cover to squares on members of S(c), and each f o x is joined to f
+    by the arrow x of el(R).
+    """
     cp = is_cover_preserving(sf)
     if not cp.ok:
         return Verdict(False, "continuous", ("not_cover_preserving",) + cp.witness, ())
@@ -119,41 +131,41 @@ def is_continuous(sf: SiteFunctor) -> Verdict:
     ccat, dcat = functor.source, functor.target
     trace = list(cp.trace)
     for c in ccat.objects:
-        for sieve in j_src.sieves(c):
-            elems = elements_of_sieve(Sieve(ccat, c, sieve))
-            to_d = compose_functors(functor, elems.projection)
-            obj_of = {arrow: name for name, arrow in elems.object_arrow.items()}
-            tables: dict[str, dict] = {}
-            members = sorted(sieve)
-            for f in members:
-                for g in members:
-                    af, ag = functor.ar(f), functor.ar(g)
-                    for d in dcat.objects:
-                        for alpha in dcat.hom(d, functor.ob(ccat.src[f])):
-                            lhs = dcat.compose(af, alpha)
-                            for beta in dcat.hom(d, functor.ob(ccat.src[g])):
-                                if lhs != dcat.compose(ag, beta):
-                                    continue
-                                qualifying = set()
-                                for t in dcat.into(d):
-                                    d_i = dcat.src[t]
-                                    if d_i not in tables:
-                                        tables[d_i] = _comma_component_table(to_d, d_i)
-                                    tab = tables[d_i]
-                                    c1 = tab.get((obj_of[f], dcat.compose(alpha, t)))
-                                    c2 = tab.get((obj_of[g], dcat.compose(beta, t)))
-                                    if c1 is not None and c1 == c2:
-                                        qualifying.add(t)
-                                if not k_tgt.is_cover(d, frozenset(qualifying)):
-                                    return Verdict(
-                                        False,
-                                        "continuous",
-                                        (
-                                            "no_local_connection",
-                                            (c, tuple(sorted(sieve)), f, g, d, alpha, beta, tuple(sorted(qualifying))),
-                                        ),
-                                    )
-                                trace.append((c, f, g, d, alpha, beta, tuple(sorted(qualifying))))
+        sieve = least_cover(j_src, c)
+        elems = elements_of_sieve(Sieve(ccat, c, sieve))
+        to_d = compose_functors(functor, elems.projection)
+        obj_of = {arrow: name for name, arrow in elems.object_arrow.items()}
+        tables: dict[str, dict] = {}
+        members = sorted(sieve)
+        for f in members:
+            for g in members:
+                af, ag = functor.ar(f), functor.ar(g)
+                for d in dcat.objects:
+                    for alpha in dcat.hom(d, functor.ob(ccat.src[f])):
+                        lhs = dcat.compose(af, alpha)
+                        for beta in dcat.hom(d, functor.ob(ccat.src[g])):
+                            if lhs != dcat.compose(ag, beta):
+                                continue
+                            qualifying = set()
+                            for t in dcat.into(d):
+                                d_i = dcat.src[t]
+                                if d_i not in tables:
+                                    tables[d_i] = _comma_component_table(to_d, d_i)
+                                tab = tables[d_i]
+                                c1 = tab.get((obj_of[f], dcat.compose(alpha, t)))
+                                c2 = tab.get((obj_of[g], dcat.compose(beta, t)))
+                                if c1 is not None and c1 == c2:
+                                    qualifying.add(t)
+                            if not k_tgt.is_cover(d, frozenset(qualifying)):
+                                return Verdict(
+                                    False,
+                                    "continuous",
+                                    (
+                                        "no_local_connection",
+                                        (c, tuple(sorted(sieve)), f, g, d, alpha, beta, tuple(sorted(qualifying))),
+                                    ),
+                                )
+                            trace.append((c, f, g, d, alpha, beta, tuple(sorted(qualifying))))
     return Verdict(True, "continuous", (), tuple(trace))
 
 
@@ -465,6 +477,11 @@ def _presheaf_element_objects(p: Presheaf) -> dict[str, tuple[str, str]]:
 # Witness replay
 
 
+def _is_least(topology: Topology, obj: str, sieve: frozenset[str]) -> bool:
+    """Whether ``sieve`` covers ``obj`` and lies inside every cover of it."""
+    return topology.is_cover(obj, sieve) and all(sieve <= s for s in topology.covers[obj])
+
+
 def replay(verdict: Verdict, subject) -> bool:
     """Re-evaluate the decided condition at the verdict's witness or trace.
 
@@ -472,28 +489,30 @@ def replay(verdict: Verdict, subject) -> bool:
     Returns True when the replay is consistent with the verdict.
     """
     if verdict.rule == "comorphism":
-        sf = subject
+        sf, functor = subject, subject.functor
         if verdict.ok:
-            for c, sieve, lift in verdict.trace:
-                if not sf.source_topology.is_cover(c, frozenset(lift)):
-                    return False
-                if not all(sf.functor.ar(f) in set(sieve) for f in lift):
-                    return False
-            return True
+            return tuple(entry[0] for entry in verdict.trace) == functor.source.objects and all(
+                _is_least(sf.target_topology, functor.ob(c), frozenset(sieve))
+                and sf.source_topology.is_cover(c, frozenset(lift))
+                and all(functor.ar(f) in sieve for f in lift)
+                for c, sieve, lift in verdict.trace
+            )
         c, sieve = verdict.witness
         for cand in sf.source_topology.sieves(c):
-            if all(sf.functor.ar(f) in set(sieve) for f in cand):
+            if all(functor.ar(f) in set(sieve) for f in cand):
                 return False
         return True
     if verdict.rule == "cover-preserving":
-        sf = subject
+        sf, functor = subject, subject.functor
         if verdict.ok:
-            for c, sieve, image in verdict.trace:
-                if not sf.target_topology.is_cover(sf.functor.ob(c), frozenset(image)):
-                    return False
-            return True
+            return tuple(entry[0] for entry in verdict.trace) == functor.source.objects and all(
+                _is_least(sf.source_topology, c, frozenset(sieve))
+                and frozenset(image) == _image_sieve(functor, c, sieve)
+                and sf.target_topology.is_cover(functor.ob(c), frozenset(image))
+                for c, sieve, image in verdict.trace
+            )
         c, sieve, image = verdict.witness
-        return not sf.target_topology.is_cover(sf.functor.ob(c), frozenset(image))
+        return not sf.target_topology.is_cover(functor.ob(c), frozenset(image))
     if verdict.rule in ("continuous", "covering-flat", "morphism-of-sites", "dense-morphism", "prop33"):
         fresh = {
             "continuous": is_continuous,

@@ -85,6 +85,7 @@ from .sieves import (
     induced_image_topology,
     InducedTopologyError,
     is_topology,
+    least_cover,
     make_coverage,
     saturate,
     topology_candidate_count,
@@ -361,16 +362,6 @@ def _exp_cartesian_characterisation(run: _Run):
     run.loop(make, check)
 
 
-def _minimal_cover_coverage(topology):
-    base = topology.base
-    gens = {}
-    for c in base.objects:
-        sieves = topology.covers[c]
-        minimal = [s for s in sieves if not any(t < s for t in sieves)]
-        gens[c] = [sorted(s) for s in minimal]
-    return make_coverage(base, gens)
-
-
 def _exp_topology_soundness(run: _Run):
     def check(inst):
         cix = inst["indexed"]
@@ -390,18 +381,12 @@ def _exp_topology_soundness(run: _Run):
         if induced_image_topology(ident, topology) != topology:
             return "induced topology along the identity is not the identity"
         if len(base.objects) <= 3:
-            from .sieves import generate_sieve
-
-            cov = _minimal_cover_coverage(topology)
+            least = {c: least_cover(topology, c) for c in base.objects}
             if topology_candidate_count(base) > run.caps.enumeration_limit:
                 raise SkipInstance()
             try:
                 for other in enumerate_topologies(base):
-                    gens_in = all(
-                        other.is_cover(c, generate_sieve(base, c, sorted(fam)).arrows)
-                        for c in cov.generators
-                        for fam in cov.generators[c]
-                    )
+                    gens_in = all(other.is_cover(c, least[c]) for c in base.objects)
                     if gens_in and not topology_leq(topology, other):
                         return "saturation is not minimal among topologies containing the generators"
             except CapExceeded:

@@ -272,14 +272,6 @@ def induced_image_topology(functor: FinFunctor, target_topology: Topology) -> To
     return Topology(src, covers)
 
 
-def _order_masks(lattice, top):
-    """The non-maximal sieves with, per sieve, bitmasks of those above and below it."""
-    others = [s for s in lattice if s != top]
-    above = [sum(1 << j for j, t in enumerate(others) if s <= t) for s in others]
-    below = [sum(1 << j for j, t in enumerate(others) if t <= s) for s in others]
-    return others, above, below
-
-
 def _upset_count(lattice, top) -> int:
     """Number of upward-closed sieve families containing the maximal sieve.
 
@@ -287,7 +279,9 @@ def _upset_count(lattice, top) -> int:
     is every sieve above it, or x is out, and so is every sieve below it.  The
     split is valid for any x; counts are memoised per mask of undecided sieves.
     """
-    others, above, below = _order_masks(lattice, top)
+    others = [s for s in lattice if s != top]
+    above = [sum(1 << j for j, t in enumerate(others) if s <= t) for s in others]
+    below = [sum(1 << j for j, t in enumerate(others) if t <= s) for s in others]
     memo = {0: 1}
 
     def count(rest):
@@ -299,28 +293,13 @@ def _upset_count(lattice, top) -> int:
     return count((1 << len(others)) - 1)
 
 
-def _upsets(lattice, top) -> list[frozenset[frozenset[str]]]:
-    """All upward-closed sieve families containing the maximal sieve, sorted."""
-    others, above, below = _order_masks(lattice, top)
-    masks = []
-
-    def split(rest, chosen):
-        if not rest:
-            masks.append(chosen)
-            return
-        x = (rest & -rest).bit_length() - 1
-        # no sieve above x is out yet, since that would have put x out
-        split(rest & ~above[x], chosen | above[x])
-        split(rest & ~below[x], chosen)
-
-    split((1 << len(others)) - 1, 0)
-    out = [frozenset([top] + [s for j, s in enumerate(others) if m >> j & 1]) for m in masks]
-    out.sort(key=lambda fam: (len(fam), tuple(sorted(tuple(sorted(s)) for s in fam))))
-    return out
-
-
 def topology_candidate_count(base: FinCategory) -> int:
-    """Upper bound on the covers-maps enumerate_topologies must sift through."""
+    """Number of covers-maps that assign each object an up-set of its sieve lattice.
+
+    This is the size of the naive search space (capped once it passes 10**9),
+    not the work ``enumerate_topologies`` does; the experiments use it as
+    their measure for skipping an instance as too large.
+    """
     total = 1
     for c in base.objects:
         total *= _upset_count(sieve_lattice(base, c), maximal_sieve(base, c).arrows)
@@ -329,31 +308,28 @@ def topology_candidate_count(base: FinCategory) -> int:
     return total
 
 
-def enumerate_topologies(base: FinCategory, cap: int | None = None):
+def enumerate_topologies(base: FinCategory):
     """Yield every topology on ``base`` in a deterministic order.
 
-    Enumerates only upward-closed candidate families per object (upward
-    closure is forced by the axioms) and filters with is_topology.  Raises
-    CapExceeded when asked to continue past ``cap``.
+    Covers of a finite site are closed under intersection, so J(c) is the
+    principal up-set of the least cover S(c).  The candidates per object are
+    therefore one up-set per sieve, sorted by size and then by content; their
+    products are filtered with is_topology.  Raises CapExceeded on an object
+    with more than 14 sieves.
     """
     per_object = []
     for c in base.objects:
         lat = sieve_lattice(base, c)
         if len(lat) > 14:
             raise CapExceeded("sieve lattice too large on {}".format(c))
-        per_object.append(_upsets(lat, maximal_sieve(base, c).arrows))
-
-    emitted = 0
+        upsets = [frozenset(t for t in lat if s <= t) for s in lat]
+        upsets.sort(key=lambda fam: (len(fam), tuple(sorted(tuple(sorted(s)) for s in fam))))
+        per_object.append(upsets)
 
     def product(i, acc):
-        nonlocal emitted
         if i == len(base.objects):
             covers = dict(zip(base.objects, acc))
-            ok, _ = is_topology(base, covers)
-            if ok:
-                if cap is not None and emitted >= cap:
-                    raise CapExceeded("topology enumeration cap {} exceeded".format(cap))
-                emitted += 1
+            if is_topology(base, covers)[0]:
                 yield Topology(base, covers)
             return
         for fam in per_object[i]:

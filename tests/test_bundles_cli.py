@@ -110,6 +110,7 @@ def test_cli_check_comorphism_true(capsys):
     )
     assert code == 0
     assert out.startswith("true")
+    assert "trace entries: 3" in out
 
 
 def test_cli_check_comorphism_false(capsys):

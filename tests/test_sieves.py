@@ -154,13 +154,6 @@ def test_enumerate_topologies_on_walk2(walk2, sier):
     assert len(tops) == 4
 
 
-def test_enumerate_topologies_cap(one):
-    gen = enumerate_topologies(one, cap=1)
-    next(gen)
-    with pytest.raises(CapExceeded):
-        next(gen)
-
-
 def reference_upsets(lattice, top):
     """Independent oracle: every family of non-maximal sieves, kept when upward closed."""
     out = []

@@ -1,9 +1,14 @@
+from dataclasses import replace
+
 import pytest
 
 from finsite import corpus
 from finsite.deciders import (
     Prop33Square,
     SiteFunctor,
+    Verdict,
+    _comma_component_table,
+    _image_sieve,
     check_prop33_conditions,
     is_comorphism,
     is_continuous,
@@ -30,7 +35,17 @@ from finsite.fibration import (
     validate_indexed,
     validate_indexed_morphism,
 )
-from finsite.sieves import make_coverage, saturate, trivial_topology
+from finsite.generate import Caps, GenerationError, derive_seed, generate_instance
+from finsite.sieves import (
+    CapExceeded,
+    Sieve,
+    elements_of_sieve,
+    enumerate_topologies,
+    make_coverage,
+    saturate,
+    topology_candidate_count,
+    trivial_topology,
+)
 
 
 @pytest.fixture
@@ -258,3 +273,175 @@ def test_prop33_rejects_cartesian_breaking_functor(walk2, one, two_point):
     assert verdict.witness[0] == "no_local_triplets"
     assert verdict.witness[1][0] == "u"
     assert replay(verdict, square)
+
+
+# ---------------------------------------------------------------------------
+# Least-cover deciders against the all-covers searches they replaced
+
+
+def reference_is_comorphism(sf):
+    """Every target cover of F(c) has a source cover of c mapping inside it."""
+    functor, j_src, j_tgt = sf.functor, sf.source_topology, sf.target_topology
+    for c in functor.source.objects:
+        for sieve in j_tgt.sieves(functor.ob(c)):
+            if not any(all(functor.ar(f) in sieve for f in cand) for cand in j_src.sieves(c)):
+                return False, (c, tuple(sorted(sieve)))
+    return True, ()
+
+
+def reference_is_cover_preserving(sf):
+    """The image of every source cover is a target cover."""
+    functor, j_src, j_tgt = sf.functor, sf.source_topology, sf.target_topology
+    for c in functor.source.objects:
+        for sieve in j_src.sieves(c):
+            image = _image_sieve(functor, c, sieve)
+            if not j_tgt.is_cover(functor.ob(c), image):
+                return False, (c, tuple(sorted(sieve)), tuple(sorted(image)))
+    return True, ()
+
+
+def reference_is_continuous(sf):
+    """Cover preservation plus the zig-zag condition on every source cover."""
+    ok, witness = reference_is_cover_preserving(sf)
+    if not ok:
+        return False, ("not_cover_preserving",) + witness
+    functor, j_src, k_tgt = sf.functor, sf.source_topology, sf.target_topology
+    ccat, dcat = functor.source, functor.target
+    for c in ccat.objects:
+        for sieve in j_src.sieves(c):
+            elems = elements_of_sieve(Sieve(ccat, c, sieve))
+            to_d = compose_functors(functor, elems.projection)
+            obj_of = {arrow: name for name, arrow in elems.object_arrow.items()}
+            tables = {}
+            for f in sorted(sieve):
+                for g in sorted(sieve):
+                    for d in dcat.objects:
+                        for alpha in dcat.hom(d, functor.ob(ccat.src[f])):
+                            for beta in dcat.hom(d, functor.ob(ccat.src[g])):
+                                if dcat.compose(functor.ar(f), alpha) != dcat.compose(functor.ar(g), beta):
+                                    continue
+                                qualifying = set()
+                                for t in dcat.into(d):
+                                    d_i = dcat.src[t]
+                                    if d_i not in tables:
+                                        tables[d_i] = _comma_component_table(to_d, d_i)
+                                    c1 = tables[d_i].get((obj_of[f], dcat.compose(alpha, t)))
+                                    c2 = tables[d_i].get((obj_of[g], dcat.compose(beta, t)))
+                                    if c1 is not None and c1 == c2:
+                                        qualifying.add(t)
+                                if not k_tgt.is_cover(d, frozenset(qualifying)):
+                                    witness = (c, tuple(sorted(sieve)), f, g, d, alpha, beta, tuple(sorted(qualifying)))
+                                    return False, ("no_local_connection", witness)
+    return True, ()
+
+
+def cospan_site_functor():
+    """x -f-> c <-g- y with {f, g} covering c, mapped to the terminal site.
+
+    Cover preserving, but f and g are not connected in the elements of the
+    cover, so the zig-zag condition fails."""
+    cospan = corpus.build_category(("x", "c", "y"), {"f": ("x", "c"), "g": ("y", "c")})
+    covers = saturate(make_coverage(cospan, {"c": [["f", "g"]]}))
+    return SiteFunctor(corpus.bang(cospan), covers, trivial_topology(terminal_category()))
+
+
+def fuzzed_site_functors(instances):
+    """Fixed-seed site functors: fuzzed site-functor, comorphism and dense-pair
+    instances, each also with the trivial source topology."""
+    out = []
+    for kind in ("site-functor", "comorphism", "dense-pair"):
+        for index in range(instances):
+            try:
+                inst = generate_instance(kind, derive_seed(7, index), Caps())
+            except (GenerationError, CapExceeded):
+                continue
+            fn = inst["functor"]
+            for src_top in (inst["source_topology"], trivial_topology(fn.source)):
+                out.append(SiteFunctor(fn, src_top, inst["target_topology"]))
+    return out
+
+
+def minimality_site_functors(instances):
+    """The projection of small fixed-seed fibrations, with every candidate
+    topology on the total category as source topology."""
+    small = replace(Caps(), base_objects=3, fiber_objects=2)
+    out = []
+    for index in range(instances):
+        try:
+            inst = generate_instance("fibration", derive_seed(7, index), small)
+        except (GenerationError, CapExceeded):
+            continue
+        bundle = grothendieck(inst["indexed"])
+        if topology_candidate_count(bundle.total) > small.enumeration_limit:
+            continue
+        try:
+            candidates = list(enumerate_topologies(bundle.total))
+        except CapExceeded:
+            continue
+        out += [SiteFunctor(bundle.projection, top, inst["base_topology"]) for top in candidates]
+    return out
+
+
+@pytest.fixture(scope="module")
+def differential_site_functors():
+    return fuzzed_site_functors(200) + minimality_site_functors(100) + [cospan_site_functor()]
+
+
+def test_least_cover_deciders_match_the_all_covers_searches(differential_site_functors):
+    site_functors = differential_site_functors
+    failing = {"comorphism": 0, "cover-preserving": 0}
+    for sf in site_functors:
+        for decide, reference in (
+            (is_comorphism, reference_is_comorphism),
+            (is_cover_preserving, reference_is_cover_preserving),
+        ):
+            verdict = decide(sf)
+            assert (verdict.ok, verdict.witness) == reference(sf)
+            assert replay(verdict, sf)
+            failing[verdict.rule] += not verdict.ok
+    assert len(site_functors) >= 2000
+    assert min(failing.values()) >= 500
+
+
+def test_least_cover_continuity_matches_the_all_covers_search(differential_site_functors):
+    outcomes = set()
+    for sf in differential_site_functors:
+        verdict = is_continuous(sf)
+        assert (verdict.ok, verdict.witness) == reference_is_continuous(sf)
+        outcomes.add(verdict.witness[:1])
+    assert outcomes == {(), ("not_cover_preserving",), ("no_local_connection",)}
+
+
+def test_continuity_fails_on_an_unconnected_cospan_cover():
+    sf = cospan_site_functor()
+    assert is_cover_preserving(sf).ok
+    verdict = is_continuous(sf)
+    assert not verdict.ok
+    assert verdict.witness == ("no_local_connection", ("c", ("f", "g"), "f", "g", "*", "id_*", "id_*", ()))
+    assert replay(verdict, sf)
+
+
+def test_positive_replay_refuses_a_forged_or_truncated_trace(giraud_two_point, sier):
+    below_giraud = SiteFunctor(giraud_two_point.projection, trivial_topology(giraud_two_point.total), sier)
+    assert not is_comorphism(below_giraud).ok
+    assert not replay(Verdict(True, "comorphism", (), ()), below_giraud)
+    assert not replay(Verdict(True, "cover-preserving", (), ()), below_giraud)
+
+    sf = SiteFunctor(giraud_two_point.projection, giraud_two_point.giraud, sier)
+    for decide in (is_comorphism, is_cover_preserving):
+        verdict = decide(sf)
+        assert verdict.ok and replay(verdict, sf)
+        assert len(verdict.trace) == len(sf.functor.source.objects)
+        assert not replay(Verdict(True, verdict.rule, (), ()), sf)
+        assert not replay(Verdict(True, verdict.rule, (), verdict.trace[:-1]), sf)
+        assert not replay(Verdict(True, verdict.rule, (), verdict.trace[::-1]), sf)
+
+
+def test_positive_replay_refuses_a_cover_that_is_not_the_least(walk2, sier):
+    sf = identity_site(walk2, sier)
+    verdict = is_cover_preserving(sf)
+    assert verdict.trace[1] == ("b", ("u",), ("u",))
+    maximal = ("b", ("id_b", "u"), ("id_b", "u"))
+    assert not replay(Verdict(True, "cover-preserving", (), (verdict.trace[0], maximal)), sf)
+    wrong_image = ("b", ("u",), ("id_b", "u"))
+    assert not replay(Verdict(True, "cover-preserving", (), (verdict.trace[0], wrong_image)), sf)
