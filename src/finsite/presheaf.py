@@ -102,12 +102,16 @@ def is_sheaf(p: Presheaf, topology: Topology) -> tuple[bool, tuple]:
     """Unique amalgamation for every matching family on each least cover S(c).
 
     Every cover of c contains S(c) and {S(c)} generates the topology, so this
-    is the sheaf condition on every cover.  The witness names S(c).
+    is the sheaf condition on every cover.  An object c with id_c in S(c) is
+    skipped: a matching family on the maximal sieve is x_f = P(f)(x_id), so
+    its one amalgamation is x_id.  The witness names S(c).
     """
     if p.base != topology.base:
         raise StructureError("presheaf and topology live on different bases")
     for c in p.base.objects:
         sieve = least_cover(topology, c)
+        if p.base.identity[c] in sieve:
+            continue
         for fam in matching_families(p, c, sieve):
             glue = amalgamations(p, c, sieve, fam)
             if len(glue) != 1:
@@ -244,13 +248,23 @@ def presheaf_morphisms(p: Presheaf, q: Presheaf):
 
 
 def enumerate_presheaves(base: FinCategory, max_size: int = 3, budget: int = 200_000):
-    """All presheaves with value sets {0..k-1}, k <= max_size, deterministic order.
+    """One presheaf per isomorphism class with value sets {0..k-1}, k <= max_size.
+
+    Labelled presheaves are ordered by size combination, then by the image
+    tuples of the non-identity arrows in order, each tuple in value-index
+    order; the one yielded for a class is its first member in that order,
+    which is also its least.  Orderly generation (Read 1978, McKay 1998): a
+    relabelling sigma = (sigma_c) acts arrow by arrow, sending the image tuple
+    x of f: s -> t to j |-> sigma_s(x[sigma_t^-1(j)]), so every prefix of a
+    least assignment is least.  An arrow's image is kept only if no
+    relabelling fixing the earlier arrows makes it smaller, and the
+    relabellings that leave it unchanged go on to the next arrow.
 
     Non-identity actions are assigned one arrow at a time; a composition-table
     entry is checked once, when the last of its non-identity arrows is
     assigned.  Every yielded presheaf is still validated in full.
 
-    Raises CapExceeded when the assignment space exceeds the budget.
+    Raises CapExceeded when the labelled assignment space exceeds the budget.
     """
     non_id = [f for f in base.arrows if not base.is_identity(f)]
     sizes = list(itertools.product(range(max_size + 1), repeat=len(base.objects)))
@@ -273,9 +287,22 @@ def enumerate_presheaves(base: FinCategory, max_size: int = 3, budget: int = 200
         last = max((position[a] for a in (f, g, h) if a in position), default=None)
         if last is not None:
             entries[last].append((g, f, h))
+    # fresh[i]: the objects that non_id[i] touches first.  A relabelling is a
+    # tuple of (permutation, inverse) pairs, one per object touched so far in
+    # this order, and slot[c] is the place of c's pair.
+    fresh: list[list[str]] = []
+    slot: dict[str, int] = {}
+    for f in non_id:
+        fresh.append([c for c in dict.fromkeys((base.src[f], base.tgt[f])) if c not in slot])
+        for c in fresh[-1]:
+            slot[c] = len(slot)
     for combo in sizes:
         sz = dict(zip(base.objects, combo))
         values = {c: tuple(str(i) for i in range(sz[c])) for c in base.objects}
+        perms = {
+            c: [(q, tuple(sorted(range(sz[c]), key=q.__getitem__))) for q in itertools.permutations(range(sz[c]))]
+            for c in slot
+        }
         # the action of every arrow assigned so far, identities included
         acts = {f: {v: v for v in values[base.src[f]]} for f in base.arrows if base.is_identity(f)}
 
@@ -287,7 +314,7 @@ def enumerate_presheaves(base: FinCategory, max_size: int = 3, budget: int = 200
                         return False
             return True
 
-        def go(i):
+        def go(i, group):
             if i == len(non_id):
                 action = {f: dict(acts[f]) for f in non_id}
                 yield validate_presheaf(base, values, action)
@@ -297,13 +324,26 @@ def enumerate_presheaves(base: FinCategory, max_size: int = 3, budget: int = 200
             cod = values[base.src[f]]
             if len(dom) > 0 and len(cod) == 0:
                 return
-            for image in itertools.product(cod, repeat=len(dom)):
-                acts[f] = dict(zip(dom, image))
+            for c in fresh[i]:
+                group = [sigma + (pair,) for sigma in group for pair in perms[c]]
+            s, t = slot[base.src[f]], slot[base.tgt[f]]
+            # each relabelling's permutation at the source and inverse at the target
+            moves = [(sigma[s][0], sigma[t][1], sigma) for sigma in group]
+            for image in itertools.product(range(len(cod)), repeat=len(dom)):
+                acts[f] = {a: cod[x] for a, x in zip(dom, image)}
                 if consistent(i):
-                    yield from go(i + 1)
+                    fixing = []
+                    for to, back, sigma in moves:
+                        moved = tuple([to[image[j]] for j in back])
+                        if moved < image:
+                            break
+                        if moved == image:
+                            fixing.append(sigma)
+                    else:
+                        yield from go(i + 1, fixing)
                 del acts[f]
 
-        yield from go(0)
+        yield from go(0, [()])
 
 
 def sheaf_targets(base: FinCategory, topology: Topology, max_size: int = 3, budget: int = 200_000):

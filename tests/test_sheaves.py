@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -6,7 +7,8 @@ import pytest
 
 from finsite import corpus
 from finsite.fincat import StructureError, compose_functors, identity_functor
-from finsite.generate import Caps, derive_seed, gen_presheaf, gen_site
+from finsite.deciders import SiteFunctor, is_continuous
+from finsite.generate import Caps, GenerationError, derive_seed, gen_presheaf, gen_site, generate_instance
 from finsite.presheaf import (
     amalgamations,
     elements_of_presheaf,
@@ -26,6 +28,7 @@ from finsite.presheaf import (
 from finsite.sieves import (
     CapExceeded,
     Topology,
+    enumerate_topologies,
     least_cover,
     maximal_sieve,
     pullback_arrows,
@@ -302,10 +305,20 @@ def reference_presheaf_morphisms(p, q):
     yield from go(0)
 
 
-def reference_enumerate_presheaves(base, max_size):
-    """Per-arrow backtracking that re-checks every composition-table entry."""
+def reference_enumerate_presheaves(base, max_size, budget=200_000):
+    """Every labelled presheaf with value sets {0..k-1}, k <= max_size, by
+    per-arrow backtracking that re-checks every composition-table entry.
+    Raises CapExceeded under the rule of ``enumerate_presheaves``: when the
+    labelled assignment space exceeds the budget."""
     non_id = [f for f in base.arrows if not base.is_identity(f)]
-    for combo in itertools.product(range(max_size + 1), repeat=len(base.objects)):
+    sizes = list(itertools.product(range(max_size + 1), repeat=len(base.objects)))
+    space = 0
+    for combo in sizes:
+        sz = dict(zip(base.objects, combo))
+        space += min(budget + 1, math.prod(max(1, sz[base.src[f]]) ** sz[base.tgt[f]] for f in non_id))
+        if space > budget:
+            raise CapExceeded("presheaf enumeration space exceeds budget")
+    for combo in sizes:
         sz = dict(zip(base.objects, combo))
         values = {c: tuple(str(i) for i in range(sz[c])) for c in base.objects}
         assign = {}
@@ -377,16 +390,50 @@ def ordered(p):
     return (list(p.values.items()), [(f, list(m.items())) for f, m in p.action.items()])
 
 
+def canonical_form(p):
+    """Brute force: the least, over all per-object relabellings, of the
+    value sizes and the image tuples of the non-identity arrows in value-index
+    order.  Two presheaves with the same value sets {0..k-1} are isomorphic
+    iff their canonical forms are equal."""
+    base = p.base
+    non_id = [f for f in base.arrows if not base.is_identity(f)]
+    index = {c: {a: i for i, a in enumerate(p.values[c])} for c in base.objects}
+    sizes = tuple(len(p.values[c]) for c in base.objects)
+    best = None
+    for perms in itertools.product(*(itertools.permutations(range(n)) for n in sizes)):
+        # to[c][i]: the new index of the i-th element of p(c)
+        to = dict(zip(base.objects, perms))
+        back = {c: sorted(range(len(m)), key=m.__getitem__) for c, m in to.items()}
+        form = tuple(
+            tuple(to[base.src[f]][index[base.src[f]][p.act(f, p.values[base.tgt[f]][i])]] for i in back[base.tgt[f]])
+            for f in non_id
+        )
+        if best is None or form < best:
+            best = form
+    return sizes, best
+
+
 def test_enumerate_presheaves_matches_the_full_scan_in_order():
+    # one presheaf per isomorphism class: the first of its class in the
+    # order of the all-labellings reference
+    merged = 0
     for cat, _, _ in small_fuzzed_sites(60):
-        ours = [ordered(p) for p in enumerate_presheaves(cat, 3)]
-        oracle = [ordered(p) for p in reference_enumerate_presheaves(cat, 3)]
-        assert ours == oracle
+        ours = list(enumerate_presheaves(cat, 3))
+        reference = list(reference_enumerate_presheaves(cat, 3))
+        firsts = {}
+        for q in reference:
+            firsts.setdefault(canonical_form(q), q)
+        assert [ordered(q) for q in ours] == [ordered(q) for q in firsts.values()]
+        # every reference presheaf is isomorphic to exactly one yielded one
+        yielded = Counter(canonical_form(q) for q in ours)
+        assert all(yielded[canonical_form(q)] == 1 for q in reference)
+        merged += len(reference) - len(ours)
+    assert merged
 
 
 def test_presheaf_morphisms_match_the_full_scan_in_order():
     for cat, _, p in small_fuzzed_sites(60):
-        for q in enumerate_presheaves(cat, 3):
+        for q in reference_enumerate_presheaves(cat, 3):
             ours = [list((c, list(m.items())) for c, m in h.items()) for h in presheaf_morphisms(p, q)]
             oracle = [list((c, list(m.items())) for c, m in h.items()) for h in reference_presheaf_morphisms(p, q)]
             assert ours == oracle
@@ -398,7 +445,7 @@ def test_unit_universal_property_matches_the_pairwise_scan():
     seen = set()
     for cat, topology, p in small_fuzzed_sites(60):
         sh = sheafify(p, topology)
-        for q in enumerate_presheaves(cat, 3):
+        for q in reference_enumerate_presheaves(cat, 3):
             ours = unit_universal_property(p, sh, q)
             assert ours == reference_unit_universal_property(p, topology, q)
             seen.add("ok" if ours[0] else min(ours[1][1], 2))
@@ -532,7 +579,7 @@ def fuzzed_site_presheaves(count, budget=100):
         if len(cat.objects) > 3:
             continue
         try:
-            presheaves = list(enumerate_presheaves(cat, 2, budget))
+            presheaves = list(reference_enumerate_presheaves(cat, 2, budget))
         except CapExceeded:
             presheaves = [gen_presheaf(rng, cat, 2) for _ in range(20)]
         out.append((cat, topology, presheaves))
@@ -591,3 +638,92 @@ def test_is_sheaf_matches_the_all_covers_check():
             assert len(found) != 1 and tuple(found) == glue
             assert kind == ("no_amalgamation" if not found else "ambiguous_amalgamation")
     assert verdicts[True] and verdicts[False]
+
+
+def test_every_labelled_presheaf_is_a_sheaf_for_the_trivial_topology():
+    # the least cover of every object is maximal, so is_sheaf checks nothing;
+    # the all-covers check still looks at every matching family
+    count = 0
+    for cat, _, _ in small_fuzzed_sites(60):
+        topology = trivial_topology(cat)
+        for q in reference_enumerate_presheaves(cat, 3):
+            assert is_sheaf(q, topology) == (True, ())
+            assert reference_is_sheaf(q, topology) == (True, ())
+            count += 1
+    assert count
+
+
+# ---------------------------------------------------------------------------
+# Witnesses under isomorph-free targets: both oracles are invariant under
+# relabelling, so the first failing labelled sheaf target is the first of its
+# class, and sheaf_targets yields it with the same verdict.  Value-set sizes
+# are invariant too, so this holds within each size combination.
+
+
+def first_failures(targets, verdict):
+    """For each combination of value-set sizes, in stream order, the first
+    target that fails and its verdict."""
+    out = {}
+    for q in targets:
+        sizes = tuple(len(v) for v in q.values.values())
+        if sizes not in out:
+            result = verdict(q)
+            if not result[0]:
+                out[sizes] = (ordered(q), result)
+    return out
+
+
+def labelled_sheaf_targets(base, topology, max_size, budget):
+    return (q for q in reference_enumerate_presheaves(base, max_size, budget) if is_sheaf(q, topology)[0])
+
+
+def same_first_failures(base, topology, verdict, max_size, budget):
+    """The labelled stream and sheaf_targets fail first on the same target with
+    the same verdict, overall and per size combination; returns how many size
+    combinations fail."""
+    try:
+        labelled = first_failures(labelled_sheaf_targets(base, topology, max_size, budget), verdict)
+    except CapExceeded:
+        with pytest.raises(CapExceeded):
+            next(sheaf_targets(base, topology, max_size, budget))
+        return 0
+    ours = first_failures(sheaf_targets(base, topology, max_size, budget), verdict)
+    assert list(ours.items()) == list(labelled.items())
+    return len(labelled)
+
+
+def test_sheaf_targets_keep_the_first_failing_target_of_a_restriction():
+    # site functors that are not continuous, so that restricting a sheaf can
+    # give a presheaf that is not a sheaf: fuzzed ones, and identities from a
+    # topology to one that it is not contained in
+    functors = []
+    for index in range(150):
+        try:
+            inst = generate_instance("site-functor", derive_seed(9, index), Caps(base_objects=3))
+        except GenerationError:
+            continue
+        functors.append(SiteFunctor(inst["functor"], inst["source_topology"], inst["target_topology"]))
+    for cat, _, _ in small_fuzzed_sites(60):
+        topologies = list(enumerate_topologies(cat))
+        functors.extend(SiteFunctor(identity_functor(cat), j, k) for j in topologies for k in topologies)
+    failing = []
+    for sf in functors:
+        if is_continuous(sf).ok:
+            continue
+
+        def restricts_to_a_sheaf(q):
+            return is_sheaf(precompose(q, sf.functor), sf.source_topology)
+
+        failing.append(same_first_failures(sf.functor.target, sf.target_topology, restricts_to_a_sheaf, 3, 3000))
+    assert max(failing) > 1
+
+
+def test_sheaf_targets_keep_the_first_failing_target_of_a_mismatched_unit():
+    # the sheafification for another topology is not universal for the sheaves
+    # of this one
+    failing = []
+    for cat, topology, p in small_fuzzed_sites(60):
+        for other in enumerate_topologies(cat):
+            sh = sheafify(p, other)
+            failing.append(same_first_failures(cat, topology, lambda q: unit_universal_property(p, sh, q), 3, 200_000))
+    assert max(failing) > 1
