@@ -177,64 +177,70 @@ def cmd_fuzz(args, out) -> int:
     return code
 
 
-def build_parser() -> argparse.ArgumentParser:
+_SEED_CAPS = {"--seed": {"type": int, "default": 0}, "--caps": {"default": ""}}
+
+# name -> (handler, help, arguments as name -> add_argument keywords), in help order
+COMMANDS = {
+    "validate": (cmd_validate, "load a bundle and validate every entry", {"bundle": {}}),
+    "giraud": (
+        cmd_giraud,
+        "print the Giraud topology of an indexed category",
+        {"bundle": {}, "indexed": {}, "topology": {}},
+    ),
+    "check": (
+        cmd_check,
+        "run a site-functor decider",
+        {"kind": {"choices": sorted(CHECK_KINDS)}, "bundle": {}, "functor": {}, "src_topology": {}, "tgt_topology": {}},
+    ),
+    "sheafify": (
+        cmd_sheafify,
+        "sheafify a presheaf and print the tables",
+        {"bundle": {}, "presheaf": {}, "topology": {}},
+    ),
+    "pullback": (
+        cmd_pullback,
+        "pull an indexed category back along a functor",
+        {"bundle": {}, "indexed": {}, "functor": {}},
+    ),
+    "prop": (cmd_prop, "run one experiment and print its report", {"id": {}, **_SEED_CAPS}),
+    "fuzz": (cmd_fuzz, "run every experiment (release report)", {"--all": {"action": "store_true"}, **_SEED_CAPS}),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The top-level parser with every subcommand's parser, or only ``command``'s.
+
+    With one subcommand the usage line still lists them all, so errors the
+    top-level parser reports after dispatch read as they do with the full one.
+    """
     parser = argparse.ArgumentParser(prog="finsite", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="load a bundle and validate every entry")
-    p.add_argument("bundle")
-    p.set_defaults(fn=cmd_validate)
-
-    p = sub.add_parser("giraud", help="print the Giraud topology of an indexed category")
-    p.add_argument("bundle")
-    p.add_argument("indexed")
-    p.add_argument("topology")
-    p.set_defaults(fn=cmd_giraud)
-
-    p = sub.add_parser("check", help="run a site-functor decider")
-    p.add_argument("kind", choices=sorted(CHECK_KINDS))
-    p.add_argument("bundle")
-    p.add_argument("functor")
-    p.add_argument("src_topology")
-    p.add_argument("tgt_topology")
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("sheafify", help="sheafify a presheaf and print the tables")
-    p.add_argument("bundle")
-    p.add_argument("presheaf")
-    p.add_argument("topology")
-    p.set_defaults(fn=cmd_sheafify)
-
-    p = sub.add_parser("pullback", help="pull an indexed category back along a functor")
-    p.add_argument("bundle")
-    p.add_argument("indexed")
-    p.add_argument("functor")
-    p.set_defaults(fn=cmd_pullback)
-
-    p = sub.add_parser("prop", help="run one experiment and print its report")
-    p.add_argument("id")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--caps", default="")
-    p.set_defaults(fn=cmd_prop)
-
-    p = sub.add_parser("fuzz", help="run every experiment (release report)")
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--caps", default="")
-    p.set_defaults(fn=cmd_fuzz)
-
+    names = tuple(COMMANDS) if command is None else (command,)
+    # The full parser keeps argparse's own metavar: an explicit one would also
+    # rename the action in "argument command: invalid choice" errors.
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        fn, text, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        for arg, options in arguments.items():
+            p.add_argument(arg, **options)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse ``argv`` (default ``sys.argv[1:]``) and run its subcommand.
+
+    Only the named subcommand's parser is built; help, a missing or unknown
+    command, and a leading option go to the full parser.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args, sys.stdout)
-    except InputError as err:
-        sys.stderr.write("error: {}\n".format(err))
-        return 2
-    except StructureError as err:
+    except (InputError, StructureError) as err:
         sys.stderr.write("error: {}\n".format(err))
         return 2
 

@@ -306,16 +306,17 @@ class FinFunctor:
 def validate_functor(obj_map, arr_map, source: FinCategory, target: FinCategory) -> FinFunctor:
     """Check totality and functoriality; errors name the violated composite."""
     obj_map, arr_map = dict(obj_map), dict(arr_map)
+    target_objects, target_arrows = set(target.objects), set(target.arrows)
     for x in source.objects:
         if x not in obj_map:
             raise StructureError("dangling object {}".format(x), witness=x)
-        if obj_map[x] not in set(target.objects):
+        if obj_map[x] not in target_objects:
             raise StructureError("object {} maps outside the target".format(x), witness=x)
     for f in source.arrows:
         g = arr_map.get(f)
         if g is None:
             raise StructureError("arrow {} has no image".format(f), witness=f)
-        if g not in set(target.arrows):
+        if g not in target_arrows:
             raise StructureError("arrow {} maps outside the target".format(f), witness=f)
         if target.src[g] != obj_map[source.src[f]] or target.tgt[g] != obj_map[source.tgt[f]]:
             raise StructureError("image of {} has wrong endpoints".format(f), witness=f)

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import finsite
-from finsite import corpus
+from finsite import cli, corpus
 from finsite.bundles import (
     BundleError,
     load_bundle,
@@ -87,6 +87,58 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+CLI_CASES = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["--bogus"],
+    ["bogus"],
+    *([command, "-h"] for command in ("validate", "giraud", "check", "sheafify", "pullback", "prop", "fuzz")),
+    ["validate"],
+    ["giraud", WALK2_BUNDLE],
+    ["check", "comorphism", WALK2_BUNDLE],
+    ["prop"],
+    ["check", "bad", WALK2_BUNDLE, "p", "gir_twopoint", "sier"],
+    ["check", "flat", WALK2_BUNDLE, "p", "gir_twopoint", "sier"],
+    ["check", "flat", WALK2_BUNDLE, "p", "gir_twopoint", "sier", "extra"],
+    ["prop", "--seed", "x", "y"],
+    ["validate", os.path.join(DATA, "no-such.bundle")],
+]
+
+
+def run_cli_exit(args, capsys):
+    """Like run_cli, with argparse's SystemExit turned into its exit code."""
+    try:
+        code = main(args)
+    except SystemExit as exit:
+        code = exit.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("args", CLI_CASES, ids=lambda args: " ".join(map(os.path.basename, args)) or "(none)")
+def test_cli_matches_the_full_parser(args, monkeypatch, capsys):
+    built = []
+    full_parser = cli.build_parser
+
+    def spy(command=None):
+        built.append(command)
+        return full_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    selective = run_cli_exit(args, capsys)
+    assert built == [args[0] if args and args[0] in cli.COMMANDS else None]
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    assert selective == run_cli_exit(args, capsys)
+
+
+def test_cli_main_reads_sys_argv(monkeypatch, capsys):
+    expected = run_cli(["validate", WALK2_BUNDLE], capsys)
+    monkeypatch.setattr(sys, "argv", ["finsite", "validate", WALK2_BUNDLE])
+    assert run_cli(None, capsys) == expected
+    assert expected[0] == 0
 
 
 def test_cli_validate(capsys):
@@ -228,8 +280,6 @@ def test_cli_caps_parse_error(capsys):
 
 
 def test_cli_fuzz_refuses_incomplete_coverage(monkeypatch, capsys):
-    import finsite.cli as cli
-
     monkeypatch.setattr(cli, "coverage_gaps", lambda: ("some-result",))
     code, _, err = run_cli(["fuzz", "--all", "--caps", "instances=1"], capsys)
     assert code == 2

@@ -105,6 +105,36 @@ def test_functor_endpoint_mismatch_is_rejected(walk2):
         )
 
 
+def _idempotent():
+    return build_category(("x",), {"e": ("x", "x")}, {("e", "e"): "e"})
+
+
+def _involution():
+    return build_category(("y",), {"t": ("y", "y")}, {("t", "t"): "id_y"})
+
+
+WALK2_IDS = {"id_a": "id_a", "id_b": "id_b"}
+
+
+@pytest.mark.parametrize(
+    "source, target, obj_map, arr_map, message, witness",
+    [
+        (corpus.walk2, corpus.walk2, {"a": "a"}, {"u": "u", **WALK2_IDS}, "dangling object b", "b"),
+        (corpus.walk2, corpus.walk2, {"a": "a", "b": "c"}, {"u": "u", **WALK2_IDS}, "object b maps outside", "b"),
+        (corpus.walk2, corpus.walk2, {"a": "a", "b": "b"}, WALK2_IDS, "arrow u has no image", "u"),
+        (corpus.walk2, corpus.walk2, {"a": "a", "b": "b"}, {"u": "v", **WALK2_IDS}, "arrow u maps outside", "u"),
+        (corpus.walk2, corpus.walk2, {"a": "a", "b": "b"}, {"u": "id_a", **WALK2_IDS}, "image of u has wrong endpoints", "u"),
+        (corpus.one, _idempotent, {"*": "x"}, {"id_*": "e"}, r"identity of \* not preserved", "*"),
+        (_idempotent, _involution, {"x": "y"}, {"id_x": "id_y", "e": "t"}, r"composite \(e, e\) not preserved", ("e", "e")),
+    ],
+    ids=["dangling-object", "object-outside", "no-image", "arrow-outside", "endpoints", "identity", "composite"],
+)
+def test_validate_functor_names_the_witness(source, target, obj_map, arr_map, message, witness):
+    with pytest.raises(StructureError, match=message) as info:
+        validate_functor(obj_map, arr_map, source(), target())
+    assert info.value.witness == witness
+
+
 def brute_force_comma_objects(f_leg, g_leg):
     amb = f_leg.target
     out = set()

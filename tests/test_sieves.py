@@ -13,6 +13,7 @@ from finsite.sieves import (
     CapExceeded,
     Sieve,
     Topology,
+    _least_covers_are_a_topology,
     coverage_of,
     elements_of_sieve,
     enumerate_topologies,
@@ -217,11 +218,27 @@ def test_topology_candidate_count_matches_the_subset_filter():
         assert topology_candidate_count(base) == reference_candidate_count(base)
 
 
-def test_enumerate_topologies_matches_the_subset_filter_in_order():
+def enumerable_bases():
+    """The corpus sites and the fuzzed bases with at most 2000 candidate topologies."""
     bases = [base for _, base, _ in corpus.corpus_sites()]
-    bases += [base for base in fuzzed_bases(200) if topology_candidate_count(base) <= 2000]
-    for base in bases:
+    return bases + [base for base in fuzzed_bases(200) if topology_candidate_count(base) <= 2000]
+
+
+def test_enumerate_topologies_matches_the_subset_filter_in_order():
+    for base in enumerable_bases():
         assert list(enumerate_topologies(base)) == list(reference_enumerate_topologies(base))
+
+
+def test_least_cover_filter_agrees_with_is_topology_on_every_candidate():
+    verdicts = set()
+    for base in enumerable_bases():
+        lattices = [sieve_lattice(base, c) for c in base.objects]
+        for least in itertools.product(*lattices):
+            upsets = [frozenset(t for t in lat if s <= t) for s, lat in zip(least, lattices)]
+            expected = is_topology(base, dict(zip(base.objects, upsets)))[0]
+            assert _least_covers_are_a_topology(base, dict(zip(base.objects, least))) == expected
+            verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_topology_candidate_count_on_a_22_sieve_lattice():
