@@ -6,26 +6,21 @@ is always precomposition-closed) and testing membership in the saturated
 cover set, which is upward closed.  On a finite site the covers J(c) are
 exactly the sieves containing the least cover S(c) (``sieves.least_cover``),
 so comorphism, cover preservation and the zig-zag condition of continuity
-are decided on S(c) alone.  Verdicts carry replayable witnesses: a negative
-witness re-fails its condition, a positive trace re-verifies.
+are decided on S(c) alone.  Local connectedness (continuity, and the second
+comparison condition of Prop. 3.3) asks whether two pairs lie in one
+connected component of a comma category (d_i ↓ G) over a category of
+elements; ``_comma_components`` answers it for every d_i with one union-find
+over the pairs (x, w: d_i -> G x), without building the elements or the comma
+categories.  Verdicts carry replayable witnesses: a negative witness re-fails
+its condition, a positive trace re-verifies.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fincat import (
-    FinFunctor,
-    NatTransform,
-    StructureError,
-    comma_category,
-    compose_functors,
-    connected_components,
-    constant_functor,
-    terminal_category,
-    validate_transform,
-)
-from .presheaf import Presheaf, prop33_pullback_data
-from .sieves import Sieve, Topology, elements_of_sieve, generate_sieve, least_cover, sieve_lattice
+from .fincat import FinFunctor, NatTransform, StructureError, compose_functors, validate_transform
+from .presheaf import prop33_pullback_data
+from .sieves import Topology, generate_sieve, least_cover, sieve_lattice
 
 
 @dataclass(frozen=True)
@@ -98,20 +93,31 @@ def is_cover_preserving(sf: SiteFunctor) -> Verdict:
     return Verdict(True, "cover-preserving", (), tuple(trace))
 
 
-def _comma_component_table(functor_to_d, d_i: str):
-    """Map (right-leg object, arrow d_i -> image) to a connected-component id."""
-    one = terminal_category()
-    pick = constant_functor(one, functor_to_d.target, d_i)
-    comma = comma_category(pick, functor_to_d)
-    comps = connected_components(comma.category)
-    comp_of = {}
-    for idx, group in enumerate(comps):
-        for name in group:
-            comp_of[name] = idx
-    table = {}
-    for name, (_, e, w) in comma.obj_data.items():
-        table[(e, w)] = comp_of[name]
-    return table
+def _comma_components(dcat, objects: dict, arrows) -> dict:
+    """Connected components of the comma categories (d_i ↓ G), for every d_i.
+
+    G maps a category of elements to ``dcat``: ``objects`` maps each element
+    x to G(x), and ``arrows`` lists each element arrow a: x -> y as
+    (x, y, G(a)).  The objects of (d_i ↓ G) are the pairs (x, w: d_i -> G x),
+    and each element arrow a joins (x, w) to (y, G(a) o w); every comma arrow
+    is such a join.  A join keeps src(w), so one union-find over all pairs
+    separates the comma categories of every d_i.  Maps each pair to a
+    representative of its component.
+    """
+    parent = {(x, w): (x, w) for x, gx in objects.items() for w in dcat.into(gx)}
+
+    def find(pair):
+        while parent[pair] != pair:
+            parent[pair] = parent[parent[pair]]
+            pair = parent[pair]
+        return pair
+
+    for x, y, ga in arrows:
+        for w in dcat.into(objects[x]):
+            rx, ry = find((x, w)), find((y, dcat.compose(ga, w)))
+            if rx != ry:
+                parent[ry] = rx
+    return {pair: find(pair) for pair in parent}
 
 
 def is_continuous(sf: SiteFunctor) -> Verdict:
@@ -122,7 +128,9 @@ def is_continuous(sf: SiteFunctor) -> Verdict:
     The zig-zag condition is checked on S_J(c) only.  If it holds there, it
     holds on every R containing S(c): a square on f, g in R pulls back along
     a K-cover to squares on members of S(c), and each f o x is joined to f
-    by the arrow x of el(R).
+    by the arrow x of el(R).  The components of each comma category
+    (d_i ↓ F o el(S(c))) come from ``_comma_components``, fed the members f
+    of S(c) and their factorisations g o w = f.
     """
     cp = is_cover_preserving(sf)
     if not cp.ok:
@@ -132,11 +140,12 @@ def is_continuous(sf: SiteFunctor) -> Verdict:
     trace = list(cp.trace)
     for c in ccat.objects:
         sieve = least_cover(j_src, c)
-        elems = elements_of_sieve(Sieve(ccat, c, sieve))
-        to_d = compose_functors(functor, elems.projection)
-        obj_of = {arrow: name for name, arrow in elems.object_arrow.items()}
-        tables: dict[str, dict] = {}
         members = sorted(sieve)
+        comp = _comma_components(
+            dcat,
+            {f: functor.ob(ccat.src[f]) for f in members},
+            [(ccat.compose(g, w), g, functor.ar(w)) for g in members for w in ccat.into(ccat.src[g])],
+        )
         for f in members:
             for g in members:
                 af, ag = functor.ar(f), functor.ar(g)
@@ -146,16 +155,11 @@ def is_continuous(sf: SiteFunctor) -> Verdict:
                         for beta in dcat.hom(d, functor.ob(ccat.src[g])):
                             if lhs != dcat.compose(ag, beta):
                                 continue
-                            qualifying = set()
-                            for t in dcat.into(d):
-                                d_i = dcat.src[t]
-                                if d_i not in tables:
-                                    tables[d_i] = _comma_component_table(to_d, d_i)
-                                tab = tables[d_i]
-                                c1 = tab.get((obj_of[f], dcat.compose(alpha, t)))
-                                c2 = tab.get((obj_of[g], dcat.compose(beta, t)))
-                                if c1 is not None and c1 == c2:
-                                    qualifying.add(t)
+                            qualifying = {
+                                t
+                                for t in dcat.into(d)
+                                if comp[(f, dcat.compose(alpha, t))] == comp[(g, dcat.compose(beta, t))]
+                            }
                             if not k_tgt.is_cover(d, frozenset(qualifying)):
                                 return Verdict(
                                     False,
@@ -362,7 +366,8 @@ class Prop33Square:
 def check_prop33_conditions(square: Prop33Square) -> Verdict:
     """Both site-level conditions: local existence of compatible triplets, and
     local connectedness of triplet pairs in the comma category over the
-    pullback presheaf's elements."""
+    pullback presheaf's elements, whose components come from
+    ``_comma_components``."""
     a_fun, b_fun, phi = square.a_top, square.b_base, square.phi.component
     p, p2, k_top = square.p, square.p_prime, square.k_top
     dcat, d2cat = p.source, p2.source
@@ -415,14 +420,15 @@ def check_prop33_conditions(square: Prop33Square) -> Verdict:
                                 )
                             trace.append(("b1", f_prime, d_prime, u_prime, d, g, u2))
                 presheaf, elem_data = prop33_pullback_data(p2, d_prime, u_prime, f_prime)
-                obj_name = {}
-                for name, (e2, elem) in _presheaf_element_objects(presheaf).items():
-                    obj_name[(e2, elem)] = name
-                from .presheaf import elements_of_presheaf
-
-                elems = elements_of_presheaf(presheaf)
-                to_d = compose_functors(a_fun, elems.projection)
-                tables: dict[str, dict] = {}
+                comp = _comma_components(
+                    dcat,
+                    {(e2, elem): a_fun.ob(e2) for e2 in d2cat.objects for elem in presheaf.values[e2]},
+                    [
+                        ((d2cat.src[h], presheaf.act(h, elem)), (d2cat.tgt[h], elem), a_fun.ar(h))
+                        for h in d2cat.arrows
+                        for elem in presheaf.values[d2cat.tgt[h]]
+                    ],
+                )
                 for d in dcat.objects:
                     trips = []
                     for dbar in d2cat.objects:
@@ -441,16 +447,11 @@ def check_prop33_conditions(square: Prop33Square) -> Verdict:
                                 continue
                             if top1 != dcat.compose(a_fun.ar(g2), x2):
                                 continue
-                            qualifying = set()
-                            for t in dcat.into(d):
-                                e = dcat.src[t]
-                                if e not in tables:
-                                    tables[e] = _comma_component_table(to_d, e)
-                                tab = tables[e]
-                                k1 = tab.get((obj_name[(d1, e1)], dcat.compose(x1, t)))
-                                k2 = tab.get((obj_name[(d2_, e2_)], dcat.compose(x2, t)))
-                                if k1 is not None and k1 == k2:
-                                    qualifying.add(t)
+                            qualifying = {
+                                t
+                                for t in dcat.into(d)
+                                if comp[((d1, e1), dcat.compose(x1, t))] == comp[((d2_, e2_), dcat.compose(x2, t))]
+                            }
                             if not k_top.is_cover(d, frozenset(qualifying)):
                                 return Verdict(
                                     False,
@@ -463,14 +464,6 @@ def check_prop33_conditions(square: Prop33Square) -> Verdict:
                                 )
                             trace.append(("b2", f_prime, d_prime, u_prime, d, e1, e2_))
     return Verdict(True, "prop33", (), tuple(trace))
-
-
-def _presheaf_element_objects(p: Presheaf) -> dict[str, tuple[str, str]]:
-    out = {}
-    for c in p.base.objects:
-        for a in p.values[c]:
-            out["<{}|{}>".format(c, a)] = (c, a)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,13 @@ class SkipInstance(Exception):
 SKIP_REASONS = ("GenerationError", "CapExceeded", "SkipInstance")
 # Errors by which a shrunk candidate is rejected during minimisation.
 _SHRINK_REJECTS = (StructureError, GenerationError, CapExceeded, SkipInstance)
+# A check returns None (pass), a failure message, or NOTED: a pass that the
+# run also counts in ``_Run.noted``, for corpus and fuzz instances only.
+NOTED = object()
+
+
+def _failed(outcome) -> bool:
+    return outcome is not None and outcome is not NOTED
 
 
 @dataclass(frozen=True)
@@ -183,15 +190,18 @@ class _Run:
         self.checked = 0
         self.skips = dict.fromkeys(SKIP_REASONS, 0)
         self.notes: list[str] = []
+        self.noted = 0
         self.failures: list[Failure] = []
 
     def instance_seed(self, index: int) -> int:
         return derive_seed(self.seed, index)
 
     def check(self, label: str, instance_desc: str, outcome, minimized: str = ""):
-        """outcome is None (pass) or a failure message."""
+        """outcome is None (pass), NOTED (a counted pass) or a failure message."""
         self.checked += 1
-        if outcome is not None:
+        if outcome is NOTED:
+            self.noted += 1
+        elif outcome is not None:
             self.failures.append(Failure(label, str(outcome), instance_desc, minimized or instance_desc))
 
     @property
@@ -199,7 +209,7 @@ class _Run:
         return sum(self.skips.values())
 
     def loop(self, make, check):
-        """make(index) -> instance or raises; check(instance) -> None | message."""
+        """make(index) -> instance or raises; check(instance) -> None | NOTED | message."""
         for i in range(self.caps.instances):
             try:
                 inst = make(i)
@@ -224,14 +234,14 @@ class _Run:
 
     @staticmethod
     def _minimize(inst, check, msg) -> str:
-        if msg is None:
+        if not _failed(msg):
             return ""
         if isinstance(inst, dict) and "category" in inst and "topology" in inst:
             def fails(cat, top):
                 try:
                     cand = dict(inst)
                     cand.update(category=cat, topology=top)
-                    return check(cand) is not None
+                    return _failed(check(cand))
                 except _SHRINK_REJECTS:
                     # a reduction that breaks dependent instance parts does not
                     # count as a preserved failure; any other error surfaces
@@ -246,7 +256,7 @@ class _Run:
                 try:
                     cand = dict(inst)
                     cand.update(indexed=cix, base_topology=top)
-                    return check(cand) is not None
+                    return _failed(check(cand))
                 except _SHRINK_REJECTS:
                     return False
 
@@ -843,10 +853,9 @@ def _exp_sheafify(run: _Run):
                     ok, witness = unit_universal_property(p, sh, q)
                     if not ok:
                         return "unit universal property fails: {}".format(witness)
-                run.notes_up += 1
+                return NOTED
         return None
 
-    run.notes_up = 0
     w = corpus.walk2()
     worked = validate_presheaf(w, {"b": ("0", "1"), "a": ("*",)}, {"u": {"0": "*", "1": "*"}})
     run.check("walk2-worked", "walk2-worked", check({"presheaf": worked, "topology": corpus.sier(w), "expect_singleton": True}))
@@ -859,7 +868,7 @@ def _exp_sheafify(run: _Run):
         return {"kind": "sheafify", "presheaf": p, "topology": topology}
 
     run.loop(make, check)
-    run.notes.append("universal-property-instances {}".format(run.notes_up))
+    run.notes.append("universal-property-instances {}".format(run.noted))
 
 
 def _exp_cross_check(run: _Run):
@@ -877,10 +886,8 @@ def _exp_cross_check(run: _Run):
             ok, witness = is_sheaf(restricted, sf.source_topology)
             if not ok:
                 return "continuous functor failed to preserve a sheaf: {}".format(witness)
-        run.notes_continuous += 1
-        return None
+        return NOTED
 
-    run.notes_continuous = 0
     w = corpus.walk2()
     run.check(
         "walk2-bang",
@@ -899,7 +906,7 @@ def _exp_cross_check(run: _Run):
         return generate_instance("site-functor", run.instance_seed(i), caps)
 
     run.loop(make, check)
-    run.notes.append("continuous-instances {}".format(run.notes_continuous))
+    run.notes.append("continuous-instances {}".format(run.noted))
 
 
 def _exp_prop24(run: _Run):

@@ -13,7 +13,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .fincat import FinCategory, FinFunctor, StructureError, validate_category, validate_functor
+from .fincat import FinCategory, FinFunctor, StructureError
 from .sieves import CapExceeded, Topology, least_cover
 
 
@@ -405,46 +405,3 @@ def prop33_pullback_data(projection: FinFunctor, d_prime: str, u_prime: str, f_p
 
 def prop33_pullback_presheaf(projection: FinFunctor, d_prime: str, u_prime: str, f_prime: str) -> Presheaf:
     return prop33_pullback_data(projection, d_prime, u_prime, f_prime)[0]
-
-
-@dataclass(frozen=True)
-class ElementsOfPresheaf:
-    category: FinCategory
-    projection: FinFunctor
-    obj_data: dict[str, tuple[str, str]]
-
-
-def elements_of_presheaf(p: Presheaf) -> ElementsOfPresheaf:
-    """Objects are pairs (c, element of p(c)); arrows are base arrows whose
-    action carries the target element back to the source one."""
-    base = p.base
-    obj_data = {}
-    for c in base.objects:
-        for a in p.values[c]:
-            obj_data["<{}|{}>".format(c, a)] = (c, a)
-    names = tuple(sorted(obj_data))
-    arrows = {}
-    data = {}
-    for o1 in names:
-        c1, a1 = obj_data[o1]
-        for o2 in names:
-            c2, a2 = obj_data[o2]
-            for h in base.hom(c1, c2):
-                if p.act(h, a2) == a1:
-                    name = "{}@{}->{}".format(h, o1, o2)
-                    arrows[name] = (o1, o2)
-                    data[name] = h
-    identity = {}
-    for o in names:
-        c, _ = obj_data[o]
-        identity[o] = "{}@{}->{}".format(base.identity[c], o, o)
-    table = {}
-    for b, (bs, bt) in arrows.items():
-        for a, (asrc, at) in arrows.items():
-            if at == bs:
-                table[(b, a)] = "{}@{}->{}".format(base.compose(data[b], data[a]), asrc, bt)
-    cat = validate_category(names, arrows, identity, table)
-    proj = validate_functor(
-        {o: obj_data[o][0] for o in names}, {a: data[a] for a in arrows}, cat, base
-    )
-    return ElementsOfPresheaf(cat, proj, obj_data)

@@ -245,7 +245,15 @@ def test_child_pythonpath_is_absolute_and_puts_the_imported_package_first(tmp_pa
 
 
 @pytest.mark.parametrize(
-    "exp_id", ["def-2.5-minimality", "prop-4.6-dense", "sheafify-soundness", "continuity-cross-check"]
+    "exp_id",
+    [
+        "def-2.5-minimality",
+        "prop-4.6-dense",
+        "sheafify-soundness",
+        "continuity-cross-check",
+        "thm-2.3-continuity",
+        "prop-3.3-conditions",
+    ],
 )
 def test_cli_output_is_identical_across_hash_seeds(exp_id):
     env = dict(os.environ)

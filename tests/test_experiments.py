@@ -177,3 +177,27 @@ def test_skips_are_counted_by_reason_outside_the_canonical_report():
     assert list(reasons) == ["GenerationError", "CapExceeded", "SkipInstance"]
     assert sum(reasons.values()) == report.skipped
     assert "GenerationError" not in report.canonical_text()
+
+
+def test_noted_passes_count_only_for_checked_instances_not_shrink_candidates():
+    # a check that fails on the original site and passes, noted, on every
+    # smaller one: the shrinker runs it many times, the note count stays 0
+    from finsite.experiments import NOTED, _Run
+
+    original = _site_with_two_objects()
+    run = _Run(seed=0, caps=Caps(instances=2))
+    calls = []
+
+    def check(inst):
+        calls.append(inst)
+        return "synthetic failure" if inst["category"] is original["category"] else NOTED
+
+    run.loop(lambda i: original, check)
+    assert len(calls) > 2
+    assert run.noted == 0
+    assert run.checked == 2 and len(run.failures) == 2
+
+    run.check("corpus", "corpus", NOTED)
+    run.loop(lambda i: _site_with_two_objects(), lambda inst: NOTED)
+    assert run.noted == 3
+    assert run.checked == 5 and len(run.failures) == 2

@@ -11,7 +11,6 @@ from finsite.deciders import SiteFunctor, is_continuous
 from finsite.generate import Caps, GenerationError, derive_seed, gen_presheaf, gen_site, generate_instance
 from finsite.presheaf import (
     amalgamations,
-    elements_of_presheaf,
     enumerate_presheaves,
     is_sheaf,
     matching_families,
@@ -254,13 +253,6 @@ def test_prop33_pullback_two_point_instance(two_point, walk2):
                 if walk2.compose("u", u2) == walk2.compose("id_b", proj.ar(g)):
                     expected.add("({},{})".format(g, u2))
         assert set(p.values[e]) == expected
-
-
-def test_elements_of_presheaf_projection(worked, walk2):
-    el = elements_of_presheaf(worked)
-    assert len(el.category.objects) == 3
-    for name, (c, a) in el.obj_data.items():
-        assert el.projection.ob(name) == c
 
 
 def test_presheaf_morphism_enumeration_counts(walk2):

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -7,7 +7,7 @@ from finsite.deciders import (
     Prop33Square,
     SiteFunctor,
     Verdict,
-    _comma_component_table,
+    _comma_components,
     _image_sieve,
     check_prop33_conditions,
     is_comorphism,
@@ -19,12 +19,18 @@ from finsite.deciders import (
     replay,
 )
 from finsite.fincat import (
+    FinCategory,
+    FinFunctor,
+    build_category,
+    comma_category,
     compose_functors,
+    connected_components,
     constant_functor,
     full_subcategory,
     identity_functor,
     identity_transform,
     terminal_category,
+    validate_category,
     validate_functor,
 )
 from finsite.fibration import (
@@ -35,7 +41,19 @@ from finsite.fibration import (
     validate_indexed,
     validate_indexed_morphism,
 )
-from finsite.generate import Caps, GenerationError, derive_seed, generate_instance
+from finsite.generate import (
+    Caps,
+    GenerationError,
+    _rng,
+    derive_seed,
+    gen_functor,
+    gen_indexed,
+    gen_indexed_morphism,
+    gen_site,
+    gen_topology,
+    generate_instance,
+)
+from finsite.presheaf import Presheaf, prop33_pullback_data, validate_presheaf
 from finsite.sieves import (
     CapExceeded,
     Sieve,
@@ -43,6 +61,7 @@ from finsite.sieves import (
     enumerate_topologies,
     make_coverage,
     saturate,
+    sieve_lattice,
     topology_candidate_count,
     trivial_topology,
 )
@@ -300,6 +319,15 @@ def reference_is_cover_preserving(sf):
     return True, ()
 
 
+def reference_comma_component_table(functor_to_d, d_i):
+    """Map (element, arrow d_i -> image) to a component id of the comma
+    category (d_i ↓ G), read off the built and validated comma category."""
+    pick = constant_functor(terminal_category(), functor_to_d.target, d_i)
+    comma = comma_category(pick, functor_to_d)
+    comp_of = {name: idx for idx, group in enumerate(connected_components(comma.category)) for name in group}
+    return {(e, w): comp_of[name] for name, (_, e, w) in comma.obj_data.items()}
+
+
 def reference_is_continuous(sf):
     """Cover preservation plus the zig-zag condition on every source cover."""
     ok, witness = reference_is_cover_preserving(sf)
@@ -324,7 +352,7 @@ def reference_is_continuous(sf):
                                 for t in dcat.into(d):
                                     d_i = dcat.src[t]
                                     if d_i not in tables:
-                                        tables[d_i] = _comma_component_table(to_d, d_i)
+                                        tables[d_i] = reference_comma_component_table(to_d, d_i)
                                     c1 = tables[d_i].get((obj_of[f], dcat.compose(alpha, t)))
                                     c2 = tables[d_i].get((obj_of[g], dcat.compose(beta, t)))
                                     if c1 is not None and c1 == c2:
@@ -445,3 +473,285 @@ def test_positive_replay_refuses_a_cover_that_is_not_the_least(walk2, sier):
     assert not replay(Verdict(True, "cover-preserving", (), (verdict.trace[0], maximal)), sf)
     wrong_image = ("b", ("u",), ("id_b", "u"))
     assert not replay(Verdict(True, "cover-preserving", (), (verdict.trace[0], wrong_image)), sf)
+
+
+# ---------------------------------------------------------------------------
+# Comma components from one union-find over the elements, against the
+# elements categories and comma categories they replaced
+
+
+@dataclass(frozen=True)
+class ElementsOfPresheaf:
+    category: FinCategory
+    projection: FinFunctor
+    obj_data: dict[str, tuple[str, str]]
+
+
+def elements_of_presheaf(p: Presheaf) -> ElementsOfPresheaf:
+    """Objects are pairs (c, element of p(c)); arrows are base arrows whose
+    action carries the target element back to the source one."""
+    base = p.base
+    obj_data = {}
+    for c in base.objects:
+        for a in p.values[c]:
+            obj_data["<{}|{}>".format(c, a)] = (c, a)
+    names = tuple(sorted(obj_data))
+    arrows = {}
+    data = {}
+    for o1 in names:
+        c1, a1 = obj_data[o1]
+        for o2 in names:
+            c2, a2 = obj_data[o2]
+            for h in base.hom(c1, c2):
+                if p.act(h, a2) == a1:
+                    name = "{}@{}->{}".format(h, o1, o2)
+                    arrows[name] = (o1, o2)
+                    data[name] = h
+    identity = {}
+    for o in names:
+        c, _ = obj_data[o]
+        identity[o] = "{}@{}->{}".format(base.identity[c], o, o)
+    table = {}
+    for b, (bs, bt) in arrows.items():
+        for a, (asrc, at) in arrows.items():
+            if at == bs:
+                table[(b, a)] = "{}@{}->{}".format(base.compose(data[b], data[a]), asrc, bt)
+    cat = validate_category(names, arrows, identity, table)
+    proj = validate_functor({o: obj_data[o][0] for o in names}, {a: data[a] for a in arrows}, cat, base)
+    return ElementsOfPresheaf(cat, proj, obj_data)
+
+
+def test_elements_of_presheaf_projection(walk2):
+    worked = validate_presheaf(walk2, {"b": ("0", "1"), "a": ("*",)}, {"u": {"0": "*", "1": "*"}})
+    el = elements_of_presheaf(worked)
+    assert len(el.category.objects) == 3
+    for name, (c, a) in el.obj_data.items():
+        assert el.projection.ob(name) == c
+
+
+def reference_check_prop33_conditions(square):
+    """Both comparison conditions, with local connectedness read off the
+    comma categories over the validated elements of each pullback presheaf."""
+    a_fun, b_fun, phi = square.a_top, square.b_base, square.phi.component
+    p, p2, k_top = square.p, square.p_prime, square.k_top
+    dcat, d2cat = p.source, p2.source
+    ccat, c2cat = p.target, p2.target
+    trace = []
+    for f_prime in c2cat.arrows:
+        c2_obj, c1_obj = c2cat.src[f_prime], c2cat.tgt[f_prime]
+        for d_prime in d2cat.objects:
+            for u_prime in c2cat.hom(p2.ob(d_prime), c1_obj):
+                triplets = []
+                for dbar in d2cat.objects:
+                    for gbar in d2cat.hom(dbar, d_prime):
+                        for ubar in c2cat.hom(p2.ob(dbar), c2_obj):
+                            if c2cat.compose(u_prime, p2.ar(gbar)) == c2cat.compose(f_prime, ubar):
+                                triplets.append((dbar, gbar, ubar))
+                for d in dcat.objects:
+                    for g in dcat.hom(d, a_fun.ob(d_prime)):
+                        rhs_fixed = ccat.compose(ccat.compose(b_fun.ar(u_prime), phi[d_prime]), p.ar(g))
+                        for u2 in ccat.hom(p.ob(d), b_fun.ob(c2_obj)):
+                            if ccat.compose(b_fun.ar(f_prime), u2) != rhs_fixed:
+                                continue
+                            qualifying = {
+                                t
+                                for t in dcat.into(d)
+                                if any(
+                                    ccat.compose(u2, p.ar(t))
+                                    == ccat.compose(ccat.compose(b_fun.ar(ubar), phi[dbar]), p.ar(x))
+                                    and dcat.compose(g, t) == dcat.compose(a_fun.ar(gbar), x)
+                                    for dbar, gbar, ubar in triplets
+                                    for x in dcat.hom(dcat.src[t], a_fun.ob(dbar))
+                                )
+                            }
+                            if not k_top.is_cover(d, frozenset(qualifying)):
+                                where = (f_prime, d_prime, u_prime, d, g, u2)
+                                return False, ("no_local_triplets", where, tuple(sorted(qualifying))), ()
+                            trace.append(("b1", f_prime, d_prime, u_prime, d, g, u2))
+                presheaf, elem_data = prop33_pullback_data(p2, d_prime, u_prime, f_prime)
+                elems = elements_of_presheaf(presheaf)
+                obj_name = {pair: name for name, pair in elems.obj_data.items()}
+                to_d = compose_functors(a_fun, elems.projection)
+                tables = {}
+                for d in dcat.objects:
+                    trips = [
+                        (dbar, elem, x)
+                        for dbar in d2cat.objects
+                        for elem in presheaf.values[dbar]
+                        for x in dcat.hom(d, a_fun.ob(dbar))
+                    ]
+                    for i, (d1, e1, x1) in enumerate(trips):
+                        g1, u1 = elem_data[d1][e1]
+                        left1 = ccat.compose(ccat.compose(b_fun.ar(u1), phi[d1]), p.ar(x1))
+                        for d2_, e2_, x2 in trips[i:]:
+                            g2, u2_ = elem_data[d2_][e2_]
+                            if left1 != ccat.compose(ccat.compose(b_fun.ar(u2_), phi[d2_]), p.ar(x2)):
+                                continue
+                            if dcat.compose(a_fun.ar(g1), x1) != dcat.compose(a_fun.ar(g2), x2):
+                                continue
+                            qualifying = set()
+                            for t in dcat.into(d):
+                                e = dcat.src[t]
+                                if e not in tables:
+                                    tables[e] = reference_comma_component_table(to_d, e)
+                                k1 = tables[e].get((obj_name[(d1, e1)], dcat.compose(x1, t)))
+                                k2 = tables[e].get((obj_name[(d2_, e2_)], dcat.compose(x2, t)))
+                                if k1 is not None and k1 == k2:
+                                    qualifying.add(t)
+                            if not k_top.is_cover(d, frozenset(qualifying)):
+                                where = (f_prime, d_prime, u_prime, d, (e1, x1), (e2_, x2))
+                                witness = ("triplets_not_locally_connected", where, tuple(sorted(qualifying)))
+                                return False, witness, ()
+                            trace.append(("b2", f_prime, d_prime, u_prime, d, e1, e2_))
+    return True, (), tuple(trace)
+
+
+def fixed_base_square(morphism, topology):
+    """The square `prop-3.3-conditions` checks for a fixed-base morphism."""
+    src_bundle = grothendieck(morphism.source)
+    tgt_bundle = grothendieck(morphism.target)
+    a_fun = total_functor(morphism, src_bundle, tgt_bundle)
+    phi = identity_transform(compose_functors(tgt_bundle.projection, a_fun))
+    k_top = giraud_topology(morphism.target, topology, tgt_bundle)
+    return Prop33Square(a_fun, identity_functor(topology.base), phi, tgt_bundle.projection, src_bundle.projection, k_top)
+
+
+SQUARE_CAPS = replace(Caps(), base_objects=2, fiber_objects=2)
+
+
+def experiment_prop33_squares(instances):
+    """The fuzzed squares of `prop-3.3-conditions` at seed 0."""
+    out = []
+    for index in range(instances):
+        rng = _rng(derive_seed(0, index))
+        try:
+            cat, topology, kind, meta = gen_site(rng, SQUARE_CAPS)
+            morphism = gen_indexed_morphism(rng, gen_indexed(rng, cat, SQUARE_CAPS, kind, meta), SQUARE_CAPS)
+        except (GenerationError, CapExceeded):
+            continue
+        out.append(fixed_base_square(morphism, topology))
+    return out
+
+
+def terminal_base_squares(draws):
+    """Squares over the terminal base: B is `bang`, A a random functor between
+    the total categories, and the top topology random or trivial."""
+    one = terminal_category()
+    out = []
+    for index in range(draws):
+        rng = _rng(derive_seed(3, index))
+        try:
+            cat, _, kind, meta = gen_site(rng, SQUARE_CAPS)
+            src = grothendieck(gen_indexed(rng, cat, SQUARE_CAPS, kind, meta))
+            fiber, _, _, _ = gen_site(rng, SQUARE_CAPS)
+            tgt = grothendieck(validate_indexed(one, {"*": fiber}, {}))
+        except (GenerationError, CapExceeded):
+            continue
+        a_fun = gen_functor(rng, src.total, tgt.total)
+        if a_fun is None:
+            continue
+        k_top = gen_topology(rng, tgt.total) if rng.random() < 0.5 else trivial_topology(tgt.total)
+        phi = identity_transform(compose_functors(tgt.projection, a_fun))
+        out.append(Prop33Square(a_fun, corpus.bang(cat), phi, tgt.projection, src.projection, k_top))
+    return out
+
+
+def disconnected_triplets_square():
+    """walk2 -> retract sending u to the split epi e, over the terminal base.
+
+    At f' = u, d' = b, u' = id_b the pullback presheaf has one element, over
+    a, and e o id_s = e o t, so the triplets (id_s) and (t) at s must be
+    locally connected; they are joined only after precomposing with m or t,
+    and {m, t} does not cover s in the trivial topology."""
+    w, r = corpus.walk2(), corpus.retract()
+    a_fun = validate_functor({"a": "s", "b": "r"}, {"id_a": "id_s", "id_b": "id_r", "u": "e"}, w, r)
+    phi = identity_transform(compose_functors(corpus.bang(r), a_fun))
+    return Prop33Square(a_fun, corpus.bang(w), phi, corpus.bang(r), identity_functor(w), trivial_topology(r))
+
+
+@pytest.fixture(scope="module")
+def differential_squares():
+    return experiment_prop33_squares(120) + terminal_base_squares(400) + [disconnected_triplets_square()]
+
+
+def _partition(components):
+    """The groups of keys that share a component id."""
+    groups = {}
+    for key, comp in components.items():
+        groups.setdefault(comp, set()).add(key)
+    return {frozenset(group) for group in groups.values()}
+
+
+def assert_components_match_the_comma_route(elements, projection, key_of, functor):
+    """One union-find over the elements of G = functor o projection has, for
+    every d_i, the components of the comma category (d_i ↓ G)."""
+    to_d = compose_functors(functor, projection)
+    comp = _comma_components(
+        functor.target,
+        {key_of[x]: to_d.ob(x) for x in elements.objects},
+        [(key_of[elements.src[a]], key_of[elements.tgt[a]], to_d.ar(a)) for a in elements.arrows],
+    )
+    expected = set()
+    for d_i in functor.target.objects:
+        table = reference_comma_component_table(to_d, d_i)
+        expected |= _partition({(key_of[x], w): k for (x, w), k in table.items()})
+    assert _partition(comp) == expected
+
+
+def test_comma_components_match_the_comma_categories_on_sieve_elements(differential_site_functors):
+    checked = 0
+    for sf in differential_site_functors[:300]:
+        ccat = sf.functor.source
+        for c in ccat.objects:
+            for sieve in sieve_lattice(ccat, c)[:8]:
+                el = elements_of_sieve(Sieve(ccat, c, sieve))
+                assert_components_match_the_comma_route(el.category, el.projection, el.object_arrow, sf.functor)
+                checked += 1
+    assert checked >= 1000
+
+
+def test_comma_components_match_the_comma_categories_on_pullback_presheaves(differential_squares):
+    checked = 0
+    for square in differential_squares:
+        p2, c2cat = square.p_prime, square.p_prime.target
+        for f_prime in c2cat.arrows:
+            for d_prime in p2.source.objects:
+                for u_prime in c2cat.hom(p2.ob(d_prime), c2cat.tgt[f_prime]):
+                    presheaf, _ = prop33_pullback_data(p2, d_prime, u_prime, f_prime)
+                    el = elements_of_presheaf(presheaf)
+                    assert_components_match_the_comma_route(el.category, el.projection, el.obj_data, square.a_top)
+                    checked += 1
+    assert checked >= 1000
+
+
+def test_prop33_conditions_match_the_comma_route(differential_squares):
+    outcomes = {}
+    for square in differential_squares:
+        verdict = check_prop33_conditions(square)
+        assert (verdict.ok, verdict.witness, verdict.trace) == reference_check_prop33_conditions(square)
+        key = verdict.witness[:1]
+        outcomes[key] = outcomes.get(key, 0) + 1
+    assert set(outcomes) == {(), ("no_local_triplets",), ("triplets_not_locally_connected",)}
+    assert outcomes[("no_local_triplets",)] >= 5
+
+
+def test_prop33_fails_on_triplets_joined_only_locally():
+    square = disconnected_triplets_square()
+    verdict = check_prop33_conditions(square)
+    assert not verdict.ok
+    assert verdict.witness == (
+        "triplets_not_locally_connected",
+        ("u", "b", "id_b", "s", ("(u,id_a)", "id_s"), ("(u,id_a)", "t")),
+        ("m", "t"),
+    )
+    assert replay(verdict, square)
+
+
+def test_continuity_has_no_hidden_object_cap():
+    # the least cover of c has 71 members: more than the 64 objects a
+    # validated elements category may have
+    cat = build_category(("c", "x"), {"f{:02d}".format(i): ("x", "c") for i in range(70)})
+    sf = identity_site(cat, trivial_topology(cat))
+    verdict = is_continuous(sf)
+    assert verdict.ok
+    assert replay(verdict, sf)
