@@ -22,7 +22,7 @@ from .fincat import (
 )
 from .fibration import IndexedCategory, validate_indexed
 from .presheaf import Presheaf, validate_presheaf
-from .sieves import Topology, make_coverage, saturate
+from .sieves import CapExceeded, Topology, make_coverage, saturate
 
 
 class BundleError(ValueError):
@@ -136,7 +136,7 @@ def load_bundle(source) -> Workspace:
         try:
             cov = make_coverage(cat, {c: [list(f) for f in fams] for c, fams in entry.get("covers", {}).items()})
             ws.topologies[name] = saturate(cov)
-        except StructureError as err:
+        except (StructureError, CapExceeded) as err:
             raise BundleError(path, str(err))
     for name in sorted(doc.get("indexed", {})):
         entry = doc["indexed"][name]

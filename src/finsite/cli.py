@@ -61,8 +61,7 @@ def _lookup(table: dict, name: str, kind: str):
 
 def _print_topology(topology: Topology, out) -> None:
     for obj in sorted(topology.base.objects):
-        sieves = sorted(topology.covers[obj], key=lambda s: (len(s), tuple(sorted(s))))
-        for sieve in sieves:
+        for sieve in topology.sieves(obj):
             out.write("cover {}: {{{}}}\n".format(obj, ", ".join(sorted(sieve))))
 
 

@@ -1057,7 +1057,7 @@ def _exp_prop412(run: _Run):
         if rng.random() < 0.4:
             tgt_bundle = grothendieck(morphism.target)
             gir_tgt = giraud_topology(morphism.target, topology, tgt_bundle)
-            gens = {c: [sorted(s) for s in gir_tgt.covers[c]] for c in tgt_bundle.total.objects}
+            gens = {c: [sorted(least_cover(gir_tgt, c))] for c in tgt_bundle.total.objects}
             for c in tgt_bundle.total.objects:
                 if rng.random() < 0.4:
                     into = sorted(tgt_bundle.total.into(c))

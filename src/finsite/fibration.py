@@ -26,7 +26,7 @@ from .fincat import (
     validate_functor,
     validate_transform,
 )
-from .sieves import Topology, make_coverage, saturate
+from .sieves import Topology, least_cover, make_coverage, saturate
 
 
 def pair_obj(x: str, c: str) -> str:
@@ -270,18 +270,19 @@ def cartesian_lift_name(cix: IndexedCategory, x: str, c: str, f: str) -> str:
 
 
 def giraud_topology(cix: IndexedCategory, base_topology: Topology, bundle: FibrationBundle | None = None) -> Topology:
-    """Saturation of the coverage whose generators at (x, c) are the canonical
-    cartesian-lift families of the covering sieves of c."""
+    """Saturation of the coverage whose generator at (x, c) is the canonical
+    cartesian-lift family of the least covering sieve of c.
+
+    The lift families of the other covers of c generate larger sieves, so
+    adding them would not change the saturation."""
     if base_topology.base != cix.base:
         raise StructureError("base topology lives on the wrong category")
     if bundle is None:
         bundle = grothendieck(cix)
-    generators: dict[str, set[frozenset[str]]] = {}
-    for name, (x, c) in bundle.obj_pair.items():
-        fams = set()
-        for sieve in base_topology.covers[c]:
-            fams.add(frozenset(cartesian_lift_name(cix, x, c, f) for f in sieve))
-        generators[name] = fams
+    generators = {
+        name: [[cartesian_lift_name(cix, x, c, f) for f in least_cover(base_topology, c)]]
+        for name, (x, c) in bundle.obj_pair.items()
+    }
     return saturate(make_coverage(bundle.total, generators))
 
 

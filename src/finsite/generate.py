@@ -28,7 +28,7 @@ from .fincat import (
 )
 from .fibration import IndexedCategory, IndexedMorphism, validate_indexed, validate_indexed_morphism
 from .presheaf import Presheaf, validate_presheaf
-from .sieves import Topology, induced_image_topology, make_coverage, saturate
+from .sieves import Topology, induced_image_topology, least_cover, make_coverage, saturate
 from . import corpus
 
 
@@ -591,25 +591,24 @@ def gen_dense_pair(rng: random.Random, caps: Caps):
 
 def min_comorphism_topology(functor: FinFunctor, target_topology: Topology) -> Topology:
     """Smallest topology on the source making the functor a comorphism:
-    generated by the preimage sieves of target covers of image objects."""
+    generated by the preimage sieve of the least target cover of each image
+    object (the preimages of the other covers contain it)."""
     src = functor.source
-    generators: dict[str, list] = {}
+    generators = {}
     for d in src.objects:
-        fams = []
-        for sieve in target_topology.covers[functor.ob(d)]:
-            fams.append([h for h in src.into(d) if functor.ar(h) in sieve])
-        generators[d] = fams
+        least = least_cover(target_topology, functor.ob(d))
+        generators[d] = [[h for h in src.into(d) if functor.ar(h) in least]]
     return saturate(make_coverage(src, generators))
 
 
 def pushforward_topology(functor: FinFunctor, source_topology: Topology, rng: random.Random | None = None) -> Topology:
     """A target topology making the functor cover-preserving: saturate the
-    images of all source covers (plus optional random extra families)."""
+    image of each least source cover (the images of the other covers generate
+    larger sieves), plus optional random extra families."""
     tgt = functor.target
     generators: dict[str, list] = {c: [] for c in tgt.objects}
     for c in functor.source.objects:
-        for sieve in source_topology.covers[c]:
-            generators[functor.ob(c)].append([functor.ar(f) for f in sorted(sieve)])
+        generators[functor.ob(c)].append([functor.ar(f) for f in sorted(least_cover(source_topology, c))])
     if rng is not None:
         for c in tgt.objects:
             if rng.random() < 0.3:
@@ -748,8 +747,8 @@ def generate_instance(kind: str, seed: int, caps: Caps) -> dict:
 
 
 def shrink_site(category: FinCategory, topology: Topology, still_fails) -> tuple[FinCategory, Topology]:
-    """Greedy object deletion preserving failure; topology generators are
-    restricted to surviving arrows and re-saturated."""
+    """Greedy object deletion preserving failure; each least cover is
+    restricted to the surviving arrows and re-saturated."""
     cat, top = category, topology
     progress = True
     while progress and len(cat.objects) > 1:
@@ -759,10 +758,7 @@ def shrink_site(category: FinCategory, topology: Topology, still_fails) -> tuple
             try:
                 sub = full_subcategory(cat, objs)
                 keep = set(sub.arrows)
-                gens = {
-                    c: [sorted(s & keep) for s in top.covers[c]]
-                    for c in sub.objects
-                }
+                gens = {c: [sorted(least_cover(top, c) & keep)] for c in sub.objects}
                 sub_top = saturate(make_coverage(sub, gens))
             except StructureError:
                 continue
@@ -790,7 +786,7 @@ def shrink_fibration(cix: IndexedCategory, topology: Topology, still_fails):
             }
             new_cix = validate_indexed(sub, fibers, restriction)
             keep = set(sub.arrows)
-            gens = {c: [sorted(s & keep) for s in top.covers[c]] for c in sub.objects}
+            gens = {c: [sorted(least_cover(top, c) & keep)] for c in sub.objects}
             return new_cix, saturate(make_coverage(sub, gens))
         except StructureError:
             return None

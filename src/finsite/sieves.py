@@ -1,11 +1,13 @@
 """Sieves, coverages and Grothendieck topologies on finite categories.
 
 Sieves are frozensets of arrow names sharing a target; a topology stores,
-per object, the full (saturated) set of covering sieves.  Saturation is a
-worklist fixed point over the finite sieve lattice, which keeps every
-"exists a covering family such that ..." question a single membership test:
-covers are upward closed, and the qualifying arrows of such a question
-always form a sieve.
+per object, the full (saturated) set of covering sieves.  On a finite
+category covers are closed under intersection, so a topology is the up-set
+of its least covering sieve S(c) at each object; saturation shrinks the
+least covers of a coverage until they are stable and transitive and then
+takes their up-sets.  Storing every cover keeps each "exists a covering
+family such that ..." question a single membership test: covers are upward
+closed, and the qualifying arrows of such a question always form a sieve.
 """
 from __future__ import annotations
 
@@ -73,8 +75,16 @@ def pullback_sieve(f: str, sieve: Sieve) -> Sieve:
     return Sieve(base, base.src[f], pullback_arrows(base, f, sieve.arrows))
 
 
+# Largest sieve lattice ``sieve_lattice`` builds.  n parallel arrows into one
+# object give 2^n + 1 sieves; the largest lattice the experiments reach has 188.
+SIEVE_LATTICE_CAP = 2**16
+
+
 def sieve_lattice(base: FinCategory, apex: str) -> tuple[frozenset[str], ...]:
-    """All sieves on ``apex``: the union closure of the principal sieves. Memoised."""
+    """All sieves on ``apex``: the union closure of the principal sieves. Memoised.
+
+    Raises CapExceeded as soon as the lattice passes ``SIEVE_LATTICE_CAP``.
+    """
     cache = base._scratch.setdefault("sieve_lattice", {})
     if apex not in cache:
         principals = {generate_sieve(base, apex, (f,)).arrows for f in base.into(apex)}
@@ -88,6 +98,10 @@ def sieve_lattice(base: FinCategory, apex: str) -> tuple[frozenset[str], ...]:
                     if u not in lattice:
                         lattice.add(u)
                         fresh.add(u)
+                        if len(lattice) > SIEVE_LATTICE_CAP:
+                            raise CapExceeded(
+                                "more than {} sieves on {}".format(SIEVE_LATTICE_CAP, apex)
+                            )
             frontier = fresh
         cache[apex] = tuple(sorted(lattice, key=lambda s: (len(s), tuple(sorted(s)))))
     return cache[apex]
@@ -103,8 +117,9 @@ class Coverage:
 
 def make_coverage(base: FinCategory, generators) -> Coverage:
     gens: dict[str, frozenset[frozenset[str]]] = {}
+    objects = set(base.objects)
     for c, fams in generators.items():
-        if c not in set(base.objects):
+        if c not in objects:
             raise StructureError("coverage indexes unknown object {}".format(c), witness=c)
         fams = frozenset(frozenset(fam) for fam in fams)
         for fam in fams:
@@ -161,43 +176,37 @@ def trivial_topology(base: FinCategory) -> Topology:
 def saturate(coverage: Coverage) -> Topology:
     """Least topology whose covers include every sieve containing a generator family.
 
-    Worklist fixed point: seed with maximal sieves and generated sieves, then
-    close under upward containment, pullback stability and transitivity until
-    stable.  Terminates because each object's sieve lattice is finite.
+    Covers of a finite site are closed under intersection, so the answer is
+    J(c) = {sieves containing S(c)} for the largest least-cover assignment S
+    that is stable and transitive and lies inside every generated sieve.
+    Start from S(c) = the maximal sieve cut down by each generated sieve at c,
+    shrink S by the two rules of ``_least_covers_are_a_topology`` until
+    neither changes it, and return the up-sets.  Every step keeps S above the
+    least covers of any topology containing the generators, and the fixed
+    point is stable and transitive, so its up-sets are the least topology.
     """
     base = coverage.base
-    lattice = {c: sieve_lattice(base, c) for c in base.objects}
-    covering: dict[str, set[frozenset[str]]] = {c: set() for c in base.objects}
-    for c in base.objects:
-        covering[c].add(maximal_sieve(base, c).arrows)
+    least = {c: maximal_sieve(base, c).arrows for c in base.objects}
     for c, fams in coverage.generators.items():
         for fam in fams:
-            covering[c].add(generate_sieve(base, c, fam).arrows)
+            least[c] &= generate_sieve(base, c, fam).arrows
     changed = True
     while changed:
         changed = False
+        for f in base.arrows:
+            target = least[base.tgt[f]]
+            unstable = {g for g in least[base.src[f]] if base.compose(f, g) not in target}
+            if unstable:
+                least[base.src[f]] -= unstable
+                changed = True
         for c in base.objects:
-            cov = covering[c]
-            for s in list(cov):
-                for t in lattice[c]:
-                    if s <= t and t not in cov:
-                        cov.add(t)
-                        changed = True
-            for s in list(cov):
-                for f in base.into(c):
-                    pb = pullback_arrows(base, f, s)
-                    if pb not in covering[base.src[f]]:
-                        covering[base.src[f]].add(pb)
-                        changed = True
-            for r in lattice[c]:
-                if r in cov:
-                    continue
-                for t in cov:
-                    if all(pullback_arrows(base, f, r) in covering[base.src[f]] for f in t):
-                        cov.add(r)
-                        changed = True
-                        break
-    return Topology(base, {c: frozenset(v) for c, v in covering.items()})
+            forced = frozenset(base.compose(f, g) for f in least[c] for g in least[base.src[f]])
+            if forced != least[c]:
+                least[c] = forced
+                changed = True
+    return Topology(
+        base, {c: frozenset(t for t in sieve_lattice(base, c) if least[c] <= t) for c in base.objects}
+    )
 
 
 def coverage_of(topology: Topology) -> Coverage:
@@ -316,7 +325,9 @@ def _least_covers_are_a_topology(base: FinCategory, least) -> bool:
     least[d] <= f*least[c] for each f: d -> c.  A sieve R satisfies the
     transitivity premise for least[c] iff it contains every f o g with f in
     least[c] and g in least[dom f]; those composites form a sieve, so
-    transitivity reduces to least[c] lying inside it.
+    transitivity reduces to least[c] lying inside it.  ``saturate`` shrinks
+    least covers by the same two inclusions; here each stops at its first
+    failure.
     """
     for f in base.arrows:
         target = least[base.tgt[f]]

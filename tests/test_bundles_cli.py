@@ -8,11 +8,14 @@ import finsite
 from finsite import cli, corpus
 from finsite.bundles import (
     BundleError,
+    Workspace,
     load_bundle,
     save_bundle,
     workspace_to_json,
 )
 from finsite.cli import main
+from finsite.fincat import build_category, identity_functor
+from finsite.sieves import trivial_topology
 
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "finsite", "data")
@@ -244,6 +247,25 @@ def test_child_pythonpath_is_absolute_and_puts_the_imported_package_first(tmp_pa
     assert child_pythonpath({"PYTHONPATH": caller}).split(os.pathsep) == [root, extra]
 
 
+def cli_outputs_under_hash_seeds(argv):
+    """Stdout of ``python -m finsite.cli <argv>`` under PYTHONHASHSEED 1 and 2."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = child_pythonpath(os.environ)
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env["PYTHONHASHSEED"] = hash_seed
+        proc = subprocess.run(
+            [sys.executable, "-m", "finsite.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=os.path.dirname(DATA),
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    return outputs
+
+
 @pytest.mark.parametrize(
     "exp_id",
     [
@@ -256,23 +278,38 @@ def test_child_pythonpath_is_absolute_and_puts_the_imported_package_first(tmp_pa
     ],
 )
 def test_cli_output_is_identical_across_hash_seeds(exp_id):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = child_pythonpath(os.environ)
-    outputs = []
-    for hash_seed in ("1", "2"):
-        env["PYTHONHASHSEED"] = hash_seed
-        proc = subprocess.run(
-            [sys.executable, "-m", "finsite.cli", "prop", exp_id, "--seed", "11", "--caps", "instances=8"],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=os.path.dirname(DATA),
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("experiment {}\n".format(exp_id)), proc.stdout
-        assert "--- trailer ---" in proc.stdout, proc.stdout
-        outputs.append(proc.stdout)
+    outputs = cli_outputs_under_hash_seeds(["prop", exp_id, "--seed", "11", "--caps", "instances=8"])
+    for out in outputs:
+        assert out.startswith("experiment {}\n".format(exp_id)), out
+        assert "--- trailer ---" in out, out
     assert outputs[0] == outputs[1]
+
+
+def test_cli_giraud_output_is_identical_across_hash_seeds():
+    outputs = cli_outputs_under_hash_seeds(["giraud", WALK2_BUNDLE, "twopoint", "sier"])
+    for out in outputs:
+        # more cover lines than the 3 objects of the total: a non-maximal
+        # least cover, printed with every sieve above it
+        assert len([line for line in out.splitlines() if line.startswith("cover ")]) > 3, out
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_refuses_a_bundle_past_the_sieve_lattice_cap(tmp_path, capsys):
+    # 17 parallel arrows x -> c give 2^17 + 1 sieves on c
+    base = build_category(("x", "c"), {"f{:02d}".format(i): ("x", "c") for i in range(17)})
+    ws = Workspace(
+        categories={"par": base},
+        topologies={"triv": trivial_topology(base)},
+        functors={"id": identity_functor(base)},
+    )
+    path = str(tmp_path / "par.bundle")
+    save_bundle(ws, path)
+    with pytest.raises(BundleError, match="topologies/triv: more than"):
+        load_bundle(path)
+    code, out, err = run_cli(["check", "continuous", path, "id", "triv", "triv"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "topologies/triv" in err
 
 
 def test_cli_prop_accepts_short_alias(capsys):

@@ -1,14 +1,25 @@
 
 import itertools
+import random
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from finsite import corpus
-from finsite.fibration import grothendieck
-from finsite.fincat import StructureError, identity_functor, validate_functor
-from finsite.generate import Caps, GenerationError, derive_seed, generate_instance
+from finsite import sieves
+from finsite.fibration import cartesian_lift_name, giraud_topology, grothendieck
+from finsite.fincat import StructureError, build_category, identity_functor, validate_functor
+from finsite.generate import (
+    Caps,
+    GenerationError,
+    derive_seed,
+    generate_instance,
+    min_comorphism_topology,
+    pushforward_topology,
+    shrink_fibration,
+    shrink_site,
+)
 from finsite.sieves import (
     CapExceeded,
     Sieve,
@@ -20,9 +31,11 @@ from finsite.sieves import (
     generate_sieve,
     induced_image_topology,
     is_topology,
+    least_cover,
     make_coverage,
     map_topology,
     maximal_sieve,
+    pullback_arrows,
     pullback_sieve,
     saturate,
     sieve_lattice,
@@ -310,6 +323,239 @@ def test_saturated_covers_are_pullback_stable(bits):
         for s in top.covers[c]:
             for f in base.into(c):
                 assert pullback_sieve(f, Sieve(base, c, s)).arrows in top.covers[base.src[f]]
+
+
+def reference_saturate(coverage):
+    """The former saturation, a worklist over whole sieve lattices: seed with
+    the maximal and generated sieves, then close under upward containment,
+    pullback stability and transitivity until nothing changes."""
+    base = coverage.base
+    lattice = {c: sieve_lattice(base, c) for c in base.objects}
+    covering = {c: {maximal_sieve(base, c).arrows} for c in base.objects}
+    for c, fams in coverage.generators.items():
+        for fam in fams:
+            covering[c].add(generate_sieve(base, c, fam).arrows)
+    changed = True
+    while changed:
+        changed = False
+        for c in base.objects:
+            cov = covering[c]
+            for s in list(cov):
+                for t in lattice[c]:
+                    if s <= t and t not in cov:
+                        cov.add(t)
+                        changed = True
+            for s in list(cov):
+                for f in base.into(c):
+                    pb = pullback_arrows(base, f, s)
+                    if pb not in covering[base.src[f]]:
+                        covering[base.src[f]].add(pb)
+                        changed = True
+            for r in lattice[c]:
+                if r in cov:
+                    continue
+                for t in cov:
+                    if all(pullback_arrows(base, f, r) in covering[base.src[f]] for f in t):
+                        cov.add(r)
+                        changed = True
+                        break
+    return Topology(base, {c: frozenset(v) for c, v in covering.items()})
+
+
+def fuzzed_coverages(count, seed):
+    """Random coverages on the corpus and fuzzed bases: some objects get no
+    generators, families are arbitrary subsets of into(c) (often not sieves)
+    and may be empty."""
+    rng = random.Random(seed)
+    bases = [base for _, base, _ in corpus.corpus_sites()] + fuzzed_bases(200)
+    for _ in range(count):
+        base = rng.choice(bases)
+        gens = {}
+        for c in base.objects:
+            if rng.random() < 0.3:
+                continue
+            into = sorted(base.into(c))
+            gens[c] = [rng.sample(into, rng.randint(0, min(3, len(into)))) for _ in range(rng.randint(0, 3))]
+        yield make_coverage(base, gens)
+
+
+def test_saturate_matches_the_worklist_on_the_corpus():
+    for name, base, top in corpus.corpus_sites():
+        assert saturate(coverage_of(top)) == reference_saturate(coverage_of(top)) == top, name
+    for name, top in corpus.corpus_workspace().topologies.items():
+        assert saturate(coverage_of(top)) == reference_saturate(coverage_of(top)) == top, name
+
+
+def test_saturate_matches_the_worklist_on_fuzzed_coverages():
+    kinds = set()
+    for coverage in fuzzed_coverages(1200, seed=10):
+        base = coverage.base
+        for c in base.objects:
+            fams = coverage.generators.get(c, frozenset())
+            if not fams:
+                kinds.add("no generators")
+            for fam in fams:
+                if not fam:
+                    kinds.add("empty family")
+                elif generate_sieve(base, c, fam).arrows != fam:
+                    kinds.add("not a sieve")
+        assert saturate(coverage) == reference_saturate(coverage)
+    assert kinds == {"no generators", "empty family", "not a sieve"}
+
+
+GENERATED_KINDS = ("site", "fibration", "site-functor", "comorphism", "dense-pair", "prop33-square")
+
+
+def generated_topologies(instances):
+    """Every topology in fixed-seed instances of each kind, Giraud topologies included."""
+    out = []
+    for kind in GENERATED_KINDS:
+        for index in range(instances):
+            try:
+                inst = generate_instance(kind, derive_seed(7, index), Caps())
+            except (GenerationError, CapExceeded):
+                continue
+            out.extend(v for v in inst.values() if isinstance(v, Topology))
+            if kind == "fibration":
+                out.append(giraud_topology(inst["indexed"], inst["base_topology"]))
+    return out
+
+
+def test_saturate_matches_the_worklist_on_generated_topologies():
+    tops = generated_topologies(15)
+    assert len(tops) > 80
+    for top in tops:
+        assert saturate(coverage_of(top)) == reference_saturate(coverage_of(top)) == top
+
+
+def fuzzed_instances(kind, instances, seed=9):
+    for index in range(instances):
+        try:
+            yield generate_instance(kind, derive_seed(seed, index), Caps())
+        except (GenerationError, CapExceeded):
+            continue
+
+
+def test_giraud_topology_from_least_covers_equals_all_covers():
+    for inst in fuzzed_instances("fibration", 100):
+        cix, top = inst["indexed"], inst["base_topology"]
+        bundle = grothendieck(cix)
+        gens = {
+            name: [[cartesian_lift_name(cix, x, c, f) for f in s] for s in top.covers[c]]
+            for name, (x, c) in bundle.obj_pair.items()
+        }
+        assert giraud_topology(cix, top, bundle) == saturate(make_coverage(bundle.total, gens))
+
+
+def test_min_comorphism_topology_from_least_covers_equals_all_covers():
+    for inst in fuzzed_instances("site-functor", 100):
+        fn, top = inst["functor"], inst["target_topology"]
+        gens = {
+            d: [[h for h in fn.source.into(d) if fn.ar(h) in s] for s in top.covers[fn.ob(d)]]
+            for d in fn.source.objects
+        }
+        assert min_comorphism_topology(fn, top) == saturate(make_coverage(fn.source, gens))
+
+
+def test_pushforward_topology_from_least_covers_equals_all_covers():
+    for index, inst in enumerate(fuzzed_instances("site-functor", 100)):
+        fn, top = inst["functor"], inst["source_topology"]
+        tgt = fn.target
+        gens = {c: [] for c in tgt.objects}
+        for c in fn.source.objects:
+            gens[fn.ob(c)].extend([fn.ar(f) for f in sorted(s)] for s in top.covers[c])
+        assert pushforward_topology(fn, top) == saturate(make_coverage(tgt, gens))
+        rng = random.Random(index)
+        for c in tgt.objects:
+            if rng.random() < 0.3:
+                into = sorted(tgt.into(c))
+                gens[c].append(rng.sample(into, rng.randint(0, min(2, len(into)))))
+        assert pushforward_topology(fn, top, random.Random(index)) == saturate(make_coverage(tgt, gens))
+
+
+def restricted_all_covers(top, sub):
+    keep = set(sub.arrows)
+    return saturate(make_coverage(sub, {c: [sorted(s & keep) for s in top.covers[c]] for c in sub.objects}))
+
+
+def never_fails(log):
+    """A shrink predicate that records each candidate and keeps none."""
+
+    def still_fails(*candidate):
+        log.append(candidate)
+        return False
+
+    return still_fails
+
+
+def test_shrink_site_restricts_least_covers_like_all_covers():
+    tried = []
+    for inst in fuzzed_instances("site", 100):
+        cat, top = inst["category"], inst["topology"]
+        candidates = []
+        shrink_site(cat, top, never_fails(candidates))
+        for sub, sub_top in candidates:
+            assert sub_top == restricted_all_covers(top, sub)
+        tried.extend(candidates)
+    assert len(tried) > 40
+
+
+def test_shrink_fibration_restricts_least_covers_like_all_covers():
+    tried = []
+    for inst in fuzzed_instances("fibration", 100):
+        cix, top = inst["indexed"], inst["base_topology"]
+        candidates = []
+        shrink_fibration(cix, top, never_fails(candidates))
+        for sub_cix, sub_top in candidates:
+            sub = sub_cix.base
+            assert sub_top == (top if sub == cix.base else restricted_all_covers(top, sub))
+            if sub != cix.base:
+                tried.append(sub)
+    assert len(tried) > 20
+
+
+def test_prop412_extra_topology_from_least_covers_equals_all_covers():
+    for index, inst in enumerate(fuzzed_instances("fibration", 100)):
+        gir = giraud_topology(inst["indexed"], inst["base_topology"])
+        total = gir.base
+        extras = {c: [] for c in total.objects}
+        rng = random.Random(index)
+        for c in total.objects:
+            if rng.random() < 0.4:
+                into = sorted(total.into(c))
+                extras[c].append(rng.sample(into, rng.randint(0, min(2, len(into)))))
+        least = {c: [sorted(least_cover(gir, c))] + extras[c] for c in total.objects}
+        every = {c: [sorted(s) for s in gir.covers[c]] + extras[c] for c in total.objects}
+        assert saturate(make_coverage(total, least)) == saturate(make_coverage(total, every))
+
+
+def test_saturate_needs_stability_and_transitivity():
+    # a0 -> a1 -> a2 with the empty sieve covering a1: stability empties the
+    # least cover of a0, and then transitivity empties that of a2
+    chain = corpus.chain3()
+    top = saturate(make_coverage(chain, {"a1": [[]], "a2": [["a1->a2"]]}))
+    assert {c: least_cover(top, c) for c in chain.objects} == dict.fromkeys(chain.objects, frozenset())
+
+
+def parallel_arrows(n):
+    """Objects x and c with n parallel arrows x -> c: 2^n + 1 sieves on c."""
+    return build_category(("x", "c"), {"f{:02d}".format(i): ("x", "c") for i in range(n)})
+
+
+def test_sieve_lattice_refuses_to_pass_its_cap(monkeypatch):
+    monkeypatch.setattr(sieves, "SIEVE_LATTICE_CAP", 9)
+    assert len(sieve_lattice(parallel_arrows(3), "c")) == 9
+    monkeypatch.setattr(sieves, "SIEVE_LATTICE_CAP", 8)
+    with pytest.raises(CapExceeded, match="more than 8 sieves on c"):
+        sieve_lattice(parallel_arrows(3), "c")
+
+
+def test_saturate_refuses_17_parallel_arrows():
+    base = parallel_arrows(17)
+    with pytest.raises(CapExceeded, match="sieves on c"):
+        sieve_lattice(base, "c")
+    with pytest.raises(CapExceeded):
+        saturate(coverage_of(trivial_topology(base)))
 
 
 def test_elements_of_maximal_sieve(walk2):
