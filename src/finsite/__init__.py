@@ -41,7 +41,6 @@ from .fibration import (
     giraud_topology,
     grothendieck,
     inverse_image_adjoint,
-    is_cartesian_arrow,
     is_cartesian_fibration,
     is_fibration,
     is_morphism_of_fibrations,

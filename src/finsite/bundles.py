@@ -191,11 +191,11 @@ def category_to_json(cat: FinCategory) -> dict:
 def topology_to_json(top: Topology, category_name: str) -> dict:
     """Emit a small generating set: the least cover per object (omitted when
     it is the maximal sieve, which every topology contains)."""
-    from .sieves import least_cover, maximal_sieve
+    from .sieves import maximal_sieve
 
     covers = {}
     for c in top.base.objects:
-        least = least_cover(top, c)
+        least = top.least[c]
         covers[c] = [] if least == maximal_sieve(top.base, c).arrows else [sorted(least)]
     return {"category": category_name, "covers": covers}
 

@@ -1,8 +1,8 @@
 """Command-line surface: validate bundles, run checkers and experiments.
 
 Exit codes: 0 all assertions passed, 1 assertion failure (witness printed),
-2 input error.  All tabular output is sorted; two runs on the same inputs
-produce identical bytes.
+2 input error, including an input past a search cap.  All tabular output is
+sorted; two runs on the same inputs produce identical bytes.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from .fincat import StructureError
 from .fibration import direct_image, giraud_topology
 from .generate import Caps
 from .presheaf import sheafify
-from .sieves import Topology
+from .sieves import CapExceeded, Topology
 
 CHECK_KINDS = {
     "comorphism": is_comorphism,
@@ -60,9 +60,13 @@ def _lookup(table: dict, name: str, kind: str):
 
 
 def _print_topology(topology: Topology, out) -> None:
-    for obj in sorted(topology.base.objects):
-        for sieve in topology.sieves(obj):
-            out.write("cover {}: {{{}}}\n".format(obj, ", ".join(sorted(sieve))))
+    """Every cover, sorted; nothing is written if a sieve lattice passes its cap."""
+    lines = [
+        "cover {}: {{{}}}\n".format(obj, ", ".join(sorted(sieve)))
+        for obj in sorted(topology.base.objects)
+        for sieve in topology.sieves(obj)
+    ]
+    out.write("".join(lines))
 
 
 def cmd_validate(args, out) -> int:
@@ -239,7 +243,7 @@ def main(argv=None) -> int:
     args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args, sys.stdout)
-    except (InputError, StructureError) as err:
+    except (InputError, StructureError, CapExceeded) as err:
         sys.stderr.write("error: {}\n".format(err))
         return 2
 

@@ -2,17 +2,17 @@
 
 Every "there exists a covering family such that each member ..." condition
 is decided by computing the sieve of qualifying arrows (the qualifying set
-is always precomposition-closed) and testing membership in the saturated
-cover set, which is upward closed.  On a finite site the covers J(c) are
-exactly the sieves containing the least cover S(c) (``sieves.least_cover``),
-so comorphism, cover preservation and the zig-zag condition of continuity
-are decided on S(c) alone.  Local connectedness (continuity, and the second
-comparison condition of Prop. 3.3) asks whether two pairs lie in one
-connected component of a comma category (d_i ↓ G) over a category of
-elements; ``_comma_components`` answers it for every d_i with one union-find
-over the pairs (x, w: d_i -> G x), without building the elements or the comma
-categories.  Verdicts carry replayable witnesses: a negative witness re-fails
-its condition, a positive trace re-verifies.
+is always precomposition-closed) and testing whether it contains the least
+cover S(c) (``Topology.least``): on a finite site the covers J(c) are
+exactly the sieves containing S(c).  Comorphism, cover preservation and the
+zig-zag condition of continuity are likewise decided on S(c) alone.  Local
+connectedness (continuity, and the second comparison condition of Prop. 3.3)
+asks whether two pairs lie in one connected component of a comma category
+(d_i ↓ G) over a category of elements; ``_comma_components`` answers it for
+every d_i with one union-find over the pairs (x, w: d_i -> G x), without
+building the elements or the comma categories.  Verdicts carry replayable
+witnesses: a negative witness re-fails its condition, a positive trace
+re-verifies.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .fincat import FinFunctor, NatTransform, StructureError, compose_functors, validate_transform
 from .presheaf import prop33_pullback_data
-from .sieves import Topology, generate_sieve, least_cover, sieve_lattice
+from .sieves import Topology, generate_sieve, sieve_lattice
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,8 @@ def is_comorphism(sf: SiteFunctor) -> Verdict:
     functor, j_src, j_tgt = sf.functor, sf.source_topology, sf.target_topology
     trace = []
     for c in functor.source.objects:
-        sieve = least_cover(j_tgt, functor.ob(c))
-        lift = least_cover(j_src, c)
+        sieve = j_tgt.least[functor.ob(c)]
+        lift = j_src.least[c]
         if not all(functor.ar(f) in sieve for f in lift):
             return Verdict(False, "comorphism", (c, tuple(sorted(sieve))))
         trace.append((c, tuple(sorted(sieve)), tuple(sorted(lift))))
@@ -85,7 +85,7 @@ def is_cover_preserving(sf: SiteFunctor) -> Verdict:
     functor, j_src, j_tgt = sf.functor, sf.source_topology, sf.target_topology
     trace = []
     for c in functor.source.objects:
-        sieve = least_cover(j_src, c)
+        sieve = j_src.least[c]
         image = _image_sieve(functor, c, sieve)
         if not j_tgt.is_cover(functor.ob(c), image):
             return Verdict(False, "cover-preserving", (c, tuple(sorted(sieve)), tuple(sorted(image))))
@@ -139,7 +139,7 @@ def is_continuous(sf: SiteFunctor) -> Verdict:
     ccat, dcat = functor.source, functor.target
     trace = list(cp.trace)
     for c in ccat.objects:
-        sieve = least_cover(j_src, c)
+        sieve = j_src.least[c]
         members = sorted(sieve)
         comp = _comma_components(
             dcat,
@@ -471,8 +471,8 @@ def check_prop33_conditions(square: Prop33Square) -> Verdict:
 
 
 def _is_least(topology: Topology, obj: str, sieve: frozenset[str]) -> bool:
-    """Whether ``sieve`` covers ``obj`` and lies inside every cover of it."""
-    return topology.is_cover(obj, sieve) and all(sieve <= s for s in topology.covers[obj])
+    """Whether ``sieve`` is the least cover S(obj)."""
+    return topology.least[obj] == sieve
 
 
 def replay(verdict: Verdict, subject) -> bool:
@@ -490,11 +490,9 @@ def replay(verdict: Verdict, subject) -> bool:
                 and all(functor.ar(f) in sieve for f in lift)
                 for c, sieve, lift in verdict.trace
             )
+        # any cover mapping inside the sieve contains S_J(c), which then maps inside it too
         c, sieve = verdict.witness
-        for cand in sf.source_topology.sieves(c):
-            if all(functor.ar(f) in set(sieve) for f in cand):
-                return False
-        return True
+        return not all(functor.ar(f) in sieve for f in sf.source_topology.least[c])
     if verdict.rule == "cover-preserving":
         sf, functor = subject, subject.functor
         if verdict.ok:

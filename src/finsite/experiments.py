@@ -85,7 +85,6 @@ from .sieves import (
     induced_image_topology,
     InducedTopologyError,
     is_topology,
-    least_cover,
     make_coverage,
     saturate,
     topology_candidate_count,
@@ -391,12 +390,11 @@ def _exp_topology_soundness(run: _Run):
         if induced_image_topology(ident, topology) != topology:
             return "induced topology along the identity is not the identity"
         if len(base.objects) <= 3:
-            least = {c: least_cover(topology, c) for c in base.objects}
             if topology_candidate_count(base) > run.caps.enumeration_limit:
                 raise SkipInstance()
             try:
                 for other in enumerate_topologies(base):
-                    gens_in = all(other.is_cover(c, least[c]) for c in base.objects)
+                    gens_in = all(other.is_cover(c, topology.least[c]) for c in base.objects)
                     if gens_in and not topology_leq(topology, other):
                         return "saturation is not minimal among topologies containing the generators"
             except CapExceeded:
@@ -1057,7 +1055,7 @@ def _exp_prop412(run: _Run):
         if rng.random() < 0.4:
             tgt_bundle = grothendieck(morphism.target)
             gir_tgt = giraud_topology(morphism.target, topology, tgt_bundle)
-            gens = {c: [sorted(least_cover(gir_tgt, c))] for c in tgt_bundle.total.objects}
+            gens = {c: [sorted(gir_tgt.least[c])] for c in tgt_bundle.total.objects}
             for c in tgt_bundle.total.objects:
                 if rng.random() < 0.4:
                     into = sorted(tgt_bundle.total.into(c))

@@ -26,7 +26,7 @@ from .fincat import (
     validate_functor,
     validate_transform,
 )
-from .sieves import Topology, least_cover, make_coverage, saturate
+from .sieves import Topology, make_coverage, saturate
 
 
 def pair_obj(x: str, c: str) -> str:
@@ -93,11 +93,6 @@ class FibrationBundle:
     def base(self) -> FinCategory:
         return self.projection.target
 
-    def with_giraud(self, topology: Topology) -> "FibrationBundle":
-        return FibrationBundle(
-            self.total, self.projection, self.cartesian, topology, self.indexed, self.obj_pair, self.arr_pair
-        )
-
 
 def arrow_is_cartesian(total: FinCategory, proj: FinFunctor, f: str) -> bool:
     """The unique-lifting property, checked over all candidate triples.
@@ -124,13 +119,6 @@ def arrow_is_cartesian(total: FinCategory, proj: FinFunctor, f: str) -> bool:
 def make_bundle(total: FinCategory, projection: FinFunctor, indexed=None, obj_pair=None, arr_pair=None) -> FibrationBundle:
     cartesian = frozenset(a for a in total.arrows if arrow_is_cartesian(total, projection, a))
     return FibrationBundle(total, projection, cartesian, None, indexed, obj_pair, arr_pair)
-
-
-def is_cartesian_arrow(bundle: FibrationBundle, f: str, mode: str = "strict") -> bool:
-    """Def-2.2(a) check; the mode flag is accepted for uniformity but the
-    unique-lifting property itself does not involve the street iso."""
-    assert mode in ("strict", "street")
-    return f in bundle.cartesian
 
 
 def grothendieck(cix: IndexedCategory) -> FibrationBundle:
@@ -280,15 +268,10 @@ def giraud_topology(cix: IndexedCategory, base_topology: Topology, bundle: Fibra
     if bundle is None:
         bundle = grothendieck(cix)
     generators = {
-        name: [[cartesian_lift_name(cix, x, c, f) for f in least_cover(base_topology, c)]]
+        name: [[cartesian_lift_name(cix, x, c, f) for f in base_topology.least[c]]]
         for name, (x, c) in bundle.obj_pair.items()
     }
     return saturate(make_coverage(bundle.total, generators))
-
-
-def giraud_bundle(cix: IndexedCategory, base_topology: Topology) -> FibrationBundle:
-    bundle = grothendieck(cix)
-    return bundle.with_giraud(giraud_topology(cix, base_topology, bundle))
 
 
 # ---------------------------------------------------------------------------

@@ -270,22 +270,6 @@ def full_subcategory(cat: FinCategory, objects) -> FinCategory:
     return validate_category(objects, arrows, identity, table)
 
 
-def disjoint_union(left: FinCategory, right: FinCategory, tags=("L:", "R:")) -> FinCategory:
-    lt, rt = tags
-    objects = tuple(lt + o for o in left.objects) + tuple(rt + o for o in right.objects)
-    arrows = {}
-    identity = {}
-    table = {}
-    for tag, cat in ((lt, left), (rt, right)):
-        for a in cat.arrows:
-            arrows[tag + a] = (tag + cat.src[a], tag + cat.tgt[a])
-        for c, i in cat.identity.items():
-            identity[tag + c] = tag + i
-        for (g, f), h in cat.table.items():
-            table[(tag + g, tag + f)] = tag + h
-    return validate_category(objects, arrows, identity, table)
-
-
 @dataclass(frozen=True)
 class FinFunctor:
     source: FinCategory

@@ -28,7 +28,7 @@ from .fincat import (
 )
 from .fibration import IndexedCategory, IndexedMorphism, validate_indexed, validate_indexed_morphism
 from .presheaf import Presheaf, validate_presheaf
-from .sieves import Topology, induced_image_topology, least_cover, make_coverage, saturate
+from .sieves import Topology, induced_image_topology, make_coverage, saturate
 from . import corpus
 
 
@@ -596,7 +596,7 @@ def min_comorphism_topology(functor: FinFunctor, target_topology: Topology) -> T
     src = functor.source
     generators = {}
     for d in src.objects:
-        least = least_cover(target_topology, functor.ob(d))
+        least = target_topology.least[functor.ob(d)]
         generators[d] = [[h for h in src.into(d) if functor.ar(h) in least]]
     return saturate(make_coverage(src, generators))
 
@@ -608,7 +608,7 @@ def pushforward_topology(functor: FinFunctor, source_topology: Topology, rng: ra
     tgt = functor.target
     generators: dict[str, list] = {c: [] for c in tgt.objects}
     for c in functor.source.objects:
-        generators[functor.ob(c)].append([functor.ar(f) for f in sorted(least_cover(source_topology, c))])
+        generators[functor.ob(c)].append([functor.ar(f) for f in sorted(source_topology.least[c])])
     if rng is not None:
         for c in tgt.objects:
             if rng.random() < 0.3:
@@ -758,7 +758,7 @@ def shrink_site(category: FinCategory, topology: Topology, still_fails) -> tuple
             try:
                 sub = full_subcategory(cat, objs)
                 keep = set(sub.arrows)
-                gens = {c: [sorted(least_cover(top, c) & keep)] for c in sub.objects}
+                gens = {c: [sorted(top.least[c] & keep)] for c in sub.objects}
                 sub_top = saturate(make_coverage(sub, gens))
             except StructureError:
                 continue
@@ -786,7 +786,7 @@ def shrink_fibration(cix: IndexedCategory, topology: Topology, still_fails):
             }
             new_cix = validate_indexed(sub, fibers, restriction)
             keep = set(sub.arrows)
-            gens = {c: [sorted(least_cover(top, c) & keep)] for c in sub.objects}
+            gens = {c: [sorted(top.least[c] & keep)] for c in sub.objects}
             return new_cix, saturate(make_coverage(sub, gens))
         except StructureError:
             return None

@@ -1,7 +1,7 @@
 """Finite-set-valued presheaves, the sheaf condition and the plus construction.
 
 On a finite site the covers of c are the sieves containing the least cover
-S(c) (``sieves.least_cover``), and {S(c)} generates the topology.  The sheaf
+S(c) (``Topology.least``), and {S(c)} generates the topology.  The sheaf
 condition is therefore checked on S(c) alone, and the plus construction is
 P+(c) = Match(S(c), P): its elements at c are the matching families on S(c),
 sorted by their (arrow, value) items and named s0, s1, ... in that order, so
@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .fincat import FinCategory, FinFunctor, StructureError
-from .sieves import CapExceeded, Topology, least_cover
+from .sieves import CapExceeded, Topology
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def is_sheaf(p: Presheaf, topology: Topology) -> tuple[bool, tuple]:
     if p.base != topology.base:
         raise StructureError("presheaf and topology live on different bases")
     for c in p.base.objects:
-        sieve = least_cover(topology, c)
+        sieve = topology.least[c]
         if p.base.identity[c] in sieve:
             continue
         for fam in matching_families(p, c, sieve):
@@ -141,7 +141,7 @@ def plus(p: Presheaf, topology: Topology) -> PlusResult:
     witness f, when a hand-built topology breaks S(d) <= f*S(c).
     """
     base = p.base
-    covers = {c: least_cover(topology, c) for c in base.objects}
+    covers = topology.least
     for f in base.arrows:
         d, c = base.src[f], base.tgt[f]
         if not all(base.compose(f, g) in covers[c] for g in covers[d]):

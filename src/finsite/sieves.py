@@ -1,17 +1,20 @@
 """Sieves, coverages and Grothendieck topologies on finite categories.
 
-Sieves are frozensets of arrow names sharing a target; a topology stores,
-per object, the full (saturated) set of covering sieves.  On a finite
-category covers are closed under intersection, so a topology is the up-set
-of its least covering sieve S(c) at each object; saturation shrinks the
-least covers of a coverage until they are stable and transitive and then
-takes their up-sets.  Storing every cover keeps each "exists a covering
-family such that ..." question a single membership test: covers are upward
-closed, and the qualifying arrows of such a question always form a sieve.
+Sieves are frozensets of arrow names sharing a target.  On a finite category
+covers are closed under intersection, so a topology is the up-set of its
+least covering sieve S(c) at each object, and a topology stores S(c) alone;
+saturation shrinks the least covers of a coverage until they are stable and
+transitive.  Each "exists a covering family such that ..." question is then
+one inclusion: the qualifying arrows of such a question always form a sieve,
+and a sieve covers c exactly when it contains S(c).  The full up-sets are
+built only where they are the subject: printing a topology, and the
+all-covers oracle ``is_topology``.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fincat import FinCategory, FinFunctor, StructureError, validate_functor
 
@@ -31,19 +34,6 @@ class Sieve:
 
     def __le__(self, other: "Sieve") -> bool:
         return self.arrows <= other.arrows
-
-
-def validate_sieve(base: FinCategory, apex: str, arrows) -> Sieve:
-    arrows = frozenset(arrows)
-    for f in sorted(arrows):
-        if base.tgt[f] != apex:
-            raise StructureError("arrow {} does not target the apex {}".format(f, apex), witness=f)
-        for g in base.into(base.src[f]):
-            if base.compose(f, g) not in arrows:
-                raise StructureError(
-                    "not precomposition-closed: {} o {} escapes".format(f, g), witness=(f, g)
-                )
-    return Sieve(base, apex, arrows)
 
 
 def generate_sieve(base: FinCategory, apex: str, family) -> Sieve:
@@ -132,58 +122,45 @@ def make_coverage(base: FinCategory, generators) -> Coverage:
 
 @dataclass(frozen=True)
 class Topology:
-    base: FinCategory
-    covers: dict[str, frozenset[frozenset[str]]]
+    """A topology as its least covering sieve S(c) per object: J(c) = ↑S(c).
 
-    def is_cover(self, obj: str, arrows: frozenset[str]) -> bool:
-        return arrows in self.covers[obj]
+    {S(c)} is a coverage that generates the topology.  ``is_cover`` takes a
+    sieve; any set of arrows containing S(c) would pass.
+    """
+
+    base: FinCategory
+    least: dict[str, frozenset[str]]
+
+    def is_cover(self, obj: str, sieve: frozenset[str]) -> bool:
+        return self.least[obj] <= sieve
 
     def sieves(self, obj: str) -> tuple[frozenset[str], ...]:
-        return tuple(sorted(self.covers[obj], key=lambda s: (len(s), tuple(sorted(s)))))
+        """Every cover of ``obj``, sorted by size and then by content."""
+        return tuple(s for s in sieve_lattice(self.base, obj) if self.least[obj] <= s)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Topology)
-            and self.base == other.base
-            and self.covers == other.covers
-        )
+    @cached_property
+    def covers(self) -> dict[str, frozenset[frozenset[str]]]:
+        """J itself, every cover per object; built from the sieve lattices on first use."""
+        return {c: frozenset(self.sieves(c)) for c in self.base.objects}
 
     def __hash__(self):
-        return hash((self.base, tuple(sorted((c, tuple(sorted(map(tuple, map(sorted, s))))) for c, s in self.covers.items()))))
-
-
-def least_cover(topology: Topology, obj: str) -> frozenset[str]:
-    """The least covering sieve S(obj), the intersection of every cover of obj.
-
-    Covers are closed under intersection, so on a finite site J(obj) is the
-    up-set of S(obj), and {S(c)} is a coverage that generates the topology.
-    Raises StructureError when obj has no cover or the intersection is not a
-    cover; a topology from ``saturate`` or ``is_topology`` does neither.
-    """
-    covers = topology.covers[obj]
-    if not covers:
-        raise StructureError("no covering sieve at {}".format(obj), witness=obj)
-    least = frozenset.intersection(*covers)
-    if least not in covers:
-        raise StructureError("covers at {} are not closed under intersection".format(obj), witness=obj)
-    return least
+        return hash((self.base, frozenset(self.least.items())))
 
 
 def trivial_topology(base: FinCategory) -> Topology:
-    return Topology(base, {c: frozenset({maximal_sieve(base, c).arrows}) for c in base.objects})
+    return Topology(base, {c: maximal_sieve(base, c).arrows for c in base.objects})
 
 
 def saturate(coverage: Coverage) -> Topology:
     """Least topology whose covers include every sieve containing a generator family.
 
     Covers of a finite site are closed under intersection, so the answer is
-    J(c) = {sieves containing S(c)} for the largest least-cover assignment S
-    that is stable and transitive and lies inside every generated sieve.
-    Start from S(c) = the maximal sieve cut down by each generated sieve at c,
-    shrink S by the two rules of ``_least_covers_are_a_topology`` until
-    neither changes it, and return the up-sets.  Every step keeps S above the
-    least covers of any topology containing the generators, and the fixed
-    point is stable and transitive, so its up-sets are the least topology.
+    the largest least-cover assignment S that is stable and transitive and
+    lies inside every generated sieve.  Start from S(c) = the maximal sieve
+    cut down by each generated sieve at c, and shrink S by the two rules of
+    ``_least_covers_are_a_topology`` until neither changes it.  Every step
+    keeps S above the least covers of any topology containing the generators,
+    and the fixed point is stable and transitive, so it is the least topology.
     """
     base = coverage.base
     least = {c: maximal_sieve(base, c).arrows for c in base.objects}
@@ -204,13 +181,11 @@ def saturate(coverage: Coverage) -> Topology:
             if forced != least[c]:
                 least[c] = forced
                 changed = True
-    return Topology(
-        base, {c: frozenset(t for t in sieve_lattice(base, c) if least[c] <= t) for c in base.objects}
-    )
+    return Topology(base, least)
 
 
 def coverage_of(topology: Topology) -> Coverage:
-    return Coverage(topology.base, {c: topology.covers[c] for c in topology.base.objects})
+    return Coverage(topology.base, {c: frozenset({topology.least[c]}) for c in topology.base.objects})
 
 
 def is_topology(base: FinCategory, covers) -> tuple[bool, tuple]:
@@ -250,7 +225,7 @@ def is_topology(base: FinCategory, covers) -> tuple[bool, tuple]:
 def topology_leq(j1: Topology, j2: Topology) -> bool:
     if j1.base != j2.base:
         raise StructureError("topologies live on different bases")
-    return all(j1.covers[c] <= j2.covers[c] for c in j1.base.objects)
+    return all(j2.least[c] <= j1.least[c] for c in j1.base.objects)
 
 
 class InducedTopologyError(StructureError):
@@ -260,8 +235,9 @@ class InducedTopologyError(StructureError):
 def induced_image_topology(functor: FinFunctor, target_topology: Topology) -> Topology:
     """Covers upstairs are the sieves whose generated image covers downstairs.
 
-    Verifies the three axioms a posteriori and raises with the failing axiom
-    when the candidate is not a topology.
+    Verifies the three axioms on the full candidate and raises with the
+    failing axiom when it is not a topology; otherwise the least cover at c
+    is the intersection of the candidate's covers.
     """
     if functor.target != target_topology.base:
         raise StructureError("topology must live on the functor's target")
@@ -278,7 +254,7 @@ def induced_image_topology(functor: FinFunctor, target_topology: Topology) -> To
     ok, witness = is_topology(src, covers)
     if not ok:
         raise InducedTopologyError("candidate not a topology: {}".format(witness), witness=witness)
-    return Topology(src, covers)
+    return Topology(src, {c: frozenset.intersection(*covers[c]) for c in src.objects})
 
 
 def _upset_count(lattice, top) -> int:
@@ -344,42 +320,23 @@ def enumerate_topologies(base: FinCategory):
     """Yield every topology on ``base`` in a deterministic order.
 
     Covers of a finite site are closed under intersection, so J(c) is the
-    principal up-set of the least cover S(c).  The candidates per object are
-    therefore one up-set per sieve, sorted by size and then by content; their
-    products are filtered by stability and transitivity on the least covers
-    (``_least_covers_are_a_topology``).  Raises CapExceeded on an object with
-    more than 14 sieves.
+    principal up-set of the least cover S(c).  The candidate least covers per
+    object are therefore its sieves, sorted by the size and then the content
+    of their up-sets; their products are filtered by stability and
+    transitivity (``_least_covers_are_a_topology``).  Raises CapExceeded on an
+    object with more than 14 sieves.
     """
     per_object = []
     for c in base.objects:
         lat = sieve_lattice(base, c)
         if len(lat) > 14:
             raise CapExceeded("sieve lattice too large on {}".format(c))
-        upsets = [(s, frozenset(t for t in lat if s <= t)) for s in lat]
-        upsets.sort(key=lambda pair: (len(pair[1]), tuple(sorted(tuple(sorted(s)) for s in pair[1]))))
-        per_object.append(upsets)
-
-    def product(i, acc):
-        if i == len(base.objects):
-            if _least_covers_are_a_topology(base, {c: s for c, (s, _) in zip(base.objects, acc)}):
-                yield Topology(base, {c: fam for c, (_, fam) in zip(base.objects, acc)})
-            return
-        for pair in per_object[i]:
-            yield from product(i + 1, acc + [pair])
-
-    yield from product(0, [])
-
-
-def map_topology(iso: FinFunctor, topology: Topology) -> Topology:
-    """Transport a topology along an isomorphism of categories (for oracles)."""
-    src, tgt = iso.source, iso.target
-    covers = {}
-    for c in src.objects:
-        covers[iso.ob(c)] = frozenset(frozenset(iso.ar(f) for f in s) for s in topology.covers[c])
-    ok, witness = is_topology(tgt, covers)
-    if not ok:
-        raise StructureError("transport failed (functor not an iso?): {}".format(witness))
-    return Topology(tgt, covers)
+        upsets = {s: sorted(tuple(sorted(t)) for t in lat if s <= t) for s in lat}
+        per_object.append(sorted(lat, key=lambda s: (len(upsets[s]), upsets[s])))
+    for combo in itertools.product(*per_object):
+        least = dict(zip(base.objects, combo))
+        if _least_covers_are_a_topology(base, least):
+            yield Topology(base, least)
 
 
 @dataclass(frozen=True)

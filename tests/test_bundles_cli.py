@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import finsite
-from finsite import cli, corpus
+from finsite import cli, corpus, sieves
 from finsite.bundles import (
     BundleError,
     Workspace,
@@ -14,8 +14,10 @@ from finsite.bundles import (
     workspace_to_json,
 )
 from finsite.cli import main
-from finsite.fincat import build_category, identity_functor
-from finsite.sieves import trivial_topology
+from finsite.deciders import SiteFunctor, is_continuous
+from finsite.fibration import validate_indexed
+from finsite.fincat import build_category, identity_functor, terminal_category
+from finsite.sieves import coverage_of, saturate, trivial_topology
 
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "finsite", "data")
@@ -35,6 +37,15 @@ def test_shipped_bundles_match_the_programmatic_corpus(tmp_path):
     path = tmp_path / "fresh.bundle"
     save_bundle(ws, str(path))
     assert load_bundle(str(path)) == load_bundle(CORPUS_BUNDLE)
+
+
+@pytest.mark.parametrize("bundle", [WALK2_BUNDLE, CORPUS_BUNDLE], ids=os.path.basename)
+def test_loading_and_saturating_build_no_sieve_lattice(bundle):
+    ws = load_bundle(bundle)
+    for top in ws.topologies.values():
+        assert saturate(coverage_of(top)) == top
+    categories = list(ws.categories.values()) + [top.base for top in ws.topologies.values()]
+    assert not any("sieve_lattice" in cat._scratch for cat in categories)
 
 
 def test_round_trip_is_identity():
@@ -294,9 +305,13 @@ def test_cli_giraud_output_is_identical_across_hash_seeds():
     assert outputs[0] == outputs[1]
 
 
-def test_cli_refuses_a_bundle_past_the_sieve_lattice_cap(tmp_path, capsys):
-    # 17 parallel arrows x -> c give 2^17 + 1 sieves on c
-    base = build_category(("x", "c"), {"f{:02d}".format(i): ("x", "c") for i in range(17)})
+def parallel_arrows(x, y):
+    """Objects x and y with 17 parallel arrows x -> y: 2^17 + 1 sieves on y."""
+    return build_category((x, y), {"f{:02d}".format(i): (x, y) for i in range(17)})
+
+
+def save_parallel_arrow_bundle(tmp_path):
+    base = parallel_arrows("x", "c")
     ws = Workspace(
         categories={"par": base},
         topologies={"triv": trivial_topology(base)},
@@ -304,12 +319,43 @@ def test_cli_refuses_a_bundle_past_the_sieve_lattice_cap(tmp_path, capsys):
     )
     path = str(tmp_path / "par.bundle")
     save_bundle(ws, path)
-    with pytest.raises(BundleError, match="topologies/triv: more than"):
-        load_bundle(path)
-    code, out, err = run_cli(["check", "continuous", path, "id", "triv", "triv"], capsys)
+    return base, path
+
+
+def test_cli_refuses_a_bundle_past_the_sieve_lattice_cap(tmp_path, capsys):
+    # the bundle loads; only a decider that walks every sieve on c meets the cap
+    base, path = save_parallel_arrow_bundle(tmp_path)
+    assert load_bundle(path).topologies["triv"] == trivial_topology(base)
+    code, out, err = run_cli(["check", "dense", path, "id", "triv", "triv"], capsys)
     assert code == 2
     assert out == ""
-    assert "topologies/triv" in err
+    assert err == "error: more than {} sieves on c\n".format(sieves.SIEVE_LATTICE_CAP)
+
+
+def test_cli_checks_continuity_past_the_sieve_lattice_cap(tmp_path, capsys):
+    base, path = save_parallel_arrow_bundle(tmp_path)
+    triv = trivial_topology(base)
+    expected = is_continuous(SiteFunctor(identity_functor(base), triv, triv))
+    assert expected.ok
+    code, out, _ = run_cli(["check", "continuous", path, "id", "triv", "triv"], capsys)
+    assert code == 0
+    assert out == "true\ntrace entries: {}\n".format(len(expected.trace))
+
+
+def test_cli_giraud_refuses_a_fibre_past_the_sieve_lattice_cap(tmp_path, capsys):
+    base = terminal_category()
+    fibre = parallel_arrows("x", "y")
+    ws = Workspace(
+        categories={"one": base, "par": fibre},
+        topologies={"triv": trivial_topology(base)},
+        indexed={"fib": validate_indexed(base, {"*": fibre}, {})},
+    )
+    path = str(tmp_path / "fib.bundle")
+    save_bundle(ws, path)
+    code, out, err = run_cli(["giraud", path, "fib", "triv"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: more than {} sieves on (y,*)\n".format(sieves.SIEVE_LATTICE_CAP)
 
 
 def test_cli_prop_accepts_short_alias(capsys):

