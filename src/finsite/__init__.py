@@ -36,7 +36,6 @@ from .sieves import (
 from .fibration import (
     FibrationBundle,
     IndexedCategory,
-    compose_base_change,
     direct_image,
     giraud_topology,
     grothendieck,

@@ -5,14 +5,16 @@ is decided by computing the sieve of qualifying arrows (the qualifying set
 is always precomposition-closed) and testing whether it contains the least
 cover S(c) (``Topology.least``): on a finite site the covers J(c) are
 exactly the sieves containing S(c).  Comorphism, cover preservation and the
-zig-zag condition of continuity are likewise decided on S(c) alone.  Local
-connectedness (continuity, and the second comparison condition of Prop. 3.3)
-asks whether two pairs lie in one connected component of a comma category
-(d_i ↓ G) over a category of elements; ``_comma_components`` answers it for
-every d_i with one union-find over the pairs (x, w: d_i -> G x), without
-building the elements or the comma categories.  Verdicts carry replayable
-witnesses: a negative witness re-fails its condition, a positive trace
-re-verifies.
+zig-zag condition of continuity are likewise decided on S(c) alone, and so
+is cover reflection, the first condition of a dense morphism: S(c) must lie
+in the meet of the sieves whose image covers (``sieves.image_cover_meet``),
+so no decider builds a sieve lattice.  Local connectedness (continuity, and
+the second comparison condition of Prop. 3.3) asks whether two pairs lie in
+one connected component of a comma category (d_i ↓ G) over a category of
+elements; ``_comma_components`` answers it for every d_i with one
+union-find over the pairs (x, w: d_i -> G x), without building the elements
+or the comma categories.  Verdicts carry replayable witnesses: a negative
+witness re-fails its condition, a positive trace re-verifies.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 from .fincat import FinFunctor, NatTransform, StructureError, compose_functors, validate_transform
 from .presheaf import prop33_pullback_data
-from .sieves import Topology, generate_sieve, sieve_lattice
+from .sieves import Topology, generate_sieve, image_cover_meet, image_sieve, sieve_without
 
 
 @dataclass(frozen=True)
@@ -55,12 +57,6 @@ class Verdict:
         return head + "\n  trace entries: {}".format(len(self.trace))
 
 
-def _image_sieve(functor: FinFunctor, apex: str, arrows) -> frozenset[str]:
-    return generate_sieve(
-        functor.target, functor.ob(apex), tuple(functor.ar(f) for f in sorted(arrows))
-    ).arrows
-
-
 def is_comorphism(sf: SiteFunctor) -> Verdict:
     """Target covers of image objects lift to source covers mapping inside them.
 
@@ -86,7 +82,7 @@ def is_cover_preserving(sf: SiteFunctor) -> Verdict:
     trace = []
     for c in functor.source.objects:
         sieve = j_src.least[c]
-        image = _image_sieve(functor, c, sieve)
+        image = image_sieve(functor, c, sieve)
         if not j_tgt.is_cover(functor.ob(c), image):
             return Verdict(False, "cover-preserving", (c, tuple(sorted(sieve)), tuple(sorted(image))))
         trace.append((c, tuple(sorted(sieve)), tuple(sorted(image))))
@@ -294,7 +290,14 @@ def is_morphism_of_sites(sf: SiteFunctor) -> Verdict:
 
 def is_dense_morphism(sf: SiteFunctor) -> Verdict:
     """Morphism of sites + cover reflection, local covering by images, local
-    fullness and local faithfulness, each with a replayable witness."""
+    fullness and local faithfulness, each with a replayable witness.
+
+    Covers are reflected at c when every sieve whose image covers F(c)
+    contains S_J(c), that is when S_J(c) lies in their meet
+    (``image_cover_meet``).  Otherwise the first g of S_J(c) outside the
+    meet names the witness M_g (``sieve_without``): its image covers, and it
+    lacks g, so it is no J-cover.
+    """
     ms = is_morphism_of_sites(sf)
     if not ms.ok:
         return Verdict(False, "dense-morphism", ("not_morphism_of_sites",) + ms.witness)
@@ -302,10 +305,10 @@ def is_dense_morphism(sf: SiteFunctor) -> Verdict:
     ccat_src, ccat_tgt = functor.source, functor.target
     trace = list(ms.trace)
     for c in ccat_src.objects:
-        for sieve in sieve_lattice(ccat_src, c):
-            image = _image_sieve(functor, c, sieve)
-            if j_tgt.is_cover(functor.ob(c), image) and not j_src.is_cover(c, sieve):
-                return Verdict(False, "dense-morphism", ("cover_not_reflected", c, tuple(sorted(sieve))))
+        lost = sorted(j_src.least[c] - image_cover_meet(functor, j_tgt, c))
+        if lost:
+            witness = tuple(sorted(sieve_without(ccat_src, c, lost[0])))
+            return Verdict(False, "dense-morphism", ("cover_not_reflected", c, witness))
     images = {functor.ob(c) for c in ccat_src.objects}
     for d in ccat_tgt.objects:
         family = [m for m in ccat_tgt.into(d) if ccat_tgt.src[m] in images]
@@ -498,7 +501,7 @@ def replay(verdict: Verdict, subject) -> bool:
         if verdict.ok:
             return tuple(entry[0] for entry in verdict.trace) == functor.source.objects and all(
                 _is_least(sf.source_topology, c, frozenset(sieve))
-                and frozenset(image) == _image_sieve(functor, c, sieve)
+                and frozenset(image) == image_sieve(functor, c, sieve)
                 and sf.target_topology.is_cover(functor.ob(c), frozenset(image))
                 for c, sieve, image in verdict.trace
             )

@@ -53,11 +53,14 @@ from .fibration import (
 from .generate import (
     Caps,
     GenerationError,
+    collapse_morphism,
+    constant_indexed,
     derive_seed,
     describe_instance,
     gen_category,
     gen_functor,
     gen_galois,
+    gen_galois_into,
     gen_indexed,
     gen_indexed_morphism,
     gen_presheaf,
@@ -402,16 +405,7 @@ def _exp_topology_soundness(run: _Run):
         return None
 
     for name, cat, top in corpus.corpus_sites():
-        cix = corpus.two_point(cat) if cat == corpus.walk2() else None
-        if cix is None:
-            from .fibration import validate_indexed
-
-            one_fib = terminal_category()
-            cix = validate_indexed(
-                cat,
-                {c: one_fib for c in cat.objects},
-                {f: identity_functor(one_fib) for f in cat.arrows if not cat.is_identity(f)},
-            )
+        cix = corpus.two_point(cat) if cat == corpus.walk2() else constant_indexed(cat, terminal_category())
         run.check(name, name, check({"indexed": cix, "base_topology": top}))
 
     def make(i):
@@ -481,7 +475,7 @@ def _exp_continuity(run: _Run):
         return None
 
     tp = corpus.two_point()
-    morphism = _collapse_morphism(tp)
+    morphism = collapse_morphism(tp)
     run.check("twopoint", "twopoint", check({"indexed": tp, "base_topology": corpus.sier(), "morphism": morphism}))
 
     def make(i):
@@ -493,20 +487,6 @@ def _exp_continuity(run: _Run):
         return {"kind": "fibration", "indexed": morphism.source, "base_topology": topology, "morphism": morphism}
 
     run.loop(make, check)
-
-
-def _collapse_morphism(cix):
-    from .fibration import validate_indexed, validate_indexed_morphism
-
-    one_fib = terminal_category()
-    base = cix.base
-    target = validate_indexed(
-        base,
-        {c: one_fib for c in base.objects},
-        {f: identity_functor(one_fib) for f in base.arrows if not base.is_identity(f)},
-    )
-    comps = {c: constant_functor(cix.fiber[c], one_fib, "*") for c in base.objects}
-    return validate_indexed_morphism(cix, target, comps)
 
 
 def _exp_reflect_cartesian(run: _Run):
@@ -583,10 +563,7 @@ def _exp_adjoint_agreement(run: _Run):
         return None
 
     adj = corpus.walk2_terminal_adjunction()
-    from .fibration import validate_indexed
-
-    fib = corpus.discrete(("p", "q"))
-    cix = validate_indexed(corpus.one(), {"*": fib}, {})
+    cix = constant_indexed(corpus.one(), corpus.discrete(("p", "q")))
     run.check("walk2-terminal", "walk2-terminal", check({"adjunction": adj, "indexed": cix}))
 
     def make(i):
@@ -775,56 +752,6 @@ def _exp_prop44(run: _Run):
     run.loop(make, check)
 
 
-def gen_galois_into(rng, caps, target):
-    """A Galois connection whose lower adjoint lands in the given poset."""
-    from .generate import gen_poset, _poset_leq, _poset_functor, _poset_arrow
-    from .fincat import validate_adjunction
-
-    for _ in range(40):
-        p = gen_poset(rng, caps.base_objects)
-        obj_map = {x: rng.choice(list(target.objects)) for x in p.objects}
-        if not all(
-            _poset_leq(target, obj_map[x], obj_map[y])
-            for x in p.objects
-            for y in p.objects
-            if _poset_leq(p, x, y)
-        ):
-            continue
-        right_map = {}
-        ok = True
-        for qo in target.objects:
-            below = [x for x in p.objects if _poset_leq(target, obj_map[x], qo)]
-            tops = [x for x in below if all(_poset_leq(p, y, x) for y in below)]
-            if len(tops) != 1:
-                ok = False
-                break
-            right_map[qo] = tops[0]
-        if not ok:
-            continue
-        if not all(
-            _poset_leq(target, obj_map[x], qo) == _poset_leq(p, x, right_map[qo])
-            for x in p.objects
-            for qo in target.objects
-        ):
-            continue
-        if not all(
-            _poset_leq(p, right_map[a], right_map[b])
-            for a in target.objects
-            for b in target.objects
-            if _poset_leq(target, a, b)
-        ):
-            continue
-        left = _poset_functor(obj_map, p, target)
-        right = _poset_functor(right_map, target, p)
-        unit = {x: _poset_arrow(p, x, right_map[obj_map[x]]) for x in p.objects}
-        counit = {qo: _poset_arrow(target, obj_map[right_map[qo]], qo) for qo in target.objects}
-        try:
-            return validate_adjunction(left, right, unit, counit)
-        except StructureError:
-            continue
-    return None
-
-
 def _exp_sheafify(run: _Run):
     def check(inst):
         p = inst["presheaf"]
@@ -962,7 +889,7 @@ def _exp_prop33(run: _Run):
     run.check(
         "twopoint-collapse",
         "twopoint-collapse",
-        check({"square": build_fixed(_collapse_morphism(tp), corpus.sier())}),
+        check({"square": build_fixed(collapse_morphism(tp), corpus.sier())}),
     )
 
     def make(i):
@@ -1009,10 +936,7 @@ def _exp_prop29(run: _Run):
         return {"kind": "prop29", "indexed": dix, "functor": fn}
 
     one = corpus.one()
-    from .fibration import validate_indexed
-
-    chain = corpus.discrete(("t",))
-    cix = validate_indexed(one, {"*": chain}, {})
+    cix = constant_indexed(one, corpus.discrete(("t",)))
     run.check("one-point", "one-point", check({"indexed": cix, "functor": identity_functor(one)}))
     run.loop(make, check)
 
@@ -1042,7 +966,7 @@ def _exp_prop412(run: _Run):
     run.check(
         "twopoint-collapse",
         "twopoint-collapse",
-        check({"morphism": _collapse_morphism(tp), "base_topology": corpus.sier(), "extra": None}),
+        check({"morphism": collapse_morphism(tp), "base_topology": corpus.sier(), "extra": None}),
     )
 
     def make(i):
@@ -1088,10 +1012,7 @@ def _exp_structure(run: _Run):
         return None
 
     adj = corpus.walk2_terminal_adjunction()
-    from .fibration import validate_indexed
-
-    fib = corpus.discrete(("p", "q"))
-    cix = validate_indexed(corpus.one(), {"*": fib}, {})
+    cix = constant_indexed(corpus.one(), corpus.discrete(("p", "q")))
     j = trivial_topology(corpus.one())
     run.check(
         "walk2-terminal",

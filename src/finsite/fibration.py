@@ -78,13 +78,11 @@ def validate_indexed(base: FinCategory, fiber, restriction) -> IndexedCategory:
 
 @dataclass(frozen=True)
 class FibrationBundle:
-    """A total category with its projection, cached cartesian table and an
-    optional topology on the total category."""
+    """A total category with its projection and cached cartesian table."""
 
     total: FinCategory
     projection: FinFunctor
     cartesian: frozenset[str]
-    giraud: Topology | None = None
     indexed: IndexedCategory | None = None
     obj_pair: dict[str, tuple[str, str]] | None = None
     arr_pair: dict[str, tuple[str, str]] | None = None
@@ -118,7 +116,7 @@ def arrow_is_cartesian(total: FinCategory, proj: FinFunctor, f: str) -> bool:
 
 def make_bundle(total: FinCategory, projection: FinFunctor, indexed=None, obj_pair=None, arr_pair=None) -> FibrationBundle:
     cartesian = frozenset(a for a in total.arrows if arrow_is_cartesian(total, projection, a))
-    return FibrationBundle(total, projection, cartesian, None, indexed, obj_pair, arr_pair)
+    return FibrationBundle(total, projection, cartesian, indexed, obj_pair, arr_pair)
 
 
 def grothendieck(cix: IndexedCategory) -> FibrationBundle:
@@ -435,10 +433,6 @@ def compose_adjunctions(inner: Adjunction, outer: Adjunction) -> Adjunction:
     return Adjunction(left, right, unit, counit)
 
 
-class NonComputableError(StructureError):
-    """The requested base-change composite has no computable route here."""
-
-
 @dataclass(frozen=True)
 class BaseChangeComposition:
     mode: str
@@ -479,18 +473,6 @@ def compose_inverse_images(cix: IndexedCategory, adj_inner: Adjunction, adj_oute
         return BaseChangeComposition("inverse", True, iso, composite, combined.comparison)
     iso = natural_iso_search(composite, combined.comparison)
     return BaseChangeComposition("inverse", iso is not None, iso, composite, combined.comparison)
-
-
-def compose_base_change(f_inner: FinFunctor, f_outer: FinFunctor, indexed: IndexedCategory, adj_inner: Adjunction | None = None, adj_outer: Adjunction | None = None) -> BaseChangeComposition:
-    """Dispatch on where the indexed category lives; adjoint data is required
-    for the inverse-image route and its absence is reported, never guessed."""
-    if indexed.base == f_outer.target:
-        return compose_direct_images(indexed, f_inner, f_outer)
-    if indexed.base == f_inner.source:
-        if adj_inner is None or adj_outer is None:
-            raise NonComputableError("inverse-image composition needs adjoint data for both steps")
-        return compose_inverse_images(indexed, adj_inner, adj_outer)
-    raise StructureError("indexed category does not match either end of the composite")
 
 
 # ---------------------------------------------------------------------------

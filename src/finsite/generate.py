@@ -18,6 +18,7 @@ from .fincat import (
     StructureError,
     build_category,
     compose_functors,
+    constant_functor,
     free_category,
     full_subcategory,
     identity_functor,
@@ -362,10 +363,24 @@ def gen_indexed(rng: random.Random, base: FinCategory, caps: Caps, base_kind: st
         return representable_indexed(base, obj)
     if roll < 0.8 and sum(len(base.out_of(c)) for c in base.objects) <= 4 * len(base.objects):
         return coslice_indexed(base)
-    fiber = gen_small_category(rng, caps.fiber_objects)
-    return validate_indexed(base, {c: fiber for c in base.objects}, {
-        f: identity_functor(fiber) for f in base.arrows if not base.is_identity(f)
-    })
+    return constant_indexed(base, gen_small_category(rng, caps.fiber_objects))
+
+
+def constant_indexed(base: FinCategory, fiber: FinCategory) -> IndexedCategory:
+    """The indexed category with ``fiber`` over every object and identity restrictions."""
+    return validate_indexed(
+        base,
+        {c: fiber for c in base.objects},
+        {f: identity_functor(fiber) for f in base.arrows if not base.is_identity(f)},
+    )
+
+
+def collapse_morphism(cix: IndexedCategory) -> IndexedMorphism:
+    """The indexed morphism out of ``cix`` onto the terminal fiber everywhere."""
+    one_fib = terminal_category()
+    target = constant_indexed(cix.base, one_fib)
+    comps = {c: constant_functor(cix.fiber[c], one_fib, "*") for c in cix.base.objects}
+    return validate_indexed_morphism(cix, target, comps)
 
 
 def gen_indexed_morphism(rng: random.Random, cix: IndexedCategory, caps: Caps) -> IndexedMorphism:
@@ -377,16 +392,7 @@ def gen_indexed_morphism(rng: random.Random, cix: IndexedCategory, caps: Caps) -
         comps = {c: identity_functor(cix.fiber[c]) for c in base.objects}
         return validate_indexed_morphism(cix, cix, comps)
     if roll < 0.6:
-        one_fib = terminal_category()
-        target = validate_indexed(
-            base,
-            {c: one_fib for c in base.objects},
-            {f: identity_functor(one_fib) for f in base.arrows if not base.is_identity(f)},
-        )
-        from .fincat import constant_functor
-
-        comps = {c: constant_functor(cix.fiber[c], one_fib, "*") for c in base.objects}
-        return validate_indexed_morphism(cix, target, comps)
+        return collapse_morphism(cix)
     target = gen_indexed(rng, base, caps)
     objs = list(base.objects)
     options = {c: all_functors(cix.fiber[c], target.fiber[c], limit=200) for c in objs}
@@ -419,16 +425,7 @@ def gen_indexed_morphism(rng: random.Random, cix: IndexedCategory, caps: Caps) -
 
     if options and all(options.values()) and go(0):
         return validate_indexed_morphism(cix, target, dict(assign))
-    one_fib = terminal_category()
-    target = validate_indexed(
-        base,
-        {c: one_fib for c in base.objects},
-        {f: identity_functor(one_fib) for f in base.arrows if not base.is_identity(f)},
-    )
-    from .fincat import constant_functor
-
-    comps = {c: constant_functor(cix.fiber[c], one_fib, "*") for c in base.objects}
-    return validate_indexed_morphism(cix, target, comps)
+    return collapse_morphism(cix)
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +446,7 @@ def _chain_map(rng: random.Random, src_size: int, tgt_size: int, src: FinCategor
     src_objs, tgt_objs = list(src.objects), list(tgt.objects)
     picks = sorted(rng.randint(0, tgt_size - 1) for _ in range(src_size))
     picks[-1] = tgt_size - 1
-    obj_map = {src_objs[i]: tgt_objs[picks[i]] for i in range(src_size)}
-    arr_map = {}
-    for a in src.arrows:
-        x, y = src.src[a], src.tgt[a]
-        mx, my = obj_map[x], obj_map[y]
-        arr_map[a] = tgt.identity[mx] if mx == my else "{}->{}".format(mx, my)
-    return validate_functor(obj_map, arr_map, src, tgt)
+    return _poset_functor({src_objs[i]: tgt_objs[picks[i]] for i in range(src_size)}, src, tgt)
 
 
 def graded_chain_indexed(rng: random.Random, chain_base: FinCategory, max_fiber: int) -> IndexedCategory:
@@ -502,52 +493,65 @@ def _poset_arrow(cat: FinCategory, x: str, y: str) -> str:
     return cat.identity[x] if x == y else "{}->{}".format(x, y)
 
 
+def _galois_attempt(rng: random.Random, p: FinCategory, q: FinCategory) -> Adjunction | None:
+    """One try at a Galois connection from p to q: a random monotone lower
+    adjoint, kept if its pointwise right adjoint exists, with unit/counit
+    read off the orders."""
+    obj_map = {x: rng.choice(list(q.objects)) for x in p.objects}
+    if not all(
+        _poset_leq(q, obj_map[x], obj_map[y])
+        for x in p.objects
+        for y in p.objects
+        if _poset_leq(p, x, y)
+    ):
+        return None
+    right_map = {}
+    for qo in q.objects:
+        below = [x for x in p.objects if _poset_leq(q, obj_map[x], qo)]
+        top = [x for x in below if all(_poset_leq(p, y, x) for y in below)]
+        if len(top) != 1:
+            return None
+        right_map[qo] = top[0]
+    if not all(
+        _poset_leq(q, obj_map[x], qo) == _poset_leq(p, x, right_map[qo])
+        for x in p.objects
+        for qo in q.objects
+    ):
+        return None
+    if not all(
+        _poset_leq(p, right_map[a], right_map[b])
+        for a in q.objects
+        for b in q.objects
+        if _poset_leq(q, a, b)
+    ):
+        return None
+    left = _poset_functor(obj_map, p, q)
+    right = _poset_functor(right_map, q, p)
+    unit = {x: _poset_arrow(p, x, right_map[obj_map[x]]) for x in p.objects}
+    counit = {qo: _poset_arrow(q, obj_map[right_map[qo]], qo) for qo in q.objects}
+    try:
+        return validate_adjunction(left, right, unit, counit)
+    except StructureError:
+        return None
+
+
 def gen_galois(rng: random.Random, caps: Caps) -> Adjunction | None:
-    """A verified Galois connection: monotone lower adjoint whose pointwise
-    right adjoint exists, with unit/counit read off the orders."""
+    """A verified Galois connection between two random posets."""
     for _ in range(40):
         p = gen_poset(rng, caps.base_objects)
         q = gen_poset(rng, caps.base_objects)
-        obj_map = {x: rng.choice(list(q.objects)) for x in p.objects}
-        if not all(
-            _poset_leq(q, obj_map[x], obj_map[y])
-            for x in p.objects
-            for y in p.objects
-            if _poset_leq(p, x, y)
-        ):
-            continue
-        right_map = {}
-        ok = True
-        for qo in q.objects:
-            below = [x for x in p.objects if _poset_leq(q, obj_map[x], qo)]
-            top = [x for x in below if all(_poset_leq(p, y, x) for y in below)]
-            if len(top) != 1:
-                ok = False
-                break
-            right_map[qo] = top[0]
-        if not ok:
-            continue
-        if not all(
-            _poset_leq(q, obj_map[x], qo) == _poset_leq(p, x, right_map[qo])
-            for x in p.objects
-            for qo in q.objects
-        ):
-            continue
-        if not all(
-            _poset_leq(p, right_map[a], right_map[b])
-            for a in q.objects
-            for b in q.objects
-            if _poset_leq(q, a, b)
-        ):
-            continue
-        left = _poset_functor(obj_map, p, q)
-        right = _poset_functor(right_map, q, p)
-        unit = {x: _poset_arrow(p, x, right_map[obj_map[x]]) for x in p.objects}
-        counit = {qo: _poset_arrow(q, obj_map[right_map[qo]], qo) for qo in q.objects}
-        try:
-            return validate_adjunction(left, right, unit, counit)
-        except StructureError:
-            continue
+        adj = _galois_attempt(rng, p, q)
+        if adj is not None:
+            return adj
+    return None
+
+
+def gen_galois_into(rng: random.Random, caps: Caps, target: FinCategory) -> Adjunction | None:
+    """A verified Galois connection whose lower adjoint lands in ``target``."""
+    for _ in range(40):
+        adj = _galois_attempt(rng, gen_poset(rng, caps.base_objects), target)
+        if adj is not None:
+            return adj
     return None
 
 

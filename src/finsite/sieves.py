@@ -6,9 +6,13 @@ least covering sieve S(c) at each object, and a topology stores S(c) alone;
 saturation shrinks the least covers of a coverage until they are stable and
 transitive.  Each "exists a covering family such that ..." question is then
 one inclusion: the qualifying arrows of such a question always form a sieve,
-and a sieve covers c exactly when it contains S(c).  The full up-sets are
-built only where they are the subject: printing a topology, and the
-all-covers oracle ``is_topology``.
+and a sieve covers c exactly when it contains S(c).  Along a functor F, the
+sieves on c whose image covers F(c) are an up-set; its meet is found from
+the largest sieve lacking each arrow (``image_cover_meet``), which decides
+the induced topology and cover reflection without a sieve lattice.  The full
+up-sets are built only where they are the subject: printing a topology, the
+all-covers oracle ``is_topology``, and the enumeration and counting of
+topologies.
 """
 from __future__ import annotations
 
@@ -158,9 +162,9 @@ def saturate(coverage: Coverage) -> Topology:
     the largest least-cover assignment S that is stable and transitive and
     lies inside every generated sieve.  Start from S(c) = the maximal sieve
     cut down by each generated sieve at c, and shrink S by the two rules of
-    ``_least_covers_are_a_topology`` until neither changes it.  Every step
-    keeps S above the least covers of any topology containing the generators,
-    and the fixed point is stable and transitive, so it is the least topology.
+    ``_least_cover_failure`` until neither changes it.  Every step keeps S
+    above the least covers of any topology containing the generators, and
+    the fixed point is stable and transitive, so it is the least topology.
     """
     base = coverage.base
     least = {c: maximal_sieve(base, c).arrows for c in base.objects}
@@ -228,6 +232,42 @@ def topology_leq(j1: Topology, j2: Topology) -> bool:
     return all(j2.least[c] <= j1.least[c] for c in j1.base.objects)
 
 
+def image_sieve(functor: FinFunctor, apex: str, arrows) -> frozenset[str]:
+    """The sieve on F(apex) generated by the images of ``arrows``."""
+    return generate_sieve(
+        functor.target, functor.ob(apex), tuple(functor.ar(f) for f in sorted(arrows))
+    ).arrows
+
+
+def sieve_without(base: FinCategory, apex: str, g: str) -> frozenset[str]:
+    """M_g: the arrows f into ``apex`` that ``g`` does not factor through.
+
+    It is a sieve, it lacks g, and it holds every sieve on ``apex`` that
+    lacks g, so it is the largest such sieve.
+    """
+    return frozenset(
+        f
+        for f in base.into(apex)
+        if not any(base.compose(f, h) == g for h in base.hom(base.src[g], base.src[f]))
+    )
+
+
+def image_cover_meet(functor: FinFunctor, target_topology: Topology, apex: str) -> frozenset[str]:
+    """The meet of C(apex), the sieves on ``apex`` whose image covers F(apex).
+
+    C(apex) is an up-set, and every sieve lacking g lies inside M_g
+    (``sieve_without``), so g is in every member of C(apex) exactly when M_g
+    is not one.  That is one image test per arrow into ``apex``, and no
+    sieve lattice.  An empty C(apex) has every arrow into ``apex`` as meet.
+    """
+    fc = functor.ob(apex)
+    return frozenset(
+        g
+        for g in functor.source.into(apex)
+        if not target_topology.is_cover(fc, image_sieve(functor, apex, sieve_without(functor.source, apex, g)))
+    )
+
+
 class InducedTopologyError(StructureError):
     """The induced-covers candidate fails a topology axiom."""
 
@@ -235,26 +275,21 @@ class InducedTopologyError(StructureError):
 def induced_image_topology(functor: FinFunctor, target_topology: Topology) -> Topology:
     """Covers upstairs are the sieves whose generated image covers downstairs.
 
-    Verifies the three axioms on the full candidate and raises with the
-    failing axiom when it is not a topology; otherwise the least cover at c
-    is the intersection of the candidate's covers.
+    Those sieves C(c) are an up-set with meet L(c) (``image_cover_meet``).
+    They form a topology exactly when each L(c) lies in C(c), so that
+    C(c) = ↑L(c), and L is stable and transitive; then L is the least-cover
+    map.  Otherwise raises with the failing condition: ("meet_not_a_cover", c),
+    or the axiom and datum from ``_least_cover_failure``.
     """
     if functor.target != target_topology.base:
         raise StructureError("topology must live on the functor's target")
     src = functor.source
-    tgt = functor.target
-    covers = {}
-    for c in src.objects:
-        good = set()
-        for s in sieve_lattice(src, c):
-            image = generate_sieve(tgt, functor.ob(c), tuple(functor.ar(f) for f in sorted(s)))
-            if target_topology.is_cover(functor.ob(c), image.arrows):
-                good.add(s)
-        covers[c] = frozenset(good)
-    ok, witness = is_topology(src, covers)
-    if not ok:
+    least = {c: image_cover_meet(functor, target_topology, c) for c in src.objects}
+    missing = [c for c in src.objects if not target_topology.is_cover(functor.ob(c), image_sieve(functor, c, least[c]))]
+    witness = ("meet_not_a_cover", missing[0]) if missing else _least_cover_failure(src, least)
+    if witness:
         raise InducedTopologyError("candidate not a topology: {}".format(witness), witness=witness)
-    return Topology(src, {c: frozenset.intersection(*covers[c]) for c in src.objects})
+    return Topology(src, least)
 
 
 def _upset_count(lattice, top) -> int:
@@ -293,8 +328,9 @@ def topology_candidate_count(base: FinCategory) -> int:
     return total
 
 
-def _least_covers_are_a_topology(base: FinCategory, least) -> bool:
-    """Whether c |-> {sieves containing least[c]} is a topology on ``base``.
+def _least_cover_failure(base: FinCategory, least) -> tuple:
+    """The first axiom by which c |-> {sieves containing least[c]} is not a
+    topology on ``base``: ("stability", f) or ("transitivity", c); () if it is one.
 
     ``least`` maps each object to a sieve on it.  Maximality holds for any
     up-set.  Pullback is monotone, so stability reduces to
@@ -308,12 +344,12 @@ def _least_covers_are_a_topology(base: FinCategory, least) -> bool:
     for f in base.arrows:
         target = least[base.tgt[f]]
         if any(base.compose(f, g) not in target for g in least[base.src[f]]):
-            return False
+            return ("stability", f)
     for c in base.objects:
         forced = {base.compose(f, g) for f in least[c] for g in least[base.src[f]]}
         if not least[c] <= forced:
-            return False
-    return True
+            return ("transitivity", c)
+    return ()
 
 
 def enumerate_topologies(base: FinCategory):
@@ -323,7 +359,7 @@ def enumerate_topologies(base: FinCategory):
     principal up-set of the least cover S(c).  The candidate least covers per
     object are therefore its sieves, sorted by the size and then the content
     of their up-sets; their products are filtered by stability and
-    transitivity (``_least_covers_are_a_topology``).  Raises CapExceeded on an
+    transitivity (``_least_cover_failure``).  Raises CapExceeded on an
     object with more than 14 sieves.
     """
     per_object = []
@@ -335,7 +371,7 @@ def enumerate_topologies(base: FinCategory):
         per_object.append(sorted(lat, key=lambda s: (len(upsets[s]), upsets[s])))
     for combo in itertools.product(*per_object):
         least = dict(zip(base.objects, combo))
-        if _least_covers_are_a_topology(base, least):
+        if not _least_cover_failure(base, least):
             yield Topology(base, least)
 
 

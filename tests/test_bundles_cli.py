@@ -14,10 +14,10 @@ from finsite.bundles import (
     workspace_to_json,
 )
 from finsite.cli import main
-from finsite.deciders import SiteFunctor, is_continuous
+from finsite.deciders import SiteFunctor, is_continuous, is_dense_morphism
 from finsite.fibration import validate_indexed
-from finsite.fincat import build_category, identity_functor, terminal_category
-from finsite.sieves import coverage_of, saturate, trivial_topology
+from finsite.fincat import build_category, full_subcategory, identity_functor, terminal_category, validate_functor
+from finsite.sieves import coverage_of, induced_image_topology, saturate, trivial_topology
 
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "finsite", "data")
@@ -46,6 +46,16 @@ def test_loading_and_saturating_build_no_sieve_lattice(bundle):
         assert saturate(coverage_of(top)) == top
     categories = list(ws.categories.values()) + [top.base for top in ws.topologies.values()]
     assert not any("sieve_lattice" in cat._scratch for cat in categories)
+
+
+def test_inducing_and_deciding_density_build_no_sieve_lattice():
+    retract = corpus.retract()
+    sub = full_subcategory(retract, ["r"])
+    inclusion = validate_functor({"r": "r"}, {"id_r": "id_r"}, sub, retract)
+    top = corpus.retract_topology(retract)
+    induced = induced_image_topology(inclusion, top)
+    assert is_dense_morphism(SiteFunctor(inclusion, induced, top)).ok
+    assert not any("sieve_lattice" in cat._scratch for cat in (sub, retract))
 
 
 def test_round_trip_is_identity():
@@ -322,14 +332,15 @@ def save_parallel_arrow_bundle(tmp_path):
     return base, path
 
 
-def test_cli_refuses_a_bundle_past_the_sieve_lattice_cap(tmp_path, capsys):
-    # the bundle loads; only a decider that walks every sieve on c meets the cap
+def test_cli_checks_density_past_the_sieve_lattice_cap(tmp_path, capsys):
+    # cover reflection reads the meet of the image covers, not every sieve on c
     base, path = save_parallel_arrow_bundle(tmp_path)
-    assert load_bundle(path).topologies["triv"] == trivial_topology(base)
-    code, out, err = run_cli(["check", "dense", path, "id", "triv", "triv"], capsys)
-    assert code == 2
-    assert out == ""
-    assert err == "error: more than {} sieves on c\n".format(sieves.SIEVE_LATTICE_CAP)
+    triv = trivial_topology(base)
+    expected = is_dense_morphism(SiteFunctor(identity_functor(base), triv, triv))
+    assert expected.ok
+    code, out, _ = run_cli(["check", "dense", path, "id", "triv", "triv"], capsys)
+    assert code == 0
+    assert out == "true\ntrace entries: {}\n".format(len(expected.trace))
 
 
 def test_cli_checks_continuity_past_the_sieve_lattice_cap(tmp_path, capsys):

@@ -13,8 +13,6 @@ from finsite.fincat import (
     validate_functor,
 )
 from finsite.fibration import (
-    NonComputableError,
-    compose_base_change,
     compose_direct_images,
     compose_inverse_images,
     direct_image,
@@ -33,17 +31,20 @@ from finsite.fibration import (
     validate_indexed,
     validate_indexed_morphism,
 )
-from finsite.generate import gen_galois, graded_chain_indexed, representable_indexed, _rng, Caps
+from finsite.generate import (
+    Caps,
+    _rng,
+    constant_indexed,
+    gen_galois,
+    gen_galois_into,
+    graded_chain_indexed,
+    representable_indexed,
+)
 from finsite.sieves import maximal_sieve, trivial_topology
 
 
 def constant_one_indexed(base):
-    fib = terminal_category()
-    return validate_indexed(
-        base,
-        {c: fib for c in base.objects},
-        {f: identity_functor(fib) for f in base.arrows if not base.is_identity(f)},
-    )
+    return constant_indexed(base, terminal_category())
 
 
 def test_grothendieck_constant_one_fibers_is_the_base(walk2):
@@ -309,8 +310,6 @@ def test_compose_inverse_images_identity_iso():
     adj_inner = None
     while adj_inner is None:
         adj_inner = gen_galois(rng, Caps(base_objects=3))
-    from finsite.experiments import gen_galois_into
-
     adj_outer = None
     while adj_outer is None:
         adj_outer = gen_galois_into(rng, Caps(base_objects=3), adj_inner.left.source)
@@ -320,12 +319,6 @@ def test_compose_inverse_images_identity_iso():
     assert all(
         result.composite.target.is_identity(a) for a in result.iso.values()
     )
-
-
-def test_compose_base_change_requires_adjoint_data(walk2, one):
-    cix = constant_one_indexed(one)
-    with pytest.raises(NonComputableError):
-        compose_base_change(identity_functor(one), corpus.pick(walk2, "b"), cix)
 
 
 def test_is_cartesian_fibration_examples(two_point, walk2):

@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from finsite import corpus
 from finsite import sieves
-from finsite.fibration import cartesian_lift_name, giraud_topology, grothendieck
-from finsite.fincat import StructureError, build_category, identity_functor, validate_functor
+from finsite.deciders import SiteFunctor, is_dense_morphism
+from finsite.fibration import cartesian_lift_name, direct_image, giraud_topology, grothendieck
+from finsite.fincat import StructureError, build_category, full_subcategory, identity_functor, validate_functor
 from finsite.generate import (
     Caps,
     GenerationError,
+    constant_indexed,
     derive_seed,
     generate_instance,
     min_comorphism_topology,
@@ -24,11 +26,14 @@ from finsite.sieves import (
     CapExceeded,
     Sieve,
     Topology,
-    _least_covers_are_a_topology,
+    InducedTopologyError,
+    _least_cover_failure,
     coverage_of,
     elements_of_sieve,
     enumerate_topologies,
     generate_sieve,
+    image_cover_meet,
+    image_sieve,
     induced_image_topology,
     is_topology,
     make_coverage,
@@ -37,6 +42,7 @@ from finsite.sieves import (
     pullback_sieve,
     saturate,
     sieve_lattice,
+    sieve_without,
     topology_candidate_count,
     topology_leq,
     trivial_topology,
@@ -145,8 +151,6 @@ def test_induced_topology_along_bang_is_sier(walk2, one, sier):
 
 
 def test_induced_topology_restricts_dense_subcategory(retract):
-    from finsite.fincat import full_subcategory
-
     top = corpus.retract_topology(retract)
     sub = full_subcategory(retract, ["r"])
     inclusion = validate_functor({"r": "r"}, {"id_r": "id_r"}, sub, retract)
@@ -160,6 +164,154 @@ def test_induced_topology_restricts_dense_subcategory(retract):
         for c in sub.objects
     }
     assert induced.covers == manual
+
+
+# ---------------------------------------------------------------------------
+# The meet of the image covers against the sieve-lattice walks it replaced
+
+
+def reference_induced_image_topology(functor, target_topology):
+    """Every sieve whose generated image covers, checked by ``is_topology``."""
+    src = functor.source
+    covers = {}
+    for c in src.objects:
+        covers[c] = frozenset(
+            s
+            for s in sieve_lattice(src, c)
+            if target_topology.is_cover(functor.ob(c), image_sieve(functor, c, s))
+        )
+    ok, witness = is_topology(src, covers)
+    if not ok:
+        raise InducedTopologyError("candidate not a topology: {}".format(witness), witness=witness)
+    return Topology(src, {c: frozenset.intersection(*covers[c]) for c in src.objects})
+
+
+def reference_reflects_covers(functor, j_src, j_tgt):
+    """The first (object, sieve) whose image covers while the sieve does not,
+    in sieve-lattice order; None when covers are reflected."""
+    for c in functor.source.objects:
+        for sieve in sieve_lattice(functor.source, c):
+            if j_tgt.is_cover(functor.ob(c), image_sieve(functor, c, sieve)) and not j_src.is_cover(c, sieve):
+                return c, sieve
+    return None
+
+
+def span_onto_an_arrow():
+    """f1: a1 -> c and f2: a2 -> c both sent to p: Y -> X, with {p} covering X.
+
+    The sieves {f1} and {f2} have covering images, but their meet, the empty
+    sieve, has not."""
+    src = build_category(("a1", "a2", "c"), {"f1": ("a1", "c"), "f2": ("a2", "c")})
+    tgt = build_category(("Y", "X"), {"p": ("Y", "X")})
+    functor = validate_functor(
+        {"a1": "Y", "a2": "Y", "c": "X"},
+        {"id_a1": "id_Y", "id_a2": "id_Y", "id_c": "id_X", "f1": "p", "f2": "p"},
+        src,
+        tgt,
+    )
+    return functor, saturate(make_coverage(tgt, {"X": [["p"]]}))
+
+
+def corpus_induction_cases():
+    """(functor, source topology, target topology) from the corpus cases of
+    the sieve and decider tests."""
+    walk2, one, retract = corpus.walk2(), corpus.one(), corpus.retract()
+    sier, retract_top = corpus.sier(walk2), corpus.retract_topology(retract)
+    r_inclusion = validate_functor({"r": "r"}, {"id_r": "id_r"}, full_subcategory(retract, ["r"]), retract)
+    a_inclusion = validate_functor({"a": "a"}, {"id_a": "id_a"}, full_subcategory(walk2, ["a"]), walk2)
+    span, span_top = span_onto_an_arrow()
+    cases = [
+        (identity_functor(walk2), sier, sier),
+        (identity_functor(walk2), trivial_topology(walk2), sier),
+        (corpus.bang(walk2), sier, trivial_topology(one)),
+        (r_inclusion, trivial_topology(r_inclusion.source), retract_top),
+        (a_inclusion, trivial_topology(a_inclusion.source), trivial_topology(walk2)),
+        (span, trivial_topology(span.source), span_top),
+    ]
+    two_point = corpus.two_point(walk2)
+    bundle = grothendieck(two_point)
+    cases.append((bundle.projection, giraud_topology(two_point, sier, bundle), sier))
+    induced = induced_image_topology(r_inclusion, retract_top)
+    cases.append((r_inclusion, induced, retract_top))
+    fib = corpus.discrete(("m0", "m1"))
+    di = direct_image(constant_indexed(retract, fib), r_inclusion)
+    cases.append((di.q, giraud_topology(di.indexed, induced, di.source), giraud_topology(di.target.indexed, retract_top, di.target)))
+    return cases
+
+
+def site_functor_cases():
+    """The site-functor instances of seeds 0-499 with at most three objects per site."""
+    cases = []
+    for seed in range(500):
+        try:
+            inst = generate_instance("site-functor", seed, Caps(base_objects=3))
+        except (GenerationError, CapExceeded):
+            continue
+        cases.append((seed, inst["functor"], inst["source_topology"], inst["target_topology"]))
+    return cases
+
+
+def assert_meet_matches_the_lattice_walks(functor, j_src, j_tgt):
+    """Compare induction and reflection with their references; return the
+    induced witness, or () for a topology, and whether covers are reflected."""
+    try:
+        expected = reference_induced_image_topology(functor, j_tgt)
+    except InducedTopologyError:
+        expected = None
+    try:
+        induced = induced_image_topology(functor, j_tgt)
+        outcome = ()
+    except InducedTopologyError as exc:
+        induced, outcome = None, exc.witness
+    assert induced == expected
+    src = functor.source
+    for c in src.objects:
+        covering = [s for s in sieve_lattice(src, c) if j_tgt.is_cover(functor.ob(c), image_sieve(functor, c, s))]
+        meet = frozenset(src.into(c)).intersection(*covering)
+        assert image_cover_meet(functor, j_tgt, c) == meet
+    failure = reference_reflects_covers(functor, j_src, j_tgt)
+    verdict = is_dense_morphism(SiteFunctor(functor, j_src, j_tgt))
+    if verdict.witness[:1] != ("not_morphism_of_sites",):
+        assert (verdict.witness[:1] == ("cover_not_reflected",)) == (failure is not None)
+    if failure is not None and verdict.witness[:1] == ("cover_not_reflected",):
+        _, c, sieve = verdict.witness
+        assert c == failure[0]
+        assert j_tgt.is_cover(functor.ob(c), image_sieve(functor, c, sieve))
+        assert not j_src.is_cover(c, frozenset(sieve))
+    return outcome, failure is None
+
+
+def test_induced_topology_and_reflection_match_the_lattice_walks_on_the_corpus():
+    outcomes = [assert_meet_matches_the_lattice_walks(*case) for case in corpus_induction_cases()]
+    assert ((), True) in outcomes
+    assert ("meet_not_a_cover", "c") in [witness for witness, _ in outcomes]
+    assert not all(reflects for _, reflects in outcomes)
+
+
+def test_induced_topology_on_a_span_onto_one_arrow():
+    functor, top = span_onto_an_arrow()
+    with pytest.raises(InducedTopologyError) as reference:
+        reference_induced_image_topology(functor, top)
+    assert reference.value.witness == ("stability", ("c", ("f1",), "f2"))
+    assert image_cover_meet(functor, top, "c") == frozenset()
+    assert sieve_without(functor.source, "c", "f1") == frozenset({"f2"})
+    with pytest.raises(InducedTopologyError) as raised:
+        induced_image_topology(functor, top)
+    assert raised.value.witness == ("meet_not_a_cover", "c")
+
+
+def test_induced_topology_and_reflection_match_the_lattice_walks_on_fuzzed_site_functors():
+    not_principal, not_a_topology, not_reflected = [], [], 0
+    for seed, functor, j_src, j_tgt in site_functor_cases():
+        outcome, reflects = assert_meet_matches_the_lattice_walks(functor, j_src, j_tgt)
+        if outcome[:1] == ("meet_not_a_cover",):
+            not_principal.append(seed)
+        elif outcome:
+            not_a_topology.append(seed)
+        not_reflected += not reflects
+    assert (len(not_principal), not_principal[0]) == (15, 12)
+    assert not_a_topology == [170, 452]
+    assert not_reflected == 230
 
 
 def test_topology_leq_examples(walk2, sier):
@@ -262,7 +414,7 @@ def test_least_cover_filter_agrees_with_is_topology_on_every_candidate():
         for least in itertools.product(*lattices):
             upsets = [frozenset(t for t in lat if s <= t) for s, lat in zip(least, lattices)]
             expected = is_topology(base, dict(zip(base.objects, upsets)))[0]
-            assert _least_covers_are_a_topology(base, dict(zip(base.objects, least))) == expected
+            assert (not _least_cover_failure(base, dict(zip(base.objects, least)))) == expected
             verdicts.add(expected)
     assert verdicts == {True, False}
 

@@ -8,7 +8,6 @@ from finsite.deciders import (
     SiteFunctor,
     Verdict,
     _comma_components,
-    _image_sieve,
     check_prop33_conditions,
     is_comorphism,
     is_continuous,
@@ -58,6 +57,7 @@ from finsite.sieves import (
     Sieve,
     elements_of_sieve,
     enumerate_topologies,
+    image_sieve,
     make_coverage,
     saturate,
     sieve_lattice,
@@ -66,15 +66,11 @@ from finsite.sieves import (
 )
 
 
-def giraud_bundle(cix, base_topology):
-    """The Grothendieck bundle of ``cix`` carrying its Giraud topology."""
-    bundle = grothendieck(cix)
-    return replace(bundle, giraud=giraud_topology(cix, base_topology, bundle))
-
-
 @pytest.fixture
 def giraud_two_point(two_point, sier):
-    return giraud_bundle(two_point, sier)
+    """The Grothendieck bundle of the two-point fibration and its Giraud topology."""
+    bundle = grothendieck(two_point)
+    return bundle, giraud_topology(two_point, sier, bundle)
 
 
 def identity_site(cat, topology):
@@ -86,14 +82,16 @@ def test_comorphism_identity(walk2, sier):
 
 
 def test_comorphism_giraud_projection(giraud_two_point, sier):
-    sf = SiteFunctor(giraud_two_point.projection, giraud_two_point.giraud, sier)
+    bundle, giraud = giraud_two_point
+    sf = SiteFunctor(bundle.projection, giraud, sier)
     verdict = is_comorphism(sf)
     assert verdict.ok
     assert replay(verdict, sf)
 
 
 def test_comorphism_fails_below_giraud(giraud_two_point, sier):
-    sf = SiteFunctor(giraud_two_point.projection, trivial_topology(giraud_two_point.total), sier)
+    bundle, _ = giraud_two_point
+    sf = SiteFunctor(bundle.projection, trivial_topology(bundle.total), sier)
     verdict = is_comorphism(sf)
     assert not verdict.ok
     assert verdict.witness[1] == ("u",)
@@ -113,7 +111,8 @@ def test_cover_preserving_examples(walk2, one, sier):
 
 def test_continuous_identity_and_giraud(walk2, sier, giraud_two_point):
     assert is_continuous(identity_site(walk2, sier)).ok
-    sf = SiteFunctor(giraud_two_point.projection, giraud_two_point.giraud, sier)
+    bundle, giraud = giraud_two_point
+    sf = SiteFunctor(bundle.projection, giraud, sier)
     verdict = is_continuous(sf)
     assert verdict.ok
     assert replay(verdict, sf)
@@ -318,7 +317,7 @@ def reference_is_cover_preserving(sf):
     functor, j_src, j_tgt = sf.functor, sf.source_topology, sf.target_topology
     for c in functor.source.objects:
         for sieve in j_src.sieves(c):
-            image = _image_sieve(functor, c, sieve)
+            image = image_sieve(functor, c, sieve)
             if not j_tgt.is_cover(functor.ob(c), image):
                 return False, (c, tuple(sorted(sieve)), tuple(sorted(image)))
     return True, ()
@@ -455,12 +454,13 @@ def test_continuity_fails_on_an_unconnected_cospan_cover():
 
 
 def test_positive_replay_refuses_a_forged_or_truncated_trace(giraud_two_point, sier):
-    below_giraud = SiteFunctor(giraud_two_point.projection, trivial_topology(giraud_two_point.total), sier)
+    bundle, giraud = giraud_two_point
+    below_giraud = SiteFunctor(bundle.projection, trivial_topology(bundle.total), sier)
     assert not is_comorphism(below_giraud).ok
     assert not replay(Verdict(True, "comorphism", (), ()), below_giraud)
     assert not replay(Verdict(True, "cover-preserving", (), ()), below_giraud)
 
-    sf = SiteFunctor(giraud_two_point.projection, giraud_two_point.giraud, sier)
+    sf = SiteFunctor(bundle.projection, giraud, sier)
     for decide in (is_comorphism, is_cover_preserving):
         verdict = decide(sf)
         assert verdict.ok and replay(verdict, sf)
