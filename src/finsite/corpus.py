@@ -143,7 +143,7 @@ def corpus_workspace():
         "sier": sier_top,
         "chain3_top": chain3_topology(),
         "retract_top": retract_topology(),
-        "gir_twopoint": giraud_topology(tp, sier_top, bundle),
+        "gir_twopoint": giraud_topology(tp, sier_top),
         "trivial_total": trivial_topology(bundle.total),
     }
     from .fincat import compose_functors, identity_functor, validate_transform

@@ -42,7 +42,6 @@ from .fibration import (
     compose_inverse_images,
     giraud_topology,
     grothendieck,
-    inverse_image_adjoint,
     is_cartesian_fibration,
     is_fibration,
     is_morphism_of_fibrations,
@@ -424,7 +423,7 @@ def _exp_minimality(run: _Run):
         total = bundle.total
         if topology_candidate_count(total) > run.caps.enumeration_limit:
             raise SkipInstance()
-        gir = giraud_topology(cix, topology, bundle)
+        gir = giraud_topology(cix, topology)
         try:
             for candidate in enumerate_topologies(total):
                 passes = is_comorphism(SiteFunctor(bundle.projection, candidate, topology)).ok
@@ -450,7 +449,7 @@ def _exp_continuity(run: _Run):
         cix = inst["indexed"]
         topology = inst["base_topology"]
         bundle = grothendieck(cix)
-        gir = giraud_topology(cix, topology, bundle)
+        gir = giraud_topology(cix, topology)
         site = SiteFunctor(bundle.projection, gir, topology)
         v = is_comorphism(site)
         if not v.ok:
@@ -467,8 +466,8 @@ def _exp_continuity(run: _Run):
         ok, witness = is_morphism_of_fibrations(top_fun, ident, src_bundle, tgt_bundle, square)
         if not ok:
             return "indexed morphism is not a morphism of fibrations: {}".format(witness)
-        gir_src = giraud_topology(morphism.source, topology, src_bundle)
-        gir_tgt = giraud_topology(morphism.target, topology, tgt_bundle)
+        gir_src = giraud_topology(morphism.source, topology)
+        gir_tgt = giraud_topology(morphism.target, topology)
         v = is_continuous(SiteFunctor(top_fun, gir_src, gir_tgt))
         if not v.ok:
             return "morphism of fibrations is not continuous between Giraud sites: {}".format(v.witness)
@@ -528,10 +527,10 @@ def _exp_adjoint_agreement(run: _Run):
     def check(inst):
         adj = inst["adjunction"]
         cix = inst["indexed"]
-        inv = inverse_image_adjoint(cix, adj)
+        stf = structure_functor(cix, adj)
+        inv = stf.inverse
         if not inv.adjunction_ok:
             return "comparison adjunction failed the triangle identities"
-        stf = structure_functor(cix, adj)
         if not functor_equal(stf.composite, inv.comparison):
             return "structure functor disagrees with the adjoint comparison"
         one = terminal_category()
@@ -600,8 +599,8 @@ def _exp_prop34(run: _Run):
             raise SkipInstance()
         cix = inst["indexed"]
         di = direct_image(cix, sf.functor)
-        gir_src = giraud_topology(di.indexed, sf.source_topology, di.source)
-        gir_tgt = giraud_topology(cix, sf.target_topology, di.target)
+        gir_src = giraud_topology(di.indexed, sf.source_topology)
+        gir_tgt = giraud_topology(cix, sf.target_topology)
         v = is_continuous(SiteFunctor(di.q, gir_src, gir_tgt))
         if not v.ok:
             return "direct-image projection of a continuous functor is not continuous: {}".format(v.witness)
@@ -632,8 +631,8 @@ def _exp_prop42(run: _Run):
             return "constructed comorphism fails its own check: {}".format(pre.witness)
         cix = inst["indexed"]
         di = direct_image(cix, sf.functor)
-        gir_src = giraud_topology(di.indexed, sf.source_topology, di.source)
-        gir_tgt = giraud_topology(cix, sf.target_topology, di.target)
+        gir_src = giraud_topology(di.indexed, sf.source_topology)
+        gir_tgt = giraud_topology(cix, sf.target_topology)
         v = is_comorphism(SiteFunctor(di.q, gir_src, gir_tgt))
         if not v.ok:
             return "direct-image projection of a comorphism is not a comorphism: {}".format(v.witness)
@@ -669,8 +668,8 @@ def _exp_dense(run: _Run):
             return "constructed dense inclusion fails the dense check: {}".format(pre.witness)
         cix = inst["indexed"]
         di = direct_image(cix, sf.functor)
-        gir_src = giraud_topology(di.indexed, sf.source_topology, di.source)
-        gir_tgt = giraud_topology(cix, sf.target_topology, di.target)
+        gir_src = giraud_topology(di.indexed, sf.source_topology)
+        gir_tgt = giraud_topology(cix, sf.target_topology)
         v = is_dense_morphism(SiteFunctor(di.q, gir_src, gir_tgt))
         if not v.ok:
             return "direct-image projection along a dense morphism is not dense: {}".format(v.witness)
@@ -874,7 +873,7 @@ def _exp_prop33(run: _Run):
         src_bundle = grothendieck(morphism.source)
         tgt_bundle = grothendieck(morphism.target)
         a_fun = total_functor(morphism, src_bundle, tgt_bundle)
-        gir_tgt = giraud_topology(morphism.target, topology, tgt_bundle)
+        gir_tgt = giraud_topology(morphism.target, topology)
         phi = identity_transform(compose_functors(tgt_bundle.projection, a_fun))
         return Prop33Square(
             a_fun,
@@ -948,8 +947,8 @@ def _exp_prop412(run: _Run):
         src_bundle = grothendieck(morphism.source)
         tgt_bundle = grothendieck(morphism.target)
         a_fun = total_functor(morphism, src_bundle, tgt_bundle)
-        gir_src = giraud_topology(morphism.source, topology, src_bundle)
-        gir_tgt = giraud_topology(morphism.target, topology, tgt_bundle)
+        gir_src = giraud_topology(morphism.source, topology)
+        gir_tgt = giraud_topology(morphism.target, topology)
         enlarged = inst["extra"]
         target_topology = gir_tgt if enlarged is None else enlarged
         if not topology_leq(gir_tgt, target_topology):
@@ -978,7 +977,7 @@ def _exp_prop412(run: _Run):
         extra = None
         if rng.random() < 0.4:
             tgt_bundle = grothendieck(morphism.target)
-            gir_tgt = giraud_topology(morphism.target, topology, tgt_bundle)
+            gir_tgt = giraud_topology(morphism.target, topology)
             gens = {c: [sorted(gir_tgt.least[c])] for c in tgt_bundle.total.objects}
             for c in tgt_bundle.total.objects:
                 if rng.random() < 0.4:

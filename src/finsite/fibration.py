@@ -8,7 +8,8 @@ cross-check, never trusted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 from . import limits
 from .fincat import (
@@ -18,6 +19,7 @@ from .fincat import (
     NatTransform,
     StructureError,
     check_adjunction,
+    composable_pairs,
     compose_functors,
     functor_equal,
     identity_functor,
@@ -42,11 +44,39 @@ class IndexedCategory:
     """A strict contravariant assignment of fiber categories to a base.
 
     ``restriction[f]`` for f: c -> c' is a functor fiber(c') -> fiber(c).
+    Instances are treated as immutable: ``grothendieck`` builds the total
+    category once per instance and keeps it in ``_scratch``.
     """
 
     base: FinCategory
     fiber: dict[str, FinCategory]
     restriction: dict[str, FinFunctor]
+    _scratch: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+def _is_identity_on(r: FinFunctor, cat: FinCategory) -> bool:
+    """``functor_equal(r, identity_functor(cat))`` for r: cat -> cat, read entry by entry."""
+    return (
+        len(r.obj_map) == len(cat.objects)
+        and len(r.arr_map) == len(cat.arrows)
+        and all(r.obj_map[x] == x for x in cat.objects)
+        and all(r.arr_map[a] == a for a in cat.arrows)
+    )
+
+
+def _composes_to(rf: FinFunctor, rg: FinFunctor, rh: FinFunctor, unit: bool) -> bool:
+    """``functor_equal(compose_functors(rf, rg), rh)``, read entry by entry.
+
+    With ``unit`` one of rf, rg is an identity restriction and rh the other,
+    so the entries agree and only the key sets of rh's maps are compared.
+    """
+    cat = rg.source
+    if len(rh.obj_map) != len(cat.objects) or len(rh.arr_map) != len(cat.arrows):
+        return False
+    return unit or (
+        all(rf.obj_map[rg.obj_map[x]] == rh.obj_map[x] for x in cat.objects)
+        and all(rf.arr_map[rg.arr_map[a]] == rh.arr_map[a] for a in cat.arrows)
+    )
 
 
 def validate_indexed(base: FinCategory, fiber, restriction) -> IndexedCategory:
@@ -65,11 +95,11 @@ def validate_indexed(base: FinCategory, fiber, restriction) -> IndexedCategory:
         if r.source != fiber[base.tgt[f]] or r.target != fiber[base.src[f]]:
             raise StructureError("restriction along {} has wrong endpoints".format(f), witness=f)
     for c in base.objects:
-        if not functor_equal(restriction[base.identity[c]], identity_functor(fiber[c])):
+        if not _is_identity_on(restriction[base.identity[c]], fiber[c]):
             raise StructureError("restriction along id_{} is not the identity".format(c), witness=c)
     for (g, f), h in base.table.items():
-        lhs = compose_functors(restriction[f], restriction[g])
-        if not functor_equal(lhs, restriction[h]):
+        unit = base.is_identity(g) or base.is_identity(f)
+        if not _composes_to(restriction[f], restriction[g], restriction[h], unit):
             raise StructureError(
                 "restrictions not strictly functorial on ({}, {})".format(g, f), witness=(g, f)
             )
@@ -96,21 +126,19 @@ def arrow_is_cartesian(total: FinCategory, proj: FinFunctor, f: str) -> bool:
     """The unique-lifting property, checked over all candidate triples.
 
     For g: d'' -> tgt(f) and h: p(d'') -> p(src(f)) with p(f).h = p(g) there
-    must be exactly one h': d'' -> src(f) over h with f.h' = g.
+    must be exactly one h': d'' -> src(f) over h with f.h' = g.  The lifts of
+    every (h, g) are counted in one pass over the arrows into src(f); a lift
+    of (h, g) starts where g does.
     """
     base = proj.target
     d_prime, d = total.src[f], total.tgt[f]
     pf = proj.ar(f)
-    for d2 in total.objects:
-        homs = total.hom(d2, d_prime)
-        for g in total.hom(d2, d):
-            pg = proj.ar(g)
-            for h in base.hom(proj.ob(d2), proj.ob(d_prime)):
-                if base.compose(pf, h) != pg:
-                    continue
-                lifts = [h2 for h2 in homs if proj.ar(h2) == h and total.compose(f, h2) == g]
-                if len(lifts) != 1:
-                    return False
+    lifts = Counter((proj.ar(h2), total.compose(f, h2)) for h2 in total.into(d_prime))
+    for g in total.into(d):
+        pg = proj.ar(g)
+        for h in base.hom(proj.ob(total.src[g]), proj.ob(d_prime)):
+            if base.compose(pf, h) == pg and lifts[(h, g)] != 1:
+                return False
     return True
 
 
@@ -120,7 +148,16 @@ def make_bundle(total: FinCategory, projection: FinFunctor, indexed=None, obj_pa
 
 
 def grothendieck(cix: IndexedCategory) -> FibrationBundle:
-    """Total category of pairs, projection, and a fully recomputed cartesian table."""
+    """Total category of pairs, projection, and a fully recomputed cartesian table.
+
+    Built once per indexed category: later calls return the same bundle."""
+    bundle = cix._scratch.get("grothendieck")
+    if bundle is None:
+        bundle = cix._scratch["grothendieck"] = _grothendieck(cix)
+    return bundle
+
+
+def _grothendieck(cix: IndexedCategory) -> FibrationBundle:
     base = cix.base
     obj_pair = {}
     for c in base.objects:
@@ -144,15 +181,13 @@ def grothendieck(cix: IndexedCategory) -> FibrationBundle:
         x, c = obj_pair[o]
         identity[o] = pair_arr(cix.fiber[c].identity[x], base.identity[c], o, o)
     table = {}
-    for b, (bs, bt) in arrows.items():
-        for a, (asrc, at) in arrows.items():
-            if at != bs:
-                continue
-            u1, f1 = arr_pair[a]
-            u2, f2 = arr_pair[b]
-            c1 = obj_pair[asrc][1]
-            vert = cix.fiber[c1].compose(cix.restriction[f1].ar(u2), u1)
-            table[(b, a)] = pair_arr(vert, base.compose(f2, f1), asrc, bt)
+    for b, a in composable_pairs(arrows):
+        u1, f1 = arr_pair[a]
+        u2, f2 = arr_pair[b]
+        asrc = arrows[a][0]
+        c1 = obj_pair[asrc][1]
+        vert = cix.fiber[c1].compose(cix.restriction[f1].ar(u2), u1)
+        table[(b, a)] = pair_arr(vert, base.compose(f2, f1), asrc, arrows[b][1])
     total = validate_category(names, arrows, identity, table)
     proj = validate_functor(
         {o: obj_pair[o][1] for o in names},
@@ -260,7 +295,9 @@ def giraud_topology(cix: IndexedCategory, base_topology: Topology, bundle: Fibra
     cartesian-lift family of the least covering sieve of c.
 
     The lift families of the other covers of c generate larger sieves, so
-    adding them would not change the saturation."""
+    adding them would not change the saturation.  The total category is
+    ``grothendieck(cix)``, built once per indexed category; ``bundle`` is
+    kept only for callers that still pass that same bundle in."""
     if base_topology.base != cix.base:
         raise StructureError("base topology lives on the wrong category")
     if bundle is None:

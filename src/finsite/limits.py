@@ -130,18 +130,20 @@ def reflects_limits_jointly(functor: FinFunctor, base_proj: FinFunctor):
             for apex in src.objects:
                 for p1 in src.hom(apex, x):
                     for p2 in src.hom(apex, y):
-                        image_is = is_product_cone(
-                            tgt, functor.ob(x), functor.ob(y), functor.ob(apex), functor.ar(p1), functor.ar(p2)
-                        )
-                        base_is = is_product_cone(
-                            base,
-                            base_proj.ob(x),
-                            base_proj.ob(y),
-                            base_proj.ob(apex),
-                            base_proj.ar(p1),
-                            base_proj.ar(p2),
-                        )
-                        if image_is and base_is and not is_product_cone(src, x, y, apex, p1, p2):
+                        if (
+                            is_product_cone(
+                                tgt, functor.ob(x), functor.ob(y), functor.ob(apex), functor.ar(p1), functor.ar(p2)
+                            )
+                            and is_product_cone(
+                                base,
+                                base_proj.ob(x),
+                                base_proj.ob(y),
+                                base_proj.ob(apex),
+                                base_proj.ar(p1),
+                                base_proj.ar(p2),
+                            )
+                            and not is_product_cone(src, x, y, apex, p1, p2)
+                        ):
                             return False, ("product_not_reflected", (x, y, apex, p1, p2))
     for f in src.arrows:
         for g in src.arrows:
@@ -149,10 +151,12 @@ def reflects_limits_jointly(functor: FinFunctor, base_proj: FinFunctor):
                 continue
             for apex in src.objects:
                 for m in src.hom(apex, src.src[f]):
-                    image_is = is_equalizer_cone(tgt, functor.ar(f), functor.ar(g), functor.ob(apex), functor.ar(m))
-                    base_is = is_equalizer_cone(
-                        base, base_proj.ar(f), base_proj.ar(g), base_proj.ob(apex), base_proj.ar(m)
-                    )
-                    if image_is and base_is and not is_equalizer_cone(src, f, g, apex, m):
+                    if (
+                        is_equalizer_cone(tgt, functor.ar(f), functor.ar(g), functor.ob(apex), functor.ar(m))
+                        and is_equalizer_cone(
+                            base, base_proj.ar(f), base_proj.ar(g), base_proj.ob(apex), base_proj.ar(m)
+                        )
+                        and not is_equalizer_cone(src, f, g, apex, m)
+                    ):
                         return False, ("equalizer_not_reflected", (f, g, apex, m))
     return True, ()

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .fincat import FinCategory, FinFunctor, StructureError, validate_functor
+from .fincat import FinCategory, FinFunctor, StructureError, composable_pairs, validate_category, validate_functor
 
 
 class CapExceeded(RuntimeError):
@@ -196,12 +196,15 @@ def is_topology(base: FinCategory, covers) -> tuple[bool, tuple]:
     """Exhaustively check maximality, stability and transitivity.
 
     Returns (ok, witness); the witness names the failing axiom and datum.
+    The covers of each object are visited in sorted order, so the witness
+    does not depend on the hash seed.
     """
     covers = {c: frozenset(map(frozenset, s)) for c, s in covers.items()}
+    ordered = {c: sorted(s, key=sorted) for c, s in covers.items()}
     for c in base.objects:
         if c not in covers:
             return False, ("missing_object", c)
-        for s in covers[c]:
+        for s in ordered[c]:
             for f in sorted(s):
                 if base.tgt[f] != c:
                     return False, ("not_a_sieve", (c, tuple(sorted(s))))
@@ -212,7 +215,7 @@ def is_topology(base: FinCategory, covers) -> tuple[bool, tuple]:
         if maximal_sieve(base, c).arrows not in covers[c]:
             return False, ("maximality", c)
     for c in base.objects:
-        for s in covers[c]:
+        for s in ordered[c]:
             for f in base.into(c):
                 if pullback_arrows(base, f, s) not in covers[base.src[f]]:
                     return False, ("stability", (c, tuple(sorted(s)), f))
@@ -220,7 +223,7 @@ def is_topology(base: FinCategory, covers) -> tuple[bool, tuple]:
         for r in sieve_lattice(base, c):
             if r in covers[c]:
                 continue
-            for t in covers[c]:
+            for t in ordered[c]:
                 if all(pullback_arrows(base, f, r) in covers[base.src[f]] for f in t):
                     return False, ("transitivity", (c, tuple(sorted(r)), tuple(sorted(t))))
     return True, ()
@@ -404,13 +407,9 @@ def elements_of_sieve(sieve: Sieve) -> ElementsCategory:
         o = obj_of[f]
         identity[o] = "{}@{}->{}".format(base.identity[base.src[f]], o, o)
     table = {}
-    for b, (bs, bt) in arrows.items():
-        for a, (asrc, at) in arrows.items():
-            if at == bs:
-                w = base.compose(data[b], data[a])
-                table[(b, a)] = "{}@{}->{}".format(w, asrc, bt)
-    from .fincat import validate_category
-
+    for b, a in composable_pairs(arrows):
+        w = base.compose(data[b], data[a])
+        table[(b, a)] = "{}@{}->{}".format(w, arrows[a][0], arrows[b][1])
     cat = validate_category(names, arrows, identity, table)
     proj = validate_functor(
         {obj_of[f]: base.src[f] for f in members},

@@ -268,15 +268,15 @@ def test_child_pythonpath_is_absolute_and_puts_the_imported_package_first(tmp_pa
     assert child_pythonpath({"PYTHONPATH": caller}).split(os.pathsep) == [root, extra]
 
 
-def cli_outputs_under_hash_seeds(argv):
-    """Stdout of ``python -m finsite.cli <argv>`` under PYTHONHASHSEED 1 and 2."""
+def python_outputs_under_hash_seeds(args, hash_seeds=("1", "2")):
+    """Stdout of ``python <args>`` under each PYTHONHASHSEED in ``hash_seeds``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = child_pythonpath(os.environ)
     outputs = []
-    for hash_seed in ("1", "2"):
+    for hash_seed in hash_seeds:
         env["PYTHONHASHSEED"] = hash_seed
         proc = subprocess.run(
-            [sys.executable, "-m", "finsite.cli", *argv],
+            [sys.executable, *args],
             capture_output=True,
             text=True,
             env=env,
@@ -285,6 +285,30 @@ def cli_outputs_under_hash_seeds(argv):
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     return outputs
+
+
+def cli_outputs_under_hash_seeds(argv):
+    """Stdout of ``python -m finsite.cli <argv>`` under PYTHONHASHSEED 1 and 2."""
+    return python_outputs_under_hash_seeds(["-m", "finsite.cli", *argv])
+
+
+# The span onto one arrow fails stability both at ({f1}, f2) and at
+# ({f2}, f1); is_topology must name the same one under every hash seed.
+SPAN_WITNESS_SCRIPT = """
+import sys
+sys.path.insert(0, {tests!r})
+from test_sieves import reference_induced_image_topology, span_onto_an_arrow
+from finsite.sieves import InducedTopologyError
+try:
+    reference_induced_image_topology(*span_onto_an_arrow())
+except InducedTopologyError as err:
+    print(err.witness)
+""".format(tests=os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_is_topology_witness_is_identical_across_hash_seeds():
+    outputs = python_outputs_under_hash_seeds(["-c", SPAN_WITNESS_SCRIPT], ("0", "10", "12"))
+    assert outputs == ["('stability', ('c', ('f1',), 'f2'))\n"] * 3
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,9 @@ import pytest
 
 from finsite import corpus
 from finsite.fincat import (
+    FinFunctor,
     StructureError,
+    arrow_category,
     compose_functors,
     constant_functor,
     functor_equal,
@@ -33,14 +35,21 @@ from finsite.fibration import (
 )
 from finsite.generate import (
     Caps,
+    GenerationError,
     _rng,
     constant_indexed,
+    derive_seed,
+    gen_functor,
     gen_galois,
     gen_galois_into,
+    gen_indexed,
+    gen_poset,
+    gen_site,
+    generate_instance,
     graded_chain_indexed,
     representable_indexed,
 )
-from finsite.sieves import maximal_sieve, trivial_topology
+from finsite.sieves import CapExceeded, maximal_sieve, trivial_topology
 
 
 def constant_one_indexed(base):
@@ -175,7 +184,7 @@ def test_giraud_of_trivial_topology_is_trivial(two_point, walk2):
 
 def test_giraud_two_point_sier_by_hand(two_point, sier):
     bundle = grothendieck(two_point)
-    gir = giraud_topology(two_point, sier, bundle)
+    gir = giraud_topology(two_point, sier)
     for x in ("x0", "x1"):
         obj = pair_obj(x, "b")
         lift = "(id_y,u):(y,a)->({},b)".format(x)
@@ -199,7 +208,7 @@ def test_giraud_constant_fibers_transports_the_base_topology(walk2, sier, map_to
         walk2,
         bundle.total,
     )
-    assert giraud_topology(cix, sier, bundle) == map_topology(iso, sier)
+    assert giraud_topology(cix, sier) == map_topology(iso, sier)
 
 
 def test_direct_image_identity(two_point, walk2):
@@ -353,3 +362,188 @@ def test_structure_functor_is_fiber_inclusion(one, walk2):
     stf = structure_functor(cix, adj)
     assert stf.composite.obj_map == {"(p,*)": "(p,b)", "(q,*)": "(q,b)"}
     assert functor_equal(stf.composite, stf.inverse.comparison)
+
+
+# ---------------------------------------------------------------------------
+# Differential oracles: the searches that the kernel replaced
+
+
+def reference_arrow_is_cartesian(total, proj, f):
+    """Unique lifting checked triple by triple: for every d'', g: d'' -> tgt f
+    and h over p with p(f).h = p(g), the lifts are listed by a scan of
+    hom(d'', src f)."""
+    base = proj.target
+    d_prime, d = total.src[f], total.tgt[f]
+    pf = proj.ar(f)
+    for d2 in total.objects:
+        homs = total.hom(d2, d_prime)
+        for g in total.hom(d2, d):
+            pg = proj.ar(g)
+            for h in base.hom(proj.ob(d2), proj.ob(d_prime)):
+                if base.compose(pf, h) != pg:
+                    continue
+                lifts = [h2 for h2 in homs if proj.ar(h2) == h and total.compose(f, h2) == g]
+                if len(lifts) != 1:
+                    return False
+    return True
+
+
+def reference_validate_indexed(base, fiber, restriction):
+    """Strict functoriality checked on composed functor objects."""
+    fiber = dict(fiber)
+    restriction = dict(restriction)
+    for c in base.objects:
+        if c not in fiber:
+            raise StructureError("missing fiber over {}".format(c), witness=c)
+    for f in base.arrows:
+        if base.is_identity(f):
+            restriction.setdefault(f, identity_functor(fiber[base.src[f]]))
+    for f in base.arrows:
+        r = restriction.get(f)
+        if r is None:
+            raise StructureError("missing restriction along {}".format(f), witness=f)
+        if r.source != fiber[base.tgt[f]] or r.target != fiber[base.src[f]]:
+            raise StructureError("restriction along {} has wrong endpoints".format(f), witness=f)
+    for c in base.objects:
+        if not functor_equal(restriction[base.identity[c]], identity_functor(fiber[c])):
+            raise StructureError("restriction along id_{} is not the identity".format(c), witness=c)
+    for (g, f), h in base.table.items():
+        lhs = compose_functors(restriction[f], restriction[g])
+        if not functor_equal(lhs, restriction[h]):
+            raise StructureError(
+                "restrictions not strictly functorial on ({}, {})".format(g, f), witness=(g, f)
+            )
+
+
+def cartesian_table_cases(draws):
+    """Bundles from the corpus, plus fuzzed fibrations, direct images and
+    inverse images (their source and target bundles)."""
+    walk2 = corpus.walk2()
+    arrows = arrow_category(walk2)
+    yield grothendieck(corpus.two_point())
+    yield grothendieck(constant_one_indexed(corpus.iso2()))
+    yield make_bundle(arrows.category, arrows.cod)
+    yield make_bundle(corpus.one(), corpus.pick(corpus.iso2(), "y"))
+    yield direct_image(corpus.two_point(walk2), corpus.pick(walk2, "b")).source
+    yield inverse_image_adjoint(constant_indexed(corpus.one(), corpus.discrete(("p", "q"))), corpus.walk2_terminal_adjunction()).source
+    caps = Caps(base_objects=3, fiber_objects=3)
+    for index in range(draws):
+        rng = _rng(derive_seed(5, index))
+        try:
+            yield grothendieck(generate_instance("fibration", derive_seed(6, index), caps)["indexed"])
+            cat, _, kind, meta = gen_site(rng, caps)
+            dix = gen_indexed(rng, cat, caps, kind, meta)
+            src, _, _, _ = gen_site(rng, caps)
+            fn = gen_functor(rng, src, cat)
+            if fn is not None:
+                di = direct_image(dix, fn)
+                yield di.source
+                yield di.target
+            adj = gen_galois(rng, caps)
+            if adj is not None:
+                yield inverse_image_adjoint(gen_indexed(rng, adj.left.target, caps), adj).source
+        except (GenerationError, CapExceeded):
+            continue
+
+
+def test_cartesian_tables_match_the_triple_by_triple_search():
+    cartesian = not_cartesian = 0
+    for bundle in cartesian_table_cases(100):
+        total, proj = bundle.total, bundle.projection
+        expected = frozenset(a for a in total.arrows if reference_arrow_is_cartesian(total, proj, a))
+        assert bundle.cartesian == expected
+        cartesian += len(expected)
+        not_cartesian += len(total.arrows) - len(expected)
+    assert cartesian > 100 and not_cartesian > 100, (cartesian, not_cartesian)
+
+
+def swap(cat):
+    """The automorphism of a two-object discrete category exchanging its objects."""
+    x, y = cat.objects
+    return validate_functor({x: y, y: x}, {cat.identity[x]: cat.identity[y], cat.identity[y]: cat.identity[x]}, cat, cat)
+
+
+def discrete_map(src, tgt, obj_map):
+    return validate_functor(obj_map, {src.identity[x]: tgt.identity[y] for x, y in obj_map.items()}, src, tgt)
+
+
+def broken_restriction_tables():
+    """(base, fiber, restriction) over chain3 with two-point discrete fibers,
+    each failing validate_indexed in a different place, and one valid."""
+    chain = corpus.chain3()
+    pair = corpus.discrete(("p", "q"))
+    fiber = {c: pair for c in chain.objects}
+    ident = identity_functor(pair)
+    valid = {a: ident for a in chain.arrows if not chain.is_identity(a)}
+    with_extra_key = FinFunctor(pair, pair, {"p": "p", "q": "q", "r": "r"}, dict(ident.arr_map))
+    collapse = discrete_map(pair, pair, {"p": "p", "q": "p"})
+    return {
+        "valid": (chain, fiber, valid),
+        "twisted-composite": (chain, fiber, {**valid, "a0->a2": swap(pair)}),
+        "twisted-factor": (chain, fiber, {**valid, "a1->a2": swap(pair)}),
+        "collapsed-factor": (chain, fiber, {**valid, "a0->a1": collapse}),
+        "identity-swapped": (chain, fiber, {**valid, "id_a1": swap(pair)}),
+        "identity-with-extra-key": (chain, fiber, {**valid, "id_a0": with_extra_key}),
+        "restriction-with-extra-key": (chain, fiber, {**valid, "a1->a2": with_extra_key}),
+        "wrong-endpoints": (chain, {**fiber, "a0": corpus.discrete(("p",))}, valid),
+    }
+
+
+def validation_outcome(validate, base, fiber, restriction):
+    try:
+        validate(base, fiber, restriction)
+    except StructureError as err:
+        return str(err), err.witness
+    return None
+
+
+@pytest.mark.parametrize("case", sorted(broken_restriction_tables()))
+def test_validate_indexed_matches_the_composed_functor_check(case):
+    base, fiber, restriction = broken_restriction_tables()[case]
+    expected = validation_outcome(reference_validate_indexed, base, fiber, restriction)
+    assert (expected is None) == (case == "valid")
+    assert validation_outcome(validate_indexed, base, fiber, restriction) == expected
+
+
+def test_validate_indexed_matches_the_composed_functor_check_on_random_tables():
+    """Random restrictions between discrete fibers over fuzzed posets: the
+    first witness (or acceptance) agrees with the composed-functor check."""
+    outcomes = set()
+    for index in range(150):
+        rng = _rng(derive_seed(8, index))
+        base = gen_poset(rng, 3)
+        fiber = {c: corpus.discrete(tuple("xyz"[: rng.randint(1, 2)])) for c in base.objects}
+        restriction = {}
+        for a in base.arrows:
+            src, tgt = fiber[base.tgt[a]], fiber[base.src[a]]
+            if base.is_identity(a) and rng.random() < 0.7:
+                continue
+            restriction[a] = discrete_map(src, tgt, {x: rng.choice(tgt.objects) for x in src.objects})
+        expected = validation_outcome(reference_validate_indexed, base, fiber, restriction)
+        assert validation_outcome(validate_indexed, base, fiber, restriction) == expected
+        outcomes.add(expected and expected[0].split(" ")[0])
+    assert {None, "restrictions", "restriction"} <= outcomes, outcomes
+
+
+# ---------------------------------------------------------------------------
+# One total category per indexed category
+
+
+def test_grothendieck_is_built_once_per_indexed_category(two_point):
+    assert grothendieck(two_point) is grothendieck(two_point)
+    copy = validate_indexed(two_point.base, two_point.fiber, two_point.restriction)
+    assert copy == two_point
+    assert grothendieck(copy) is not grothendieck(two_point)
+    assert grothendieck(copy).total == grothendieck(two_point).total
+
+
+def test_direct_image_targets_the_memoised_bundle(two_point, walk2):
+    di = direct_image(two_point, corpus.pick(walk2, "b"))
+    assert di.target is grothendieck(two_point)
+    assert di.source is grothendieck(di.indexed)
+
+
+def test_giraud_topology_matches_the_bundle_passing_result(two_point, sier):
+    fresh = grothendieck(validate_indexed(two_point.base, two_point.fiber, two_point.restriction))
+    assert fresh is not grothendieck(two_point)
+    assert giraud_topology(two_point, sier) == giraud_topology(two_point, sier, fresh)

@@ -4,11 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from finsite import corpus
 from finsite.fincat import (
+    FinCategory,
     StructureError,
     arrow_category,
     build_category,
     check_adjunction,
     comma_category,
+    composable_pairs,
     compose_functors,
     connected_components,
     constant_functor,
@@ -74,19 +76,116 @@ def test_broken_unit_law_is_rejected():
         validate_category(("x",), arrows, {"x": "id_x"}, table)
 
 
+def unital_table(arrows, identity, composites):
+    """The unit-law composites of ``arrows`` plus the given non-identity ones."""
+    table = dict(composites)
+    for a, (s, t) in arrows.items():
+        table[(a, identity[s])] = a
+        table[(identity[t], a)] = a
+    return table
+
+
+def full_associativity_witness(cat):
+    """The first (h, g, f) whose two bracketings differ, by a scan of every
+    composable triple in the order ``validate_category`` uses; None if none."""
+    for g in cat.arrows:
+        for f in cat.into(cat.src[g]):
+            for h in cat.out_of(cat.tgt[g]):
+                if cat.compose(h, cat.compose(g, f)) != cat.compose(cat.compose(h, g), f):
+                    return (h, g, f)
+    return None
+
+
 def test_associativity_violation_is_reported():
-    # two parallel endo-arrows with a deliberately twisted table
+    # two parallel endo-arrows with a deliberately twisted table; (f, f, f)
+    # holds, so the first failing triple is (g, f, f)
     arrows = {"f": ("x", "x"), "g": ("x", "x"), "id_x": ("x", "x")}
-    table = {}
-    for a in arrows:
-        table[(a, "id_x")] = a
-        table[("id_x", a)] = a
-    table[("f", "f")] = "g"
-    table[("f", "g")] = "f"
-    table[("g", "f")] = "f"
-    table[("g", "g")] = "f"
-    with pytest.raises(StructureError, match="associativity|unit"):
+    table = unital_table(arrows, {"x": "id_x"}, {("f", "f"): "g", ("f", "g"): "f", ("g", "f"): "f", ("g", "g"): "f"})
+    with pytest.raises(StructureError, match=r"associativity fails on \(g, f, f\)") as info:
         validate_category(("x",), arrows, {"x": "id_x"}, table)
+    assert info.value.witness == ("g", "f", "f")
+
+
+def test_associativity_is_checked_when_only_a_later_hom_set_has_two_arrows():
+    # a -f-> b -g-> c -h-> d with h.(g.f) = p but (h.g).f = q; hom(a, d) is the
+    # only hom-set with two arrows, and the first one built (hom(a, b)) is thin
+    identity = {o: "id_" + o for o in "abcd"}
+    arrows = {"f": ("a", "b"), "g": ("b", "c"), "h": ("c", "d"), "gf": ("a", "c"), "hg": ("b", "d")}
+    arrows.update({"p": ("a", "d"), "q": ("a", "d")})
+    arrows.update({i: (o, o) for o, i in identity.items()})
+    composites = {("g", "f"): "gf", ("h", "g"): "hg", ("h", "gf"): "p", ("hg", "f"): "q"}
+    with pytest.raises(StructureError, match="associativity") as info:
+        validate_category("abcd", arrows, identity, unital_table(arrows, identity, composites))
+    assert info.value.witness == ("h", "g", "f")
+    composites[("hg", "f")] = "p"
+    validate_category("abcd", arrows, identity, unital_table(arrows, identity, composites))
+
+
+def associativity_cases(seeds):
+    """Tables that pass every check before associativity: for each seed, a
+    random unital table on one object, and a fuzzed category with one
+    non-identity composite moved to a parallel arrow where it has one."""
+    for seed in seeds:
+        rng = _rng(seed)
+        names = ["a{}".format(i) for i in range(rng.randint(1, 3))]
+        arrows = {a: ("x", "x") for a in names + ["id_x"]}
+        composites = {(g, f): rng.choice(names + ["id_x"]) for g in names for f in names}
+        yield ("x",), arrows, {"x": "id_x"}, unital_table(arrows, {"x": "id_x"}, composites)
+        cat, _, _ = gen_category(rng, Caps())
+        moves = [
+            (pair, h2)
+            for pair, h in sorted(cat.table.items())
+            if not (cat.is_identity(pair[0]) or cat.is_identity(pair[1]))
+            for h2 in cat.hom(cat.src[h], cat.tgt[h])
+            if h2 != h
+        ]
+        if moves:
+            pair, h2 = rng.choice(moves)
+            arrow_ends = {a: (cat.src[a], cat.tgt[a]) for a in cat.arrows}
+            yield cat.objects, arrow_ends, cat.identity, {**cat.table, pair: h2}
+
+
+def test_associativity_witness_matches_the_full_triple_scan():
+    """validate_category names the first failing triple of the full scan,
+    and accepts exactly when the scan finds none."""
+    outcomes = {"fails": 0, "holds": 0, "twisted": 0}
+    for objects, arrow_ends, identity, table in associativity_cases(range(300)):
+        outcomes["twisted"] += objects != ("x",)
+        expected = full_associativity_witness(
+            FinCategory(
+                objects,
+                tuple(sorted(arrow_ends)),
+                {a: s for a, (s, _) in arrow_ends.items()},
+                {a: t for a, (_, t) in arrow_ends.items()},
+                identity,
+                table,
+            )
+        )
+        if expected is None:
+            outcomes["holds"] += 1
+            validate_category(objects, arrow_ends, identity, table)
+        else:
+            outcomes["fails"] += 1
+            with pytest.raises(StructureError, match="associativity") as info:
+                validate_category(objects, arrow_ends, identity, table)
+            assert info.value.witness == expected
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_composable_pairs_lists_the_all_pairs_scan(walk2, retract):
+    for cat in (walk2, retract, corpus.chain3()):
+        arrows = {a: (cat.src[a], cat.tgt[a]) for a in cat.arrows}
+        scan = [(b, a) for b, (bs, _) in arrows.items() for a, (_, at) in arrows.items() if at == bs]
+        assert composable_pairs(arrows) == scan
+        assert sorted(scan) == sorted(cat.table)
+
+
+def test_category_equality_compares_tables_only_between_distinct_objects(walk2):
+    assert walk2 == walk2
+    assert "_key" not in vars(walk2)
+    again = corpus.walk2()
+    assert again is not walk2 and again == walk2 and hash(again) == hash(walk2)
+    assert walk2 != corpus.retract()
 
 
 def test_identity_functor_and_constant_functor(walk2, one):

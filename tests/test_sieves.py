@@ -230,12 +230,12 @@ def corpus_induction_cases():
     ]
     two_point = corpus.two_point(walk2)
     bundle = grothendieck(two_point)
-    cases.append((bundle.projection, giraud_topology(two_point, sier, bundle), sier))
+    cases.append((bundle.projection, giraud_topology(two_point, sier), sier))
     induced = induced_image_topology(r_inclusion, retract_top)
     cases.append((r_inclusion, induced, retract_top))
     fib = corpus.discrete(("m0", "m1"))
     di = direct_image(constant_indexed(retract, fib), r_inclusion)
-    cases.append((di.q, giraud_topology(di.indexed, induced, di.source), giraud_topology(di.target.indexed, retract_top, di.target)))
+    cases.append((di.q, giraud_topology(di.indexed, induced), giraud_topology(di.target.indexed, retract_top)))
     return cases
 
 
@@ -634,7 +634,7 @@ def test_giraud_topology_from_least_covers_equals_all_covers():
             name: [[cartesian_lift_name(cix, x, c, f) for f in s] for s in top.covers[c]]
             for name, (x, c) in bundle.obj_pair.items()
         }
-        assert giraud_topology(cix, top, bundle) == saturate(make_coverage(bundle.total, gens))
+        assert giraud_topology(cix, top) == saturate(make_coverage(bundle.total, gens))
 
 
 def test_min_comorphism_topology_from_least_covers_equals_all_covers():

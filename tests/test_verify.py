@@ -70,7 +70,7 @@ from finsite.sieves import (
 def giraud_two_point(two_point, sier):
     """The Grothendieck bundle of the two-point fibration and its Giraud topology."""
     bundle = grothendieck(two_point)
-    return bundle, giraud_topology(two_point, sier, bundle)
+    return bundle, giraud_topology(two_point, sier)
 
 
 def identity_site(cat, topology):
@@ -132,8 +132,8 @@ def test_fibration_morphism_is_continuous_between_giraud_sites(two_point, walk2,
     a_fun = total_functor(morphism, src, tgt)
     sf = SiteFunctor(
         a_fun,
-        giraud_topology(two_point, sier, src),
-        giraud_topology(target, sier, tgt),
+        giraud_topology(two_point, sier),
+        giraud_topology(target, sier),
     )
     assert is_continuous(sf).ok
 
@@ -229,8 +229,8 @@ def test_dense_q_between_giraud_sites(retract):
     di = direct_image(cix, inclusion)
     sf = SiteFunctor(
         di.q,
-        giraud_topology(di.indexed, induced, di.source),
-        giraud_topology(cix, top, di.target),
+        giraud_topology(di.indexed, induced),
+        giraud_topology(cix, top),
     )
     assert is_dense_morphism(sf).ok
 
@@ -251,14 +251,14 @@ def _breaking_square(walk2, one, two_point):
         src.total,
         tgt.total,
     )
-    gir_tgt = giraud_topology(w_over_one, trivial_topology(one), tgt)
+    gir_tgt = giraud_topology(w_over_one, trivial_topology(one))
     phi = identity_transform(compose_functors(tgt.projection, a_fun))
     return Prop33Square(a_fun, corpus.bang(walk2), phi, tgt.projection, src.projection, gir_tgt)
 
 
 def test_prop33_identity_square(two_point, sier):
     bundle = grothendieck(two_point)
-    gir = giraud_topology(two_point, sier, bundle)
+    gir = giraud_topology(two_point, sier)
     ident = identity_functor(bundle.total)
     phi = identity_transform(bundle.projection)
     square = Prop33Square(
@@ -281,7 +281,7 @@ def test_prop33_fixed_base_morphism(two_point, walk2, sier):
     src = grothendieck(two_point)
     tgt = grothendieck(target)
     a_fun = total_functor(morphism, src, tgt)
-    gir_tgt = giraud_topology(target, sier, tgt)
+    gir_tgt = giraud_topology(target, sier)
     phi = identity_transform(compose_functors(tgt.projection, a_fun))
     square = Prop33Square(
         a_fun, identity_functor(walk2), phi, tgt.projection, src.projection, gir_tgt
@@ -617,7 +617,7 @@ def fixed_base_square(morphism, topology):
     tgt_bundle = grothendieck(morphism.target)
     a_fun = total_functor(morphism, src_bundle, tgt_bundle)
     phi = identity_transform(compose_functors(tgt_bundle.projection, a_fun))
-    k_top = giraud_topology(morphism.target, topology, tgt_bundle)
+    k_top = giraud_topology(morphism.target, topology)
     return Prop33Square(a_fun, identity_functor(topology.base), phi, tgt_bundle.projection, src_bundle.projection, k_top)
 
 
