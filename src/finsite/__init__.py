@@ -20,15 +20,11 @@ from .fincat import (
 )
 from .sieves import (
     CapExceeded,
-    Coverage,
-    Sieve,
     Topology,
-    elements_of_sieve,
     enumerate_topologies,
     generate_sieve,
     induced_image_topology,
     is_topology,
-    pullback_sieve,
     saturate,
     topology_leq,
     trivial_topology,

@@ -1,14 +1,16 @@
 """Site-bundle documents: a JSON format for categories, topologies, indexed
 categories, functors, natural transformations and presheaves.
 
-Topology entries store generator families, never saturated cover sets;
-saturation is recomputed on load.  Composition tables may be sparse: the
-composites forced by the identity field are filled in, anything else left
-undefined is a located validation error.
+A topology entry maps objects to generator families, never to saturated
+cover sets, and ``saturate`` takes that map as it is on load.  Composition
+tables may be sparse: the composites forced by the identity field are filled
+in.  Anything else left undefined, and any table of the wrong JSON type, is
+an error located at its entry's path.
 """
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .fincat import (
@@ -22,7 +24,10 @@ from .fincat import (
 )
 from .fibration import IndexedCategory, validate_indexed
 from .presheaf import Presheaf, validate_presheaf
-from .sieves import CapExceeded, Topology, make_coverage, saturate
+from .sieves import CapExceeded, Topology, maximal_sieve, saturate
+
+
+SECTIONS = ("categories", "functors", "topologies", "indexed", "naturals", "presheaves")
 
 
 class BundleError(ValueError):
@@ -61,37 +66,51 @@ def _need(mapping, key, path, kind):
     return mapping[key]
 
 
+@contextmanager
+def _at(path: str):
+    """Raise a failed validation as a BundleError located at ``path``.
+
+    Loading and validation read JSON as maps and lists; a table of another
+    JSON type fails there with TypeError, AttributeError or ValueError, and
+    is reported here as malformed."""
+    try:
+        yield
+    except BundleError:
+        raise
+    except (StructureError, CapExceeded) as err:
+        raise BundleError(path, str(err))
+    except (TypeError, AttributeError, ValueError) as err:
+        raise BundleError(path, "malformed tables: {}".format(err))
+
+
 def load_category(name: str, doc: dict) -> FinCategory:
     path = "categories/{}".format(name)
-    try:
+    with _at(path):
+        if "objects" not in doc:
+            raise BundleError(path, "malformed tables: no objects")
         objects = list(doc["objects"])
         arrows = {a: tuple(st) for a, st in doc.get("arrows", {}).items()}
         identity = dict(doc.get("identity", {}))
-    except (TypeError, KeyError) as err:
-        raise BundleError(path, "malformed tables: {}".format(err))
-    for c in objects:
-        if c not in identity:
-            auto = "id_{}".format(c)
-            identity[c] = auto
-            arrows.setdefault(auto, (c, c))
-    table = {}
-    for i, entry in enumerate(doc.get("compose", [])):
-        if len(entry) != 3:
-            raise BundleError("{}/compose/{}".format(path, i), "entries are [after, first, result]")
-        g, f, h = entry
-        table[(g, f)] = h
-    for a, st in arrows.items():
-        if len(st) != 2:
-            raise BundleError("{}/arrows/{}".format(path, a), "endpoints must be [src, tgt]")
-        s, t = st
-        if s in identity and identity[s] in arrows:
-            table.setdefault((a, identity[s]), a)
-        if t in identity and identity[t] in arrows:
-            table.setdefault((identity[t], a), a)
-    try:
+        for c in objects:
+            if c not in identity:
+                auto = "id_{}".format(c)
+                identity[c] = auto
+                arrows.setdefault(auto, (c, c))
+        table = {}
+        for i, entry in enumerate(doc.get("compose", [])):
+            if len(entry) != 3:
+                raise BundleError("{}/compose/{}".format(path, i), "entries are [after, first, result]")
+            g, f, h = entry
+            table[(g, f)] = h
+        for a, st in arrows.items():
+            if len(st) != 2:
+                raise BundleError("{}/arrows/{}".format(path, a), "endpoints must be [src, tgt]")
+            s, t = st
+            if s in identity and identity[s] in arrows:
+                table.setdefault((a, identity[s]), a)
+            if t in identity and identity[t] in arrows:
+                table.setdefault((identity[t], a), a)
         return validate_category(objects, arrows, identity, table)
-    except StructureError as err:
-        raise BundleError(path, str(err))
 
 
 def load_bundle(source) -> Workspace:
@@ -113,64 +132,50 @@ def load_bundle(source) -> Workspace:
             doc = json.loads(text)
         except json.JSONDecodeError as err:
             raise BundleError("/", "parse error: {}".format(err))
+    with _at("/"):
+        sections = {key: dict(doc.get(key, {})) for key in SECTIONS}
     ws = Workspace()
-    for name in sorted(doc.get("categories", {})):
-        ws.categories[name] = load_category(name, doc["categories"][name])
-    for name in sorted(doc.get("functors", {})):
-        entry = doc["functors"][name]
+    for name in sorted(sections["categories"]):
+        ws.categories[name] = load_category(name, sections["categories"][name])
+    for name, entry in sorted(sections["functors"].items()):
         path = "functors/{}".format(name)
-        src = _need(ws.categories, entry.get("source"), path, "category")
-        tgt = _need(ws.categories, entry.get("target"), path, "category")
-        arr = dict(entry.get("arrows", {}))
-        for c, i in src.identity.items():
-            if entry.get("objects", {}).get(c) is not None:
-                arr.setdefault(i, tgt.identity[entry["objects"][c]])
-        try:
-            ws.functors[name] = validate_functor(entry.get("objects", {}), arr, src, tgt)
-        except StructureError as err:
-            raise BundleError(path, str(err))
-    for name in sorted(doc.get("topologies", {})):
-        entry = doc["topologies"][name]
+        with _at(path):
+            src = _need(ws.categories, entry.get("source"), path, "category")
+            tgt = _need(ws.categories, entry.get("target"), path, "category")
+            objects = dict(entry.get("objects", {}))
+            arr = dict(entry.get("arrows", {}))
+            for c, i in src.identity.items():
+                if objects.get(c) in tgt.identity:
+                    arr.setdefault(i, tgt.identity[objects[c]])
+            ws.functors[name] = validate_functor(objects, arr, src, tgt)
+    for name, entry in sorted(sections["topologies"].items()):
         path = "topologies/{}".format(name)
-        cat = _need(ws.categories, entry.get("category"), path, "category")
-        try:
-            cov = make_coverage(cat, {c: [list(f) for f in fams] for c, fams in entry.get("covers", {}).items()})
-            ws.topologies[name] = saturate(cov)
-        except (StructureError, CapExceeded) as err:
-            raise BundleError(path, str(err))
-    for name in sorted(doc.get("indexed", {})):
-        entry = doc["indexed"][name]
+        with _at(path):
+            cat = _need(ws.categories, entry.get("category"), path, "category")
+            ws.topologies[name] = saturate(cat, entry.get("covers", {}))
+    for name, entry in sorted(sections["indexed"].items()):
         path = "indexed/{}".format(name)
-        base = _need(ws.categories, entry.get("base"), path, "category")
-        fibers = {}
-        for c, ref in entry.get("fibers", {}).items():
-            fibers[c] = _need(ws.categories, ref, "{}/fibers/{}".format(path, c), "category")
-        restriction = {}
-        for f, ref in entry.get("restrictions", {}).items():
-            restriction[f] = _need(ws.functors, ref, "{}/restrictions/{}".format(path, f), "functor")
-        try:
+        with _at(path):
+            base = _need(ws.categories, entry.get("base"), path, "category")
+            fibers = {}
+            for c, ref in entry.get("fibers", {}).items():
+                fibers[c] = _need(ws.categories, ref, "{}/fibers/{}".format(path, c), "category")
+            restriction = {}
+            for f, ref in entry.get("restrictions", {}).items():
+                restriction[f] = _need(ws.functors, ref, "{}/restrictions/{}".format(path, f), "functor")
             ws.indexed[name] = validate_indexed(base, fibers, restriction)
-        except StructureError as err:
-            raise BundleError(path, str(err))
-    for name in sorted(doc.get("naturals", {})):
-        entry = doc["naturals"][name]
+    for name, entry in sorted(sections["naturals"].items()):
         path = "naturals/{}".format(name)
-        src = _need(ws.functors, entry.get("source"), path, "functor")
-        tgt = _need(ws.functors, entry.get("target"), path, "functor")
-        try:
+        with _at(path):
+            src = _need(ws.functors, entry.get("source"), path, "functor")
+            tgt = _need(ws.functors, entry.get("target"), path, "functor")
             ws.naturals[name] = validate_transform(entry.get("components", {}), src, tgt)
-        except StructureError as err:
-            raise BundleError(path, str(err))
-    for name in sorted(doc.get("presheaves", {})):
-        entry = doc["presheaves"][name]
+    for name, entry in sorted(sections["presheaves"].items()):
         path = "presheaves/{}".format(name)
-        cat = _need(ws.categories, entry.get("category"), path, "category")
-        try:
-            ws.presheaves[name] = validate_presheaf(
-                cat, entry.get("values", {}), {f: dict(m) for f, m in entry.get("actions", {}).items()}
-            )
-        except StructureError as err:
-            raise BundleError(path, str(err))
+        with _at(path):
+            cat = _need(ws.categories, entry.get("category"), path, "category")
+            actions = {f: dict(m) for f, m in entry.get("actions", {}).items()}
+            ws.presheaves[name] = validate_presheaf(cat, entry.get("values", {}), actions)
     return ws
 
 
@@ -191,12 +196,10 @@ def category_to_json(cat: FinCategory) -> dict:
 def topology_to_json(top: Topology, category_name: str) -> dict:
     """Emit a small generating set: the least cover per object (omitted when
     it is the maximal sieve, which every topology contains)."""
-    from .sieves import maximal_sieve
-
     covers = {}
     for c in top.base.objects:
         least = top.least[c]
-        covers[c] = [] if least == maximal_sieve(top.base, c).arrows else [sorted(least)]
+        covers[c] = [] if least == maximal_sieve(top.base, c) else [sorted(least)]
     return {"category": category_name, "covers": covers}
 
 

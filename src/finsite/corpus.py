@@ -22,7 +22,7 @@ from .fincat import (
     validate_functor,
 )
 from .fibration import IndexedCategory, validate_indexed
-from .sieves import Topology, make_coverage, saturate, trivial_topology
+from .sieves import Topology, saturate, trivial_topology
 
 
 def one() -> FinCategory:
@@ -35,7 +35,7 @@ def walk2() -> FinCategory:
 
 def sier(base: FinCategory | None = None) -> Topology:
     base = base or walk2()
-    return saturate(make_coverage(base, {"b": [["u"]]}))
+    return saturate(base, {"b": [["u"]]})
 
 
 def discrete(objects) -> FinCategory:
@@ -56,7 +56,7 @@ def chain3() -> FinCategory:
 
 def chain3_topology(base: FinCategory | None = None) -> Topology:
     base = base or chain3()
-    return saturate(make_coverage(base, {"a2": [["a1->a2"]]}))
+    return saturate(base, {"a2": [["a1->a2"]]})
 
 
 def retract() -> FinCategory:
@@ -73,7 +73,7 @@ def retract() -> FinCategory:
 
 def retract_topology(base: FinCategory | None = None) -> Topology:
     base = base or retract()
-    return saturate(make_coverage(base, {"s": [["m"]]}))
+    return saturate(base, {"s": [["m"]]})
 
 
 def iso2() -> FinCategory:

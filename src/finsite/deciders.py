@@ -312,7 +312,7 @@ def is_dense_morphism(sf: SiteFunctor) -> Verdict:
     images = {functor.ob(c) for c in ccat_src.objects}
     for d in ccat_tgt.objects:
         family = [m for m in ccat_tgt.into(d) if ccat_tgt.src[m] in images]
-        w = generate_sieve(ccat_tgt, d, family).arrows
+        w = generate_sieve(ccat_tgt, d, family)
         if not j_tgt.is_cover(d, w):
             return Verdict(False, "dense-morphism", ("not_locally_covered_by_images", d, tuple(sorted(w))))
         trace.append(("images-cover", d, tuple(sorted(w))))

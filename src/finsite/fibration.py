@@ -4,7 +4,9 @@ Pseudofunctors are strictified: a restriction table must be functorial on
 the nose, which every corpus and fuzzed instance satisfies.  Cartesianness
 of arrows is always decided by the exhaustive unique-lifting search; the
 classical "vertical part is iso" characterisation is only ever used as a
-cross-check, never trusted.
+cross-check, never trusted.  Questions about the fibration of an indexed
+category (``is_cartesian_fibration``, ``giraud_topology``) take the indexed
+category itself; ``grothendieck`` builds its bundle once and keeps it there.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from .fincat import (
     validate_functor,
     validate_transform,
 )
-from .sieves import Topology, make_coverage, saturate
+from .sieves import Topology, saturate
 
 
 def pair_obj(x: str, c: str) -> str:
@@ -108,12 +110,15 @@ def validate_indexed(base: FinCategory, fiber, restriction) -> IndexedCategory:
 
 @dataclass(frozen=True)
 class FibrationBundle:
-    """A total category with its projection and cached cartesian table."""
+    """A total category with its projection and cached cartesian table.
+
+    It holds no reference to the indexed category whose ``_scratch`` keeps
+    it, so the two are freed without the cycle collector.
+    """
 
     total: FinCategory
     projection: FinFunctor
     cartesian: frozenset[str]
-    indexed: IndexedCategory | None = None
     obj_pair: dict[str, tuple[str, str]] | None = None
     arr_pair: dict[str, tuple[str, str]] | None = None
 
@@ -142,9 +147,9 @@ def arrow_is_cartesian(total: FinCategory, proj: FinFunctor, f: str) -> bool:
     return True
 
 
-def make_bundle(total: FinCategory, projection: FinFunctor, indexed=None, obj_pair=None, arr_pair=None) -> FibrationBundle:
+def make_bundle(total: FinCategory, projection: FinFunctor, obj_pair=None, arr_pair=None) -> FibrationBundle:
     cartesian = frozenset(a for a in total.arrows if arrow_is_cartesian(total, projection, a))
-    return FibrationBundle(total, projection, cartesian, indexed, obj_pair, arr_pair)
+    return FibrationBundle(total, projection, cartesian, obj_pair, arr_pair)
 
 
 def grothendieck(cix: IndexedCategory) -> FibrationBundle:
@@ -195,7 +200,7 @@ def _grothendieck(cix: IndexedCategory) -> FibrationBundle:
         total,
         base,
     )
-    return make_bundle(total, proj, cix, obj_pair, arr_pair)
+    return make_bundle(total, proj, obj_pair, arr_pair)
 
 
 def is_fibration(bundle: FibrationBundle, mode: str = "strict") -> tuple[bool, tuple]:
@@ -258,31 +263,6 @@ def is_morphism_of_fibrations(
     return True, ()
 
 
-def fiber_functor(a_fun: FinFunctor, b_fun: FinFunctor, src: FibrationBundle, tgt: FibrationBundle, c: str) -> FinFunctor:
-    """Restriction of a strictly square-commuting functor to the fiber over c."""
-    if src.indexed is None or tgt.indexed is None:
-        raise StructureError("fiber_functor needs grothendieck-built bundles")
-    if not functor_equal(compose_functors(tgt.projection, a_fun), compose_functors(b_fun, src.projection)):
-        raise StructureError("square must commute strictly for fiber restriction")
-    fib = src.indexed.fiber[c]
-    out_fib = tgt.indexed.fiber[b_fun.ob(c)]
-    obj_map = {}
-    for x in fib.objects:
-        y, bc = tgt.obj_pair[a_fun.ob(pair_obj(x, c))]
-        assert bc == b_fun.ob(c)
-        obj_map[x] = y
-    arr_map = {}
-    idc = src.base.identity[c]
-    for u in fib.arrows:
-        o1 = pair_obj(fib.src[u], c)
-        o2 = pair_obj(fib.tgt[u], c)
-        v, g = tgt.arr_pair[a_fun.ar(pair_arr(u, idc, o1, o2))]
-        if not tgt.base.is_identity(g):
-            raise StructureError("functor does not preserve verticality at {}".format(u), witness=u)
-        arr_map[u] = v
-    return validate_functor(obj_map, arr_map, fib, out_fib)
-
-
 def cartesian_lift_name(cix: IndexedCategory, x: str, c: str, f: str) -> str:
     """The canonical lift (1, f): (C(f)(x), src f) -> (x, c) of f: src -> c."""
     sf = cix.base.src[f]
@@ -306,7 +286,7 @@ def giraud_topology(cix: IndexedCategory, base_topology: Topology, bundle: Fibra
         name: [[cartesian_lift_name(cix, x, c, f) for f in base_topology.least[c]]]
         for name, (x, c) in bundle.obj_pair.items()
     }
-    return saturate(make_coverage(bundle.total, generators))
+    return saturate(bundle.total, generators)
 
 
 # ---------------------------------------------------------------------------
@@ -516,12 +496,10 @@ def compose_inverse_images(cix: IndexedCategory, adj_inner: Adjunction, adj_oute
 # Cartesian fibrations and the structure functor
 
 
-def is_cartesian_fibration(bundle: FibrationBundle) -> tuple[bool, tuple]:
-    """Indexed formulation: every fiber has finite limits and every
-    restriction functor preserves the found cones."""
-    if bundle.indexed is None:
-        raise StructureError("is_cartesian_fibration needs a grothendieck-built bundle")
-    cix = bundle.indexed
+def is_cartesian_fibration(cix: IndexedCategory) -> tuple[bool, tuple]:
+    """Whether the Grothendieck construction of ``cix`` is a cartesian
+    fibration, in the indexed formulation: every fiber has finite limits and
+    every restriction functor preserves the found cones."""
     cones = {}
     for c in cix.base.objects:
         ok, witness, found = limits.finite_limits(cix.fiber[c])

@@ -112,18 +112,12 @@ class FinCategory:
         return self.inverse(a) is not None
 
 
-def validate_category(
-    objects,
-    arrows,
-    identity,
-    table,
-    max_objects: int = DEFAULT_MAX_OBJECTS,
-    max_arrows: int = DEFAULT_MAX_ARROWS,
-) -> FinCategory:
+def validate_category(objects, arrows, identity, table) -> FinCategory:
     """Validate raw tables and return the FinCategory they present.
 
     ``arrows`` maps arrow name -> (source, target).  Fails on the first
-    violated axiom, naming the witnessing pair or triple.
+    violated axiom, naming the witnessing pair or triple, and on more than
+    ``DEFAULT_MAX_OBJECTS`` objects or ``DEFAULT_MAX_ARROWS`` arrows.
 
     Associativity is checked only where the earlier checks leave it open: a
     triple with an identity in it holds by the unit laws, and when every
@@ -134,12 +128,12 @@ def validate_category(
     objects = tuple(sorted(objects))
     if len(set(objects)) != len(objects):
         raise StructureError("duplicate object identifiers")
-    if len(objects) > max_objects:
-        raise StructureError("object cap exceeded: {} > {}".format(len(objects), max_objects))
+    if len(objects) > DEFAULT_MAX_OBJECTS:
+        raise StructureError("object cap exceeded: {} > {}".format(len(objects), DEFAULT_MAX_OBJECTS))
     arrows = dict(arrows)
     names = tuple(sorted(arrows))
-    if len(names) > max_arrows:
-        raise StructureError("arrow cap exceeded: {} > {}".format(len(names), max_arrows))
+    if len(names) > DEFAULT_MAX_ARROWS:
+        raise StructureError("arrow cap exceeded: {} > {}".format(len(names), DEFAULT_MAX_ARROWS))
     obj_set = set(objects)
     src, tgt = {}, {}
     for a in names:
@@ -202,7 +196,7 @@ def composable_pairs(arrows) -> list[tuple[str, str]]:
     return [(b, a) for b, (s, _) in arrows.items() for a in into.get(s, ())]
 
 
-def build_category(objects, arrows, compose=(), max_objects=DEFAULT_MAX_OBJECTS, max_arrows=DEFAULT_MAX_ARROWS) -> FinCategory:
+def build_category(objects, arrows, compose=()) -> FinCategory:
     """Ergonomic constructor: identities are named id_<obj> and unit composites filled in.
 
     ``arrows`` maps non-identity arrow names to (src, tgt); ``compose`` lists
@@ -219,7 +213,7 @@ def build_category(objects, arrows, compose=(), max_objects=DEFAULT_MAX_OBJECTS,
     for a, (s, t) in full.items():
         table[(a, identity[s])] = a
         table[(identity[t], a)] = a
-    return validate_category(objects, full, identity, table, max_objects, max_arrows)
+    return validate_category(objects, full, identity, table)
 
 
 def terminal_category() -> FinCategory:
@@ -434,7 +428,7 @@ class CommaCategory:
     arr_data: dict[str, tuple[str, str]]
 
 
-def comma_category(f_leg: FinFunctor, g_leg: FinFunctor, max_objects=DEFAULT_MAX_OBJECTS, max_arrows=DEFAULT_MAX_ARROWS) -> CommaCategory:
+def comma_category(f_leg: FinFunctor, g_leg: FinFunctor) -> CommaCategory:
     if f_leg.target != g_leg.target:
         raise StructureError("comma legs must share a target category")
     amb = f_leg.target
@@ -466,7 +460,7 @@ def comma_category(f_leg: FinFunctor, g_leg: FinFunctor, max_objects=DEFAULT_MAX
         w2c = cd.compose(arr_data[b][0], arr_data[a][0])
         w2c2 = cd2.compose(arr_data[b][1], arr_data[a][1])
         table[(b, a)] = "({},{}):{}->{}".format(w2c, w2c2, arrows[a][0], arrows[b][1])
-    cat = validate_category(names, arrows, identity, table, max_objects, max_arrows)
+    cat = validate_category(names, arrows, identity, table)
     proj_l = validate_functor(
         {o: obj_data[o][0] for o in names},
         {a: arr_data[a][0] for a in arrows},

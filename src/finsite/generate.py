@@ -29,7 +29,7 @@ from .fincat import (
 )
 from .fibration import IndexedCategory, IndexedMorphism, validate_indexed, validate_indexed_morphism
 from .presheaf import Presheaf, validate_presheaf
-from .sieves import Topology, induced_image_topology, make_coverage, saturate
+from .sieves import Topology, induced_image_topology, saturate
 from . import corpus
 
 
@@ -149,7 +149,7 @@ def gen_topology(rng: random.Random, cat: FinCategory) -> Topology:
             k = rng.randint(0, min(2, len(into)))
             fam = rng.sample(sorted(into), k)
             generators[c] = [fam]
-    return saturate(make_coverage(cat, generators))
+    return saturate(cat, generators)
 
 
 def gen_site(rng: random.Random, caps: Caps):
@@ -581,7 +581,7 @@ def gen_dense_pair(rng: random.Random, caps: Caps):
                 fams.append([m for m in cat.into(c) if cat.src[m] in set(objs)])
             if fams:
                 generators[c] = fams
-        topology = saturate(make_coverage(cat, generators))
+        topology = saturate(cat, generators)
         inclusion = validate_functor(
             {c: c for c in sub.objects}, {a: a for a in sub.arrows}, sub, cat
         )
@@ -602,7 +602,7 @@ def min_comorphism_topology(functor: FinFunctor, target_topology: Topology) -> T
     for d in src.objects:
         least = target_topology.least[functor.ob(d)]
         generators[d] = [[h for h in src.into(d) if functor.ar(h) in least]]
-    return saturate(make_coverage(src, generators))
+    return saturate(src, generators)
 
 
 def pushforward_topology(functor: FinFunctor, source_topology: Topology, rng: random.Random | None = None) -> Topology:
@@ -618,7 +618,7 @@ def pushforward_topology(functor: FinFunctor, source_topology: Topology, rng: ra
             if rng.random() < 0.3:
                 into = sorted(tgt.into(c))
                 generators[c].append(rng.sample(into, rng.randint(0, min(2, len(into)))))
-    return saturate(make_coverage(tgt, generators))
+    return saturate(tgt, generators)
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +763,7 @@ def shrink_site(category: FinCategory, topology: Topology, still_fails) -> tuple
                 sub = full_subcategory(cat, objs)
                 keep = set(sub.arrows)
                 gens = {c: [sorted(top.least[c] & keep)] for c in sub.objects}
-                sub_top = saturate(make_coverage(sub, gens))
+                sub_top = saturate(sub, gens)
             except StructureError:
                 continue
             if still_fails(sub, sub_top):
@@ -791,7 +791,7 @@ def shrink_fibration(cix: IndexedCategory, topology: Topology, still_fails):
             new_cix = validate_indexed(sub, fibers, restriction)
             keep = set(sub.arrows)
             gens = {c: [sorted(top.least[c] & keep)] for c in sub.objects}
-            return new_cix, saturate(make_coverage(sub, gens))
+            return new_cix, saturate(sub, gens)
         except StructureError:
             return None
 

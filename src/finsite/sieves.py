@@ -1,10 +1,11 @@
 """Sieves, coverages and Grothendieck topologies on finite categories.
 
-Sieves are frozensets of arrow names sharing a target.  On a finite category
-covers are closed under intersection, so a topology is the up-set of its
-least covering sieve S(c) at each object, and a topology stores S(c) alone;
-saturation shrinks the least covers of a coverage until they are stable and
-transitive.  Each "exists a covering family such that ..." question is then
+A sieve is a frozenset of arrow names sharing a target, and a coverage is a
+plain map from objects to generating families.  On a finite category covers
+are closed under intersection, so a topology is the up-set of its least
+covering sieve S(c) at each object, and a topology stores S(c) alone;
+``saturate`` shrinks the least covers of a coverage until they are stable
+and transitive.  Each "exists a covering family such that ..." question is then
 one inclusion: the qualifying arrows of such a question always form a sieve,
 and a sieve covers c exactly when it contains S(c).  Along a functor F, the
 sieves on c whose image covers F(c) are an up-set; its meet is found from
@@ -20,27 +21,14 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .fincat import FinCategory, FinFunctor, StructureError, composable_pairs, validate_category, validate_functor
+from .fincat import FinCategory, FinFunctor, StructureError
 
 
 class CapExceeded(RuntimeError):
     """An enumeration was asked to continue past its cap."""
 
 
-@dataclass(frozen=True)
-class Sieve:
-    base: FinCategory
-    apex: str
-    arrows: frozenset[str]
-
-    def sorted_arrows(self) -> tuple[str, ...]:
-        return tuple(sorted(self.arrows))
-
-    def __le__(self, other: "Sieve") -> bool:
-        return self.arrows <= other.arrows
-
-
-def generate_sieve(base: FinCategory, apex: str, family) -> Sieve:
+def generate_sieve(base: FinCategory, apex: str, family) -> frozenset[str]:
     """Smallest sieve on ``apex`` containing the family (empty family allowed)."""
     family = tuple(family)
     for f in family:
@@ -51,22 +39,15 @@ def generate_sieve(base: FinCategory, apex: str, family) -> Sieve:
         out.add(f)
         for g in base.into(base.src[f]):
             out.add(base.compose(f, g))
-    return Sieve(base, apex, frozenset(out))
+    return frozenset(out)
 
 
-def maximal_sieve(base: FinCategory, apex: str) -> Sieve:
-    return Sieve(base, apex, frozenset(base.into(apex)))
+def maximal_sieve(base: FinCategory, apex: str) -> frozenset[str]:
+    return frozenset(base.into(apex))
 
 
 def pullback_arrows(base: FinCategory, f: str, arrows: frozenset[str]) -> frozenset[str]:
     return frozenset(g for g in base.into(base.src[f]) if base.compose(f, g) in arrows)
-
-
-def pullback_sieve(f: str, sieve: Sieve) -> Sieve:
-    base = sieve.base
-    if base.tgt[f] != sieve.apex:
-        raise StructureError("pullback arrow must target the sieve apex", witness=f)
-    return Sieve(base, base.src[f], pullback_arrows(base, f, sieve.arrows))
 
 
 # Largest sieve lattice ``sieve_lattice`` builds.  n parallel arrows into one
@@ -81,7 +62,7 @@ def sieve_lattice(base: FinCategory, apex: str) -> tuple[frozenset[str], ...]:
     """
     cache = base._scratch.setdefault("sieve_lattice", {})
     if apex not in cache:
-        principals = {generate_sieve(base, apex, (f,)).arrows for f in base.into(apex)}
+        principals = {generate_sieve(base, apex, (f,)) for f in base.into(apex)}
         lattice = {frozenset()} | principals
         frontier = set(lattice)
         while frontier:
@@ -99,29 +80,6 @@ def sieve_lattice(base: FinCategory, apex: str) -> tuple[frozenset[str], ...]:
             frontier = fresh
         cache[apex] = tuple(sorted(lattice, key=lambda s: (len(s), tuple(sorted(s)))))
     return cache[apex]
-
-
-@dataclass(frozen=True)
-class Coverage:
-    """Generating families per object; saturation turns it into a topology."""
-
-    base: FinCategory
-    generators: dict[str, frozenset[frozenset[str]]]
-
-
-def make_coverage(base: FinCategory, generators) -> Coverage:
-    gens: dict[str, frozenset[frozenset[str]]] = {}
-    objects = set(base.objects)
-    for c, fams in generators.items():
-        if c not in objects:
-            raise StructureError("coverage indexes unknown object {}".format(c), witness=c)
-        fams = frozenset(frozenset(fam) for fam in fams)
-        for fam in fams:
-            for f in fam:
-                if base.tgt[f] != c:
-                    raise StructureError("family member {} does not target {}".format(f, c), witness=f)
-        gens[c] = fams
-    return Coverage(base, gens)
 
 
 @dataclass(frozen=True)
@@ -152,11 +110,12 @@ class Topology:
 
 
 def trivial_topology(base: FinCategory) -> Topology:
-    return Topology(base, {c: maximal_sieve(base, c).arrows for c in base.objects})
+    return Topology(base, {c: maximal_sieve(base, c) for c in base.objects})
 
 
-def saturate(coverage: Coverage) -> Topology:
-    """Least topology whose covers include every sieve containing a generator family.
+def saturate(base: FinCategory, generators) -> Topology:
+    """Least topology on ``base`` in which each generator family, a list of
+    arrows into its object, generates a cover.
 
     Covers of a finite site are closed under intersection, so the answer is
     the largest least-cover assignment S that is stable and transitive and
@@ -166,11 +125,18 @@ def saturate(coverage: Coverage) -> Topology:
     above the least covers of any topology containing the generators, and
     the fixed point is stable and transitive, so it is the least topology.
     """
-    base = coverage.base
-    least = {c: maximal_sieve(base, c).arrows for c in base.objects}
-    for c, fams in coverage.generators.items():
+    least = {c: maximal_sieve(base, c) for c in base.objects}
+    for c, fams in generators.items():
+        if c not in least:
+            raise StructureError("coverage indexes unknown object {}".format(c), witness=c)
         for fam in fams:
-            least[c] &= generate_sieve(base, c, fam).arrows
+            fam = tuple(fam)
+            for f in fam:
+                if f not in base.tgt:
+                    raise StructureError("family member {} is not an arrow".format(f), witness=f)
+                if base.tgt[f] != c:
+                    raise StructureError("family member {} does not target {}".format(f, c), witness=f)
+            least[c] &= generate_sieve(base, c, fam)
     changed = True
     while changed:
         changed = False
@@ -186,10 +152,6 @@ def saturate(coverage: Coverage) -> Topology:
                 least[c] = forced
                 changed = True
     return Topology(base, least)
-
-
-def coverage_of(topology: Topology) -> Coverage:
-    return Coverage(topology.base, {c: frozenset({topology.least[c]}) for c in topology.base.objects})
 
 
 def is_topology(base: FinCategory, covers) -> tuple[bool, tuple]:
@@ -212,7 +174,7 @@ def is_topology(base: FinCategory, covers) -> tuple[bool, tuple]:
                     if base.compose(f, g) not in s:
                         return False, ("not_a_sieve", (c, tuple(sorted(s))))
     for c in base.objects:
-        if maximal_sieve(base, c).arrows not in covers[c]:
+        if maximal_sieve(base, c) not in covers[c]:
             return False, ("maximality", c)
     for c in base.objects:
         for s in ordered[c]:
@@ -237,9 +199,7 @@ def topology_leq(j1: Topology, j2: Topology) -> bool:
 
 def image_sieve(functor: FinFunctor, apex: str, arrows) -> frozenset[str]:
     """The sieve on F(apex) generated by the images of ``arrows``."""
-    return generate_sieve(
-        functor.target, functor.ob(apex), tuple(functor.ar(f) for f in sorted(arrows))
-    ).arrows
+    return generate_sieve(functor.target, functor.ob(apex), tuple(functor.ar(f) for f in sorted(arrows)))
 
 
 def sieve_without(base: FinCategory, apex: str, g: str) -> frozenset[str]:
@@ -325,7 +285,7 @@ def topology_candidate_count(base: FinCategory) -> int:
     """
     total = 1
     for c in base.objects:
-        total *= _upset_count(sieve_lattice(base, c), maximal_sieve(base, c).arrows)
+        total *= _upset_count(sieve_lattice(base, c), maximal_sieve(base, c))
         if total > 10**9:
             return total
     return total
@@ -376,45 +336,3 @@ def enumerate_topologies(base: FinCategory):
         least = dict(zip(base.objects, combo))
         if not _least_cover_failure(base, least):
             yield Topology(base, least)
-
-
-@dataclass(frozen=True)
-class ElementsCategory:
-    """The category of elements of a sieve, with its projection to the base."""
-
-    category: FinCategory
-    projection: FinFunctor
-    object_arrow: dict[str, str]
-
-
-def elements_of_sieve(sieve: Sieve) -> ElementsCategory:
-    """Objects are the arrows of the sieve; morphisms are factorisations."""
-    base = sieve.base
-    members = sieve.sorted_arrows()
-    obj_of = {f: "<{}>".format(f) for f in members}
-    names = tuple(obj_of[f] for f in members)
-    arrows = {}
-    data = {}
-    for f in members:
-        for g in members:
-            for w in base.hom(base.src[f], base.src[g]):
-                if base.compose(g, w) == f:
-                    name = "{}@{}->{}".format(w, obj_of[f], obj_of[g])
-                    arrows[name] = (obj_of[f], obj_of[g])
-                    data[name] = w
-    identity = {}
-    for f in members:
-        o = obj_of[f]
-        identity[o] = "{}@{}->{}".format(base.identity[base.src[f]], o, o)
-    table = {}
-    for b, a in composable_pairs(arrows):
-        w = base.compose(data[b], data[a])
-        table[(b, a)] = "{}@{}->{}".format(w, arrows[a][0], arrows[b][1])
-    cat = validate_category(names, arrows, identity, table)
-    proj = validate_functor(
-        {obj_of[f]: base.src[f] for f in members},
-        {a: data[a] for a in arrows},
-        cat,
-        base,
-    )
-    return ElementsCategory(cat, proj, {obj_of[f]: f for f in members})

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from finsite.cli import main
 from finsite.deciders import SiteFunctor, is_continuous, is_dense_morphism
 from finsite.fibration import validate_indexed
 from finsite.fincat import build_category, full_subcategory, identity_functor, terminal_category, validate_functor
-from finsite.sieves import coverage_of, induced_image_topology, saturate, trivial_topology
+from finsite.sieves import induced_image_topology, saturate, trivial_topology
 
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "finsite", "data")
@@ -43,7 +44,7 @@ def test_shipped_bundles_match_the_programmatic_corpus(tmp_path):
 def test_loading_and_saturating_build_no_sieve_lattice(bundle):
     ws = load_bundle(bundle)
     for top in ws.topologies.values():
-        assert saturate(coverage_of(top)) == top
+        assert saturate(top.base, {c: [top.least[c]] for c in top.base.objects}) == top
     categories = list(ws.categories.values()) + [top.base for top in ws.topologies.values()]
     assert not any("sieve_lattice" in cat._scratch for cat in categories)
 
@@ -84,6 +85,47 @@ def test_dangling_reference_is_located():
     }
     with pytest.raises(BundleError, match="functors/f.*dangling"):
         load_bundle(doc)
+
+
+WALK2_CATEGORY = {"objects": ["a", "b"], "arrows": {"u": ["a", "b"]}}
+MALFORMED = {
+    "unknown-arrow": (
+        {"categories": {"w": WALK2_CATEGORY}, "topologies": {"J": {"category": "w", "covers": {"b": [["v"]]}}}},
+        "topologies/J: family member v is not an arrow",
+    ),
+    "object-image-not-an-object": (
+        {
+            "categories": {"w": WALK2_CATEGORY},
+            "functors": {"F": {"source": "w", "target": "w", "objects": {"a": "z", "b": "b"}, "arrows": {"u": "u"}}},
+        },
+        "functors/F: object a maps outside the target",
+    ),
+    "covers-as-list": (
+        {"categories": {"w": WALK2_CATEGORY}, "topologies": {"J": {"category": "w", "covers": [["u"]]}}},
+        "topologies/J: malformed tables",
+    ),
+    "values-as-list": (
+        {"categories": {"w": WALK2_CATEGORY}, "presheaves": {"P": {"category": "w", "values": ["x"]}}},
+        "presheaves/P: malformed tables",
+    ),
+    "section-as-number": ({"categories": 3}, "/: malformed tables"),
+    "compose-as-number": (
+        {"categories": {"w": dict(WALK2_CATEGORY, compose=3)}},
+        "categories/w: malformed tables",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_bundle_is_a_located_input_error(name, tmp_path, capsys):
+    doc, message = MALFORMED[name]
+    with pytest.raises(BundleError, match="^" + message):
+        load_bundle(doc)
+    path = tmp_path / "malformed.bundle"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message)
 
 
 def test_parse_error_is_reported(tmp_path):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from finsite import corpus
@@ -18,7 +21,6 @@ from finsite.fibration import (
     compose_direct_images,
     compose_inverse_images,
     direct_image,
-    fiber_functor,
     giraud_topology,
     grothendieck,
     inverse_image_adjoint,
@@ -26,6 +28,7 @@ from finsite.fibration import (
     is_fibration,
     is_morphism_of_fibrations,
     make_bundle,
+    pair_arr,
     pair_obj,
     q_reflects_cartesian,
     structure_functor,
@@ -158,9 +161,34 @@ def test_collapse_breaking_cartesian_arrows_is_rejected(two_point, walk2, one):
     assert witness[0] == "cartesian_broken"
 
 
+def fiber_functor(a_fun, b_fun, src_cix, tgt_cix, c):
+    """Restriction to the fiber over c of a functor between the Grothendieck
+    constructions of ``src_cix`` and ``tgt_cix`` whose square with ``b_fun``
+    commutes strictly."""
+    src, tgt = grothendieck(src_cix), grothendieck(tgt_cix)
+    if not functor_equal(compose_functors(tgt.projection, a_fun), compose_functors(b_fun, src.projection)):
+        raise StructureError("square must commute strictly for fiber restriction")
+    fib = src_cix.fiber[c]
+    obj_map = {}
+    for x in fib.objects:
+        y, bc = tgt.obj_pair[a_fun.ob(pair_obj(x, c))]
+        assert bc == b_fun.ob(c)
+        obj_map[x] = y
+    arr_map = {}
+    idc = src.base.identity[c]
+    for u in fib.arrows:
+        o1 = pair_obj(fib.src[u], c)
+        o2 = pair_obj(fib.tgt[u], c)
+        v, g = tgt.arr_pair[a_fun.ar(pair_arr(u, idc, o1, o2))]
+        if not tgt.base.is_identity(g):
+            raise StructureError("functor does not preserve verticality at {}".format(u), witness=u)
+        arr_map[u] = v
+    return validate_functor(obj_map, arr_map, fib, tgt_cix.fiber[b_fun.ob(c)])
+
+
 def test_fiber_functor_of_direct_image_is_iso(two_point, walk2, one):
     di = direct_image(two_point, corpus.pick(walk2, "b"))
-    fn = fiber_functor(di.q, corpus.pick(walk2, "b"), di.source, di.target, "*")
+    fn = fiber_functor(di.q, corpus.pick(walk2, "b"), di.indexed, two_point, "*")
     ok, _ = is_equivalence(fn)
     assert ok
 
@@ -172,7 +200,7 @@ def test_fiber_functor_of_collapse_is_constant(two_point, walk2):
     comps = {c: constant_functor(two_point.fiber[c], terminal_category(), "*") for c in walk2.objects}
     morphism = validate_indexed_morphism(two_point, tgt_cix, comps)
     a_fun = total_functor(morphism, src, tgt)
-    fn = fiber_functor(a_fun, identity_functor(walk2), src, tgt, "b")
+    fn = fiber_functor(a_fun, identity_functor(walk2), two_point, tgt_cix, "b")
     assert set(fn.obj_map.values()) == {"*"}
 
 
@@ -189,10 +217,10 @@ def test_giraud_two_point_sier_by_hand(two_point, sier):
         obj = pair_obj(x, "b")
         lift = "(id_y,u):(y,a)->({},b)".format(x)
         assert gir.covers[obj] == frozenset(
-            {frozenset({lift}), maximal_sieve(bundle.total, obj).arrows}
+            {frozenset({lift}), maximal_sieve(bundle.total, obj)}
         )
     assert gir.covers[pair_obj("y", "a")] == frozenset(
-        {maximal_sieve(bundle.total, pair_obj("y", "a")).arrows}
+        {maximal_sieve(bundle.total, pair_obj("y", "a"))}
     )
 
 
@@ -331,8 +359,8 @@ def test_compose_inverse_images_identity_iso():
 
 
 def test_is_cartesian_fibration_examples(two_point, walk2):
-    assert is_cartesian_fibration(grothendieck(constant_one_indexed(walk2)))[0]
-    ok, witness = is_cartesian_fibration(grothendieck(two_point))
+    assert is_cartesian_fibration(constant_one_indexed(walk2))[0]
+    ok, witness = is_cartesian_fibration(two_point)
     assert not ok
     assert witness[0] == "fiber"
 
@@ -343,7 +371,7 @@ def test_graded_chain_indexed_is_cartesian():
     rng = _rng(3)
     base = _chain(3, "c")
     cix = graded_chain_indexed(rng, base, 3)
-    assert is_cartesian_fibration(grothendieck(cix))[0]
+    assert is_cartesian_fibration(cix)[0]
 
 
 def test_structure_functor_identity_adjunction(walk2):
@@ -547,3 +575,16 @@ def test_giraud_topology_matches_the_bundle_passing_result(two_point, sier):
     fresh = grothendieck(validate_indexed(two_point.base, two_point.fiber, two_point.restriction))
     assert fresh is not grothendieck(two_point)
     assert giraud_topology(two_point, sier) == giraud_topology(two_point, sier, fresh)
+
+
+def test_grothendieck_memo_is_freed_with_its_indexed_category(walk2):
+    # the bundle kept on the indexed category must not point back at it, or
+    # only the cycle collector could free the pair
+    cix = constant_one_indexed(walk2)
+    bundle = weakref.ref(grothendieck(cix))
+    gc.disable()
+    try:
+        del cix
+        assert bundle() is None
+    finally:
+        gc.enable()

@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from finsite import corpus
 from finsite.fincat import (
+    DEFAULT_MAX_ARROWS,
+    DEFAULT_MAX_OBJECTS,
     FinCategory,
     StructureError,
     arrow_category,
@@ -420,9 +422,15 @@ def test_natural_transform_validation(walk2, one):
 
 
 def test_category_caps_enforced():
-    objects = ["o{}".format(i) for i in range(5)]
-    with pytest.raises(StructureError, match="cap"):
-        build_category(objects, {}, max_objects=4)
+    objects = ["o{:02d}".format(i) for i in range(DEFAULT_MAX_OBJECTS + 1)]
+    assert len(build_category(objects[:-1], {}).objects) == DEFAULT_MAX_OBJECTS
+    with pytest.raises(StructureError, match="object cap exceeded: 65 > 64"):
+        build_category(objects, {})
+    # with the two identities, one parallel arrow too many
+    parallel = {"f{:03d}".format(i): ("x", "c") for i in range(DEFAULT_MAX_ARROWS - 1)}
+    assert len(build_category(("x", "c"), dict(list(parallel.items())[:-1])).arrows) == DEFAULT_MAX_ARROWS
+    with pytest.raises(StructureError, match="arrow cap exceeded: 513 > 512"):
+        build_category(("x", "c"), parallel)
 
 
 def test_retract_composition_table(retract):

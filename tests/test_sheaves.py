@@ -511,7 +511,7 @@ def reference_plus(p, topology):
     out = validate_presheaf(base, values, action)
     unit = {}
     for c in base.objects:
-        top = maximal_sieve(base, c).arrows
+        top = maximal_sieve(base, c)
         unit[c] = {}
         for a in p.values[c]:
             fam = {f: p.act(f, a) for f in top}

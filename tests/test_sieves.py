@@ -24,22 +24,17 @@ from finsite.generate import (
 )
 from finsite.sieves import (
     CapExceeded,
-    Sieve,
     Topology,
     InducedTopologyError,
     _least_cover_failure,
-    coverage_of,
-    elements_of_sieve,
     enumerate_topologies,
     generate_sieve,
     image_cover_meet,
     image_sieve,
     induced_image_topology,
     is_topology,
-    make_coverage,
     maximal_sieve,
     pullback_arrows,
-    pullback_sieve,
     saturate,
     sieve_lattice,
     sieve_without,
@@ -47,6 +42,7 @@ from finsite.sieves import (
     topology_leq,
     trivial_topology,
 )
+from test_verify import elements_of_sieve
 
 
 def validate_sieve(base, apex, arrows):
@@ -60,20 +56,25 @@ def validate_sieve(base, apex, arrows):
                 raise StructureError(
                     "not precomposition-closed: {} o {} escapes".format(f, g), witness=(f, g)
                 )
-    return Sieve(base, apex, arrows)
+    return arrows
+
+
+def least_generators(top):
+    """The least covers of a topology as a coverage: one family per object."""
+    return {c: [top.least[c]] for c in top.base.objects}
 
 
 def test_generate_sieve_from_identity_is_maximal(walk2):
     s = generate_sieve(walk2, "b", ("id_b",))
-    assert s.arrows == maximal_sieve(walk2, "b").arrows == frozenset({"id_b", "u"})
+    assert s == maximal_sieve(walk2, "b") == frozenset({"id_b", "u"})
 
 
 def test_generate_sieve_from_u(walk2):
-    assert generate_sieve(walk2, "b", ("u",)).arrows == frozenset({"u"})
+    assert generate_sieve(walk2, "b", ("u",)) == frozenset({"u"})
 
 
 def test_generate_empty_sieve(walk2):
-    assert generate_sieve(walk2, "b", ()).arrows == frozenset()
+    assert generate_sieve(walk2, "b", ()) == frozenset()
 
 
 def test_generate_sieve_rejects_mixed_targets(walk2):
@@ -88,31 +89,49 @@ def test_sieve_closure_is_validated(walk2):
 
 def test_pullback_along_identity(walk2):
     s = generate_sieve(walk2, "b", ("u",))
-    assert pullback_sieve("id_b", s).arrows == s.arrows
+    assert pullback_arrows(walk2, "id_b", s) == s
 
 
 def test_pullback_of_maximal_is_maximal(walk2):
     s = maximal_sieve(walk2, "b")
-    assert pullback_sieve("u", s).arrows == maximal_sieve(walk2, "a").arrows
+    assert pullback_arrows(walk2, "u", s) == maximal_sieve(walk2, "a")
 
 
 def test_pullback_of_generated_u_along_u(walk2):
     s = generate_sieve(walk2, "b", ("u",))
-    assert pullback_sieve("u", s).arrows == frozenset({"id_a"})
+    assert pullback_arrows(walk2, "u", s) == frozenset({"id_a"})
 
 
 def test_saturate_empty_coverage_is_trivial(walk2):
-    assert saturate(make_coverage(walk2, {})) == trivial_topology(walk2)
+    assert saturate(walk2, {}) == trivial_topology(walk2)
+
+
+def test_saturate_rejects_an_unknown_object(walk2):
+    with pytest.raises(StructureError, match="coverage indexes unknown object z") as err:
+        saturate(walk2, {"z": [[]]})
+    assert err.value.witness == "z"
+
+
+def test_saturate_rejects_a_member_with_another_target(walk2):
+    with pytest.raises(StructureError, match="family member id_a does not target b") as err:
+        saturate(walk2, {"b": [["u", "id_a"]]})
+    assert err.value.witness == "id_a"
+
+
+def test_saturate_rejects_a_member_that_is_not_an_arrow(walk2):
+    with pytest.raises(StructureError, match="family member v is not an arrow") as err:
+        saturate(walk2, {"b": [["u"], ["v"]]})
+    assert err.value.witness == "v"
 
 
 def test_saturate_sier_by_hand(walk2):
-    top = saturate(make_coverage(walk2, {"b": [["u"]]}))
+    top = saturate(walk2, {"b": [["u"]]})
     assert top.covers["b"] == frozenset({frozenset({"u"}), frozenset({"u", "id_b"})})
     assert top.covers["a"] == frozenset({frozenset({"id_a"})})
 
 
 def test_saturate_empty_family_forces_everything(walk2):
-    top = saturate(make_coverage(walk2, {"b": [[]]}))
+    top = saturate(walk2, {"b": [[]]})
     # empty sieve covers b; transitivity then makes every sieve on b covering,
     # and stability pushes the empty sieve down to a
     assert top.covers["b"] == frozenset(sieve_lattice(walk2, "b"))
@@ -126,7 +145,7 @@ def test_is_topology_on_trivial(walk2):
 
 def test_is_topology_missing_maximality(walk2):
     covers = {
-        "a": frozenset({maximal_sieve(walk2, "a").arrows}),
+        "a": frozenset({maximal_sieve(walk2, "a")}),
         "b": frozenset({frozenset({"u"})}),
     }
     ok, witness = is_topology(walk2, covers)
@@ -136,7 +155,7 @@ def test_is_topology_missing_maximality(walk2):
 
 def test_saturate_output_is_topology(walk2, retract):
     for base, gens in ((walk2, {"b": [["u"]]}), (retract, {"s": [["m"]]})):
-        top = saturate(make_coverage(base, gens))
+        top = saturate(base, gens)
         ok, witness = is_topology(base, top.covers)
         assert ok, witness
 
@@ -159,7 +178,7 @@ def test_induced_topology_restricts_dense_subcategory(retract):
         c: frozenset(
             s
             for s in sieve_lattice(sub, c)
-            if top.is_cover(c, generate_sieve(retract, c, sorted(s)).arrows)
+            if top.is_cover(c, generate_sieve(retract, c, sorted(s)))
         )
         for c in sub.objects
     }
@@ -209,7 +228,7 @@ def span_onto_an_arrow():
         src,
         tgt,
     )
-    return functor, saturate(make_coverage(tgt, {"X": [["p"]]}))
+    return functor, saturate(tgt, {"X": [["p"]]})
 
 
 def corpus_induction_cases():
@@ -234,8 +253,9 @@ def corpus_induction_cases():
     induced = induced_image_topology(r_inclusion, retract_top)
     cases.append((r_inclusion, induced, retract_top))
     fib = corpus.discrete(("m0", "m1"))
-    di = direct_image(constant_indexed(retract, fib), r_inclusion)
-    cases.append((di.q, giraud_topology(di.indexed, induced), giraud_topology(di.target.indexed, retract_top)))
+    cix = constant_indexed(retract, fib)
+    di = direct_image(cix, r_inclusion)
+    cases.append((di.q, giraud_topology(di.indexed, induced), giraud_topology(cix, retract_top)))
     return cases
 
 
@@ -344,7 +364,7 @@ def reference_upsets(lattice, top):
 
 
 def reference_upsets_per_object(base):
-    return [reference_upsets(sieve_lattice(base, c), maximal_sieve(base, c).arrows) for c in base.objects]
+    return [reference_upsets(sieve_lattice(base, c), maximal_sieve(base, c)) for c in base.objects]
 
 
 def reference_candidate_count(base):
@@ -428,7 +448,7 @@ def test_topology_candidate_count_on_a_22_sieve_lattice():
     expected = 156
     for c in total.objects:
         if sizes[c] != 22:
-            expected *= len(reference_upsets(sieve_lattice(total, c), maximal_sieve(total, c).arrows))
+            expected *= len(reference_upsets(sieve_lattice(total, c), maximal_sieve(total, c)))
     assert topology_candidate_count(total) == expected
 
 
@@ -459,9 +479,8 @@ def _families(base, obj, rng_bits):
 @given(st.integers(0, 7), st.integers(0, 7))
 def test_saturate_idempotent_and_monotone_on_retract(bits_r, bits_s):
     base = corpus.retract()
-    cov = make_coverage(base, {"r": [_families(base, "r", bits_r)], "s": [_families(base, "s", bits_s)]})
-    top = saturate(cov)
-    assert saturate(coverage_of(top)) == top
+    top = saturate(base, {"r": [_families(base, "r", bits_r)], "s": [_families(base, "s", bits_s)]})
+    assert saturate(base, least_generators(top)) == top
     # upward closure of the covers
     for c in base.objects:
         for s in top.covers[c]:
@@ -469,37 +488,33 @@ def test_saturate_idempotent_and_monotone_on_retract(bits_r, bits_s):
                 if s <= t:
                     assert t in top.covers[c]
     # monotone: adding a generator can only grow the result
-    bigger = make_coverage(
-        base,
-        {
-            "r": [_families(base, "r", bits_r)],
-            "s": [_families(base, "s", bits_s), ["m"]],
-        },
-    )
-    assert topology_leq(top, saturate(bigger))
+    bigger = {
+        "r": [_families(base, "r", bits_r)],
+        "s": [_families(base, "s", bits_s), ["m"]],
+    }
+    assert topology_leq(top, saturate(base, bigger))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 7))
 def test_saturated_covers_are_pullback_stable(bits):
     base = corpus.walk2()
-    top = saturate(make_coverage(base, {"b": [_families(base, "b", bits)]}))
+    top = saturate(base, {"b": [_families(base, "b", bits)]})
     for c in base.objects:
         for s in top.covers[c]:
             for f in base.into(c):
-                assert pullback_sieve(f, Sieve(base, c, s)).arrows in top.covers[base.src[f]]
+                assert pullback_arrows(base, f, s) in top.covers[base.src[f]]
 
 
-def reference_saturate(coverage):
+def reference_saturate(base, generators):
     """The former saturation, a worklist over whole sieve lattices: seed with
     the maximal and generated sieves, then close under upward containment,
     pullback stability and transitivity until nothing changes."""
-    base = coverage.base
     lattice = {c: sieve_lattice(base, c) for c in base.objects}
-    covering = {c: {maximal_sieve(base, c).arrows} for c in base.objects}
-    for c, fams in coverage.generators.items():
+    covering = {c: {maximal_sieve(base, c)} for c in base.objects}
+    for c, fams in generators.items():
         for fam in fams:
-            covering[c].add(generate_sieve(base, c, fam).arrows)
+            covering[c].add(generate_sieve(base, c, fam))
     changed = True
     while changed:
         changed = False
@@ -531,9 +546,9 @@ def reference_saturate(coverage):
 
 
 def fuzzed_coverages(count, seed):
-    """Random coverages on the corpus and fuzzed bases: some objects get no
-    generators, families are arbitrary subsets of into(c) (often not sieves)
-    and may be empty."""
+    """Random (base, generators) pairs on the corpus and fuzzed bases: some
+    objects get no generators, families are arbitrary subsets of into(c)
+    (often not sieves) and may be empty."""
     rng = random.Random(seed)
     bases = [base for _, base, _ in corpus.corpus_sites()] + fuzzed_bases(200)
     for _ in range(count):
@@ -544,37 +559,36 @@ def fuzzed_coverages(count, seed):
                 continue
             into = sorted(base.into(c))
             gens[c] = [rng.sample(into, rng.randint(0, min(3, len(into)))) for _ in range(rng.randint(0, 3))]
-        yield make_coverage(base, gens)
+        yield base, gens
 
 
 def test_saturate_matches_the_worklist_on_the_corpus():
-    for name, base, top in corpus.corpus_sites():
-        assert saturate(coverage_of(top)) == reference_saturate(coverage_of(top)) == top, name
-    for name, top in corpus.corpus_workspace().topologies.items():
-        assert saturate(coverage_of(top)) == reference_saturate(coverage_of(top)) == top, name
+    named = [(name, top) for name, _, top in corpus.corpus_sites()]
+    for name, top in named + list(corpus.corpus_workspace().topologies.items()):
+        gens = least_generators(top)
+        assert saturate(top.base, gens) == reference_saturate(top.base, gens) == top, name
 
 
 def test_saturate_matches_the_worklist_on_fuzzed_coverages():
     kinds = set()
-    for coverage in fuzzed_coverages(1200, seed=10):
-        base = coverage.base
+    for base, gens in fuzzed_coverages(1200, seed=10):
         for c in base.objects:
-            fams = coverage.generators.get(c, frozenset())
+            fams = gens.get(c, [])
             if not fams:
                 kinds.add("no generators")
             for fam in fams:
                 if not fam:
                     kinds.add("empty family")
-                elif generate_sieve(base, c, fam).arrows != fam:
+                elif generate_sieve(base, c, fam) != frozenset(fam):
                     kinds.add("not a sieve")
-        assert saturate(coverage) == reference_saturate(coverage)
+        assert saturate(base, gens) == reference_saturate(base, gens)
     assert kinds == {"no generators", "empty family", "not a sieve"}
 
 
 def representation_cases():
     """The corpus topologies and the saturations of fuzzed coverages."""
     tops = [top for _, _, top in corpus.corpus_sites()] + list(corpus.corpus_workspace().topologies.values())
-    return tops + [saturate(coverage) for coverage in fuzzed_coverages(300, seed=11)]
+    return tops + [saturate(base, gens) for base, gens in fuzzed_coverages(300, seed=11)]
 
 
 def test_covers_are_the_up_set_of_the_least_cover():
@@ -615,7 +629,8 @@ def test_saturate_matches_the_worklist_on_generated_topologies():
     tops = generated_topologies(15)
     assert len(tops) > 80
     for top in tops:
-        assert saturate(coverage_of(top)) == reference_saturate(coverage_of(top)) == top
+        gens = least_generators(top)
+        assert saturate(top.base, gens) == reference_saturate(top.base, gens) == top
 
 
 def fuzzed_instances(kind, instances, seed=9):
@@ -634,7 +649,7 @@ def test_giraud_topology_from_least_covers_equals_all_covers():
             name: [[cartesian_lift_name(cix, x, c, f) for f in s] for s in top.covers[c]]
             for name, (x, c) in bundle.obj_pair.items()
         }
-        assert giraud_topology(cix, top) == saturate(make_coverage(bundle.total, gens))
+        assert giraud_topology(cix, top) == saturate(bundle.total, gens)
 
 
 def test_min_comorphism_topology_from_least_covers_equals_all_covers():
@@ -644,7 +659,7 @@ def test_min_comorphism_topology_from_least_covers_equals_all_covers():
             d: [[h for h in fn.source.into(d) if fn.ar(h) in s] for s in top.covers[fn.ob(d)]]
             for d in fn.source.objects
         }
-        assert min_comorphism_topology(fn, top) == saturate(make_coverage(fn.source, gens))
+        assert min_comorphism_topology(fn, top) == saturate(fn.source, gens)
 
 
 def test_pushforward_topology_from_least_covers_equals_all_covers():
@@ -654,18 +669,18 @@ def test_pushforward_topology_from_least_covers_equals_all_covers():
         gens = {c: [] for c in tgt.objects}
         for c in fn.source.objects:
             gens[fn.ob(c)].extend([fn.ar(f) for f in sorted(s)] for s in top.covers[c])
-        assert pushforward_topology(fn, top) == saturate(make_coverage(tgt, gens))
+        assert pushforward_topology(fn, top) == saturate(tgt, gens)
         rng = random.Random(index)
         for c in tgt.objects:
             if rng.random() < 0.3:
                 into = sorted(tgt.into(c))
                 gens[c].append(rng.sample(into, rng.randint(0, min(2, len(into)))))
-        assert pushforward_topology(fn, top, random.Random(index)) == saturate(make_coverage(tgt, gens))
+        assert pushforward_topology(fn, top, random.Random(index)) == saturate(tgt, gens)
 
 
 def restricted_all_covers(top, sub):
     keep = set(sub.arrows)
-    return saturate(make_coverage(sub, {c: [sorted(s & keep) for s in top.covers[c]] for c in sub.objects}))
+    return saturate(sub, {c: [sorted(s & keep) for s in top.covers[c]] for c in sub.objects})
 
 
 def never_fails(log):
@@ -716,14 +731,14 @@ def test_prop412_extra_topology_from_least_covers_equals_all_covers():
                 extras[c].append(rng.sample(into, rng.randint(0, min(2, len(into)))))
         least = {c: [sorted(gir.least[c])] + extras[c] for c in total.objects}
         every = {c: [sorted(s) for s in gir.covers[c]] + extras[c] for c in total.objects}
-        assert saturate(make_coverage(total, least)) == saturate(make_coverage(total, every))
+        assert saturate(total, least) == saturate(total, every)
 
 
 def test_saturate_needs_stability_and_transitivity():
     # a0 -> a1 -> a2 with the empty sieve covering a1: stability empties the
     # least cover of a0, and then transitivity empties that of a2
     chain = corpus.chain3()
-    top = saturate(make_coverage(chain, {"a1": [[]], "a2": [["a1->a2"]]}))
+    top = saturate(chain, {"a1": [[]], "a2": [["a1->a2"]]})
     assert top.least == dict.fromkeys(chain.objects, frozenset())
 
 
@@ -745,24 +760,24 @@ def test_saturate_refuses_17_parallel_arrows():
     base = parallel_arrows(17)
     with pytest.raises(CapExceeded, match="sieves on c"):
         sieve_lattice(base, "c")
-    assert saturate(coverage_of(trivial_topology(base))) == trivial_topology(base)
+    assert saturate(base, least_generators(trivial_topology(base))) == trivial_topology(base)
 
 
 def test_elements_of_maximal_sieve(walk2):
-    el = elements_of_sieve(maximal_sieve(walk2, "b"))
+    el = elements_of_sieve(walk2, "b", maximal_sieve(walk2, "b"))
     assert len(el.category.objects) == 2
     non_id = [a for a in el.category.arrows if not el.category.is_identity(a)]
     assert len(non_id) == 1
 
 
 def test_elements_of_principal_sieve(walk2):
-    el = elements_of_sieve(generate_sieve(walk2, "b", ("u",)))
+    el = elements_of_sieve(walk2, "b", generate_sieve(walk2, "b", ("u",)))
     assert len(el.category.objects) == 1
     assert all(el.category.is_identity(a) for a in el.category.arrows)
 
 
 def test_elements_of_empty_sieve(walk2):
-    el = elements_of_sieve(Sieve(walk2, "b", frozenset()))
+    el = elements_of_sieve(walk2, "b", frozenset())
     assert el.category.objects == ()
 
 

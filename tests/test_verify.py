@@ -22,6 +22,7 @@ from finsite.fincat import (
     FinFunctor,
     build_category,
     comma_category,
+    composable_pairs,
     compose_functors,
     connected_components,
     constant_functor,
@@ -54,11 +55,8 @@ from finsite.generate import (
 from finsite.presheaf import Presheaf, prop33_pullback_data, validate_presheaf
 from finsite.sieves import (
     CapExceeded,
-    Sieve,
-    elements_of_sieve,
     enumerate_topologies,
     image_sieve,
-    make_coverage,
     saturate,
     sieve_lattice,
     topology_candidate_count,
@@ -102,7 +100,7 @@ def test_cover_preserving_examples(walk2, one, sier):
     assert is_cover_preserving(identity_site(walk2, sier)).ok
     bang_site = SiteFunctor(corpus.bang(walk2), sier, trivial_topology(one))
     assert is_cover_preserving(bang_site).ok
-    empty_covers = saturate(make_coverage(one, {"*": [[]]}))
+    empty_covers = saturate(one, {"*": [[]]})
     pick_site = SiteFunctor(corpus.pick(walk2, "a"), empty_covers, sier)
     verdict = is_cover_preserving(pick_site)
     assert not verdict.ok
@@ -143,7 +141,7 @@ def test_covering_flat_identity(walk2, sier):
 
 
 def test_covering_flat_vacuous_when_empty_sieve_covers(walk2, one):
-    everything = saturate(make_coverage(walk2, {c: [[]] for c in walk2.objects}))
+    everything = saturate(walk2, {c: [[]] for c in walk2.objects})
     sf = SiteFunctor(corpus.pick(walk2, "a"), trivial_topology(one), everything)
     assert is_covering_flat(sf).ok
 
@@ -159,7 +157,7 @@ def test_covering_flat_fails_without_cone(walk2, one):
 
 def test_morphism_of_sites_identity_and_failure(walk2, one, sier):
     assert is_morphism_of_sites(identity_site(walk2, sier)).ok
-    empty_covers = saturate(make_coverage(one, {"*": [[]]}))
+    empty_covers = saturate(one, {"*": [[]]})
     broken = SiteFunctor(corpus.pick(walk2, "a"), empty_covers, sier)
     verdict = is_morphism_of_sites(broken)
     assert not verdict.ok
@@ -332,6 +330,48 @@ def reference_comma_component_table(functor_to_d, d_i):
     return {(e, w): comp_of[name] for name, (_, e, w) in comma.obj_data.items()}
 
 
+@dataclass(frozen=True)
+class ElementsCategory:
+    """The category of elements of a sieve, with its projection to the base."""
+
+    category: FinCategory
+    projection: FinFunctor
+    object_arrow: dict[str, str]
+
+
+def elements_of_sieve(base, apex, sieve) -> ElementsCategory:
+    """Objects are the arrows of a sieve on ``apex``; morphisms are factorisations."""
+    members = sorted(sieve)
+    assert all(base.tgt[f] == apex for f in members), "not a sieve on {}".format(apex)
+    obj_of = {f: "<{}>".format(f) for f in members}
+    names = tuple(obj_of[f] for f in members)
+    arrows = {}
+    data = {}
+    for f in members:
+        for g in members:
+            for w in base.hom(base.src[f], base.src[g]):
+                if base.compose(g, w) == f:
+                    name = "{}@{}->{}".format(w, obj_of[f], obj_of[g])
+                    arrows[name] = (obj_of[f], obj_of[g])
+                    data[name] = w
+    identity = {}
+    for f in members:
+        o = obj_of[f]
+        identity[o] = "{}@{}->{}".format(base.identity[base.src[f]], o, o)
+    table = {}
+    for b, a in composable_pairs(arrows):
+        w = base.compose(data[b], data[a])
+        table[(b, a)] = "{}@{}->{}".format(w, arrows[a][0], arrows[b][1])
+    cat = validate_category(names, arrows, identity, table)
+    proj = validate_functor(
+        {obj_of[f]: base.src[f] for f in members},
+        {a: data[a] for a in arrows},
+        cat,
+        base,
+    )
+    return ElementsCategory(cat, proj, {obj_of[f]: f for f in members})
+
+
 def reference_is_continuous(sf):
     """Cover preservation plus the zig-zag condition on every source cover."""
     ok, witness = reference_is_cover_preserving(sf)
@@ -341,7 +381,7 @@ def reference_is_continuous(sf):
     ccat, dcat = functor.source, functor.target
     for c in ccat.objects:
         for sieve in j_src.sieves(c):
-            elems = elements_of_sieve(Sieve(ccat, c, sieve))
+            elems = elements_of_sieve(ccat, c, sieve)
             to_d = compose_functors(functor, elems.projection)
             obj_of = {arrow: name for name, arrow in elems.object_arrow.items()}
             tables = {}
@@ -373,7 +413,7 @@ def cospan_site_functor():
     Cover preserving, but f and g are not connected in the elements of the
     cover, so the zig-zag condition fails."""
     cospan = corpus.build_category(("x", "c", "y"), {"f": ("x", "c"), "g": ("y", "c")})
-    covers = saturate(make_coverage(cospan, {"c": [["f", "g"]]}))
+    covers = saturate(cospan, {"c": [["f", "g"]]})
     return SiteFunctor(corpus.bang(cospan), covers, trivial_topology(terminal_category()))
 
 
@@ -709,7 +749,7 @@ def test_comma_components_match_the_comma_categories_on_sieve_elements(different
         ccat = sf.functor.source
         for c in ccat.objects:
             for sieve in sieve_lattice(ccat, c)[:8]:
-                el = elements_of_sieve(Sieve(ccat, c, sieve))
+                el = elements_of_sieve(ccat, c, sieve)
                 assert_components_match_the_comma_route(el.category, el.projection, el.object_arrow, sf.functor)
                 checked += 1
     assert checked >= 1000
