@@ -6,6 +6,13 @@ condition is therefore checked on S(c) alone, and the plus construction is
 P+(c) = Match(S(c), P): its elements at c are the matching families on S(c),
 sorted by their (arrow, value) items and named s0, s1, ... in that order, so
 all tables are deterministic.  Applying plus twice is the sheafification.
+
+The bounded oracles search by backtracking that checks each condition as
+soon as it is decided: ``sheaf_targets`` generates one sheaf per
+isomorphism class by orderly generation, pruning a prefix as soon as it
+fails the sheaf condition at an object (for the trivial topology it yields
+every presheaf up to isomorphism), and ``presheaf_morphisms`` assigns a
+natural map one (object, element) slot at a time.
 """
 from __future__ import annotations
 
@@ -50,6 +57,11 @@ def validate_presheaf(base: FinCategory, values, action) -> Presheaf:
         if action[i] != {a: a for a in values[c]}:
             raise StructureError("identity action at {} is not the identity".format(c), witness=c)
     for (g, f), h in base.table.items():
+        # an entry with an identity factor holds once identity actions are
+        # identities; one whose composite alone is an identity (an inverse
+        # pair) can still fail
+        if base.is_identity(f) or base.is_identity(g):
+            continue
         fa, ga, ha = action[f], action[g], action[h]
         for a in values[base.tgt[g]]:
             if fa[ga[a]] != ha[a]:
@@ -58,36 +70,32 @@ def validate_presheaf(base: FinCategory, values, action) -> Presheaf:
 
 
 def matching_families(p: Presheaf, apex: str, sieve: frozenset[str]) -> list[dict[str, str]]:
-    """All compatible assignments on the sieve, by backtracking in sorted order."""
+    """All compatible assignments on the sieve, by backtracking in sorted order.
+
+    A compatibility triple (f, g, f.g) is checked once, when the later of f
+    and f.g in sorted order is assigned.
+    """
     base = p.base
     members = sorted(sieve)
-    pairs = []
-    member_set = set(members)
-    for f in members:
+    place = {f: i for i, f in enumerate(members)}
+    completes: list[list[tuple[int, str, int]]] = [[] for _ in members]
+    for i, f in enumerate(members):
         for g in base.into(base.src[f]):
-            fg = base.compose(f, g)
-            if fg in member_set:
-                pairs.append((f, g, fg))
+            j = place.get(base.compose(f, g))
+            if j is not None:
+                completes[max(i, j)].append((i, g, j))
+    domains = [p.values[base.src[f]] for f in members]
     out: list[dict[str, str]] = []
-    assign: dict[str, str] = {}
-
-    def ok(f):
-        for (a, g, ag) in pairs:
-            if a in assign and ag in assign and (a == f or ag == f):
-                if p.act(g, assign[a]) != assign[ag]:
-                    return False
-        return True
+    assign: list[str] = [""] * len(members)
 
     def go(i):
         if i == len(members):
-            out.append(dict(assign))
+            out.append(dict(zip(members, assign)))
             return
-        f = members[i]
-        for v in p.values[base.src[f]]:
-            assign[f] = v
-            if ok(f):
+        for v in domains[i]:
+            assign[i] = v
+            if all(p.act(g, assign[a]) == assign[b] for a, g, b in completes[i]):
                 go(i + 1)
-            del assign[f]
 
     go(0)
     return out
@@ -96,6 +104,19 @@ def matching_families(p: Presheaf, apex: str, sieve: frozenset[str]) -> list[dic
 def amalgamations(p: Presheaf, apex: str, sieve: frozenset[str], family: dict[str, str]) -> list[str]:
     members = sorted(sieve)
     return [a for a in p.values[apex] if all(p.act(f, a) == family[f] for f in members)]
+
+
+def _sheaf_witness(p: Presheaf, c: str, sieve: frozenset[str]) -> tuple | None:
+    """The sheaf condition at c on the sieve: None when every matching family
+    has exactly one amalgamation, else ``is_sheaf``'s witness for the first
+    family that does not.  Reads only the actions along the members of the
+    sieve and along the arrows into their sources."""
+    for fam in matching_families(p, c, sieve):
+        glue = amalgamations(p, c, sieve, fam)
+        if len(glue) != 1:
+            kind = "no_amalgamation" if not glue else "ambiguous_amalgamation"
+            return kind, (c, tuple(sorted(sieve)), tuple(sorted(fam.items())), tuple(glue))
+    return None
 
 
 def is_sheaf(p: Presheaf, topology: Topology) -> tuple[bool, tuple]:
@@ -112,11 +133,9 @@ def is_sheaf(p: Presheaf, topology: Topology) -> tuple[bool, tuple]:
         sieve = topology.least[c]
         if p.base.identity[c] in sieve:
             continue
-        for fam in matching_families(p, c, sieve):
-            glue = amalgamations(p, c, sieve, fam)
-            if len(glue) != 1:
-                kind = "no_amalgamation" if not glue else "ambiguous_amalgamation"
-                return False, (kind, (c, tuple(sorted(sieve)), tuple(sorted(fam.items())), tuple(glue)))
+        witness = _sheaf_witness(p, c, sieve)
+        if witness is not None:
+            return False, witness
     return True, ()
 
 
@@ -206,49 +225,64 @@ def representable(base: FinCategory, obj: str) -> Presheaf:
     return validate_presheaf(base, values, action)
 
 
-def presheaf_morphisms(p: Presheaf, q: Presheaf):
-    """All natural maps p -> q, by per-object backtracking with naturality pruning.
+def _slots(p: Presheaf) -> list[tuple[str, str]]:
+    """The (object, element) pairs of p: objects in order, elements in value order."""
+    return [(c, a) for c in p.base.objects for a in p.values[c]]
 
-    The naturality square of an arrow is checked once, at the object that
-    completes it: the later of its source and target in object order.
-    Identity squares commute for every validated pair of presheaves.
+
+def _natural_maps(p: Presheaf, q: Presheaf):
+    """All natural maps p -> q as tuples of images, one per slot of p.
+
+    The slots are assigned in ``_slots`` order, each image in q's value
+    order.  The naturality entry of a non-identity arrow f: s -> t at a in
+    p(t), h_s(p(f)(a)) = q(f)(h_t(a)), is checked once, when the later of
+    its two slots is assigned.  Identity squares commute for every
+    validated pair of presheaves.
     """
     base = p.base
-    objs = list(base.objects)
-    position = {c: i for i, c in enumerate(objs)}
-    squares: list[list[tuple]] = [[] for _ in objs]
+    slots = _slots(p)
+    place = {slot: k for k, slot in enumerate(slots)}
+    cods = [q.values[c] for c, _ in slots]
+    entries: list[list[tuple[int, int, dict[str, str]]]] = [[] for _ in slots]
     for f in base.arrows:
         if base.is_identity(f):
             continue
         s, t = base.src[f], base.tgt[f]
-        squares[max(position[s], position[t])].append((s, t, p.action[f], q.action[f], p.values[t]))
-    assign: dict[str, dict[str, str]] = {}
+        pf, qf = p.action[f], q.action[f]
+        for a in p.values[t]:
+            at_s, at_t = place[s, pf[a]], place[t, a]
+            entries[max(at_s, at_t)].append((at_s, at_t, qf))
+    image: list[str] = [""] * len(slots)
 
-    def consistent(i):
-        for s, t, pf, qf, elems in squares[i]:
-            at_s, at_t = assign[s], assign[t]
-            for a in elems:
-                if at_s[pf[a]] != qf[at_t[a]]:
-                    return False
-        return True
-
-    def go(i):
-        if i == len(objs):
-            yield {c: dict(m) for c, m in assign.items()}
+    def go(k):
+        if k == len(slots):
+            yield tuple(image)
             return
-        c = objs[i]
-        dom, cod = p.values[c], q.values[c]
-        for image in itertools.product(cod, repeat=len(dom)):
-            assign[c] = dict(zip(dom, image))
-            if consistent(i):
-                yield from go(i + 1)
-            del assign[c]
+        for b in cods[k]:
+            image[k] = b
+            if all(image[at_s] == qf[image[at_t]] for at_s, at_t, qf in entries[k]):
+                yield from go(k + 1)
 
     yield from go(0)
 
 
-def enumerate_presheaves(base: FinCategory, max_size: int = 3, budget: int = 200_000):
-    """One presheaf per isomorphism class with value sets {0..k-1}, k <= max_size.
+def _as_components(p: Presheaf, image: tuple[str, ...]) -> dict[str, dict[str, str]]:
+    out: dict[str, dict[str, str]] = {c: {} for c in p.base.objects}
+    for (c, a), b in zip(_slots(p), image):
+        out[c][a] = b
+    return out
+
+
+def presheaf_morphisms(p: Presheaf, q: Presheaf):
+    """All natural maps p -> q as {object: {element: image}}, by backtracking
+    one (object, element) slot at a time with naturality pruning (see
+    ``_natural_maps``)."""
+    for image in _natural_maps(p, q):
+        yield _as_components(p, image)
+
+
+def sheaf_targets(base: FinCategory, topology: Topology, max_size: int = 3, budget: int = 200_000):
+    """One sheaf per isomorphism class with value sets {0..k-1}, k <= max_size.
 
     Labelled presheaves are ordered by size combination, then by the image
     tuples of the non-identity arrows in order, each tuple in value-index
@@ -262,9 +296,16 @@ def enumerate_presheaves(base: FinCategory, max_size: int = 3, budget: int = 200
 
     Non-identity actions are assigned one arrow at a time; a composition-table
     entry is checked once, when the last of its non-identity arrows is
-    assigned.  Every yielded presheaf is still validated in full.
+    assigned.  The sheaf condition at c with id_c not in S(c) reads only the
+    actions along the members of S(c) and along the arrows into their
+    sources, so it is decided as soon as the last of them is assigned, and a
+    prefix that fails it, having no sheaf completion, is pruned.  Where S(c)
+    is empty the condition is |P(c)| = 1, decided by the size combination.
+    The stream is therefore the orderly stream of all presheaves, filtered by
+    ``is_sheaf``; for the trivial topology it is every presheaf up to
+    isomorphism.  Every yielded sheaf is still validated in full.
 
-    Raises CapExceeded when the labelled assignment space exceeds the budget.
+    Raises CapExceeded when the labelled presheaf space exceeds the budget.
     """
     non_id = [f for f in base.arrows if not base.is_identity(f)]
     sizes = list(itertools.product(range(max_size + 1), repeat=len(base.objects)))
@@ -279,6 +320,8 @@ def enumerate_presheaves(base: FinCategory, max_size: int = 3, budget: int = 200
         space += per
         if space > budget:
             raise CapExceeded("presheaf enumeration space exceeds budget")
+    if base != topology.base:
+        raise StructureError("presheaf and topology live on different bases")
     position = {f: i for i, f in enumerate(non_id)}
     # entries[i]: the table entries (g, f) -> h whose last non-identity arrow
     # is non_id[i]; entries made of identities alone hold for every action.
@@ -287,6 +330,19 @@ def enumerate_presheaves(base: FinCategory, max_size: int = 3, budget: int = 200
         last = max((position[a] for a in (f, g, h) if a in position), default=None)
         if last is not None:
             entries[last].append((g, f, h))
+    # decided[i]: the objects whose sheaf condition reads non_id[i] last;
+    # singletons: the objects whose least cover is empty.
+    decided: list[list[str]] = [[] for _ in non_id]
+    singletons = []
+    for c in base.objects:
+        sieve = topology.least[c]
+        if base.identity[c] in sieve:
+            continue
+        if not sieve:
+            singletons.append(c)
+            continue
+        read = set(sieve).union(*(base.into(base.src[f]) for f in sieve))
+        decided[max(position[a] for a in read if a in position)].append(c)
     # fresh[i]: the objects that non_id[i] touches first.  A relabelling is a
     # tuple of (permutation, inverse) pairs, one per object touched so far in
     # this order, and slot[c] is the place of c's pair.
@@ -298,6 +354,8 @@ def enumerate_presheaves(base: FinCategory, max_size: int = 3, budget: int = 200
             slot[c] = len(slot)
     for combo in sizes:
         sz = dict(zip(base.objects, combo))
+        if any(sz[c] != 1 for c in singletons):
+            continue
         values = {c: tuple(str(i) for i in range(sz[c])) for c in base.objects}
         perms = {
             c: [(q, tuple(sorted(range(sz[c]), key=q.__getitem__))) for q in itertools.permutations(range(sz[c]))]
@@ -305,6 +363,7 @@ def enumerate_presheaves(base: FinCategory, max_size: int = 3, budget: int = 200
         }
         # the action of every arrow assigned so far, identities included
         acts = {f: {v: v for v in values[base.src[f]]} for f in base.arrows if base.is_identity(f)}
+        provisional = Presheaf(base, values, acts)
 
         def consistent(i):
             for g, f, h in entries[i]:
@@ -340,35 +399,31 @@ def enumerate_presheaves(base: FinCategory, max_size: int = 3, budget: int = 200
                         if moved == image:
                             fixing.append(sigma)
                     else:
-                        yield from go(i + 1, fixing)
+                        # a least prefix failing a sheaf condition it decides has no sheaf completion
+                        if all(_sheaf_witness(provisional, c, topology.least[c]) is None for c in decided[i]):
+                            yield from go(i + 1, fixing)
                 del acts[f]
 
         yield from go(0, [()])
-
-
-def sheaf_targets(base: FinCategory, topology: Topology, max_size: int = 3, budget: int = 200_000):
-    for p in enumerate_presheaves(base, max_size, budget):
-        ok, _ = is_sheaf(p, topology)
-        if ok:
-            yield p
 
 
 def unit_universal_property(p: Presheaf, sh: Sheafification, target: Presheaf) -> tuple[bool, tuple]:
     """The unit sh.unit: p -> sh.sheaf is universal for the sheaf target:
     h |-> h . unit is a bijection Hom(sh.sheaf, target) -> Hom(p, target).
 
-    One pass over Hom(sh.sheaf, target) counts the composites h . unit, keyed
-    by their values in a fixed (object, element of p) order; then every map
-    p -> target must have been hit exactly once.  The witness is the first
-    map, in enumeration order, hit n != 1 times.
+    One pass over Hom(sh.sheaf, target) counts the composites h . unit as
+    image tuples over the slots of p; then every map p -> target must have
+    been hit exactly once.  The witness is the first map, in enumeration
+    order, hit n != 1 times.
     """
-    slots = [(c, a) for c in p.base.objects for a in p.values[c]]
-    unit_slots = [(c, sh.unit[c][a]) for c, a in slots]
-    hits = Counter(tuple(h[c][b] for c, b in unit_slots) for h in presheaf_morphisms(sh.sheaf, target))
-    for m in presheaf_morphisms(p, target):
-        n = hits[tuple(m[c][a] for c, a in slots)]
+    place = {slot: k for k, slot in enumerate(_slots(sh.sheaf))}
+    unit_at = [place[c, sh.unit[c][a]] for c, a in _slots(p)]
+    hits = Counter(tuple([h[k] for k in unit_at]) for h in _natural_maps(sh.sheaf, target))
+    for m in _natural_maps(p, target):
+        n = hits[m]
         if n != 1:
-            return False, ("factorisations", n, tuple(sorted((c, tuple(sorted(v.items()))) for c, v in m.items())))
+            witness = _as_components(p, m)
+            return False, ("factorisations", n, tuple(sorted((c, tuple(sorted(v.items()))) for c, v in witness.items())))
     return True, ()
 
 

@@ -5,13 +5,13 @@ from collections import Counter
 
 import pytest
 
-from finsite import corpus
-from finsite.fincat import StructureError, compose_functors, identity_functor
+from finsite import corpus, presheaf
+from finsite.fincat import StructureError, build_category, compose_functors, identity_functor, validate_category
 from finsite.deciders import SiteFunctor, is_continuous
 from finsite.generate import Caps, GenerationError, derive_seed, gen_presheaf, gen_site, generate_instance
 from finsite.presheaf import (
+    Presheaf,
     amalgamations,
-    enumerate_presheaves,
     is_sheaf,
     matching_families,
     plus,
@@ -30,6 +30,7 @@ from finsite.sieves import (
     enumerate_topologies,
     maximal_sieve,
     pullback_arrows,
+    saturate,
     trivial_topology,
 )
 
@@ -273,7 +274,7 @@ def reference_presheaf_morphisms(p, q):
 def reference_enumerate_presheaves(base, max_size, budget=200_000):
     """Every labelled presheaf with value sets {0..k-1}, k <= max_size, by
     per-arrow backtracking that re-checks every composition-table entry.
-    Raises CapExceeded under the rule of ``enumerate_presheaves``: when the
+    Raises CapExceeded under the rule of ``sheaf_targets``: when the
     labelled assignment space exceeds the budget."""
     non_id = [f for f in base.arrows if not base.is_identity(f)]
     sizes = list(itertools.product(range(max_size + 1), repeat=len(base.objects)))
@@ -383,7 +384,7 @@ def test_enumerate_presheaves_matches_the_full_scan_in_order():
     # order of the all-labellings reference
     merged = 0
     for cat, _, _ in small_fuzzed_sites(60):
-        ours = list(enumerate_presheaves(cat, 3))
+        ours = list(sheaf_targets(cat, trivial_topology(cat), 3))
         reference = list(reference_enumerate_presheaves(cat, 3))
         firsts = {}
         for q in reference:
@@ -415,6 +416,213 @@ def test_unit_universal_property_matches_the_pairwise_scan():
             assert ours == reference_unit_universal_property(p, topology, q)
             seen.add("ok" if ours[0] else min(ours[1][1], 2))
     assert seen == {"ok", 0, 2}
+
+
+def reference_sheaf_targets(base, topology, max_size, budget=200_000):
+    """The orderly stream of every presheaf up to isomorphism, filtered by
+    is_sheaf: sheaf targets before the sheaf condition pruned the search."""
+    return (q for q in sheaf_targets(base, trivial_topology(base), max_size, budget) if is_sheaf(q, topology)[0])
+
+
+def counting_validations(monkeypatch):
+    """Count the presheaves that finsite.presheaf builds through validate_presheaf."""
+    built = Counter()
+    real = presheaf.validate_presheaf
+
+    def counted(*args):
+        built["presheaves"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(presheaf, "validate_presheaf", counted)
+    return built
+
+
+def reversed_arrow_order(cat):
+    """The same category, its non-identity arrows renamed to sort in reverse."""
+    non_id = [f for f in cat.arrows if not cat.is_identity(f)]
+    name = {f: "r{:02d}".format(len(non_id) - k) for k, f in enumerate(non_id)}
+    name.update((i, i) for i in cat.identity.values())
+    return validate_category(
+        cat.objects,
+        {name[f]: (cat.src[f], cat.tgt[f]) for f in cat.arrows},
+        cat.identity,
+        {(name[g], name[f]): name[h] for (g, f), h in cat.table.items()},
+    )
+
+
+def test_sheaf_targets_match_the_filtered_orderly_stream(monkeypatch):
+    # fuzzed sites with up to three objects, in both arrow orders, under every
+    # topology, and a chain e -z-> d -a-> c whose arrow z into the source of
+    # the cover member a sorts after every member of the cover {a, a.z} of c;
+    # only the yielded sheaves are ever built
+    built = counting_validations(monkeypatch)
+    compared = pruned = 0
+    chain = build_category(("c", "d", "e"), {"a": ("d", "c"), "b": ("e", "c"), "z": ("e", "d")}, {("a", "z"): "b"})
+    fuzzed = [(base, 3) for cat, _, _ in fuzzed_site_presheaves(40) for base in (cat, reversed_arrow_order(cat))]
+    for cat, max_size in [(chain, 2)] + fuzzed:
+        for topology in enumerate_topologies(cat):
+            try:
+                reference = list(reference_sheaf_targets(cat, topology, max_size, 20_000))
+            except CapExceeded:
+                with pytest.raises(CapExceeded):
+                    next(sheaf_targets(cat, topology, max_size, 20_000))
+                continue
+            orderly = built["presheaves"]
+            built.clear()
+            ours = list(sheaf_targets(cat, topology, max_size, 20_000))
+            assert [ordered(q) for q in ours] == [ordered(q) for q in reference]
+            assert built["presheaves"] == len(ours)
+            built.clear()
+            compared += 1
+            pruned += orderly - len(ours)
+    assert compared > 200 and pruned
+
+
+def test_an_empty_least_cover_prunes_every_size_but_one(walk2, monkeypatch):
+    # the empty sieve covers a: a sheaf has one element at a, any number at b
+    topology = saturate(walk2, {"a": [[]]})
+    assert topology.least["a"] == frozenset()
+    reference = list(reference_sheaf_targets(walk2, topology, 3))
+    built = counting_validations(monkeypatch)
+    ours = list(sheaf_targets(walk2, topology, 3))
+    assert [ordered(q) for q in ours] == [ordered(q) for q in reference]
+    assert [len(q.values["b"]) for q in ours] == [0, 1, 2, 3]
+    assert all(len(q.values["a"]) == 1 for q in ours)
+    everything = list(sheaf_targets(walk2, trivial_topology(walk2), 3))
+    assert built["presheaves"] == len(ours) + len(everything) and len(everything) > len(ours)
+
+
+def test_sheaf_targets_keep_the_budget_on_the_labelled_space():
+    # every sieve covers, so the one sheaf is the terminal presheaf; the
+    # budget still bounds the labelled presheaf space
+    cat = corpus.chain3()
+    everything = saturate(cat, {c: [[]] for c in cat.objects})
+    non_id = [f for f in cat.arrows if not cat.is_identity(f)]
+    space = sum(
+        math.prod(max(1, sz[cat.src[f]]) ** sz[cat.tgt[f]] for f in non_id)
+        for sz in (dict(zip(cat.objects, combo)) for combo in itertools.product(range(4), repeat=len(cat.objects)))
+    )
+    targets = list(sheaf_targets(cat, everything, 3, space))
+    assert [q.values for q in targets] == [{c: ("0",) for c in cat.objects}]
+    for budget in (space - 1, 10):
+        with pytest.raises(CapExceeded):
+            next(sheaf_targets(cat, everything, 3, budget))
+        with pytest.raises(CapExceeded):
+            next(reference_enumerate_presheaves(cat, 3, budget))
+
+
+def reference_matching_families(p, apex, sieve):
+    """Backtracking in sorted order that scans every compatibility triple
+    after each assignment."""
+    base = p.base
+    members = sorted(sieve)
+    pairs = []
+    for f in members:
+        for g in base.into(base.src[f]):
+            fg = base.compose(f, g)
+            if fg in sieve:
+                pairs.append((f, g, fg))
+    out = []
+    assign = {}
+
+    def ok(f):
+        for (a, g, ag) in pairs:
+            if a in assign and ag in assign and (a == f or ag == f):
+                if p.act(g, assign[a]) != assign[ag]:
+                    return False
+        return True
+
+    def go(i):
+        if i == len(members):
+            out.append(dict(assign))
+            return
+        f = members[i]
+        for v in p.values[base.src[f]]:
+            assign[f] = v
+            if ok(f):
+                go(i + 1)
+            del assign[f]
+
+    go(0)
+    return out
+
+
+def test_matching_families_match_the_triple_scan_in_order():
+    count = 0
+    for cat, topology, presheaves in fuzzed_site_presheaves(60):
+        for q in presheaves:
+            for c in cat.objects:
+                for sieve in (topology.least[c], maximal_sieve(cat, c)):
+                    ours = matching_families(q, c, sieve)
+                    assert [list(fam.items()) for fam in ours] == [
+                        list(fam.items()) for fam in reference_matching_families(q, c, sieve)
+                    ]
+                    count += len(ours)
+    assert count
+
+
+def reference_validate_presheaf(base, values, action):
+    """validate_presheaf checking every composition-table entry."""
+    values = {c: tuple(v) for c, v in values.items()}
+    action = {f: dict(m) for f, m in action.items()}
+    for c in base.objects:
+        if c not in values:
+            raise StructureError("missing value set at {}".format(c), witness=c)
+        if len(set(values[c])) != len(values[c]):
+            raise StructureError("duplicate elements at {}".format(c), witness=c)
+    for f in base.arrows:
+        if base.is_identity(f):
+            action.setdefault(f, {a: a for a in values[base.src[f]]})
+    for f in base.arrows:
+        m = action.get(f)
+        if m is None:
+            raise StructureError("missing action along {}".format(f), witness=f)
+        s, t = base.src[f], base.tgt[f]
+        if set(m) != set(values[t]) or not set(m.values()) <= set(values[s]):
+            raise StructureError("action along {} is not a map values({}) -> values({})".format(f, t, s), witness=f)
+    for c in base.objects:
+        i = base.identity[c]
+        if action[i] != {a: a for a in values[c]}:
+            raise StructureError("identity action at {} is not the identity".format(c), witness=c)
+    for (g, f), h in base.table.items():
+        fa, ga, ha = action[f], action[g], action[h]
+        for a in values[base.tgt[g]]:
+            if fa[ga[a]] != ha[a]:
+                raise StructureError("actions not functorial on ({}, {})".format(g, f), witness=(g, f))
+    return Presheaf(base, values, action)
+
+
+def validation_outcome(check, base, values, action):
+    try:
+        out = check(base, values, action)
+    except StructureError as exc:
+        return "refused", str(exc), exc.witness
+    return "accepted", list(out.values.items()), [(f, list(m.items())) for f, m in out.action.items()]
+
+
+def test_validate_presheaf_matches_the_full_entry_scan():
+    # every presheaf of size at most 2 on fuzzed sites, and copies broken by
+    # redirecting one element of one action (identities included)
+    rng = random.Random(11)
+    outcomes = Counter()
+    sites = [(cat, presheaves) for cat, _, presheaves in fuzzed_site_presheaves(60)]
+    sites += [(cat, list(reference_enumerate_presheaves(cat, 2))) for cat in (corpus.iso2(), corpus.retract())]
+    for cat, presheaves in sites:
+        for q in presheaves:
+            cases = [q.action]
+            for _ in range(3):
+                broken = {f: dict(m) for f, m in q.action.items()}
+                f = rng.choice(cat.arrows)
+                if broken[f] and len(q.values[cat.src[f]]) > 1:
+                    a = rng.choice(sorted(broken[f]))
+                    broken[f][a] = rng.choice([b for b in q.values[cat.src[f]] if b != broken[f][a]])
+                    cases.append(broken)
+            for action in cases:
+                ours = validation_outcome(validate_presheaf, cat, q.values, action)
+                assert ours == validation_outcome(reference_validate_presheaf, cat, q.values, action)
+                # the first word of a refusal: "identity action ..." or "actions not functorial ..."
+                outcomes[ours[1].split()[0] if ours[0] == "refused" else "accepted"] += 1
+    assert set(outcomes) == {"accepted", "identity", "actions"}
 
 
 # ---------------------------------------------------------------------------
