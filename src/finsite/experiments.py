@@ -25,6 +25,7 @@ from .deciders import (
 )
 from .fincat import (
     StructureError,
+    arrow_category,
     comma_category,
     compose_functors,
     connected_components,
@@ -66,9 +67,14 @@ from .generate import (
     gen_site,
     gen_topology,
     generate_instance,
+    graded_chain_indexed,
     min_comorphism_topology,
     pushforward_topology,
+    representable_indexed,
+    shrink_fibration,
     shrink_site,
+    _chain,
+    _chain_map,
     _rng,
 )
 from . import limits
@@ -235,42 +241,32 @@ class _Run:
     def _minimize(inst, check, msg) -> str:
         if not _failed(msg):
             return ""
-        if isinstance(inst, dict) and "category" in inst and "topology" in inst:
-            def fails(cat, top):
-                try:
-                    cand = dict(inst)
-                    cand.update(category=cat, topology=top)
-                    return _failed(check(cand))
-                except _SHRINK_REJECTS:
-                    # a reduction that breaks dependent instance parts does not
-                    # count as a preserved failure; any other error surfaces
-                    return False
+        if not isinstance(inst, dict):
+            return repr(inst)
 
-            cat, top = shrink_site(inst["category"], inst["topology"], fails)
+        def fails(**parts):
+            try:
+                return _failed(check({**inst, **parts}))
+            except _SHRINK_REJECTS:
+                # a reduction that breaks dependent instance parts does not
+                # count as a preserved failure; any other error surfaces
+                return False
+
+        if "category" in inst and "topology" in inst:
+            cat, top = shrink_site(inst["category"], inst["topology"], lambda c, t: fails(category=c, topology=t))
             return _digest_obj({"category": category_to_json(cat), "topology": topology_to_json(top, "category")})
-        if isinstance(inst, dict) and "indexed" in inst and "base_topology" in inst:
-            from .generate import shrink_fibration
-
-            def fails(cix, top):
-                try:
-                    cand = dict(inst)
-                    cand.update(indexed=cix, base_topology=top)
-                    return _failed(check(cand))
-                except _SHRINK_REJECTS:
-                    return False
-
-            cix, top = shrink_fibration(inst["indexed"], inst["base_topology"], fails)
-            sizes = {c: len(cix.fiber[c].objects) for c in cix.base.objects}
+        if "indexed" in inst and "base_topology" in inst:
+            cix, top = shrink_fibration(
+                inst["indexed"], inst["base_topology"], lambda c, t: fails(indexed=c, base_topology=t)
+            )
             return _digest_obj(
                 {
                     "base": category_to_json(cix.base),
-                    "fibers": {c: category_to_json(cix.fiber[c]) for c in sorted(sizes)},
+                    "fibers": {c: category_to_json(cix.fiber[c]) for c in sorted(cix.base.objects)},
                     "topology": topology_to_json(top, "base"),
                 }
             )
-        if isinstance(inst, dict):
-            return describe_instance(inst)
-        return repr(inst)
+        return describe_instance(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +275,6 @@ class _Run:
 
 def _exp_comma_kernel(run: _Run):
     def check_cat(cat):
-        from .fincat import arrow_category
-
         ac = arrow_category(cat)
         ident = identity_functor(cat)
         cc = comma_category(ident, ident)
@@ -379,8 +373,6 @@ def _exp_topology_soundness(run: _Run):
         if induced_image_topology(ident, topology) != topology:
             return "induced topology along the identity is not the identity"
         if len(base.objects) <= 3:
-            if topology_candidate_count(base) > run.caps.enumeration_limit:
-                raise SkipInstance()
             try:
                 for other in enumerate_topologies(base):
                     gens_in = all(other.is_cover(c, topology.least[c]) for c in base.objects)
@@ -730,8 +722,6 @@ def _exp_prop44(run: _Run):
         if rng.random() < 0.5:
             cix = gen_indexed(rng, base, caps)
         else:
-            from .generate import representable_indexed
-
             cix = representable_indexed(base, rng.choice(list(base.objects)))
         return {"kind": "prop44", "flavor": "adjoint", "indexed": cix, "adj_inner": adj_inner, "adj_outer": adj_outer}
 
@@ -910,8 +900,6 @@ def _exp_prop29(run: _Run):
         # a limit-preserving base functor.  Chains supply both cheaply.
         rng = _rng(run.instance_seed(i))
         caps = replace(run.caps, base_objects=min(3, run.caps.base_objects), fiber_objects=min(3, run.caps.fiber_objects))
-        from .generate import _chain, _chain_map, graded_chain_indexed
-
         tgt_size = rng.randint(1, caps.base_objects)
         src_size = rng.randint(1, caps.base_objects)
         tgt = _chain(tgt_size, "d")

@@ -624,36 +624,71 @@ def is_equivalence(f: FinFunctor) -> tuple[bool, tuple]:
 
 
 def natural_iso_search(p: FinFunctor, q: FinFunctor) -> dict[str, str] | None:
-    """Find one natural isomorphism p => q by backtracking, or None."""
+    """Find one natural isomorphism p => q by backtracking, or None: one slot
+    per object over the isos p(c) -> q(c) in hom order, the square of each
+    non-identity arrow checked once both its ends are set."""
     if p.source != q.source or p.target != q.target:
         return None
     cat, dcat = p.source, p.target
     objs = list(cat.objects)
-    candidates = {}
-    for c in objs:
-        isos = [a for a in dcat.hom(p.ob(c), q.ob(c)) if dcat.is_iso(a)]
-        if not isos:
-            return None
-        candidates[c] = isos
-    assign: dict[str, str] = {}
+    candidates = [[a for a in dcat.hom(p.ob(c), q.ob(c)) if dcat.is_iso(a)] for c in objs]
+    if not all(candidates):
+        return None
+    place = {c: i for i, c in enumerate(objs)}
+    checks: list[list] = [[] for _ in objs]
+    for f in cat.arrows:
+        if not cat.is_identity(f):
+            x, y = place[cat.src[f]], place[cat.tgt[f]]
+            checks[max(x, y)].append(
+                lambda a, x=x, y=y, pf=p.ar(f), qf=q.ar(f): dcat.compose(qf, a[x]) == dcat.compose(a[y], pf)
+            )
+    found = next(backtrack(candidates.__getitem__, checks), None)
+    return None if found is None else dict(zip(objs, found))
 
-    def consistent(c):
-        for f in cat.arrows:
-            x, y = cat.src[f], cat.tgt[f]
-            if x in assign and y in assign:
-                if dcat.compose(q.ar(f), assign[x]) != dcat.compose(assign[y], p.ar(f)):
-                    return False
-        return True
 
-    def go(i):
-        if i == len(objs):
-            return True
-        c = objs[i]
-        for a in candidates[c]:
-            assign[c] = a
-            if consistent(c) and go(i + 1):
-                return True
-            del assign[c]
-        return False
+# ---------------------------------------------------------------------------
+# Backtracking
 
-    return dict(assign) if go(0) else None
+
+def backtrack(choices, checks):
+    """Yield, depth first, every assignment of slots 0..len(checks)-1 that
+    passes every check, as a tuple.
+
+    ``choices(i)`` gives slot i's candidates in trial order; it is called
+    each time the search enters slot i, so a caller may shuffle there.
+    ``checks[i]`` holds the conditions whose last slot read is i; each takes
+    the assignment list and is tested once per prefix (Knuth, TAOCP 4B,
+    7.2.2).
+    """
+    n = len(checks)
+    if n == 0:
+        yield ()
+        return
+    assign = [None] * n
+    stack = [iter(choices(0))]
+    while stack:
+        i = len(stack) - 1
+        for value in stack[i]:
+            assign[i] = value
+            if all(test(assign) for test in checks[i]):
+                break
+        else:
+            stack.pop()
+            continue
+        if i + 1 == n:
+            yield tuple(assign)
+        else:
+            stack.append(iter(choices(i + 1)))
+
+
+def entries_by_last_arrow(cat: FinCategory, arrows) -> list[list[tuple[str, str, str]]]:
+    """The table entries (g, f) -> h of ``cat`` with g and f in ``arrows``
+    (its non-identity arrows in search order), as (g, f, h) filed under the
+    position of the last of g, f, h there.  An entry with an identity factor
+    holds for any map that keeps endpoints and identities, so is not filed."""
+    position = {a: i for i, a in enumerate(arrows)}
+    entries: list[list[tuple[str, str, str]]] = [[] for _ in arrows]
+    for (g, f), h in cat.table.items():
+        if g in position and f in position:
+            entries[max(position[g], position[f], position.get(h, -1))].append((g, f, h))
+    return entries

@@ -4,6 +4,13 @@ Raw uniform tables almost never satisfy associativity, so categories come
 from structured grammars: random posets, free categories on small DAGs and
 a library of hand-built shapes.  Every generated structure is re-validated;
 generation is deterministic in the seed.
+
+Functors, presheaves and indexed morphisms are drawn by one search,
+``fincat.backtrack``: one slot per non-identity arrow (per base object for
+an indexed morphism), its candidates shuffled each time the search enters
+it, and each condition (a composition-table entry, a naturality square)
+checked once, when the last slot it reads is assigned.  A draw takes the
+first complete assignment.
 """
 from __future__ import annotations
 
@@ -16,11 +23,14 @@ from .fincat import (
     FinCategory,
     FinFunctor,
     StructureError,
+    backtrack,
     build_category,
     compose_functors,
     constant_functor,
+    entries_by_last_arrow,
     free_category,
     full_subcategory,
+    functor_equal,
     identity_functor,
     poset_category,
     terminal_category,
@@ -58,9 +68,12 @@ class Caps:
                 if not chunk.strip():
                     continue
                 k, _, v = chunk.partition("=")
-                if k.strip() not in cls.__dataclass_fields__:
-                    raise ValueError("unknown cap {!r}".format(k.strip()))
-                kwargs[k.strip()] = int(v)
+                k = k.strip()
+                if k not in cls.__dataclass_fields__:
+                    raise ValueError("unknown cap {!r}".format(k))
+                kwargs[k] = int(v)
+                if kwargs[k] < 1:
+                    raise ValueError("cap {} must be at least 1, not {}".format(k, kwargs[k]))
         return cls(**kwargs)
 
 
@@ -161,88 +174,52 @@ def gen_site(rng: random.Random, caps: Caps):
 # Functors
 
 
-def all_functors(src: FinCategory, tgt: FinCategory, limit: int = 2000):
-    """Enumerate every functor src -> tgt by backtracking (small inputs only)."""
+def _functors(src: FinCategory, tgt: FinCategory, obj_map, order=None):
+    """Every functor src -> tgt with object map ``obj_map``: one slot per
+    non-identity arrow of src, over the tgt arrows between the images of its
+    ends in hom order, or rearranged in place by ``order`` (a shuffle) each
+    time the search enters the slot."""
     non_id = [a for a in src.arrows if not src.is_identity(a)]
-    out = []
+    homs = [tgt.hom(obj_map[src.src[f]], obj_map[src.tgt[f]]) for f in non_id]
+    ids = {src.identity[c]: tgt.identity[obj_map[c]] for c in src.objects}
+    place = {f: i for i, f in enumerate(non_id)}
 
-    def arrow_candidates(obj_map, f):
-        return tgt.hom(obj_map[src.src[f]], obj_map[src.tgt[f]])
+    def preserved(g, f, h):
+        fixed, g, f, h = ids.get(h), place[g], place[f], place.get(h)
+        return lambda a: tgt.table[a[g], a[f]] == (fixed if h is None else a[h])
 
-    for objs in itertools.product(tgt.objects, repeat=len(src.objects)):
-        obj_map = dict(zip(src.objects, objs))
-        assign: dict[str, str] = {}
+    checks = [[preserved(*e) for e in entries] for entries in entries_by_last_arrow(src, non_id)]
 
-        def full_map():
-            m = {a: assign[a] for a in non_id}
-            for c in src.objects:
-                m[src.identity[c]] = tgt.identity[obj_map[c]]
-            return m
+    def choices(i):
+        cands = list(homs[i])
+        if order is not None:
+            order(cands)
+        return cands
 
-        def consistent():
-            m = {}
-            for c in src.objects:
-                m[src.identity[c]] = tgt.identity[obj_map[c]]
-            m.update(assign)
-            for (g, f), h in src.table.items():
-                if g in m and f in m and h in m:
-                    if tgt.compose(m[g], m[f]) != m[h]:
-                        return False
-            return True
+    for image in backtrack(choices, checks):
+        yield FinFunctor(src, tgt, dict(obj_map), {**ids, **dict(zip(non_id, image))})
 
-        def go(i):
-            if len(out) >= limit:
-                return
-            if i == len(non_id):
-                out.append(FinFunctor(src, tgt, dict(obj_map), full_map()))
-                return
-            f = non_id[i]
-            for cand in arrow_candidates(obj_map, f):
-                assign[f] = cand
-                if consistent():
-                    go(i + 1)
-                del assign[f]
 
-        go(0)
-        if len(out) >= limit:
-            break
-    return out
+def all_functors(src: FinCategory, tgt: FinCategory, limit: int = 2000) -> list[FinFunctor]:
+    """The first ``limit`` functors src -> tgt, object maps in product order
+    (small inputs only)."""
+    found = (
+        fn
+        for objs in itertools.product(tgt.objects, repeat=len(src.objects))
+        for fn in _functors(src, tgt, dict(zip(src.objects, objs)))
+    )
+    return list(itertools.islice(found, limit))
 
 
 def gen_functor(rng: random.Random, src: FinCategory, tgt: FinCategory) -> FinFunctor | None:
-    """One random functor, by randomized backtracking."""
-    non_id = [a for a in src.arrows if not src.is_identity(a)]
+    """One random functor: up to 30 random object maps, each searched with
+    its hom-sets shuffled."""
     objects = list(tgt.objects)
     for _ in range(30):
         obj_map = {c: rng.choice(objects) for c in src.objects}
-        assign: dict[str, str] = {}
-
-        def consistent():
-            m = {src.identity[c]: tgt.identity[obj_map[c]] for c in src.objects}
-            m.update(assign)
-            for (g, f), h in src.table.items():
-                if g in m and f in m and h in m:
-                    if tgt.compose(m[g], m[f]) != m[h]:
-                        return False
-            return True
-
-        def go(i):
-            if i == len(non_id):
-                return True
-            f = non_id[i]
-            cands = list(tgt.hom(obj_map[src.src[f]], obj_map[src.tgt[f]]))
-            rng.shuffle(cands)
-            for cand in cands:
-                assign[f] = cand
-                if consistent() and go(i + 1):
-                    return True
-                del assign[f]
-            return False
-
-        if go(0):
-            arr_map = {src.identity[c]: tgt.identity[obj_map[c]] for c in src.objects}
-            arr_map.update(assign)
-            return validate_functor(obj_map, arr_map, src, tgt)
+        fn = next(_functors(src, tgt, obj_map, rng.shuffle), None)
+        if fn is not None:
+            return validate_functor(fn.obj_map, fn.arr_map, src, tgt)
     return None
 
 
@@ -395,37 +372,29 @@ def gen_indexed_morphism(rng: random.Random, cix: IndexedCategory, caps: Caps) -
         return collapse_morphism(cix)
     target = gen_indexed(rng, base, caps)
     objs = list(base.objects)
-    options = {c: all_functors(cix.fiber[c], target.fiber[c], limit=200) for c in objs}
-    assign: dict[str, FinFunctor] = {}
+    options = [all_functors(cix.fiber[c], target.fiber[c], limit=200) for c in objs]
+    if not objs or not all(options):
+        return collapse_morphism(cix)
+    place = {c: i for i, c in enumerate(objs)}
+    checks: list[list] = [[] for _ in objs]
+    for f in base.arrows:
+        # restrictions along identities are identities, so their squares commute
+        if not base.is_identity(f):
+            s, t = place[base.src[f]], place[base.tgt[f]]
+            down, up = cix.restriction[f], target.restriction[f]
+            checks[max(s, t)].append(
+                lambda a, s=s, t=t, down=down, up=up: functor_equal(compose_functors(a[s], down), compose_functors(up, a[t]))
+            )
 
-    def consistent():
-        from .fincat import functor_equal
-
-        for f in base.arrows:
-            s, t = base.src[f], base.tgt[f]
-            if s in assign and t in assign:
-                lhs = compose_functors(assign[s], cix.restriction[f])
-                rhs = compose_functors(target.restriction[f], assign[t])
-                if not functor_equal(lhs, rhs):
-                    return False
-        return True
-
-    def go(i):
-        if i == len(objs):
-            return True
-        c = objs[i]
-        cands = list(options[c])
+    def choices(i):
+        cands = list(options[i])
         rng.shuffle(cands)
-        for fn in cands:
-            assign[c] = fn
-            if consistent() and go(i + 1):
-                return True
-            del assign[c]
-        return False
+        return cands
 
-    if options and all(options.values()) and go(0):
-        return validate_indexed_morphism(cix, target, dict(assign))
-    return collapse_morphism(cix)
+    found = next(backtrack(choices, checks), None)
+    if found is None:
+        return collapse_morphism(cix)
+    return validate_indexed_morphism(cix, target, dict(zip(objs, found)))
 
 
 # ---------------------------------------------------------------------------
@@ -626,43 +595,32 @@ def pushforward_topology(functor: FinFunctor, source_topology: Topology, rng: ra
 
 
 def gen_presheaf(rng: random.Random, cat: FinCategory, max_size: int) -> Presheaf:
+    """A random presheaf: up to 50 random size draws, each searched one
+    non-identity arrow at a time over at most 60 of its shuffled actions;
+    the empty presheaf when none completes."""
     non_id = [f for f in cat.arrows if not cat.is_identity(f)]
+    place = {f: i for i, f in enumerate(non_id)}
+
+    def functorial(g, f, h):
+        g, f, h = place[g], place[f], place.get(h)
+        if h is None:
+            return lambda acts: all(acts[f][b] == a for a, b in acts[g].items())
+        return lambda acts: all(acts[f][b] == acts[h][a] for a, b in acts[g].items())
+
+    checks = [[functorial(*e) for e in entries] for entries in entries_by_last_arrow(cat, non_id)]
     for _ in range(50):
         values = {c: tuple(str(i) for i in range(rng.randint(0, max_size))) for c in cat.objects}
-        assign: dict[str, dict[str, str]] = {}
 
-        def consistent():
-            m = {}
-            for f in cat.arrows:
-                if cat.is_identity(f):
-                    m[f] = {v: v for v in values[cat.src[f]]}
-                elif f in assign:
-                    m[f] = assign[f]
-            for (g, f), h in cat.table.items():
-                if g in m and f in m and h in m:
-                    for a in values[cat.tgt[g]]:
-                        if m[f][m[g][a]] != m[h][a]:
-                            return False
-            return True
-
-        def go(i):
-            if i == len(non_id):
-                return True
+        def choices(i):
             f = non_id[i]
             dom, cod = values[cat.tgt[f]], values[cat.src[f]]
-            if dom and not cod:
-                return False
             images = list(itertools.product(cod, repeat=len(dom)))
             rng.shuffle(images)
-            for image in images[:60]:
-                assign[f] = dict(zip(dom, image))
-                if consistent() and go(i + 1):
-                    return True
-                del assign[f]
-            return False
+            return (dict(zip(dom, image)) for image in images[:60])
 
-        if go(0):
-            return validate_presheaf(cat, values, {f: dict(m) for f, m in assign.items()})
+        found = next(backtrack(choices, checks), None)
+        if found is not None:
+            return validate_presheaf(cat, values, dict(zip(non_id, found)))
     return validate_presheaf(cat, {c: () for c in cat.objects}, {})
 
 

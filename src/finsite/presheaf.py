@@ -20,7 +20,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .fincat import FinCategory, FinFunctor, StructureError
+from .fincat import FinCategory, FinFunctor, StructureError, entries_by_last_arrow
 from .sieves import CapExceeded, Topology
 
 
@@ -73,7 +73,9 @@ def matching_families(p: Presheaf, apex: str, sieve: frozenset[str]) -> list[dic
     """All compatible assignments on the sieve, by backtracking in sorted order.
 
     A compatibility triple (f, g, f.g) is checked once, when the later of f
-    and f.g in sorted order is assigned.
+    and f.g in sorted order is assigned: ``fincat.backtrack``'s rule, written
+    inline because this is the sheaf oracles' hot loop and the kernel's one
+    call per condition slows it.
     """
     base = p.base
     members = sorted(sieve)
@@ -237,7 +239,8 @@ def _natural_maps(p: Presheaf, q: Presheaf):
     order.  The naturality entry of a non-identity arrow f: s -> t at a in
     p(t), h_s(p(f)(a)) = q(f)(h_t(a)), is checked once, when the later of
     its two slots is assigned.  Identity squares commute for every
-    validated pair of presheaves.
+    validated pair of presheaves.  Like ``matching_families``, this writes
+    ``fincat.backtrack``'s rule inline, for the sheaf oracles' speed.
     """
     base = p.base
     slots = _slots(p)
@@ -323,13 +326,7 @@ def sheaf_targets(base: FinCategory, topology: Topology, max_size: int = 3, budg
     if base != topology.base:
         raise StructureError("presheaf and topology live on different bases")
     position = {f: i for i, f in enumerate(non_id)}
-    # entries[i]: the table entries (g, f) -> h whose last non-identity arrow
-    # is non_id[i]; entries made of identities alone hold for every action.
-    entries: list[list[tuple[str, str, str]]] = [[] for _ in non_id]
-    for (g, f), h in base.table.items():
-        last = max((position[a] for a in (f, g, h) if a in position), default=None)
-        if last is not None:
-            entries[last].append((g, f, h))
+    entries = entries_by_last_arrow(base, non_id)
     # decided[i]: the objects whose sheaf condition reads non_id[i] last;
     # singletons: the objects whose least cover is empty.
     decided: list[list[str]] = [[] for _ in non_id]

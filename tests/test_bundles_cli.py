@@ -442,9 +442,16 @@ def test_cli_prop_accepts_short_alias(capsys):
 
 
 def test_cli_caps_parse_error(capsys):
-    code, _, err = run_cli(["prop", "comma-kernel", "--caps", "bogus=1"], capsys)
-    assert code == 2
-    assert "unknown cap" in err
+    for experiment, caps, message in [
+        ("comma-kernel", "bogus=1", "unknown cap"),
+        ("prop-2.5", "base_objects=0", "cap base_objects must be at least 1"),
+        ("prop-2.5", "fiber_objects=0", "cap fiber_objects must be at least 1"),
+        ("comma-kernel", "instances=-3", "cap instances must be at least 1"),
+    ]:
+        code, out, err = run_cli(["prop", experiment, "--caps", caps], capsys)
+        assert code == 2, caps
+        assert message in err
+        assert out == ""
 
 
 def test_cli_fuzz_refuses_incomplete_coverage(monkeypatch, capsys):

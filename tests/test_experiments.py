@@ -1,3 +1,7 @@
+import hashlib
+import json
+import os
+
 import pytest
 
 from finsite.experiments import (
@@ -17,6 +21,9 @@ from finsite.sieves import CapExceeded, is_topology
 
 
 SMALL = Caps(instances=12)
+EXPECTED_ANSWERS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "expected.json")
+# The instances cap at which the benchmark records each workload's reports.
+GOLDEN_INSTANCES = {"site-kernel": 15, "sheaf-oracles": 5}
 
 
 def test_every_in_scope_result_is_covered():
@@ -201,3 +208,22 @@ def test_noted_passes_count_only_for_checked_instances_not_shrink_candidates():
     run.loop(lambda i: _site_with_two_objects(), lambda inst: NOTED)
     assert run.noted == 3
     assert run.checked == 5 and len(run.failures) == 2
+
+
+def test_reports_match_the_recorded_digests():
+    """Every report the benchmark records as ``<experiment>@<seed>`` is
+    reproduced byte for byte: its canonical text hashes to the recorded
+    sha256.  The file is only read."""
+    with open(EXPECTED_ANSWERS, encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    wrong = []
+    for workload, instances in GOLDEN_INSTANCES.items():
+        caps = Caps(instances=instances)
+        for key, digest in recorded[workload].items():
+            if key.startswith("shrink-"):
+                continue
+            experiment, _, seed = key.rpartition("@")
+            text = run_experiment(experiment, int(seed), caps).canonical_text()
+            if hashlib.sha256(text.encode("utf-8")).hexdigest() != digest:
+                wrong.append(key)
+    assert len(wrong) == 0, wrong
