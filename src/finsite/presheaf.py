@@ -12,7 +12,9 @@ soon as it is decided: ``sheaf_targets`` generates one sheaf per
 isomorphism class by orderly generation, pruning a prefix as soon as it
 fails the sheaf condition at an object (for the trivial topology it yields
 every presheaf up to isomorphism), and ``presheaf_morphisms`` assigns a
-natural map one (object, element) slot at a time.
+natural map one (object, element) slot at a time.  Natural maps and
+matching families both run on ``_assignments``, one iterative search over
+slots whose links are tested when the later of their two slots is assigned.
 """
 from __future__ import annotations
 
@@ -69,38 +71,56 @@ def validate_presheaf(base: FinCategory, values, action) -> Presheaf:
     return Presheaf(base, values, action)
 
 
-def matching_families(p: Presheaf, apex: str, sieve: frozenset[str]) -> list[dict[str, str]]:
-    """All compatible assignments on the sieve, by backtracking in sorted order.
-
-    A compatibility triple (f, g, f.g) is checked once, when the later of f
-    and f.g in sorted order is assigned: ``fincat.backtrack``'s rule, written
-    inline because this is the sheaf oracles' hot loop and the kernel's one
-    call per condition slows it.
+def _assignments(domains, links):
+    """Every assignment of slot k to a value of ``domains[k]`` that keeps its
+    links, as tuples, in depth-first order with each slot's values in domain
+    order.  An entry ``(x, table, y)`` of ``links[k]`` requires
+    ``assign[x] == table[assign[y]]``; it is filed under k = max(x, y) and
+    tested once per prefix, when slot k is assigned (Knuth, TAOCP 4B,
+    7.2.2).  Each slot keeps an iterator over its domain as its cursor.
+    Zero slots yield one ``()``.
     """
+    last = len(domains) - 1
+    if last < 0:
+        yield ()
+        return
+    assign = [None] * len(domains)
+    cursors = [iter(domains[0])] + [None] * last
+    k = 0
+    while k >= 0:
+        for v in cursors[k]:
+            assign[k] = v
+            for x, table, y in links[k]:
+                if assign[x] != table[assign[y]]:
+                    break
+            else:
+                if k == last:
+                    yield tuple(assign)
+                else:
+                    k += 1
+                    cursors[k] = iter(domains[k])
+                    break
+        else:
+            k -= 1
+
+
+def matching_families(p: Presheaf, apex: str, sieve: frozenset[str]) -> list[dict[str, str]]:
+    """All compatible assignments on the sieve, in sorted member order, by
+    ``_assignments``: member f takes values in p(src f), and a compatibility
+    triple (f, g, f.g) links x_{f.g} = p(g)(x_f).  The actions p(g) are read
+    before the search starts, so every one of them must already be set:
+    ``sheaf_targets`` asks only once all the arrows the sieve reads are."""
     base = p.base
     members = sorted(sieve)
     place = {f: i for i, f in enumerate(members)}
-    completes: list[list[tuple[int, str, int]]] = [[] for _ in members]
+    links: list[list[tuple[int, dict[str, str], int]]] = [[] for _ in members]
     for i, f in enumerate(members):
         for g in base.into(base.src[f]):
             j = place.get(base.compose(f, g))
             if j is not None:
-                completes[max(i, j)].append((i, g, j))
+                links[max(i, j)].append((j, p.action[g], i))
     domains = [p.values[base.src[f]] for f in members]
-    out: list[dict[str, str]] = []
-    assign: list[str] = [""] * len(members)
-
-    def go(i):
-        if i == len(members):
-            out.append(dict(zip(members, assign)))
-            return
-        for v in domains[i]:
-            assign[i] = v
-            if all(p.act(g, assign[a]) == assign[b] for a, g, b in completes[i]):
-                go(i + 1)
-
-    go(0)
-    return out
+    return [dict(zip(members, fam)) for fam in _assignments(domains, links)]
 
 
 def amalgamations(p: Presheaf, apex: str, sieve: frozenset[str], family: dict[str, str]) -> list[str]:
@@ -233,20 +253,16 @@ def _slots(p: Presheaf) -> list[tuple[str, str]]:
 
 
 def _natural_maps(p: Presheaf, q: Presheaf):
-    """All natural maps p -> q as tuples of images, one per slot of p.
-
-    The slots are assigned in ``_slots`` order, each image in q's value
+    """All natural maps p -> q as tuples of images, one per slot of p, by
+    ``_assignments``: the slots in ``_slots`` order, each image in q's value
     order.  The naturality entry of a non-identity arrow f: s -> t at a in
-    p(t), h_s(p(f)(a)) = q(f)(h_t(a)), is checked once, when the later of
-    its two slots is assigned.  Identity squares commute for every
-    validated pair of presheaves.  Like ``matching_families``, this writes
-    ``fincat.backtrack``'s rule inline, for the sheaf oracles' speed.
+    p(t) links h_s(p(f)(a)) = q(f)(h_t(a)).  Identity squares commute for
+    every validated pair of presheaves.
     """
     base = p.base
     slots = _slots(p)
     place = {slot: k for k, slot in enumerate(slots)}
-    cods = [q.values[c] for c, _ in slots]
-    entries: list[list[tuple[int, int, dict[str, str]]]] = [[] for _ in slots]
+    links: list[list[tuple[int, dict[str, str], int]]] = [[] for _ in slots]
     for f in base.arrows:
         if base.is_identity(f):
             continue
@@ -254,19 +270,8 @@ def _natural_maps(p: Presheaf, q: Presheaf):
         pf, qf = p.action[f], q.action[f]
         for a in p.values[t]:
             at_s, at_t = place[s, pf[a]], place[t, a]
-            entries[max(at_s, at_t)].append((at_s, at_t, qf))
-    image: list[str] = [""] * len(slots)
-
-    def go(k):
-        if k == len(slots):
-            yield tuple(image)
-            return
-        for b in cods[k]:
-            image[k] = b
-            if all(image[at_s] == qf[image[at_t]] for at_s, at_t, qf in entries[k]):
-                yield from go(k + 1)
-
-    yield from go(0)
+            links[max(at_s, at_t)].append((at_s, qf, at_t))
+    return _assignments([q.values[c] for c, _ in slots], links)
 
 
 def _as_components(p: Presheaf, image: tuple[str, ...]) -> dict[str, dict[str, str]]:
@@ -349,15 +354,17 @@ def sheaf_targets(base: FinCategory, topology: Topology, max_size: int = 3, budg
         fresh.append([c for c in dict.fromkeys((base.src[f], base.tgt[f])) if c not in slot])
         for c in fresh[-1]:
             slot[c] = len(slot)
+    # perms[n]: each permutation of range(n) with its inverse, for the
+    # objects in slot (none when every arrow is an identity)
+    perms = [
+        [(q, tuple(sorted(range(n), key=q.__getitem__))) for q in itertools.permutations(range(n))]
+        for n in range(max_size + 1 if slot else 0)
+    ]
     for combo in sizes:
         sz = dict(zip(base.objects, combo))
         if any(sz[c] != 1 for c in singletons):
             continue
         values = {c: tuple(str(i) for i in range(sz[c])) for c in base.objects}
-        perms = {
-            c: [(q, tuple(sorted(range(sz[c]), key=q.__getitem__))) for q in itertools.permutations(range(sz[c]))]
-            for c in slot
-        }
         # the action of every arrow assigned so far, identities included
         acts = {f: {v: v for v in values[base.src[f]]} for f in base.arrows if base.is_identity(f)}
         provisional = Presheaf(base, values, acts)
@@ -381,7 +388,7 @@ def sheaf_targets(base: FinCategory, topology: Topology, max_size: int = 3, budg
             if len(dom) > 0 and len(cod) == 0:
                 return
             for c in fresh[i]:
-                group = [sigma + (pair,) for sigma in group for pair in perms[c]]
+                group = [sigma + (pair,) for sigma in group for pair in perms[sz[c]]]
             s, t = slot[base.src[f]], slot[base.tgt[f]]
             # each relabelling's permutation at the source and inverse at the target
             moves = [(sigma[s][0], sigma[t][1], sigma) for sigma in group]

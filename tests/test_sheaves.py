@@ -11,6 +11,7 @@ from finsite.deciders import SiteFunctor, is_continuous
 from finsite.generate import Caps, GenerationError, derive_seed, gen_presheaf, gen_site, generate_instance
 from finsite.presheaf import (
     Presheaf,
+    _assignments,
     amalgamations,
     is_sheaf,
     matching_families,
@@ -559,6 +560,45 @@ def test_matching_families_match_the_triple_scan_in_order():
                     ]
                     count += len(ours)
     assert count
+
+
+def reference_assignments(domains, links):
+    """Every tuple of the product of the domains that keeps every link."""
+    every = [link for filed in links for link in filed]
+    return [a for a in itertools.product(*domains) if all(a[x] == table[a[y]] for x, table, y in every)]
+
+
+def random_links(rng, domains):
+    """Links (x, table, y) filed under max(x, y); a table maps y's domain mostly
+    into x's domain, sometimes to a value outside it."""
+    links = [[] for _ in domains]
+    for _ in range(rng.randint(0, 2 * len(domains))):
+        x, y = rng.randrange(len(domains)), rng.randrange(len(domains))
+        table = {b: rng.choice(domains[x] or ("z",)) if rng.random() < 0.9 else "z" for b in domains[y]}
+        links[max(x, y)].append((x, table, y))
+    return links
+
+
+def test_assignments_match_the_filtered_product_in_order():
+    rng = random.Random(2)
+    cases = [([], []), ([()], [[]]), ([("a", "b")], [[]])]
+    for _ in range(300):
+        domains = [tuple(rng.sample("abcd", rng.randint(1, 3))) for _ in range(rng.randint(1, 5))]
+        cases.append((domains, random_links(rng, domains)))
+        # the same slots with the first, then the last, domain emptied
+        for k in (0, len(domains) - 1):
+            emptied = domains[:k] + [()] + domains[k + 1 :]
+            cases.append((emptied, random_links(rng, emptied)))
+    later = Counter()
+    partial = 0
+    for domains, links in cases:
+        ours = list(_assignments(domains, links))
+        assert ours == reference_assignments(domains, links)
+        partial += 0 < len(ours) < math.prod(map(len, domains))
+        later.update("x" if x > y else "y" if y > x else "same" for filed in links for x, _, y in filed)
+    assert list(_assignments([], [])) == [()]
+    assert list(_assignments([()], [[]])) == [] and list(_assignments([("a", "b"), ()], [[], []])) == []
+    assert later["x"] and later["y"] and later["same"] and partial
 
 
 def reference_validate_presheaf(base, values, action):
