@@ -33,6 +33,7 @@ from .fincat import (
     functor_equal,
     identity_functor,
     identity_transform,
+    interning,
     is_equivalence,
     terminal_category,
     validate_functor,
@@ -1188,7 +1189,8 @@ def run_experiment(experiment_id: str, seed: int = 0, caps: Caps | None = None) 
     entry = EXPERIMENTS[experiment_id]
     run = _Run(seed, caps)
     start = time.perf_counter()
-    entry.fn(run)
+    with interning():
+        entry.fn(run)
     elapsed = time.perf_counter() - start
     return Report(
         experiment_id,

@@ -10,7 +10,6 @@ category itself; ``grothendieck`` builds its bundle once and keeps it there.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from . import limits
@@ -135,14 +134,17 @@ def arrow_is_cartesian(total: FinCategory, proj: FinFunctor, f: str) -> bool:
     every (h, g) are counted in one pass over the arrows into src(f); a lift
     of (h, g) starts where g does.
     """
-    base = proj.target
+    base, table, arr_map, obj_map = proj.target, total.table, proj.arr_map, proj.obj_map
     d_prime, d = total.src[f], total.tgt[f]
-    pf = proj.ar(f)
-    lifts = Counter((proj.ar(h2), total.compose(f, h2)) for h2 in total.into(d_prime))
+    pf = arr_map[f]
+    lifts: dict[tuple[str, str], int] = {}
+    for h2 in total.into(d_prime):
+        key = (arr_map[h2], table[(f, h2)])
+        lifts[key] = lifts.get(key, 0) + 1
     for g in total.into(d):
-        pg = proj.ar(g)
-        for h in base.hom(proj.ob(total.src[g]), proj.ob(d_prime)):
-            if base.compose(pf, h) == pg and lifts[(h, g)] != 1:
+        pg = arr_map[g]
+        for h in base.hom(obj_map[total.src[g]], obj_map[d_prime]):
+            if base.table[(pf, h)] == pg and lifts.get((h, g)) != 1:
                 return False
     return True
 

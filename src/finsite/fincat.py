@@ -5,9 +5,15 @@ a functor is a pair of finite maps, and every axiom is checked by exhaustive
 enumeration at construction time.  Objects and arrows are opaque string
 identifiers; equality is identifier equality, and "up to iso" questions are
 always answered by explicit search.
+
+Inside an ``interning()`` scope (one per experiment report) ``poset_category``
+and ``build_category`` return the category already built from the same
+presentation, so each distinct presentation is validated in full once per
+report and one category may be shared by several of the report's instances.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,9 +39,11 @@ class FinCategory:
     ``table[(g, f)]`` is the composite "g after f"; it is defined exactly on
     the composable pairs.  Instances are immutable and hashable, so derived
     data (sieve lattices, inverses) may be memoised against them in
-    ``_scratch``.  Equality and hashing compare the sorted tables, which are
-    built on the first ``__hash__`` or non-identical ``__eq__``, not on
-    construction.
+    ``_scratch``.  Nothing else may go there: inside an ``interning()`` scope
+    one instance serves every caller that builds the same presentation, so
+    the instances of a report may share it.  Equality and hashing compare the
+    sorted tables, which are built on the first ``__hash__`` or non-identical
+    ``__eq__``, not on construction.
     """
 
     objects: tuple[str, ...]
@@ -119,11 +127,13 @@ def validate_category(objects, arrows, identity, table) -> FinCategory:
     violated axiom, naming the witnessing pair or triple, and on more than
     ``DEFAULT_MAX_OBJECTS`` objects or ``DEFAULT_MAX_ARROWS`` arrows.
 
-    Associativity is checked only where the earlier checks leave it open: a
-    triple with an identity in it holds by the unit laws, and when every
-    hom-set has at most one arrow both sides are the one arrow between the
-    same endpoints.  No skipped triple can fail, so the first witness is the
-    one the full scan would find.
+    Each table entry is checked once, in table order; only when one fails
+    are the entries rescanned in sorted order, so the witness is the first
+    bad entry in that order.  Associativity is checked only where the
+    earlier checks leave it open: a triple with an identity in it holds by
+    the unit laws, and when every hom-set has at most one arrow both sides
+    are the one arrow between the same endpoints.  No skipped triple can
+    fail, so the first witness is the one the full scan would find.
     """
     objects = tuple(sorted(objects))
     if len(set(objects)) != len(objects):
@@ -149,20 +159,17 @@ def validate_category(objects, arrows, identity, table) -> FinCategory:
         if i not in arrows or src[i] != c or tgt[i] != c:
             raise StructureError("identity of {} is not an endo-arrow on it".format(c), witness=c)
     table = dict(table)
-    for (g, f), h in sorted(table.items()):
-        if g not in arrows or f not in arrows:
-            raise StructureError("composite of unknown arrows ({}, {})".format(g, f), witness=(g, f))
-        if src[g] != tgt[f]:
-            raise StructureError("non-composable pair ({}, {})".format(g, f), witness=(g, f))
-        if h not in arrows:
-            raise StructureError("composite ({}, {}) lands outside the arrow set".format(g, f), witness=(g, f))
-        if src[h] != src[f] or tgt[h] != tgt[g]:
-            raise StructureError("composite of ({}, {}) has wrong endpoints".format(g, f), witness=(g, f))
+    for (g, f), h in table.items():
+        if not (g in src and f in src and h in src and src[g] == tgt[f] and src[h] == src[f] and tgt[h] == tgt[g]):
+            _raise_first_bad_entry(table, src, tgt)
     cat = FinCategory(objects, names, src, tgt, identity, table)
-    for g in names:
-        for f in cat.into(src[g]):
-            if (g, f) not in table:
-                raise StructureError("composable pair ({}, {}) left undefined".format(g, f), witness=(g, f))
+    # Every key is now a composable pair, so the table misses one exactly
+    # when it has fewer entries than there are composable pairs.
+    if len(table) != sum(len(cat._into[c]) * len(cat._out[c]) for c in objects):
+        for g in names:
+            for f in cat.into(src[g]):
+                if (g, f) not in table:
+                    raise StructureError("composable pair ({}, {}) left undefined".format(g, f), witness=(g, f))
     for f in names:
         if table[(f, identity[src[f]])] != f:
             raise StructureError("right unit law fails at {}".format(f), witness=f)
@@ -186,6 +193,20 @@ def validate_category(objects, arrows, identity, table) -> FinCategory:
     return cat
 
 
+def _raise_first_bad_entry(table, src, tgt):
+    """Raise for the first table entry, in sorted order, whose factors or
+    composite are unknown arrows or whose endpoints disagree."""
+    for (g, f), h in sorted(table.items()):
+        if g not in src or f not in src:
+            raise StructureError("composite of unknown arrows ({}, {})".format(g, f), witness=(g, f))
+        if src[g] != tgt[f]:
+            raise StructureError("non-composable pair ({}, {})".format(g, f), witness=(g, f))
+        if h not in src:
+            raise StructureError("composite ({}, {}) lands outside the arrow set".format(g, f), witness=(g, f))
+        if src[h] != src[f] or tgt[h] != tgt[g]:
+            raise StructureError("composite of ({}, {}) has wrong endpoints".format(g, f), witness=(g, f))
+
+
 def composable_pairs(arrows) -> list[tuple[str, str]]:
     """Every (b, a) with a's target b's source, for ``arrows`` mapping a name
     to (source, target): b in the order of ``arrows``, and for each b, a in
@@ -196,6 +217,37 @@ def composable_pairs(arrows) -> list[tuple[str, str]]:
     return [(b, a) for b, (s, _) in arrows.items() for a in into.get(s, ())]
 
 
+# The categories built so far in the innermost ``interning()`` scope, keyed
+# on their presentation; None outside every scope.
+_interned: dict | None = None
+
+
+@contextmanager
+def interning():
+    """A scope in which ``poset_category`` and ``build_category`` return the
+    category already built from the same presentation, in the same input
+    order, so that it is validated once (hash-consing: Filliatre and Conchon,
+    "Type-safe modular hash-consing", 2006).  A nested scope shares the outer
+    table; the outermost one empties it on exit.  A failing presentation is
+    never stored, so it raises again with the same witness."""
+    global _interned
+    if _interned is not None:
+        yield
+        return
+    _interned = {}
+    try:
+        yield
+    finally:
+        _interned = None
+
+
+def _interned_build(key, build) -> FinCategory:
+    cat = _interned.get(key)
+    if cat is None:
+        cat = _interned[key] = build()
+    return cat
+
+
 def build_category(objects, arrows, compose=()) -> FinCategory:
     """Ergonomic constructor: identities are named id_<obj> and unit composites filled in.
 
@@ -203,6 +255,14 @@ def build_category(objects, arrows, compose=()) -> FinCategory:
     the non-identity composites as a mapping (g, f) -> h.
     """
     arrows = dict(arrows)
+    if _interned is None:
+        return _build_category(objects, arrows, compose)
+    compose = dict(compose)
+    key = ("build", tuple(objects), tuple((a, tuple(e)) for a, e in arrows.items()), tuple(compose.items()))
+    return _interned_build(key, lambda: _build_category(objects, arrows, compose))
+
+
+def _build_category(objects, arrows, compose) -> FinCategory:
     identity = {c: "id_" + c for c in objects}
     full = dict(arrows)
     for c, i in identity.items():
@@ -224,6 +284,13 @@ def poset_category(objects, leq) -> FinCategory:
     """The category of a finite poset. ``leq`` is any set of (x, y) pairs; its
     reflexive-transitive closure is taken, and antisymmetry is enforced."""
     objects = tuple(objects)
+    if _interned is None:
+        return _poset_category(objects, leq)
+    leq = tuple(tuple(p) for p in leq)
+    return _interned_build(("poset", objects, leq), lambda: _poset_category(objects, leq))
+
+
+def _poset_category(objects, leq) -> FinCategory:
     rel = {(x, x) for x in objects} | {tuple(p) for p in leq}
     changed = True
     while changed:
@@ -245,7 +312,7 @@ def poset_category(objects, leq) -> FinCategory:
         for f, (fx, fy) in arrows.items():
             if fy == gy:
                 compose[(g, f)] = "{}->{}".format(fx, gz)
-    return build_category(objects, arrows, compose)
+    return _build_category(objects, arrows, compose)
 
 
 def free_category(objects, edges, path_cap: int = 64) -> FinCategory:
@@ -311,7 +378,11 @@ class FinFunctor:
 
 
 def validate_functor(obj_map, arr_map, source: FinCategory, target: FinCategory) -> FinFunctor:
-    """Check totality and functoriality; errors name the violated composite."""
+    """Check totality and functoriality; errors name the violated composite.
+
+    A table entry with an identity factor is not checked: it is preserved
+    once endpoints and identities are, by the unit laws of both categories.
+    """
     obj_map, arr_map = dict(obj_map), dict(arr_map)
     target_objects, target_arrows = set(target.objects), set(target.arrows)
     for x in source.objects:
@@ -330,8 +401,9 @@ def validate_functor(obj_map, arr_map, source: FinCategory, target: FinCategory)
     for c in source.objects:
         if arr_map[source.identity[c]] != target.identity[obj_map[c]]:
             raise StructureError("identity of {} not preserved".format(c), witness=c)
+    ids, composite = source._ids, target.table
     for (g, f), h in source.table.items():
-        if target.compose(arr_map[g], arr_map[f]) != arr_map[h]:
+        if g not in ids and f not in ids and composite[(arr_map[g], arr_map[f])] != arr_map[h]:
             raise StructureError("composite ({}, {}) not preserved".format(g, f), witness=(g, f))
     return FinFunctor(source, target, obj_map, arr_map)
 

@@ -104,7 +104,7 @@ def _assignments(domains, links):
             k -= 1
 
 
-def matching_families(p: Presheaf, apex: str, sieve: frozenset[str]) -> list[dict[str, str]]:
+def matching_families(p: Presheaf, sieve: frozenset[str]) -> list[dict[str, str]]:
     """All compatible assignments on the sieve, in sorted member order, by
     ``_assignments``: member f takes values in p(src f), and a compatibility
     triple (f, g, f.g) links x_{f.g} = p(g)(x_f).  The actions p(g) are read
@@ -133,7 +133,7 @@ def _sheaf_witness(p: Presheaf, c: str, sieve: frozenset[str]) -> tuple | None:
     has exactly one amalgamation, else ``is_sheaf``'s witness for the first
     family that does not.  Reads only the actions along the members of the
     sieve and along the arrows into their sources."""
-    for fam in matching_families(p, c, sieve):
+    for fam in matching_families(p, sieve):
         glue = amalgamations(p, c, sieve, fam)
         if len(glue) != 1:
             kind = "no_amalgamation" if not glue else "ambiguous_amalgamation"
@@ -193,7 +193,7 @@ def plus(p: Presheaf, topology: Topology) -> PlusResult:
     least = {c: sorted(s) for c, s in covers.items()}
     name: dict[str, dict[tuple, str]] = {}
     for c in base.objects:
-        keys = sorted(_fam_key(fam) for fam in matching_families(p, c, covers[c]))
+        keys = sorted(_fam_key(fam) for fam in matching_families(p, covers[c]))
         name[c] = {k: "s{}".format(i) for i, k in enumerate(keys)}
     action: dict[str, dict[str, str]] = {}
     for f in base.arrows:

@@ -41,7 +41,7 @@ def worked(walk2):
     return validate_presheaf(walk2, {"b": ("0", "1"), "a": ("*",)}, {"u": {"0": "*", "1": "*"}})
 
 
-def brute_force_families(p, apex, sieve):
+def brute_force_families(p, sieve):
     """Independent oracle: filter raw assignments by pairwise compatibility."""
     base = p.base
     members = sorted(sieve)
@@ -71,8 +71,8 @@ def test_presheaf_functoriality_is_validated(walk2):
 def test_matching_families_agree_with_brute_force(worked, walk2, sier):
     for c in walk2.objects:
         for sieve in sier.covers[c]:
-            ours = matching_families(worked, c, sieve)
-            oracle = brute_force_families(worked, c, sieve)
+            ours = matching_families(worked, sieve)
+            oracle = brute_force_families(worked, sieve)
             assert sorted(map(sorted, (f.items() for f in ours))) == sorted(
                 map(sorted, (f.items() for f in oracle))
             )
@@ -111,7 +111,7 @@ def test_representable_at_b_is_a_sier_sheaf(walk2, sier):
     # oracle: count amalgamations for each brute-forced family
     for c in walk2.objects:
         for sieve in sier.covers[c]:
-            for fam in brute_force_families(yb, c, sieve):
+            for fam in brute_force_families(yb, sieve):
                 assert len(amalgamations(yb, c, sieve, fam)) == 1
     ok, _ = is_sheaf(yb, sier)
     assert ok
@@ -512,7 +512,7 @@ def test_sheaf_targets_keep_the_budget_on_the_labelled_space():
             next(reference_enumerate_presheaves(cat, 3, budget))
 
 
-def reference_matching_families(p, apex, sieve):
+def reference_matching_families(p, sieve):
     """Backtracking in sorted order that scans every compatibility triple
     after each assignment."""
     base = p.base
@@ -554,9 +554,9 @@ def test_matching_families_match_the_triple_scan_in_order():
         for q in presheaves:
             for c in cat.objects:
                 for sieve in (topology.least[c], maximal_sieve(cat, c)):
-                    ours = matching_families(q, c, sieve)
+                    ours = matching_families(q, sieve)
                     assert [list(fam.items()) for fam in ours] == [
-                        list(fam.items()) for fam in reference_matching_families(q, c, sieve)
+                        list(fam.items()) for fam in reference_matching_families(q, sieve)
                     ]
                     count += len(ours)
     assert count
@@ -680,7 +680,7 @@ def reference_plus(p, topology):
     for c in base.objects:
         pairs = []
         for sieve in topology.sieves(c):
-            for fam in matching_families(p, c, sieve):
+            for fam in matching_families(p, sieve):
                 pairs.append((sieve, fam))
         pairs_at[c] = pairs
     parent = {}
@@ -771,7 +771,7 @@ def reference_is_sheaf(p, topology):
     """The sheaf condition on every cover, smallest covers first."""
     for c in p.base.objects:
         for sieve in topology.sieves(c):
-            for fam in matching_families(p, c, sieve):
+            for fam in matching_families(p, sieve):
                 glue = amalgamations(p, c, sieve, fam)
                 if len(glue) != 1:
                     kind = "no_amalgamation" if not glue else "ambiguous_amalgamation"
@@ -809,7 +809,7 @@ def assert_plus_matches_the_reference(q, topology):
     iso = {}
     for c in base.objects:
         least = topology.least[c]
-        fams = sorted(tuple(sorted(fam.items())) for fam in matching_families(q, c, least))
+        fams = sorted(tuple(sorted(fam.items())) for fam in matching_families(q, least))
         names = tuple("s{}".format(i) for i in range(len(fams)))
         assert ours.presheaf.values[c] == names
         iso[c] = {nm: class_of[c][(tuple(sorted(least)), k)] for nm, k in zip(names, fams)}
@@ -846,7 +846,7 @@ def test_is_sheaf_matches_the_all_covers_check():
                 continue
             kind, (c, sieve, fam, glue) = witness
             assert sieve == tuple(sorted(topology.least[c]))
-            assert dict(fam) in matching_families(q, c, frozenset(sieve))
+            assert dict(fam) in matching_families(q, frozenset(sieve))
             found = amalgamations(q, c, frozenset(sieve), dict(fam))
             assert len(found) != 1 and tuple(found) == glue
             assert kind == ("no_amalgamation" if not found else "ambiguous_amalgamation")
