@@ -60,12 +60,6 @@ class Workspace:
         )
 
 
-def _need(mapping, key, path, kind):
-    if key not in mapping:
-        raise BundleError(path, "dangling reference to {} {!r}".format(kind, key))
-    return mapping[key]
-
-
 @contextmanager
 def _at(path: str):
     """Raise a failed validation as a BundleError located at ``path``.
@@ -83,42 +77,90 @@ def _at(path: str):
         raise BundleError(path, "malformed tables: {}".format(err))
 
 
-def load_category(name: str, doc: dict) -> FinCategory:
-    path = "categories/{}".format(name)
-    with _at(path):
-        if "objects" not in doc:
-            raise BundleError(path, "malformed tables: no objects")
-        objects = list(doc["objects"])
-        arrows = {a: tuple(st) for a, st in doc.get("arrows", {}).items()}
-        identity = dict(doc.get("identity", {}))
-        for c in objects:
-            if c not in identity:
-                auto = "id_{}".format(c)
-                identity[c] = auto
-                arrows.setdefault(auto, (c, c))
-        table = {}
-        for i, entry in enumerate(doc.get("compose", [])):
-            if len(entry) != 3:
-                raise BundleError("{}/compose/{}".format(path, i), "entries are [after, first, result]")
-            g, f, h = entry
-            table[(g, f)] = h
-        for a, st in arrows.items():
-            if len(st) != 2:
-                raise BundleError("{}/arrows/{}".format(path, a), "endpoints must be [src, tgt]")
-            s, t = st
-            if s in identity and identity[s] in arrows:
-                table.setdefault((a, identity[s]), a)
-            if t in identity and identity[t] in arrows:
-                table.setdefault((identity[t], a), a)
-        return validate_category(objects, arrows, identity, table)
+def _load_category(get, path: str, doc: dict) -> FinCategory:
+    if "objects" not in doc:
+        raise BundleError(path, "malformed tables: no objects")
+    objects = list(doc["objects"])
+    arrows = {a: tuple(st) for a, st in doc.get("arrows", {}).items()}
+    identity = dict(doc.get("identity", {}))
+    for c in objects:
+        if c not in identity:
+            auto = "id_{}".format(c)
+            identity[c] = auto
+            arrows.setdefault(auto, (c, c))
+    table = {}
+    for i, entry in enumerate(doc.get("compose", [])):
+        if len(entry) != 3:
+            raise BundleError("{}/compose/{}".format(path, i), "entries are [after, first, result]")
+        g, f, h = entry
+        table[(g, f)] = h
+    for a, st in arrows.items():
+        if len(st) != 2:
+            raise BundleError("{}/arrows/{}".format(path, a), "endpoints must be [src, tgt]")
+        s, t = st
+        if s in identity and identity[s] in arrows:
+            table.setdefault((a, identity[s]), a)
+        if t in identity and identity[t] in arrows:
+            table.setdefault((identity[t], a), a)
+    return validate_category(objects, arrows, identity, table)
 
 
-def load_bundle(source) -> Workspace:
-    """Load and validate a bundle from a path, JSON text or parsed dict.
+def _load_functor(get, path: str, entry: dict) -> FinFunctor:
+    src = get("categories", entry.get("source"), path, "category")
+    tgt = get("categories", entry.get("target"), path, "category")
+    objects = dict(entry.get("objects", {}))
+    arr = dict(entry.get("arrows", {}))
+    for c, i in src.identity.items():
+        if objects.get(c) in tgt.identity:
+            arr.setdefault(i, tgt.identity[objects[c]])
+    return validate_functor(objects, arr, src, tgt)
 
-    Every cross-reference must resolve and every structure passes its
-    module validator; errors carry the offending entry's path.
-    """
+
+def _load_topology(get, path: str, entry: dict) -> Topology:
+    cat = get("categories", entry.get("category"), path, "category")
+    return saturate(cat, entry.get("covers", {}))
+
+
+def _load_indexed(get, path: str, entry: dict) -> IndexedCategory:
+    base = get("categories", entry.get("base"), path, "category")
+    fibers = {
+        c: get("categories", ref, "{}/fibers/{}".format(path, c), "category")
+        for c, ref in entry.get("fibers", {}).items()
+    }
+    restriction = {
+        f: get("functors", ref, "{}/restrictions/{}".format(path, f), "functor")
+        for f, ref in entry.get("restrictions", {}).items()
+    }
+    return validate_indexed(base, fibers, restriction)
+
+
+def _load_natural(get, path: str, entry: dict) -> NatTransform:
+    src = get("functors", entry.get("source"), path, "functor")
+    tgt = get("functors", entry.get("target"), path, "functor")
+    return validate_transform(entry.get("components", {}), src, tgt)
+
+
+def _load_presheaf(get, path: str, entry: dict) -> Presheaf:
+    cat = get("categories", entry.get("category"), path, "category")
+    actions = {f: dict(m) for f, m in entry.get("actions", {}).items()}
+    return validate_presheaf(cat, entry.get("values", {}), actions)
+
+
+# section -> loader(get, path, entry); a loader reads every entry it
+# references through ``get``
+_LOADERS = {
+    "categories": _load_category,
+    "functors": _load_functor,
+    "topologies": _load_topology,
+    "indexed": _load_indexed,
+    "naturals": _load_natural,
+    "presheaves": _load_presheaf,
+}
+
+
+def read_document(source) -> dict:
+    """The sections of a bundle given as a path, JSON text, file object or
+    parsed dict: section -> entry name -> its JSON entry, unchecked."""
     if isinstance(source, dict):
         doc = source
     else:
@@ -133,49 +175,39 @@ def load_bundle(source) -> Workspace:
         except json.JSONDecodeError as err:
             raise BundleError("/", "parse error: {}".format(err))
     with _at("/"):
-        sections = {key: dict(doc.get(key, {})) for key in SECTIONS}
+        return {key: dict(doc.get(key, {})) for key in SECTIONS}
+
+
+def load_bundle(source, names=None) -> Workspace:
+    """Load and validate a bundle from a path, JSON text, file object or
+    parsed dict.
+
+    An entry is loaded on first use: its references are loaded first, every
+    one must resolve, and each entry passes its module validator.  Errors
+    carry the offending entry's path.  ``names`` maps sections to the entry
+    names wanted; only those entries and the entries they reference, directly
+    or not, are loaded, and a name the document lacks is skipped.  Without
+    ``names`` every entry is loaded, section by section in ``SECTIONS`` order
+    and by sorted name, so the first malformed entry is the one reported.
+    """
+    sections = read_document(source)
     ws = Workspace()
-    for name in sorted(sections["categories"]):
-        ws.categories[name] = load_category(name, sections["categories"][name])
-    for name, entry in sorted(sections["functors"].items()):
-        path = "functors/{}".format(name)
-        with _at(path):
-            src = _need(ws.categories, entry.get("source"), path, "category")
-            tgt = _need(ws.categories, entry.get("target"), path, "category")
-            objects = dict(entry.get("objects", {}))
-            arr = dict(entry.get("arrows", {}))
-            for c, i in src.identity.items():
-                if objects.get(c) in tgt.identity:
-                    arr.setdefault(i, tgt.identity[objects[c]])
-            ws.functors[name] = validate_functor(objects, arr, src, tgt)
-    for name, entry in sorted(sections["topologies"].items()):
-        path = "topologies/{}".format(name)
-        with _at(path):
-            cat = _need(ws.categories, entry.get("category"), path, "category")
-            ws.topologies[name] = saturate(cat, entry.get("covers", {}))
-    for name, entry in sorted(sections["indexed"].items()):
-        path = "indexed/{}".format(name)
-        with _at(path):
-            base = _need(ws.categories, entry.get("base"), path, "category")
-            fibers = {}
-            for c, ref in entry.get("fibers", {}).items():
-                fibers[c] = _need(ws.categories, ref, "{}/fibers/{}".format(path, c), "category")
-            restriction = {}
-            for f, ref in entry.get("restrictions", {}).items():
-                restriction[f] = _need(ws.functors, ref, "{}/restrictions/{}".format(path, f), "functor")
-            ws.indexed[name] = validate_indexed(base, fibers, restriction)
-    for name, entry in sorted(sections["naturals"].items()):
-        path = "naturals/{}".format(name)
-        with _at(path):
-            src = _need(ws.functors, entry.get("source"), path, "functor")
-            tgt = _need(ws.functors, entry.get("target"), path, "functor")
-            ws.naturals[name] = validate_transform(entry.get("components", {}), src, tgt)
-    for name, entry in sorted(sections["presheaves"].items()):
-        path = "presheaves/{}".format(name)
-        with _at(path):
-            cat = _need(ws.categories, entry.get("category"), path, "category")
-            actions = {f: dict(m) for f, m in entry.get("actions", {}).items()}
-            ws.presheaves[name] = validate_presheaf(cat, entry.get("values", {}), actions)
+
+    def get(section, name, path, kind):
+        loaded = getattr(ws, section)
+        if name not in loaded:
+            if name not in sections[section]:
+                raise BundleError(path, "dangling reference to {} {!r}".format(kind, name))
+            entry_path = "{}/{}".format(section, name)
+            with _at(entry_path):
+                loaded[name] = _LOADERS[section](get, entry_path, sections[section][name])
+        return loaded[name]
+
+    wanted = sections if names is None else names
+    for section in SECTIONS:
+        for name in sorted(wanted.get(section, ())):
+            if name in sections[section]:  # so the "/" location is never reported
+                get(section, name, "/", section)
     return ws
 
 

@@ -8,6 +8,7 @@ import pytest
 import finsite
 from finsite import cli, corpus, sieves
 from finsite.bundles import (
+    SECTIONS,
     BundleError,
     Workspace,
     load_bundle,
@@ -149,6 +150,51 @@ def test_identity_composites_are_autofilled():
     assert ws.categories["w"].compose("u", "id_a") == "u"
 
 
+# section -> (field, section it names): the references an entry makes
+REFERENCE_FIELDS = {
+    "categories": (),
+    "functors": (("source", "categories"), ("target", "categories")),
+    "topologies": (("category", "categories"),),
+    "indexed": (("base", "categories"), ("fibers", "categories"), ("restrictions", "functors")),
+    "naturals": (("source", "functors"), ("target", "functors")),
+    "presheaves": (("category", "categories"),),
+}
+
+
+def referenced_entries(doc, section, name):
+    """(section, name) of an entry and of every entry it references, directly
+    or not, read off the JSON document."""
+    found = {(section, name)}
+    for field, target in REFERENCE_FIELDS[section]:
+        refs = doc[section][name][field]
+        for ref in refs.values() if isinstance(refs, dict) else [refs]:
+            found |= referenced_entries(doc, target, ref)
+    return found
+
+
+def read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("bundle", [WALK2_BUNDLE, CORPUS_BUNDLE], ids=os.path.basename)
+def test_loading_by_name_matches_the_full_load(bundle):
+    doc = read_json(bundle)
+    full = load_bundle(doc)
+    assert load_bundle(doc, {section: list(doc.get(section, {})) for section in SECTIONS}) == full
+    for section in SECTIONS:
+        for name in doc.get(section, {}):
+            ws = load_bundle(doc, {section: [name]})
+            assert getattr(ws, section)[name] == getattr(full, section)[name]
+            loaded = {(s, n) for s in SECTIONS for n in getattr(ws, s)}
+            assert loaded == referenced_entries(doc, section, name)
+
+
+def test_loading_by_name_skips_names_the_document_lacks():
+    ws = load_bundle(WALK2_BUNDLE, {"functors": ["nope"], "topologies": ["sier"]})
+    assert ws == Workspace(categories={"walk2": ws.topologies["sier"].base}, topologies=ws.topologies)
+
+
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
@@ -241,9 +287,77 @@ def test_cli_check_comorphism_false(capsys):
 
 
 def test_cli_check_unknown_name(capsys):
-    code, _, err = run_cli(["check", "comorphism", WALK2_BUNDLE, "nope", "sier", "sier"], capsys)
-    assert code == 2
-    assert "unknown functor" in err
+    code, out, err = run_cli(["check", "comorphism", WALK2_BUNDLE, "nope", "sier", "sier"], capsys)
+    assert (code, out) == (2, "")
+    # the known list names every functor of the document, not only those loaded
+    assert err == "error: unknown functor 'nope'; known: bang, id_walk2, p, pick_a, pick_b, pick_b_bang, restrict_u\n"
+
+
+BUNDLE_COMMANDS = {
+    "check": ["check", "comorphism", "BUNDLE", "p", "gir_twopoint", "sier"],
+    "giraud": ["giraud", "BUNDLE", "twopoint", "sier"],
+    "sheafify": ["sheafify", "BUNDLE", "twofold", "sier"],
+    "pullback": ["pullback", "BUNDLE", "twopoint", "pick_b"],
+}
+
+
+def on_bundle(command, path):
+    return [str(path) if arg == "BUNDLE" else arg for arg in BUNDLE_COMMANDS[command]]
+
+
+def write_walk2_variant(tmp_path, section, name, entry):
+    """walk2.bundle with ``entry`` put in as ``section/name``."""
+    doc = read_json(WALK2_BUNDLE)
+    doc[section][name] = entry
+    path = tmp_path / "variant.bundle"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+# entries no command of BUNDLE_COMMANDS reaches: (section, entry, validate's error)
+UNREACHED = {
+    "category": ("categories", {"arrows": {}}, "categories/zz: malformed tables: no objects"),
+    "dangling-functor": (
+        "functors",
+        {"source": "walk2", "target": "missing"},
+        "functors/zz: dangling reference to category 'missing'",
+    ),
+    "presheaf": ("presheaves", {"category": "walk2", "values": ["x"]}, "presheaves/zz: malformed tables"),
+}
+
+
+@pytest.mark.parametrize("broken", sorted(UNREACHED))
+def test_cli_commands_ignore_a_malformed_entry_they_never_reach(broken, tmp_path, capsys):
+    section, entry, message = UNREACHED[broken]
+    path = write_walk2_variant(tmp_path, section, "zz", entry)
+    for command in BUNDLE_COMMANDS:
+        clean = run_cli(on_bundle(command, WALK2_BUNDLE), capsys)
+        assert clean[0] == 0, clean
+        assert run_cli(on_bundle(command, path), capsys) == clean
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message)
+
+
+# command -> (section, name, field, value): a malformed entry the command
+# reaches through a reference of an entry it names
+REACHED = {
+    "check": ("categories", "twopoint_total", "arrows", {"stray": ["(y,a)", "nowhere"]}),
+    "giraud": ("functors", "restrict_u", "objects", {"x0": "zz", "x1": "y"}),
+    "pullback": ("categories", "disc2", "objects", ["x0"]),
+    "sheafify": ("categories", "walk2", "arrows", {"u": ["a", "c"]}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REACHED))
+def test_cli_command_reports_a_malformed_entry_it_reaches(command, tmp_path, capsys):
+    section, name, field, value = REACHED[command]
+    entry = dict(read_json(WALK2_BUNDLE)[section][name], **{field: value})
+    path = write_walk2_variant(tmp_path, section, name, entry)
+    expected = run_cli(["validate", str(path)], capsys)
+    assert expected[:2] == (2, "")
+    assert expected[2].startswith("error: {}/{}: ".format(section, name))
+    assert run_cli(on_bundle(command, path), capsys) == expected
 
 
 def test_cli_giraud_prints_trivial_total(capsys):

@@ -42,6 +42,7 @@ from finsite.generate import (
     _rng,
     constant_indexed,
     derive_seed,
+    gen_category,
     gen_functor,
     gen_galois,
     gen_galois_into,
@@ -51,7 +52,10 @@ from finsite.generate import (
     generate_instance,
     graded_chain_indexed,
     representable_indexed,
+    _chain,
+    _chain_map,
 )
+from finsite.limits import is_equalizer_cone, is_product_cone, is_terminal, reflects_limits_jointly
 from finsite.sieves import CapExceeded, maximal_sieve, trivial_topology
 
 
@@ -366,8 +370,6 @@ def test_is_cartesian_fibration_examples(two_point, walk2):
 
 
 def test_graded_chain_indexed_is_cartesian():
-    from finsite.generate import _chain
-
     rng = _rng(3)
     base = _chain(3, "c")
     cix = graded_chain_indexed(rng, base, 3)
@@ -588,3 +590,101 @@ def test_grothendieck_memo_is_freed_with_its_indexed_category(walk2):
         assert bundle() is None
     finally:
         gc.enable()
+
+
+def reference_reflects_limits_jointly(functor, base_proj):
+    """``limits.reflects_limits_jointly`` before it decided each image cone
+    once per call: every cone upstairs decides its images again."""
+    src, tgt = functor.source, functor.target
+    base = base_proj.target
+    for t in src.objects:
+        if is_terminal(tgt, functor.ob(t)) and is_terminal(base, base_proj.ob(t)) and not is_terminal(src, t):
+            return False, ("terminal_not_reflected", t)
+    for x in src.objects:
+        for y in src.objects:
+            for apex in src.objects:
+                for p1 in src.hom(apex, x):
+                    for p2 in src.hom(apex, y):
+                        if (
+                            is_product_cone(
+                                tgt, functor.ob(x), functor.ob(y), functor.ob(apex), functor.ar(p1), functor.ar(p2)
+                            )
+                            and is_product_cone(
+                                base,
+                                base_proj.ob(x),
+                                base_proj.ob(y),
+                                base_proj.ob(apex),
+                                base_proj.ar(p1),
+                                base_proj.ar(p2),
+                            )
+                            and not is_product_cone(src, x, y, apex, p1, p2)
+                        ):
+                            return False, ("product_not_reflected", (x, y, apex, p1, p2))
+    for f in src.arrows:
+        for g in src.arrows:
+            if src.src[f] != src.src[g] or src.tgt[f] != src.tgt[g]:
+                continue
+            for apex in src.objects:
+                for m in src.hom(apex, src.src[f]):
+                    if (
+                        is_equalizer_cone(tgt, functor.ar(f), functor.ar(g), functor.ob(apex), functor.ar(m))
+                        and is_equalizer_cone(
+                            base, base_proj.ar(f), base_proj.ar(g), base_proj.ob(apex), base_proj.ar(m)
+                        )
+                        and not is_equalizer_cone(src, f, g, apex, m)
+                    ):
+                        return False, ("equalizer_not_reflected", (f, g, apex, m))
+    return True, ()
+
+
+def prop29_direct_images(seed, count):
+    """The direct images that prop-2.9-cartesian checks on its first ``count``
+    instances at ``seed`` and the default caps."""
+    caps = Caps()
+    for i in range(count):
+        rng = _rng(derive_seed(seed, i))
+        base_objects, fiber_objects = min(3, caps.base_objects), min(3, caps.fiber_objects)
+        tgt_size = rng.randint(1, base_objects)
+        src_size = rng.randint(1, base_objects)
+        tgt, src = _chain(tgt_size, "d"), _chain(src_size, "c")
+        fn = _chain_map(rng, src_size, tgt_size, src, tgt)
+        yield direct_image(graded_chain_indexed(rng, tgt, fiber_objects), fn)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_reflects_limits_jointly_matches_the_reference_on_prop29_direct_images(seed):
+    for di in prop29_direct_images(seed, 40):
+        expected = reference_reflects_limits_jointly(di.q, di.source.projection)
+        assert reflects_limits_jointly(di.q, di.source.projection) == expected
+
+
+def test_reflects_limits_jointly_matches_the_reference_on_the_corpus():
+    ws = corpus.corpus_workspace()
+    functors = list(ws.functors.values()) + [identity_functor(cat) for cat in ws.categories.values()]
+    tp = ws.indexed["twopoint"]
+    for fn in ws.functors.values():
+        if fn.target == tp.base:
+            di = direct_image(tp, fn)
+            functors += [di.q, di.source.projection]
+    verdicts = set()
+    for functor in functors:
+        for base_proj in functors:
+            if functor.source == base_proj.source:
+                expected = reference_reflects_limits_jointly(functor, base_proj)
+                assert reflects_limits_jointly(functor, base_proj) == expected
+                verdicts.add(expected[1][0] if expected[1] else "ok")
+    assert "ok" in verdicts and len(verdicts) > 1, verdicts
+
+
+def test_reflects_limits_jointly_matches_the_reference_on_generated_functor_pairs():
+    verdicts = set()
+    for i in range(40):
+        rng = _rng(derive_seed(5, i))
+        src, image, base = (gen_category(rng, Caps())[0] for _ in range(3))
+        functor, base_proj = gen_functor(rng, src, image), gen_functor(rng, src, base)
+        if functor is None or base_proj is None:
+            continue
+        expected = reference_reflects_limits_jointly(functor, base_proj)
+        assert reflects_limits_jointly(functor, base_proj) == expected
+        verdicts.add(expected[1][0] if expected[1] else "ok")
+    assert verdicts == {"ok", "terminal_not_reflected", "product_not_reflected", "equalizer_not_reflected"}
