@@ -2,15 +2,17 @@
 
 Pseudofunctors are strictified: a restriction table must be functorial on
 the nose, which every corpus and fuzzed instance satisfies.  Cartesianness
-of arrows is always decided by the exhaustive unique-lifting search; the
-classical "vertical part is iso" characterisation is only ever used as a
-cross-check, never trusted.  Questions about the fibration of an indexed
+of arrows is always decided by the exhaustive unique-lifting search, for a
+whole bundle at once and only when its table is first read; the classical
+"vertical part is iso" characterisation is only ever used as a cross-check,
+never trusted.  Questions about the fibration of an indexed
 category (``is_cartesian_fibration``, ``giraud_topology``) take the indexed
 category itself; ``grothendieck`` builds its bundle once and keeps it there.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import limits
 from .fincat import (
@@ -109,7 +111,8 @@ def validate_indexed(base: FinCategory, fiber, restriction) -> IndexedCategory:
 
 @dataclass(frozen=True)
 class FibrationBundle:
-    """A total category with its projection and cached cartesian table.
+    """A total category with its projection; its cartesian table is decided
+    on first read.
 
     It holds no reference to the indexed category whose ``_scratch`` keeps
     it, so the two are freed without the cycle collector.
@@ -117,13 +120,18 @@ class FibrationBundle:
 
     total: FinCategory
     projection: FinFunctor
-    cartesian: frozenset[str]
     obj_pair: dict[str, tuple[str, str]] | None = None
     arr_pair: dict[str, tuple[str, str]] | None = None
 
     @property
     def base(self) -> FinCategory:
         return self.projection.target
+
+    @cached_property
+    def cartesian(self) -> frozenset[str]:
+        """The cartesian arrows of ``total``, each decided by the exhaustive
+        unique-lifting search the first time the table is read."""
+        return frozenset(a for a in self.total.arrows if arrow_is_cartesian(self.total, self.projection, a))
 
 
 def arrow_is_cartesian(total: FinCategory, proj: FinFunctor, f: str) -> bool:
@@ -150,12 +158,15 @@ def arrow_is_cartesian(total: FinCategory, proj: FinFunctor, f: str) -> bool:
 
 
 def make_bundle(total: FinCategory, projection: FinFunctor, obj_pair=None, arr_pair=None) -> FibrationBundle:
-    cartesian = frozenset(a for a in total.arrows if arrow_is_cartesian(total, projection, a))
-    return FibrationBundle(total, projection, cartesian, obj_pair, arr_pair)
+    """The bundle of ``projection``: total -> base; no arrow is decided
+    cartesian until ``bundle.cartesian`` is read."""
+    return FibrationBundle(total, projection, obj_pair, arr_pair)
 
 
 def grothendieck(cix: IndexedCategory) -> FibrationBundle:
-    """Total category of pairs, projection, and a fully recomputed cartesian table.
+    """Total category of pairs and its projection; the cartesian table is
+    decided by the lifting search on its first read, never copied from the
+    indexed data.
 
     Built once per indexed category: later calls return the same bundle."""
     bundle = cix._scratch.get("grothendieck")
@@ -498,13 +509,24 @@ def compose_inverse_images(cix: IndexedCategory, adj_inner: Adjunction, adj_oute
 # Cartesian fibrations and the structure functor
 
 
+def _finite_limits(cat: FinCategory):
+    """``limits.finite_limits(cat)``, searched once per category and kept in
+    its ``_scratch``; the stored cones are read-only."""
+    found = cat._scratch.get("finite_limits")
+    if found is None:
+        found = cat._scratch["finite_limits"] = limits.finite_limits(cat)
+    return found
+
+
 def is_cartesian_fibration(cix: IndexedCategory) -> tuple[bool, tuple]:
     """Whether the Grothendieck construction of ``cix`` is a cartesian
     fibration, in the indexed formulation: every fiber has finite limits and
-    every restriction functor preserves the found cones."""
+    every restriction functor preserves the found cones.  Each fiber's
+    limits are searched once per category, however many indexed categories
+    (a direct image reuses its target's fibers) share it."""
     cones = {}
     for c in cix.base.objects:
-        ok, witness, found = limits.finite_limits(cix.fiber[c])
+        ok, witness, found = _finite_limits(cix.fiber[c])
         if not ok:
             return False, ("fiber", c) + witness
         cones[c] = found

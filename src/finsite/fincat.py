@@ -10,6 +10,8 @@ Inside an ``interning()`` scope (one per experiment report) ``poset_category``
 and ``build_category`` return the category already built from the same
 presentation, so each distinct presentation is validated in full once per
 report and one category may be shared by several of the report's instances.
+Because of that sharing a category's ``_scratch`` holds only data derived
+from the category itself: its sieve lattices and its finite-limit search.
 """
 from __future__ import annotations
 
@@ -38,10 +40,12 @@ class FinCategory:
 
     ``table[(g, f)]`` is the composite "g after f"; it is defined exactly on
     the composable pairs.  Instances are immutable and hashable, so derived
-    data (sieve lattices, inverses) may be memoised against them in
-    ``_scratch``.  Nothing else may go there: inside an ``interning()`` scope
-    one instance serves every caller that builds the same presentation, so
-    the instances of a report may share it.  Equality and hashing compare the
+    data may be memoised against them in ``_scratch``: the sieve lattice of
+    each object (``"sieve_lattice"``) and the result of
+    ``limits.finite_limits`` (``"finite_limits"``; its cones are read-only).
+    Nothing else may go there: inside an ``interning()`` scope one instance
+    serves every caller that builds the same presentation, so the instances
+    of a report may share it.  Equality and hashing compare the
     sorted tables, which are built on the first ``__hash__`` or non-identical
     ``__eq__``, not on construction.
     """

@@ -112,18 +112,6 @@ def preserves_cones(functor: FinFunctor, cones: LimitCones):
     return True, ()
 
 
-def _decided_once(test, cat: FinCategory):
-    """``cone -> test(cat, *cone)``, deciding each distinct cone once."""
-    seen = {}
-
-    def decide(*cone):
-        if cone not in seen:
-            seen[cone] = test(cat, *cone)
-        return seen[cone]
-
-    return decide
-
-
 def reflects_limits_jointly(functor: FinFunctor, base_proj: FinFunctor):
     """Limit reflection for a pullback projection: a cone is a limit upstairs
     whenever its image under the projection AND its base image are limits.
@@ -131,38 +119,52 @@ def reflects_limits_jointly(functor: FinFunctor, base_proj: FinFunctor):
     Covers terminal objects, binary products and equalizers; this is the
     "limits in a fibration are base limits plus fiberwise data" reading, and
     it is what a genuinely limit-preserving base functor guarantees.  Many
-    cones upstairs share an image, so each image cone is decided once.
+    cones upstairs share an image, so each image cone is decided once per
+    call: ``up`` and ``down`` map an image in the target and in the base to
+    its verdict (a terminal object is a string, a product cone a 5-tuple and
+    an equalizer cone a 4-tuple, so the three kinds never share a key).
     """
     src, tgt = functor.source, functor.target
     base = base_proj.target
-    ob, ar, base_ob, base_ar = functor.ob, functor.ar, base_proj.ob, base_proj.ar
-    tgt_terminal, base_terminal = _decided_once(is_terminal, tgt), _decided_once(is_terminal, base)
+    ob, ar, base_ob, base_ar = functor.obj_map, functor.arr_map, base_proj.obj_map, base_proj.arr_map
+    up, down = {}, {}
     for t in src.objects:
-        if tgt_terminal(ob(t)) and base_terminal(base_ob(t)) and not is_terminal(src, t):
+        image, base_image = ob[t], base_ob[t]
+        if image not in up:
+            up[image] = is_terminal(tgt, image)
+        if not up[image]:
+            continue
+        if base_image not in down:
+            down[base_image] = is_terminal(base, base_image)
+        if down[base_image] and not is_terminal(src, t):
             return False, ("terminal_not_reflected", t)
-    tgt_product, base_product = _decided_once(is_product_cone, tgt), _decided_once(is_product_cone, base)
     for x in src.objects:
         for y in src.objects:
             for apex in src.objects:
                 for p1 in src.hom(apex, x):
                     for p2 in src.hom(apex, y):
-                        if (
-                            tgt_product(ob(x), ob(y), ob(apex), ar(p1), ar(p2))
-                            and base_product(base_ob(x), base_ob(y), base_ob(apex), base_ar(p1), base_ar(p2))
-                            and not is_product_cone(src, x, y, apex, p1, p2)
-                        ):
+                        image = (ob[x], ob[y], ob[apex], ar[p1], ar[p2])
+                        if image not in up:
+                            up[image] = is_product_cone(tgt, *image)
+                        if not up[image]:
+                            continue
+                        base_image = (base_ob[x], base_ob[y], base_ob[apex], base_ar[p1], base_ar[p2])
+                        if base_image not in down:
+                            down[base_image] = is_product_cone(base, *base_image)
+                        if down[base_image] and not is_product_cone(src, x, y, apex, p1, p2):
                             return False, ("product_not_reflected", (x, y, apex, p1, p2))
-    tgt_equalizer, base_equalizer = _decided_once(is_equalizer_cone, tgt), _decided_once(is_equalizer_cone, base)
     for f in src.arrows:
-        for g in src.arrows:
-            if src.src[f] != src.src[g] or src.tgt[f] != src.tgt[g]:
-                continue
+        for g in src.hom(src.src[f], src.tgt[f]):
             for apex in src.objects:
                 for m in src.hom(apex, src.src[f]):
-                    if (
-                        tgt_equalizer(ar(f), ar(g), ob(apex), ar(m))
-                        and base_equalizer(base_ar(f), base_ar(g), base_ob(apex), base_ar(m))
-                        and not is_equalizer_cone(src, f, g, apex, m)
-                    ):
+                    image = (ar[f], ar[g], ob[apex], ar[m])
+                    if image not in up:
+                        up[image] = is_equalizer_cone(tgt, *image)
+                    if not up[image]:
+                        continue
+                    base_image = (base_ar[f], base_ar[g], base_ob[apex], base_ar[m])
+                    if base_image not in down:
+                        down[base_image] = is_equalizer_cone(base, *base_image)
+                    if down[base_image] and not is_equalizer_cone(src, f, g, apex, m):
                         return False, ("equalizer_not_reflected", (f, g, apex, m))
     return True, ()

@@ -17,7 +17,9 @@ from finsite.fincat import (
     terminal_category,
     validate_functor,
 )
+from finsite import fibration
 from finsite.fibration import (
+    arrow_is_cartesian,
     compose_direct_images,
     compose_inverse_images,
     direct_image,
@@ -55,7 +57,14 @@ from finsite.generate import (
     _chain,
     _chain_map,
 )
-from finsite.limits import is_equalizer_cone, is_product_cone, is_terminal, reflects_limits_jointly
+from finsite.limits import (
+    finite_limits,
+    is_equalizer_cone,
+    is_product_cone,
+    is_terminal,
+    preserves_cones,
+    reflects_limits_jointly,
+)
 from finsite.sieves import CapExceeded, maximal_sieve, trivial_topology
 
 
@@ -637,9 +646,9 @@ def reference_reflects_limits_jointly(functor, base_proj):
     return True, ()
 
 
-def prop29_direct_images(seed, count):
-    """The direct images that prop-2.9-cartesian checks on its first ``count``
-    instances at ``seed`` and the default caps."""
+def prop29_inputs(seed, count):
+    """The (indexed category, base functor) pairs that prop-2.9-cartesian
+    checks on its first ``count`` instances at ``seed`` and the default caps."""
     caps = Caps()
     for i in range(count):
         rng = _rng(derive_seed(seed, i))
@@ -648,7 +657,14 @@ def prop29_direct_images(seed, count):
         src_size = rng.randint(1, base_objects)
         tgt, src = _chain(tgt_size, "d"), _chain(src_size, "c")
         fn = _chain_map(rng, src_size, tgt_size, src, tgt)
-        yield direct_image(graded_chain_indexed(rng, tgt, fiber_objects), fn)
+        yield graded_chain_indexed(rng, tgt, fiber_objects), fn
+
+
+def prop29_direct_images(seed, count):
+    """The direct images that prop-2.9-cartesian checks on its first ``count``
+    instances at ``seed`` and the default caps."""
+    for dix, fn in prop29_inputs(seed, count):
+        yield direct_image(dix, fn)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -688,3 +704,123 @@ def test_reflects_limits_jointly_matches_the_reference_on_generated_functor_pair
         assert reflects_limits_jointly(functor, base_proj) == expected
         verdicts.add(expected[1][0] if expected[1] else "ok")
     assert verdicts == {"ok", "terminal_not_reflected", "product_not_reflected", "equalizer_not_reflected"}
+
+
+# ---------------------------------------------------------------------------
+# Finite limits searched once per fiber, cartesian tables decided on first read
+
+
+def reference_is_cartesian_fibration(cix):
+    """``is_cartesian_fibration`` before fibers kept their finite limits: a
+    fresh ``finite_limits`` search per fiber on every call."""
+    cones = {}
+    for c in cix.base.objects:
+        ok, witness, found = finite_limits(cix.fiber[c])
+        if not ok:
+            return False, ("fiber", c) + witness
+        cones[c] = found
+    for f in cix.base.arrows:
+        if cix.base.is_identity(f):
+            continue
+        ok, witness = preserves_cones(cix.restriction[f], cones[cix.base.tgt[f]])
+        if not ok:
+            return False, ("restriction", f) + witness
+    return True, ()
+
+
+def random_step_chain_indexed(rng):
+    """``graded_chain_indexed`` with any monotone step maps, so restrictions
+    need not keep the top (the terminal object) of their fiber."""
+    base = _chain(rng.randint(2, 3), "c")
+    objs = base.objects
+    fibers = {c: _chain(rng.randint(1, 3), "v") for c in objs}
+    steps = [gen_functor(rng, fibers[objs[i + 1]], fibers[objs[i]]) for i in range(len(objs) - 1)]
+    restriction = {}
+    for a in base.arrows:
+        if base.is_identity(a):
+            continue
+        i, j = objs.index(base.src[a]), objs.index(base.tgt[a])
+        fn = identity_functor(fibers[objs[j]])
+        for k in range(j - 1, i - 1, -1):
+            fn = compose_functors(steps[k], fn)
+        restriction[a] = fn
+    return validate_indexed(base, fibers, restriction)
+
+
+def cartesian_fibration_cases():
+    """Indexed categories whose verdicts ``ok``, ``fiber`` and ``restriction``
+    are all reached: prop-2.9 inputs and their direct images, graded chains,
+    the corpus, and generated indexed categories."""
+    for seed in (0, 1):
+        for dix, fn in prop29_inputs(seed, 40):
+            yield dix
+            yield direct_image(dix, fn).indexed
+    for i in range(20):
+        rng = _rng(derive_seed(11, i))
+        yield graded_chain_indexed(rng, _chain(rng.randint(1, 3), "c"), 3)
+    ws = corpus.corpus_workspace()
+    tp = ws.indexed["twopoint"]
+    yield tp
+    for fn in ws.functors.values():
+        if fn.target == tp.base:
+            yield direct_image(tp, fn).indexed
+    for cat in ws.categories.values():
+        yield constant_one_indexed(cat)
+    for i in range(60):
+        rng = _rng(derive_seed(12, i))
+        try:
+            cat, _, kind, meta = gen_site(rng, Caps())
+            yield gen_indexed(rng, cat, Caps(), kind, meta)
+        except (GenerationError, CapExceeded):
+            pass
+        yield random_step_chain_indexed(rng)
+
+
+def test_is_cartesian_fibration_matches_the_fresh_search():
+    verdicts = set()
+    for cix in cartesian_fibration_cases():
+        expected = reference_is_cartesian_fibration(cix)
+        assert is_cartesian_fibration(cix) == expected
+        assert is_cartesian_fibration(cix) == expected
+        sharing = validate_indexed(cix.base, cix.fiber, cix.restriction)
+        assert sharing is not cix and sharing.fiber == cix.fiber
+        assert is_cartesian_fibration(sharing) == expected
+        verdicts.add(expected[1][0] if expected[1] else "ok")
+    assert verdicts == {"ok", "fiber", "restriction"}, verdicts
+
+
+def reference_cartesian_table(bundle):
+    """The table ``make_bundle`` used to compute for every bundle it built."""
+    total, proj = bundle.total, bundle.projection
+    return frozenset(a for a in total.arrows if arrow_is_cartesian(total, proj, a))
+
+
+def test_the_lazy_cartesian_table_matches_the_eager_one():
+    bundles = list(cartesian_table_cases(100))
+    for seed in (0, 1):
+        for dix, fn in prop29_inputs(seed, 40):
+            di = direct_image(dix, fn)
+            bundles += [grothendieck(dix), di.source, di.target]
+    for bundle in bundles:
+        assert bundle.cartesian == reference_cartesian_table(bundle)
+
+
+def test_the_cartesian_table_is_decided_on_first_read_only(monkeypatch, walk2, sier):
+    calls = []
+
+    def counting(total, proj, f):
+        calls.append(f)
+        return arrow_is_cartesian(total, proj, f)
+
+    monkeypatch.setattr(fibration, "arrow_is_cartesian", counting)
+    cix = corpus.two_point(walk2)
+    bundle = grothendieck(cix)
+    giraud_topology(cix, sier)
+    di = direct_image(cix, corpus.pick(walk2, "b"))
+    assert calls == []
+    for b in (bundle, di.source):
+        calls.clear()
+        table = b.cartesian
+        assert calls == list(b.total.arrows)
+        calls.clear()
+        assert b.cartesian is table and calls == []

@@ -5,8 +5,10 @@ import pytest
 
 from finsite import fincat
 from finsite.experiments import EXPERIMENTS, run_experiment
+from finsite.fibration import is_cartesian_fibration
 from finsite.fincat import StructureError, build_category, interning, poset_category, terminal_category, validate_category
 from finsite.generate import Caps, derive_seed, generate_instance
+from finsite.limits import finite_limits
 from finsite.sieves import sieve_lattice
 
 DIAMOND = (("a", "b", "c", "d"), [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
@@ -78,29 +80,47 @@ def test_outside_a_scope_every_call_builds_a_new_category():
     assert fincat._interned is None
 
 
+DERIVED = {"sieve_lattice", "finite_limits"}
+
+
+def assert_scratch_is_derived(cat):
+    """``cat._scratch`` holds only sieve lattices and the finite-limit search,
+    each equal to its value on an unshared copy of ``cat``."""
+    assert set(cat._scratch) <= DERIVED
+    copy = validate_category(cat.objects, {a: (cat.src[a], cat.tgt[a]) for a in cat.arrows}, cat.identity, cat.table)
+    for c, lattice in cat._scratch.get("sieve_lattice", {}).items():
+        assert lattice == sieve_lattice(copy, c)
+    if "finite_limits" in cat._scratch:
+        assert cat._scratch["finite_limits"] == finite_limits(copy)
+
+
 def test_a_shared_category_holds_only_derived_data():
-    """Instances drawn in one scope share categories; the only thing kept on
-    them is the sieve lattice, which equals that of an unshared copy."""
+    """Instances drawn in one scope share categories; the only things kept on
+    them are sieve lattices and finite limits, equal to those of an unshared
+    copy."""
     with interning():
         instances = [generate_instance("site", derive_seed(3, i), Caps()) for i in range(60)]
         for inst in instances:
             cat = inst["category"]
             for c in cat.objects:
                 sieve_lattice(cat, c)
+        fibrations = [generate_instance("fibration", derive_seed(3, i), Caps()) for i in range(60)]
+        for inst in fibrations:
+            is_cartesian_fibration(inst["indexed"])
         interned = list(fincat._interned.values())
     categories = [inst["category"] for inst in instances]
     assert len({id(cat) for cat in categories}) < len(categories)
-    assert any(cat._scratch for cat in interned)
+    fibers = [fib for inst in fibrations for fib in inst["indexed"].fiber.values()]
+    assert len({id(fib) for fib in fibers}) < len(fibers)
+    assert any("sieve_lattice" in cat._scratch for cat in interned)
+    assert any("finite_limits" in cat._scratch for cat in interned)
     for cat in interned:
-        assert set(cat._scratch) <= {"sieve_lattice"}
-        copy = validate_category(cat.objects, {a: (cat.src[a], cat.tgt[a]) for a in cat.arrows}, cat.identity, cat.table)
-        for c, lattice in cat._scratch.get("sieve_lattice", {}).items():
-            assert lattice == sieve_lattice(copy, c)
+        assert_scratch_is_derived(cat)
 
 
 def test_reports_keep_only_derived_data_on_their_categories(monkeypatch):
     """Every category a report built in its scope carries nothing but sieve
-    lattices in ``_scratch`` when the report ends."""
+    lattices and finite limits in ``_scratch`` when the report ends."""
     kept = []
     for exp_id in sorted(EXPERIMENTS):
         spec = EXPERIMENTS[exp_id]
@@ -111,5 +131,7 @@ def test_reports_keep_only_derived_data_on_their_categories(monkeypatch):
 
         monkeypatch.setitem(EXPERIMENTS, exp_id, replace(spec, fn=snapshot))
         run_experiment(exp_id, 0, Caps(instances=4))
-    assert kept and any(cat._scratch for cat in kept)
-    assert all(set(cat._scratch) <= {"sieve_lattice"} for cat in kept)
+    assert any("sieve_lattice" in cat._scratch for cat in kept)
+    assert any("finite_limits" in cat._scratch for cat in kept)
+    for cat in kept:
+        assert_scratch_is_derived(cat)
