@@ -48,7 +48,6 @@ from .presheaf import (
     is_sheaf,
     plus,
     precompose,
-    prop33_pullback_presheaf,
     sheafify,
     validate_presheaf,
 )

@@ -1,13 +1,15 @@
 """Deciders for functor classes between finite sites.
 
 Every "there exists a covering family such that each member ..." condition
-is decided by computing the sieve of qualifying arrows (the qualifying set
-is always precomposition-closed) and testing whether it contains the least
-cover S(c) (``Topology.least``): on a finite site the covers J(c) are
-exactly the sieves containing S(c).  Comorphism, cover preservation and the
-zig-zag condition of continuity are likewise decided on S(c) alone, and so
-is cover reflection, the first condition of a dense morphism: S(c) must lie
-in the meet of the sieves whose image covers (``sieves.image_cover_meet``),
+is asked on the least cover S(c) (``Topology.least``) only: on a finite site
+the covers J(c) are exactly the sieves containing S(c), so the condition
+holds exactly when it holds at every member of S(c) (``_local_miss``).  The
+full set of qualifying arrows into c is built only for a failing witness,
+except by covering-flat F1, local covering by images and continuity, whose
+positive traces record it.  Comorphism, cover preservation and the zig-zag
+condition of continuity are likewise decided on S(c) alone, and so is cover
+reflection, the first condition of a dense morphism: S(c) must lie in the
+meet of the sieves whose image covers (``sieves.image_cover_meet``),
 so no decider builds a sieve lattice.  Local connectedness (continuity, and
 the second comparison condition of Prop. 3.3) asks whether two pairs lie in
 one connected component of a comma category (d_i ↓ G) over a category of
@@ -178,60 +180,13 @@ def _flat_f1_sieve(sf: SiteFunctor, d: str) -> frozenset[str]:
     return frozenset(h for h in dcat.into(d) if has_cone[dcat.src[h]])
 
 
-def _flat_f2_sieve(sf: SiteFunctor, d: str, c1: str, u1: str, c2: str, u2: str) -> frozenset[str]:
-    functor = sf.functor
-    ccat, dcat = functor.source, functor.target
-    good = set()
-    for h in dcat.into(d):
-        e = dcat.src[h]
-        found = False
-        for c in ccat.objects:
-            for s1 in ccat.hom(c, c1):
-                a1 = functor.ar(s1)
-                target1 = dcat.compose(u1, h)
-                for gamma in dcat.hom(e, functor.ob(c)):
-                    if dcat.compose(a1, gamma) != target1:
-                        continue
-                    for s2 in ccat.hom(c, c2):
-                        if dcat.compose(functor.ar(s2), gamma) == dcat.compose(u2, h):
-                            found = True
-                            break
-                    if found:
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found:
-            good.add(h)
-    return frozenset(good)
-
-
-def _flat_f3_sieve(sf: SiteFunctor, d: str, s: str, t: str, u: str) -> frozenset[str]:
-    functor = sf.functor
-    ccat, dcat = functor.source, functor.target
-    c1 = ccat.src[s]
-    good = set()
-    for h in dcat.into(d):
-        e = dcat.src[h]
-        target = dcat.compose(u, h)
-        found = False
-        for c in ccat.objects:
-            for w in ccat.hom(c, c1):
-                if ccat.compose(s, w) != ccat.compose(t, w):
-                    continue
-                aw = functor.ar(w)
-                for gamma in dcat.hom(e, functor.ob(c)):
-                    if dcat.compose(aw, gamma) == target:
-                        found = True
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found:
-            good.add(h)
-    return frozenset(good)
+def _local_miss(topology: Topology, cat, d: str, holds) -> tuple | None:
+    """None when ``holds`` at every member of the least cover S(d), that is
+    when the arrows into d where it holds form a cover; otherwise those
+    arrows, sorted, as the witness of the miss."""
+    if all(holds(t) for t in topology.least[d]):
+        return None
+    return tuple(sorted(t for t in cat.into(d) if holds(t)))
 
 
 def is_covering_flat(sf: SiteFunctor) -> Verdict:
@@ -251,29 +206,44 @@ def is_covering_flat(sf: SiteFunctor) -> Verdict:
             for u1 in dcat.hom(d, functor.ob(c1)):
                 for c2 in ccat.objects:
                     for u2 in dcat.hom(d, functor.ob(c2)):
-                        w = _flat_f2_sieve(sf, d, c1, u1, c2, u2)
-                        if not k_tgt.is_cover(d, w):
-                            return Verdict(
-                                False,
-                                "covering-flat",
-                                ("no_local_span", (d, c1, u1, c2, u2), tuple(sorted(w))),
+
+                        def spans(h):
+                            # (u1 h, u2 h) = (F s1, F s2) o gamma for one c, s1, s2, gamma
+                            e, v1, v2 = dcat.src[h], dcat.compose(u1, h), dcat.compose(u2, h)
+                            return any(
+                                dcat.compose(functor.ar(s1), gamma) == v1
+                                and any(dcat.compose(functor.ar(s2), gamma) == v2 for s2 in ccat.hom(c, c2))
+                                for c in ccat.objects
+                                for s1 in ccat.hom(c, c1)
+                                for gamma in dcat.hom(e, functor.ob(c))
                             )
+
+                        miss = _local_miss(k_tgt, dcat, d, spans)
+                        if miss is not None:
+                            return Verdict(False, "covering-flat", ("no_local_span", (d, c1, u1, c2, u2), miss))
                         trace.append(("f2", d, u1, u2))
     for s in ccat.arrows:
         for t in ccat.arrows:
             if ccat.src[s] != ccat.src[t] or ccat.tgt[s] != ccat.tgt[t]:
                 continue
+            equalizers = [w for w in ccat.into(ccat.src[s]) if ccat.compose(s, w) == ccat.compose(t, w)]
             for d in dcat.objects:
                 for u in dcat.hom(d, functor.ob(ccat.src[s])):
                     if dcat.compose(functor.ar(s), u) != dcat.compose(functor.ar(t), u):
                         continue
-                    w = _flat_f3_sieve(sf, d, s, t, u)
-                    if not k_tgt.is_cover(d, w):
-                        return Verdict(
-                            False,
-                            "covering-flat",
-                            ("no_local_equalization", (d, s, t, u), tuple(sorted(w))),
+
+                    def equalizes(h):
+                        # u h = F w o gamma for an arrow w with s w = t w
+                        target = dcat.compose(u, h)
+                        return any(
+                            dcat.compose(functor.ar(w), gamma) == target
+                            for w in equalizers
+                            for gamma in dcat.hom(dcat.src[h], functor.ob(ccat.src[w]))
                         )
+
+                    miss = _local_miss(k_tgt, dcat, d, equalizes)
+                    if miss is not None:
+                        return Verdict(False, "covering-flat", ("no_local_equalization", (d, s, t, u), miss))
                     trace.append(("f3", d, s, t, u))
     return Verdict(True, "covering-flat", (), tuple(trace))
 
@@ -319,15 +289,15 @@ def is_dense_morphism(sf: SiteFunctor) -> Verdict:
     for c1 in ccat_src.objects:
         for c2 in ccat_src.objects:
             for g in ccat_tgt.hom(functor.ob(c1), functor.ob(c2)):
-                good = set()
-                for v in ccat_src.into(c1):
-                    if any(
-                        ccat_tgt.compose(g, functor.ar(v)) == functor.ar(g2)
-                        for g2 in ccat_src.hom(ccat_src.src[v], c2)
-                    ):
-                        good.add(v)
-                if not j_src.is_cover(c1, frozenset(good)):
-                    return Verdict(False, "dense-morphism", ("not_locally_full", (c1, c2, g), tuple(sorted(good))))
+
+                def lifts(v):
+                    # g F(v) = F(g2) for an arrow g2: src v -> c2
+                    gv = ccat_tgt.compose(g, functor.ar(v))
+                    return any(gv == functor.ar(g2) for g2 in ccat_src.hom(ccat_src.src[v], c2))
+
+                miss = _local_miss(j_src, ccat_src, c1, lifts)
+                if miss is not None:
+                    return Verdict(False, "dense-morphism", ("not_locally_full", (c1, c2, g), miss))
                 trace.append(("local-fullness", c1, c2, g))
     for g1 in ccat_src.arrows:
         for g2 in ccat_src.arrows:
@@ -335,12 +305,11 @@ def is_dense_morphism(sf: SiteFunctor) -> Verdict:
                 continue
             if functor.ar(g1) != functor.ar(g2):
                 continue
-            c1 = ccat_src.src[g1]
-            good = frozenset(
-                v for v in ccat_src.into(c1) if ccat_src.compose(g1, v) == ccat_src.compose(g2, v)
+            miss = _local_miss(
+                j_src, ccat_src, ccat_src.src[g1], lambda v: ccat_src.compose(g1, v) == ccat_src.compose(g2, v)
             )
-            if not j_src.is_cover(c1, good):
-                return Verdict(False, "dense-morphism", ("not_locally_faithful", (g1, g2), tuple(sorted(good))))
+            if miss is not None:
+                return Verdict(False, "dense-morphism", ("not_locally_faithful", (g1, g2), miss))
             trace.append(("local-faithfulness", g1, g2))
     return Verdict(True, "dense-morphism", (), tuple(trace))
 
@@ -370,7 +339,12 @@ def check_prop33_conditions(square: Prop33Square) -> Verdict:
     """Both site-level conditions: local existence of compatible triplets, and
     local connectedness of triplet pairs in the comma category over the
     pullback presheaf's elements, whose components come from
-    ``_comma_components``."""
+    ``_comma_components``.
+
+    A pair of triplets with the same (left, top) key is locally connected
+    when it is joined after each t of S(d), that is when the two triplets
+    have the same signature: the components reached along S(d).
+    """
     a_fun, b_fun, phi = square.a_top, square.b_base, square.phi.component
     p, p2, k_top = square.p, square.p_prime, square.k_top
     dcat, d2cat = p.source, p2.source
@@ -395,31 +369,22 @@ def check_prop33_conditions(square: Prop33Square) -> Verdict:
                         for u2 in ccat.hom(p.ob(d), b_fun.ob(c2_obj)):
                             if ccat.compose(b_fun.ar(f_prime), u2) != rhs_fixed:
                                 continue
-                            qualifying = set()
-                            for t in dcat.into(d):
-                                e = dcat.src[t]
-                                hit = False
-                                for dbar, pairs in triplets_by_src.items():
-                                    for x in dcat.hom(e, a_fun.ob(dbar)):
-                                        for (gbar, ubar) in pairs:
-                                            eq1 = ccat.compose(u2, p.ar(t)) == ccat.compose(
-                                                ccat.compose(b_fun.ar(ubar), phi[dbar]), p.ar(x)
-                                            )
-                                            eq2 = dcat.compose(g, t) == dcat.compose(a_fun.ar(gbar), x)
-                                            if eq1 and eq2:
-                                                hit = True
-                                                break
-                                        if hit:
-                                            break
-                                    if hit:
-                                        break
-                                if hit:
-                                    qualifying.add(t)
-                            if not k_top.is_cover(d, frozenset(qualifying)):
+
+                            def has_triplet(t):
+                                # (u2 p t, g t) = (B ubar phi p x, A gbar x) for a triplet and an x
+                                left, top = ccat.compose(u2, p.ar(t)), dcat.compose(g, t)
+                                return any(
+                                    left == ccat.compose(ccat.compose(b_fun.ar(ubar), phi[dbar]), p.ar(x))
+                                    and top == dcat.compose(a_fun.ar(gbar), x)
+                                    for dbar, pairs in triplets_by_src.items()
+                                    for x in dcat.hom(dcat.src[t], a_fun.ob(dbar))
+                                    for gbar, ubar in pairs
+                                )
+
+                            miss = _local_miss(k_top, dcat, d, has_triplet)
+                            if miss is not None:
                                 return Verdict(
-                                    False,
-                                    "prop33",
-                                    ("no_local_triplets", (f_prime, d_prime, u_prime, d, g, u2), tuple(sorted(qualifying))),
+                                    False, "prop33", ("no_local_triplets", (f_prime, d_prime, u_prime, d, g, u2), miss)
                                 )
                             trace.append(("b1", f_prime, d_prime, u_prime, d, g, u2))
                 presheaf, elem_data = prop33_pullback_data(p2, d_prime, u_prime, f_prime)
@@ -433,36 +398,37 @@ def check_prop33_conditions(square: Prop33Square) -> Verdict:
                     ],
                 )
                 for d in dcat.objects:
+                    least = sorted(k_top.least[d])
                     trips = []
                     for dbar in d2cat.objects:
                         for elem in presheaf.values[dbar]:
+                            gbar, ubar = elem_data[dbar][elem]
                             for x in dcat.hom(d, a_fun.ob(dbar)):
-                                trips.append((dbar, elem, x))
-                    for i, (d1, e1, x1) in enumerate(trips):
-                        g1, u1 = elem_data[d1][e1]
-                        left1 = ccat.compose(ccat.compose(b_fun.ar(u1), phi[d1]), p.ar(x1))
-                        top1 = dcat.compose(a_fun.ar(g1), x1)
-                        for (d2_, e2_, x2) in trips[i:]:
-                            g2, u2_ = elem_data[d2_][e2_]
-                            if left1 != ccat.compose(
-                                ccat.compose(b_fun.ar(u2_), phi[d2_]), p.ar(x2)
-                            ):
+                                key = (
+                                    ccat.compose(ccat.compose(b_fun.ar(ubar), phi[dbar]), p.ar(x)),
+                                    dcat.compose(a_fun.ar(gbar), x),
+                                )
+                                signature = tuple(comp[((dbar, elem), dcat.compose(x, t))] for t in least)
+                                trips.append((dbar, elem, x, key, signature))
+                    for i, (d1, e1, x1, key1, sig1) in enumerate(trips):
+                        for (d2_, e2_, x2, key2, sig2) in trips[i:]:
+                            if key1 != key2:
                                 continue
-                            if top1 != dcat.compose(a_fun.ar(g2), x2):
-                                continue
-                            qualifying = {
-                                t
-                                for t in dcat.into(d)
-                                if comp[((d1, e1), dcat.compose(x1, t))] == comp[((d2_, e2_), dcat.compose(x2, t))]
-                            }
-                            if not k_top.is_cover(d, frozenset(qualifying)):
+                            if sig1 != sig2:
+                                miss = _local_miss(
+                                    k_top,
+                                    dcat,
+                                    d,
+                                    lambda t: comp[((d1, e1), dcat.compose(x1, t))]
+                                    == comp[((d2_, e2_), dcat.compose(x2, t))],
+                                )
                                 return Verdict(
                                     False,
                                     "prop33",
                                     (
                                         "triplets_not_locally_connected",
                                         (f_prime, d_prime, u_prime, d, (e1, x1), (e2_, x2)),
-                                        tuple(sorted(qualifying)),
+                                        miss,
                                     ),
                                 )
                             trace.append(("b2", f_prime, d_prime, u_prime, d, e1, e2_))

@@ -157,12 +157,6 @@ def arrow_is_cartesian(total: FinCategory, proj: FinFunctor, f: str) -> bool:
     return True
 
 
-def make_bundle(total: FinCategory, projection: FinFunctor, obj_pair=None, arr_pair=None) -> FibrationBundle:
-    """The bundle of ``projection``: total -> base; no arrow is decided
-    cartesian until ``bundle.cartesian`` is read."""
-    return FibrationBundle(total, projection, obj_pair, arr_pair)
-
-
 def grothendieck(cix: IndexedCategory) -> FibrationBundle:
     """Total category of pairs and its projection; the cartesian table is
     decided by the lifting search on its first read, never copied from the
@@ -213,7 +207,7 @@ def _grothendieck(cix: IndexedCategory) -> FibrationBundle:
         total,
         base,
     )
-    return make_bundle(total, proj, obj_pair, arr_pair)
+    return FibrationBundle(total, proj, obj_pair, arr_pair)
 
 
 def is_fibration(bundle: FibrationBundle, mode: str = "strict") -> tuple[bool, tuple]:

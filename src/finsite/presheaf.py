@@ -461,6 +461,3 @@ def prop33_pullback_data(projection: FinFunctor, d_prime: str, u_prime: str, f_p
         action[h] = m
     return validate_presheaf(dcat, values, action), elems
 
-
-def prop33_pullback_presheaf(projection: FinFunctor, d_prime: str, u_prime: str, f_prime: str) -> Presheaf:
-    return prop33_pullback_data(projection, d_prime, u_prime, f_prime)[0]

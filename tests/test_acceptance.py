@@ -7,6 +7,10 @@ pass/fail line; run with -s (or read captured output) for the summary.
 """
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+
 import pytest
 
 from finsite.experiments import all_experiment_ids, run_experiment
@@ -17,6 +21,8 @@ CAPS = Caps()  # instances=500, base_objects<=4, fiber_objects<=4
 # At most 5% of the fuzzed instances of any experiment may be skipped.
 SKIP_CEILING = CAPS.instances // 20
 _REPORTS: dict[str, object] = {}
+# sha256 of each report's canonical text, written by record_acceptance_digests.py
+DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "acceptance_digests.json")
 
 
 def _report(experiment_id: str):
@@ -149,3 +155,17 @@ def test_supporting_experiments_all_pass():
         )
         assert report.ok, report.failures[0].message if report.failures else ""
         _assert_skips_bounded(report)
+
+
+def test_reports_match_the_acceptance_digests():
+    """Every acceptance report is byte-identical to the recorded one: its
+    canonical text hashes to the digest in ``acceptance_digests.json``."""
+    with open(DIGESTS, encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    assert sorted(recorded) == sorted(all_experiment_ids())
+    changed = [
+        exp_id
+        for exp_id, digest in recorded.items()
+        if hashlib.sha256(_report(exp_id).canonical_text().encode("utf-8")).hexdigest() != digest
+    ]
+    assert changed == [], "canonical reports changed: {}".format(", ".join(changed))

@@ -18,6 +18,7 @@ from finsite.fincat import (
     validate_functor,
 )
 from finsite.fibration import (
+    FibrationBundle,
     arrow_is_cartesian,
     compose_direct_images,
     compose_inverse_images,
@@ -28,7 +29,6 @@ from finsite.fibration import (
     is_cartesian_fibration,
     is_fibration,
     is_morphism_of_fibrations,
-    make_bundle,
     pair_arr,
     pair_obj,
     q_reflects_cartesian,
@@ -104,7 +104,7 @@ def test_non_iso_vertical_arrow_is_not_cartesian(walk2):
 
 
 def test_is_fibration_finds_missing_lift(walk2, one):
-    bundle = make_bundle(one, corpus.pick(walk2, "b"))
+    bundle = FibrationBundle(one, corpus.pick(walk2, "b"))
     ok, witness = is_fibration(bundle)
     assert not ok
     assert witness[1][0] == "u"
@@ -115,7 +115,7 @@ def test_codomain_projection_of_walk2_arrow_category_is_a_fibration(walk2):
     from finsite.fincat import arrow_category
 
     ac = arrow_category(walk2)
-    bundle = make_bundle(ac.category, ac.cod)
+    bundle = FibrationBundle(ac.category, ac.cod)
     ok, witness = is_fibration(bundle)
     assert ok, witness
 
@@ -133,7 +133,7 @@ def test_street_and_strict_modes_genuinely_differ(one):
     # One over iso2 at y: the arrow j: z -> y has no lift lying exactly over
     # it, but the identity lift works after twisting by the iso y ~ z
     iso2 = corpus.iso2()
-    bundle = make_bundle(one, corpus.pick(iso2, "y"))
+    bundle = FibrationBundle(one, corpus.pick(iso2, "y"))
     strict_ok, witness = is_fibration(bundle, "strict")
     assert not strict_ok
     assert witness[1][0] == "j"
@@ -427,7 +427,7 @@ def reference_arrow_is_cartesian(total, proj, f):
 
 
 def reference_cartesian_table(bundle):
-    """The table ``make_bundle`` used to compute for every bundle it built."""
+    """The cartesian table, decided for every arrow as bundles once did when built."""
     total, proj = bundle.total, bundle.projection
     return frozenset(a for a in total.arrows if arrow_is_cartesian(total, proj, a))
 
@@ -466,8 +466,8 @@ def cartesian_table_cases(draws):
     arrows = arrow_category(walk2)
     yield grothendieck(corpus.two_point())
     yield grothendieck(constant_one_indexed(corpus.iso2()))
-    yield make_bundle(arrows.category, arrows.cod)
-    yield make_bundle(corpus.one(), corpus.pick(corpus.iso2(), "y"))
+    yield FibrationBundle(arrows.category, arrows.cod)
+    yield FibrationBundle(corpus.one(), corpus.pick(corpus.iso2(), "y"))
     yield direct_image(corpus.two_point(walk2), corpus.pick(walk2, "b")).source
     yield inverse_image_adjoint(constant_indexed(corpus.one(), corpus.discrete(("p", "q"))), corpus.walk2_terminal_adjunction()).source
     caps = Caps(base_objects=3, fiber_objects=3)

@@ -18,7 +18,7 @@ from finsite.presheaf import (
     plus,
     precompose,
     presheaf_morphisms,
-    prop33_pullback_presheaf,
+    prop33_pullback_data,
     representable,
     sheaf_targets,
     sheafify,
@@ -202,14 +202,14 @@ def test_continuity_implies_sheaf_preservation_direction(walk2, one, sier):
 
 
 def test_prop33_pullback_along_identities(walk2):
-    p = prop33_pullback_presheaf(identity_functor(walk2), "b", "id_b", "id_b")
+    p = prop33_pullback_data(identity_functor(walk2), "b", "id_b", "id_b")[0]
     for e in walk2.objects:
         assert len(p.values[e]) == len(walk2.hom(e, "b"))
 
 
 def test_prop33_pullback_with_empty_homs(walk2):
     # no arrows b -> a, so the pullback presheaf over d' = a is empty at b
-    p = prop33_pullback_presheaf(identity_functor(walk2), "a", "id_a", "id_a")
+    p = prop33_pullback_data(identity_functor(walk2), "a", "id_a", "id_a")[0]
     assert p.values["b"] == ()
 
 
@@ -219,7 +219,7 @@ def test_prop33_pullback_two_point_instance(two_point, walk2):
     bundle = grothendieck(two_point)
     proj = bundle.projection
     d_prime = "(x0,b)"
-    p = prop33_pullback_presheaf(proj, d_prime, "id_b", "u")
+    p = prop33_pullback_data(proj, d_prime, "id_b", "u")[0]
     total = bundle.total
     for e in total.objects:
         expected = set()

@@ -56,9 +56,12 @@ from finsite.presheaf import Presheaf, prop33_pullback_data, validate_presheaf
 from finsite.sieves import (
     CapExceeded,
     enumerate_topologies,
+    generate_sieve,
+    image_cover_meet,
     image_sieve,
     saturate,
     sieve_lattice,
+    sieve_without,
     topology_candidate_count,
     trivial_topology,
 )
@@ -407,6 +410,168 @@ def reference_is_continuous(sf):
     return True, ()
 
 
+def _reference_flat_f2_sieve(sf, d, c1, u1, c2, u2):
+    """Arrows h into d along which (u1, u2) factors through one image F(c)."""
+    functor = sf.functor
+    ccat, dcat = functor.source, functor.target
+    good = set()
+    for h in dcat.into(d):
+        e = dcat.src[h]
+        found = False
+        for c in ccat.objects:
+            for s1 in ccat.hom(c, c1):
+                a1 = functor.ar(s1)
+                target1 = dcat.compose(u1, h)
+                for gamma in dcat.hom(e, functor.ob(c)):
+                    if dcat.compose(a1, gamma) != target1:
+                        continue
+                    for s2 in ccat.hom(c, c2):
+                        if dcat.compose(functor.ar(s2), gamma) == dcat.compose(u2, h):
+                            found = True
+                            break
+                    if found:
+                        break
+                if found:
+                    break
+            if found:
+                break
+        if found:
+            good.add(h)
+    return frozenset(good)
+
+
+def _reference_flat_f3_sieve(sf, d, s, t, u):
+    """Arrows h into d along which u factors through an equalizing F(w)."""
+    functor = sf.functor
+    ccat, dcat = functor.source, functor.target
+    c1 = ccat.src[s]
+    good = set()
+    for h in dcat.into(d):
+        e = dcat.src[h]
+        target = dcat.compose(u, h)
+        found = False
+        for c in ccat.objects:
+            for w in ccat.hom(c, c1):
+                if ccat.compose(s, w) != ccat.compose(t, w):
+                    continue
+                aw = functor.ar(w)
+                for gamma in dcat.hom(e, functor.ob(c)):
+                    if dcat.compose(aw, gamma) == target:
+                        found = True
+                        break
+                if found:
+                    break
+            if found:
+                break
+        if found:
+            good.add(h)
+    return frozenset(good)
+
+
+def reference_is_covering_flat(sf):
+    """F1-F3 with every qualifying sieve built over all of into(d) and then
+    tested for being a cover; returns (ok, witness, trace)."""
+    functor, k_tgt = sf.functor, sf.target_topology
+    ccat, dcat = functor.source, functor.target
+    trace = []
+    for d in dcat.objects:
+        w = frozenset(
+            h for h in dcat.into(d) if any(dcat.hom(dcat.src[h], functor.ob(c)) for c in ccat.objects)
+        )
+        if not k_tgt.is_cover(d, w):
+            return False, ("no_local_cone", d, tuple(sorted(w))), ()
+        trace.append(("f1", d, tuple(sorted(w))))
+    for d in dcat.objects:
+        for c1 in ccat.objects:
+            for u1 in dcat.hom(d, functor.ob(c1)):
+                for c2 in ccat.objects:
+                    for u2 in dcat.hom(d, functor.ob(c2)):
+                        w = _reference_flat_f2_sieve(sf, d, c1, u1, c2, u2)
+                        if not k_tgt.is_cover(d, w):
+                            return False, ("no_local_span", (d, c1, u1, c2, u2), tuple(sorted(w))), ()
+                        trace.append(("f2", d, u1, u2))
+    for s in ccat.arrows:
+        for t in ccat.arrows:
+            if ccat.src[s] != ccat.src[t] or ccat.tgt[s] != ccat.tgt[t]:
+                continue
+            for d in dcat.objects:
+                for u in dcat.hom(d, functor.ob(ccat.src[s])):
+                    if dcat.compose(functor.ar(s), u) != dcat.compose(functor.ar(t), u):
+                        continue
+                    w = _reference_flat_f3_sieve(sf, d, s, t, u)
+                    if not k_tgt.is_cover(d, w):
+                        return False, ("no_local_equalization", (d, s, t, u), tuple(sorted(w))), ()
+                    trace.append(("f3", d, s, t, u))
+    return True, (), tuple(trace)
+
+
+def reference_is_dense_morphism(sf):
+    """Morphism of sites, cover reflection, local covering by images, and
+    local fullness and faithfulness with every qualifying set built over all
+    of into(c); returns (ok, witness, trace)."""
+    cp = is_cover_preserving(sf)
+    if not cp.ok:
+        return False, ("not_morphism_of_sites", "not_cover_preserving") + cp.witness, ()
+    ok, witness, flat_trace = reference_is_covering_flat(sf)
+    if not ok:
+        return False, ("not_morphism_of_sites", "not_covering_flat") + witness, ()
+    functor, j_src, j_tgt = sf.functor, sf.source_topology, sf.target_topology
+    ccat, dcat = functor.source, functor.target
+    trace = list(cp.trace + flat_trace)
+    for c in ccat.objects:
+        lost = sorted(j_src.least[c] - image_cover_meet(functor, j_tgt, c))
+        if lost:
+            return False, ("cover_not_reflected", c, tuple(sorted(sieve_without(ccat, c, lost[0])))), ()
+    images = {functor.ob(c) for c in ccat.objects}
+    for d in dcat.objects:
+        w = generate_sieve(dcat, d, [m for m in dcat.into(d) if dcat.src[m] in images])
+        if not j_tgt.is_cover(d, w):
+            return False, ("not_locally_covered_by_images", d, tuple(sorted(w))), ()
+        trace.append(("images-cover", d, tuple(sorted(w))))
+    for c1 in ccat.objects:
+        for c2 in ccat.objects:
+            for g in dcat.hom(functor.ob(c1), functor.ob(c2)):
+                good = set()
+                for v in ccat.into(c1):
+                    if any(dcat.compose(g, functor.ar(v)) == functor.ar(g2) for g2 in ccat.hom(ccat.src[v], c2)):
+                        good.add(v)
+                if not j_src.is_cover(c1, frozenset(good)):
+                    return False, ("not_locally_full", (c1, c2, g), tuple(sorted(good))), ()
+                trace.append(("local-fullness", c1, c2, g))
+    for g1 in ccat.arrows:
+        for g2 in ccat.arrows:
+            if g1 >= g2 or ccat.src[g1] != ccat.src[g2] or ccat.tgt[g1] != ccat.tgt[g2]:
+                continue
+            if functor.ar(g1) != functor.ar(g2):
+                continue
+            c1 = ccat.src[g1]
+            good = frozenset(v for v in ccat.into(c1) if ccat.compose(g1, v) == ccat.compose(g2, v))
+            if not j_src.is_cover(c1, good):
+                return False, ("not_locally_faithful", (g1, g2), tuple(sorted(good))), ()
+            trace.append(("local-faithfulness", g1, g2))
+    return True, (), tuple(trace)
+
+
+def parallel_pair_site_functor():
+    """The parallel pair s, t: x -> y sent to the terminal site, both sides
+    trivial.  F(s) = F(t), but no arrow into x equalizes s and t, so F3 fails
+    at d = *."""
+    pair = build_category(("x", "y"), {"s": ("x", "y"), "t": ("x", "y")})
+    return SiteFunctor(corpus.bang(pair), trivial_topology(pair), trivial_topology(terminal_category()))
+
+
+def retract_point_site_functor():
+    """The point s of the retract, from the trivial terminal site to the
+    retract with s covered by {m}.  F is flat and covers are reflected, but
+    t: s -> s is not the image of any arrow, even locally on {id_*}."""
+    retract = corpus.retract()
+    return SiteFunctor(
+        corpus.pick(retract, "s"),
+        trivial_topology(terminal_category()),
+        saturate(retract, {"s": [["m"]]}),
+    )
+
+
 def cospan_site_functor():
     """x -f-> c <-g- y with {f, g} covering c, mapped to the terminal site.
 
@@ -482,6 +647,40 @@ def test_least_cover_continuity_matches_the_all_covers_search(differential_site_
         assert (verdict.ok, verdict.witness) == reference_is_continuous(sf)
         outcomes.add(verdict.witness[:1])
     assert outcomes == {(), ("not_cover_preserving",), ("no_local_connection",)}
+
+
+def test_least_cover_flatness_and_density_match_the_qualifying_set_searches(differential_site_functors):
+    outcomes = {}
+    for sf in differential_site_functors + [parallel_pair_site_functor(), retract_point_site_functor()]:
+        for decide, reference in (
+            (is_covering_flat, reference_is_covering_flat),
+            (is_dense_morphism, reference_is_dense_morphism),
+        ):
+            verdict = decide(sf)
+            assert (verdict.ok, verdict.witness, verdict.trace) == reference(sf)
+            key = (verdict.rule,) + verdict.witness[:1]
+            outcomes[key] = outcomes.get(key, 0) + 1
+    assert outcomes[("covering-flat", "no_local_cone")] >= 296
+    assert outcomes[("covering-flat", "no_local_span")] >= 831
+    assert outcomes[("covering-flat", "no_local_equalization")] >= 1
+    assert outcomes[("dense-morphism", "cover_not_reflected")] >= 418
+    assert outcomes[("dense-morphism", "not_locally_covered_by_images")] >= 29
+    assert outcomes[("dense-morphism", "not_locally_full")] >= 1
+
+
+def test_covering_flat_fails_without_local_equalization():
+    sf = parallel_pair_site_functor()
+    verdict = is_covering_flat(sf)
+    assert verdict.witness == ("no_local_equalization", ("*", "s", "t", "id_*"), ())
+    assert not verdict.ok and replay(verdict, sf)
+
+
+def test_dense_fails_without_local_fullness():
+    sf = retract_point_site_functor()
+    assert is_morphism_of_sites(sf).ok
+    verdict = is_dense_morphism(sf)
+    assert verdict.witness == ("not_locally_full", ("*", "*", "t"), ())
+    assert not verdict.ok and replay(verdict, sf)
 
 
 def test_continuity_fails_on_an_unconnected_cospan_cover():
