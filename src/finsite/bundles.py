@@ -296,11 +296,5 @@ def workspace_to_json(ws: Workspace) -> dict:
     return doc
 
 
-def save_bundle(ws: Workspace, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(workspace_to_json(ws), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
 def dumps_canonical(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))

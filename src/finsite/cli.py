@@ -22,16 +22,8 @@ from .deciders import (
     is_dense_morphism,
     is_morphism_of_sites,
 )
-from .experiments import (
-    EXPERIMENTS,
-    all_experiment_ids,
-    coverage_gaps,
-    resolve_experiment_id,
-    run_experiment,
-)
 from .fincat import StructureError
 from .fibration import direct_image, giraud_topology
-from .generate import Caps
 from .presheaf import sheafify
 from .sieves import CapExceeded, Topology
 
@@ -160,7 +152,9 @@ def cmd_pullback(args, out) -> int:
     return 0
 
 
-def _caps(args) -> Caps:
+def _caps(args):
+    from .generate import Caps
+
     try:
         return Caps.parse(args.caps or "")
     except ValueError as err:
@@ -172,6 +166,8 @@ def _skip_summary(report) -> str:
 
 
 def cmd_prop(args, out) -> int:
+    from .experiments import EXPERIMENTS, all_experiment_ids, resolve_experiment_id, run_experiment
+
     if resolve_experiment_id(args.id) not in EXPERIMENTS:
         raise InputError("unknown experiment {!r}; known: {}".format(args.id, ", ".join(all_experiment_ids())))
     report = run_experiment(args.id, args.seed, _caps(args))
@@ -181,6 +177,8 @@ def cmd_prop(args, out) -> int:
 
 
 def cmd_fuzz(args, out) -> int:
+    from .experiments import all_experiment_ids, coverage_gaps, run_experiment
+
     if not args.all:
         raise InputError("fuzz requires --all")
     gaps = coverage_gaps()
@@ -228,37 +226,41 @@ COMMANDS = {
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The top-level parser with every subcommand's parser, or only ``command``'s.
+def _command_parser(name: str, parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """``parser`` with the arguments and handler of the command ``name``."""
+    fn, _, arguments = COMMANDS[name]
+    for arg, options in arguments.items():
+        parser.add_argument(arg, **options)
+    parser.set_defaults(fn=fn)
+    return parser
 
-    With one subcommand the usage line still lists them all, so errors the
-    top-level parser reports after dispatch read as they do with the full one.
-    """
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser with every command's parser."""
     parser = argparse.ArgumentParser(prog="finsite", description=__doc__)
-    names = tuple(COMMANDS) if command is None else (command,)
-    # The full parser keeps argparse's own metavar: an explicit one would also
-    # rename the action in "argument command: invalid choice" errors.
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        fn, text, arguments = COMMANDS[name]
-        p = sub.add_parser(name, help=text)
-        for arg, options in arguments.items():
-            p.add_argument(arg, **options)
-        p.set_defaults(fn=fn)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, text, _) in COMMANDS.items():
+        _command_parser(name, sub.add_parser(name, help=text))
     return parser
 
 
 def main(argv=None) -> int:
-    """Parse ``argv`` (default ``sys.argv[1:]``) and run its subcommand.
+    """Parse ``argv`` (default ``sys.argv[1:]``) and run its command.
 
-    Only the named subcommand's parser is built; help, a missing or unknown
-    command, and a leading option go to the full parser.
+    A command line that starts with a command is parsed by that command's
+    parser alone, named as the full parser names it.  The full parser is
+    built only for the help and errors that parser cannot report: a missing
+    or unknown command, a leading option such as ``-h``, and arguments left
+    over.
     """
     if argv is None:
         argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = extra = None
+    if argv and argv[0] in COMMANDS:
+        parser = _command_parser(argv[0], argparse.ArgumentParser(prog="finsite " + argv[0]))
+        args, extra = parser.parse_known_args(argv[1:])
+    if args is None or extra:
+        args = build_parser().parse_args(argv)
     try:
         return args.fn(args, sys.stdout)
     except (InputError, StructureError, CapExceeded) as err:

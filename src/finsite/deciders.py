@@ -171,15 +171,6 @@ def is_continuous(sf: SiteFunctor) -> Verdict:
     return Verdict(True, "continuous", (), tuple(trace))
 
 
-def _flat_f1_sieve(sf: SiteFunctor, d: str) -> frozenset[str]:
-    functor = sf.functor
-    dcat = functor.target
-    has_cone = {}
-    for e in dcat.objects:
-        has_cone[e] = any(dcat.hom(e, functor.ob(c)) for c in functor.source.objects)
-    return frozenset(h for h in dcat.into(d) if has_cone[dcat.src[h]])
-
-
 def _local_miss(topology: Topology, cat, d: str, holds) -> tuple | None:
     """None when ``holds`` at every member of the least cover S(d), that is
     when the arrows into d where it holds form a cover; otherwise those
@@ -196,8 +187,10 @@ def is_covering_flat(sf: SiteFunctor) -> Verdict:
     functor, k_tgt = sf.functor, sf.target_topology
     ccat, dcat = functor.source, functor.target
     trace = []
+    # the objects with an arrow into some image F(c): the same for every d
+    has_cone = {e for e in dcat.objects if any(dcat.hom(e, functor.ob(c)) for c in ccat.objects)}
     for d in dcat.objects:
-        w = _flat_f1_sieve(sf, d)
+        w = frozenset(h for h in dcat.into(d) if dcat.src[h] in has_cone)
         if not k_tgt.is_cover(d, w):
             return Verdict(False, "covering-flat", ("no_local_cone", d, tuple(sorted(w))))
         trace.append(("f1", d, tuple(sorted(w))))

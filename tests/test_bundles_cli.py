@@ -6,13 +6,12 @@ import sys
 import pytest
 
 import finsite
-from finsite import cli, corpus, sieves
+from finsite import cli, corpus, experiments, sieves
 from finsite.bundles import (
     SECTIONS,
     BundleError,
     Workspace,
     load_bundle,
-    save_bundle,
     workspace_to_json,
 )
 from finsite.cli import main
@@ -25,6 +24,12 @@ from finsite.sieves import induced_image_topology, saturate, trivial_topology
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "finsite", "data")
 WALK2_BUNDLE = os.path.join(DATA, "walk2.bundle")
 CORPUS_BUNDLE = os.path.join(DATA, "corpus.bundle")
+
+
+def save_bundle(ws: Workspace, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(workspace_to_json(ws), fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def test_shipped_walk2_bundle_loads(walk2, sier, two_point):
@@ -215,35 +220,67 @@ CLI_CASES = [
     ["check", "bad", WALK2_BUNDLE, "p", "gir_twopoint", "sier"],
     ["check", "flat", WALK2_BUNDLE, "p", "gir_twopoint", "sier"],
     ["check", "flat", WALK2_BUNDLE, "p", "gir_twopoint", "sier", "extra"],
+    ["validate", "--bogus", WALK2_BUNDLE],
     ["prop", "--seed", "x", "y"],
     ["validate", os.path.join(DATA, "no-such.bundle")],
+    ["--", "validate", WALK2_BUNDLE],
+    ["validate", "--", WALK2_BUNDLE],
+    ["validate", WALK2_BUNDLE, "--"],
+    ["prop", "--", "--seed"],
+    ["prop", "bogus", "--se", "1"],
+    ["check", "--he"],
+    ["prop", "bogus", "--seed=2"],
+    ["giraud", "-hx"],
+    ["prop", "bogus", "--seed"],
+    ["check", "-h", "flat"],
+    ["fuzz", "--al", "--caps", "bogus=1"],
+    ["fuzz", "--caps", "instances=1"],
 ]
 
 
-def run_cli_exit(args, capsys):
-    """Like run_cli, with argparse's SystemExit turned into its exit code."""
+def run_cli_exit(run, args, capsys):
+    """``run(args)`` as (exit code, stdout, stderr), argparse's SystemExit
+    turned into its exit code."""
     try:
-        code = main(args)
+        code = run(args)
     except SystemExit as exit:
         code = exit.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
+def full_parser_main(argv):
+    """``main`` as it ran when every call parsed with the full parser."""
+    args = cli.build_parser().parse_args(argv)
+    try:
+        return args.fn(args, sys.stdout)
+    except (cli.InputError, cli.StructureError, cli.CapExceeded) as err:
+        sys.stderr.write("error: {}\n".format(err))
+        return 2
+
+
 @pytest.mark.parametrize("args", CLI_CASES, ids=lambda args: " ".join(map(os.path.basename, args)) or "(none)")
 def test_cli_matches_the_full_parser(args, monkeypatch, capsys):
+    expected = run_cli_exit(full_parser_main, args, capsys)
     built = []
     full_parser = cli.build_parser
 
-    def spy(command=None):
-        built.append(command)
-        return full_parser(command)
+    def spy():
+        built.append(True)
+        return full_parser()
 
     monkeypatch.setattr(cli, "build_parser", spy)
-    selective = run_cli_exit(args, capsys)
-    assert built == [args[0] if args and args[0] in cli.COMMANDS else None]
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
-    assert selective == run_cli_exit(args, capsys)
+    assert run_cli_exit(main, args, capsys) == expected
+    # the full parser only for help and errors a command's parser cannot report
+    unreported = not args or args[0] not in cli.COMMANDS or "unrecognized arguments" in expected[2]
+    assert len(built) == unreported
+    try:
+        full_parser().parse_args(args)
+    except SystemExit:
+        return
+    finally:
+        capsys.readouterr()
+    assert built == [], "a well-formed command line built the full parser"
 
 
 def test_cli_main_reads_sys_argv(monkeypatch, capsys):
@@ -398,7 +435,7 @@ def test_cli_fuzz_requires_all(capsys):
 def test_cli_fuzz_all_small(capsys):
     code, out, _ = run_cli(["fuzz", "--all", "--seed", "3", "--caps", "instances=2"], capsys)
     assert code == 0
-    assert out.count("--- trailer ---") == len(__import__("finsite.experiments", fromlist=["EXPERIMENTS"]).EXPERIMENTS)
+    assert out.count("--- trailer ---") == len(experiments.EXPERIMENTS)
 
 
 def child_pythonpath(environ):
@@ -441,6 +478,19 @@ def python_outputs_under_hash_seeds(args, hash_seeds=("1", "2")):
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     return outputs
+
+
+IMPORT_CLI_SCRIPT = """
+import sys
+import finsite.cli
+print(sorted(name for name in ("finsite.experiments", "finsite.generate") if name in sys.modules))
+sys.exit(finsite.cli.main(["prop", "prop-4.2", "--caps", "instances=2"]))
+"""
+
+
+def test_importing_the_cli_leaves_the_experiment_engine_unloaded():
+    [out] = python_outputs_under_hash_seeds(["-c", IMPORT_CLI_SCRIPT], ("0",))
+    assert out.startswith("[]\nexperiment prop-4.2-comorphism\n"), out
 
 
 def cli_outputs_under_hash_seeds(argv):
@@ -569,7 +619,8 @@ def test_cli_caps_parse_error(capsys):
 
 
 def test_cli_fuzz_refuses_incomplete_coverage(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "coverage_gaps", lambda: ("some-result",))
+    # cmd_fuzz imports the experiment engine when it runs, so patch it there
+    monkeypatch.setattr(experiments, "coverage_gaps", lambda: ("some-result",))
     code, _, err = run_cli(["fuzz", "--all", "--caps", "instances=1"], capsys)
     assert code == 2
     assert "refusing" in err
