@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 from .fincat import (
     FinCategory,
@@ -178,6 +179,19 @@ def read_document(source) -> dict:
         return {key: dict(doc.get(key, {})) for key in SECTIONS}
 
 
+def _resolve(ws: Workspace, sections: dict, section, name, path, kind):
+    """``load_bundle``'s resolver: the entry, loaded into ``ws`` on first use.
+    Loaders get it bound by ``partial``, which holds no reference to itself."""
+    loaded = getattr(ws, section)
+    if name not in loaded:
+        if name not in sections[section]:
+            raise BundleError(path, "dangling reference to {} {!r}".format(kind, name))
+        entry_path = "{}/{}".format(section, name)
+        with _at(entry_path):
+            loaded[name] = _LOADERS[section](partial(_resolve, ws, sections), entry_path, sections[section][name])
+    return loaded[name]
+
+
 def load_bundle(source, names=None) -> Workspace:
     """Load and validate a bundle from a path, JSON text, file object or
     parsed dict.
@@ -192,22 +206,11 @@ def load_bundle(source, names=None) -> Workspace:
     """
     sections = read_document(source)
     ws = Workspace()
-
-    def get(section, name, path, kind):
-        loaded = getattr(ws, section)
-        if name not in loaded:
-            if name not in sections[section]:
-                raise BundleError(path, "dangling reference to {} {!r}".format(kind, name))
-            entry_path = "{}/{}".format(section, name)
-            with _at(entry_path):
-                loaded[name] = _LOADERS[section](get, entry_path, sections[section][name])
-        return loaded[name]
-
     wanted = sections if names is None else names
     for section in SECTIONS:
         for name in sorted(wanted.get(section, ())):
             if name in sections[section]:  # so the "/" location is never reported
-                get(section, name, "/", section)
+                _resolve(ws, sections, section, name, "/", section)
     return ws
 
 

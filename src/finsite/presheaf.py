@@ -39,10 +39,12 @@ class Presheaf:
 def validate_presheaf(base: FinCategory, values, action) -> Presheaf:
     values = {c: tuple(v) for c, v in values.items()}
     action = {f: dict(m) for f, m in action.items()}
+    vs = {}
     for c in base.objects:
         if c not in values:
             raise StructureError("missing value set at {}".format(c), witness=c)
-        if len(set(values[c])) != len(values[c]):
+        vs[c] = set(values[c])
+        if len(vs[c]) != len(values[c]):
             raise StructureError("duplicate elements at {}".format(c), witness=c)
     for f in base.arrows:
         if base.is_identity(f):
@@ -52,11 +54,12 @@ def validate_presheaf(base: FinCategory, values, action) -> Presheaf:
         if m is None:
             raise StructureError("missing action along {}".format(f), witness=f)
         s, t = base.src[f], base.tgt[f]
-        if set(m) != set(values[t]) or not set(m.values()) <= set(values[s]):
+        if m.keys() != vs[t] or not vs[s].issuperset(m.values()):
             raise StructureError("action along {} is not a map values({}) -> values({})".format(f, t, s), witness=f)
     for c in base.objects:
-        i = base.identity[c]
-        if action[i] != {a: a for a in values[c]}:
+        # a map values(c) -> values(c) by now, so the identity iff it fixes every element
+        m = action[base.identity[c]]
+        if not all(m[a] == a for a in values[c]):
             raise StructureError("identity action at {} is not the identity".format(c), witness=c)
     for (g, f), h in base.table.items():
         # an entry with an identity factor holds once identity actions are
@@ -289,6 +292,58 @@ def presheaf_morphisms(p: Presheaf, q: Presheaf):
         yield _as_components(p, image)
 
 
+class _Orderly:
+    """``sheaf_targets``' search on one size combination ``sz``, kept on an
+    object so that the recursive ``extend`` does not reach itself through a closure."""
+
+    def __init__(self, base: FinCategory, topology: Topology, plan, sz: dict[str, int]):
+        self.base, self.topology, self.sz = base, topology, sz
+        self.non_id, self.entries, self.decided, self.fresh, self.slot, self.perms = plan
+        self.values = {c: tuple(str(i) for i in range(sz[c])) for c in base.objects}
+        # the action of every arrow assigned so far, identities included
+        self.acts = {f: {v: v for v in self.values[base.src[f]]} for f in base.arrows if base.is_identity(f)}
+        self.provisional = Presheaf(base, self.values, self.acts)
+
+    def consistent(self, i: int) -> bool:
+        acts = self.acts
+        for g, f, h in self.entries[i]:
+            fa, ga, ha = acts[f], acts[g], acts[h]
+            for a in self.values[self.base.tgt[g]]:
+                if fa[ga[a]] != ha[a]:
+                    return False
+        return True
+
+    def extend(self, i: int, group):
+        base, non_id, values, acts = self.base, self.non_id, self.values, self.acts
+        if i == len(non_id):
+            action = {f: dict(acts[f]) for f in non_id}
+            yield validate_presheaf(base, values, action)
+            return
+        f = non_id[i]
+        dom = values[base.tgt[f]]
+        cod = values[base.src[f]]
+        for c in self.fresh[i]:
+            group = [sigma + (pair,) for sigma in group for pair in self.perms[self.sz[c]]]
+        s, t = self.slot[base.src[f]], self.slot[base.tgt[f]]
+        # each relabelling's permutation at the source and inverse at the target
+        moves = [(sigma[s][0], sigma[t][1], sigma) for sigma in group]
+        for image in itertools.product(range(len(cod)), repeat=len(dom)):
+            acts[f] = {a: cod[x] for a, x in zip(dom, image)}
+            if self.consistent(i):
+                fixing = []
+                for to, back, sigma in moves:
+                    moved = tuple([to[image[j]] for j in back])
+                    if moved < image:
+                        break
+                    if moved == image:
+                        fixing.append(sigma)
+                else:
+                    # a least prefix failing a sheaf condition it decides has no sheaf completion
+                    if all(_sheaf_witness(self.provisional, c, self.topology.least[c]) is None for c in self.decided[i]):
+                        yield from self.extend(i + 1, fixing)
+            del acts[f]
+
+
 def sheaf_targets(base: FinCategory, topology: Topology, max_size: int = 3, budget: int = 200_000):
     """One sheaf per isomorphism class with value sets {0..k-1}, k <= max_size.
 
@@ -309,6 +364,9 @@ def sheaf_targets(base: FinCategory, topology: Topology, max_size: int = 3, budg
     sources, so it is decided as soon as the last of them is assigned, and a
     prefix that fails it, having no sheaf completion, is pruned.  Where S(c)
     is empty the condition is |P(c)| = 1, decided by the size combination.
+    A combination with |P(t)| > 0 and |P(s)| = 0 for some non-identity
+    f: s -> t holds no presheaf at all, since no map goes from a non-empty
+    set into the empty one, and is skipped before any arrow is assigned.
     The stream is therefore the orderly stream of all presheaves, filtered by
     ``is_sheaf``; for the trivial topology it is every presheaf up to
     isomorphism.  Every yielded sheaf is still validated in full.
@@ -360,55 +418,15 @@ def sheaf_targets(base: FinCategory, topology: Topology, max_size: int = 3, budg
         [(q, tuple(sorted(range(n), key=q.__getitem__))) for q in itertools.permutations(range(n))]
         for n in range(max_size + 1 if slot else 0)
     ]
+    plan = (non_id, entries, decided, fresh, slot, perms)
     for combo in sizes:
         sz = dict(zip(base.objects, combo))
         if any(sz[c] != 1 for c in singletons):
             continue
-        values = {c: tuple(str(i) for i in range(sz[c])) for c in base.objects}
-        # the action of every arrow assigned so far, identities included
-        acts = {f: {v: v for v in values[base.src[f]]} for f in base.arrows if base.is_identity(f)}
-        provisional = Presheaf(base, values, acts)
-
-        def consistent(i):
-            for g, f, h in entries[i]:
-                fa, ga, ha = acts[f], acts[g], acts[h]
-                for a in values[base.tgt[g]]:
-                    if fa[ga[a]] != ha[a]:
-                        return False
-            return True
-
-        def go(i, group):
-            if i == len(non_id):
-                action = {f: dict(acts[f]) for f in non_id}
-                yield validate_presheaf(base, values, action)
-                return
-            f = non_id[i]
-            dom = values[base.tgt[f]]
-            cod = values[base.src[f]]
-            if len(dom) > 0 and len(cod) == 0:
-                return
-            for c in fresh[i]:
-                group = [sigma + (pair,) for sigma in group for pair in perms[sz[c]]]
-            s, t = slot[base.src[f]], slot[base.tgt[f]]
-            # each relabelling's permutation at the source and inverse at the target
-            moves = [(sigma[s][0], sigma[t][1], sigma) for sigma in group]
-            for image in itertools.product(range(len(cod)), repeat=len(dom)):
-                acts[f] = {a: cod[x] for a, x in zip(dom, image)}
-                if consistent(i):
-                    fixing = []
-                    for to, back, sigma in moves:
-                        moved = tuple([to[image[j]] for j in back])
-                        if moved < image:
-                            break
-                        if moved == image:
-                            fixing.append(sigma)
-                    else:
-                        # a least prefix failing a sheaf condition it decides has no sheaf completion
-                        if all(_sheaf_witness(provisional, c, topology.least[c]) is None for c in decided[i]):
-                            yield from go(i + 1, fixing)
-                del acts[f]
-
-        yield from go(0, [()])
+        # no map goes from a non-empty set into the empty one
+        if any(sz[base.tgt[f]] and not sz[base.src[f]] for f in non_id):
+            continue
+        yield from _Orderly(base, topology, plan, sz).extend(0, [()])
 
 
 def unit_universal_property(p: Presheaf, sh: Sheafification, target: Presheaf) -> tuple[bool, tuple]:

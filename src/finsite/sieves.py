@@ -265,15 +265,14 @@ def _upset_count(lattice, top) -> int:
     others = [s for s in lattice if s != top]
     above = [sum(1 << j for j, t in enumerate(others) if s <= t) for s in others]
     below = [sum(1 << j for j, t in enumerate(others) if t <= s) for s in others]
-    memo = {0: 1}
+    return _count_upsets((1 << len(others)) - 1, above, below, {0: 1})
 
-    def count(rest):
-        if rest not in memo:
-            x = (rest & -rest).bit_length() - 1
-            memo[rest] = count(rest & ~above[x]) + count(rest & ~below[x])
-        return memo[rest]
 
-    return count((1 << len(others)) - 1)
+def _count_upsets(rest: int, above: list[int], below: list[int], memo: dict[int, int]) -> int:
+    if rest not in memo:
+        x = (rest & -rest).bit_length() - 1
+        memo[rest] = _count_upsets(rest & ~above[x], above, below, memo) + _count_upsets(rest & ~below[x], above, below, memo)
+    return memo[rest]
 
 
 def topology_candidate_count(base: FinCategory) -> int:

@@ -1,7 +1,9 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -18,6 +20,7 @@ from finsite.cli import main
 from finsite.deciders import SiteFunctor, is_continuous, is_dense_morphism
 from finsite.fibration import validate_indexed
 from finsite.fincat import build_category, full_subcategory, identity_functor, terminal_category, validate_functor
+from finsite.presheaf import sheaf_targets
 from finsite.sieves import induced_image_topology, saturate, trivial_topology
 
 
@@ -410,6 +413,41 @@ def test_cli_sheafify_collapses_worked_example(capsys):
     assert code == 0
     assert "value a: {s0}" in out
     assert "value b: {s0}" in out
+
+
+def finsite_garbage(garbage):
+    """The objects of a finsite type, and the functions defined in finsite,
+    among ``garbage``."""
+    return sorted(
+        {
+            getattr(o, "__qualname__", type(o).__qualname__)
+            for o in garbage
+            if type(o).__module__.startswith("finsite")
+            or (isinstance(o, types.FunctionType) and o.__module__.startswith("finsite"))
+        }
+    )
+
+
+def test_finsite_leaves_no_cyclic_garbage(walk2, sier, capsys):
+    # with the cycle collector off, what the cycle collector then finds was
+    # freed by nothing else; argparse's own cycles are allowed
+    gc.collect()
+    gc.disable()
+    try:
+        load_bundle(WALK2_BUNDLE)
+        assert run_cli(["giraud", WALK2_BUNDLE, "twopoint", "sier"], capsys)[0] == 0
+        assert run_cli(["check", "continuous", WALK2_BUNDLE, "p", "gir_twopoint", "sier"], capsys)[0] == 0
+        assert run_cli(["sheafify", WALK2_BUNDLE, "twofold", "sier"], capsys)[0] == 0
+        assert list(sheaf_targets(walk2, sier, 2))
+        assert sieves.topology_candidate_count(walk2) > 1
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        found = finsite_garbage(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert found == []
 
 
 def test_cli_pullback(capsys):

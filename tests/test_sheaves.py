@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from finsite import corpus, presheaf
+from finsite import corpus, experiments, presheaf
 from finsite.fincat import StructureError, build_category, compose_functors, identity_functor, validate_category
 from finsite.deciders import SiteFunctor, is_continuous
 from finsite.generate import Caps, GenerationError, derive_seed, gen_presheaf, gen_site, generate_instance
@@ -640,29 +640,94 @@ def validation_outcome(check, base, values, action):
     return "accepted", list(out.values.items()), [(f, list(m.items())) for f, m in out.action.items()]
 
 
+# the opening words of each refusal of validate_presheaf
+REFUSALS = (
+    "missing value set",
+    "duplicate elements",
+    "missing action",
+    "action along",
+    "identity action",
+    "actions not functorial",
+)
+
+
+def refusal(outcome):
+    if outcome[0] == "accepted":
+        return "accepted"
+    return next(kind for kind in REFUSALS if outcome[1].startswith(kind))
+
+
+def broken_copies(rng, q):
+    """(how, values, action): q's own tables, then copies broken in one place
+    by redirecting one element of one action (identities included), dropping
+    a value set, repeating an element, dropping an action, or making an
+    action a non-map by a missing key, an extra key or a value outside its
+    codomain.  A break that q has no room for is left out."""
+    cat = q.base
+
+    def tables():
+        return dict(q.values), {f: dict(m) for f, m in q.action.items()}
+
+    out = [("none", *tables())]
+    for _ in range(3):
+        f = rng.choice(cat.arrows)
+        if q.action[f] and len(q.values[cat.src[f]]) > 1:
+            values, action = tables()
+            a = rng.choice(sorted(action[f]))
+            action[f][a] = rng.choice([b for b in q.values[cat.src[f]] if b != action[f][a]])
+            out.append(("redirected", values, action))
+    c = rng.choice(cat.objects)
+    values, action = tables()
+    del values[c]
+    out.append(("dropped value set", values, action))
+    if q.values[c]:
+        values, action = tables()
+        values[c] += values[c][:1]
+        out.append(("repeated element", values, action))
+    f = rng.choice(cat.arrows)
+    values, action = tables()
+    del action[f]
+    out.append(("dropped action", values, action))
+    if q.action[f]:
+        values, action = tables()
+        del action[f][rng.choice(sorted(action[f]))]
+        out.append(("missing key", values, action))
+        values, action = tables()
+        action[f][rng.choice(sorted(action[f]))] = "outside"
+        out.append(("value outside the codomain", values, action))
+    if q.values[cat.src[f]]:
+        values, action = tables()
+        action[f]["extra"] = q.values[cat.src[f]][0]
+        out.append(("extra key", values, action))
+    return out
+
+
 def test_validate_presheaf_matches_the_full_entry_scan():
-    # every presheaf of size at most 2 on fuzzed sites, and copies broken by
-    # redirecting one element of one action (identities included)
+    # every presheaf of size at most 2 on fuzzed sites, and copies of each
+    # broken in one place; every refusal is compared with the reference
     rng = random.Random(11)
     outcomes = Counter()
     sites = [(cat, presheaves) for cat, _, presheaves in fuzzed_site_presheaves(60)]
     sites += [(cat, list(reference_enumerate_presheaves(cat, 2))) for cat in (corpus.iso2(), corpus.retract())]
     for cat, presheaves in sites:
         for q in presheaves:
-            cases = [q.action]
-            for _ in range(3):
-                broken = {f: dict(m) for f, m in q.action.items()}
-                f = rng.choice(cat.arrows)
-                if broken[f] and len(q.values[cat.src[f]]) > 1:
-                    a = rng.choice(sorted(broken[f]))
-                    broken[f][a] = rng.choice([b for b in q.values[cat.src[f]] if b != broken[f][a]])
-                    cases.append(broken)
-            for action in cases:
-                ours = validation_outcome(validate_presheaf, cat, q.values, action)
-                assert ours == validation_outcome(reference_validate_presheaf, cat, q.values, action)
-                # the first word of a refusal: "identity action ..." or "actions not functorial ..."
-                outcomes[ours[1].split()[0] if ours[0] == "refused" else "accepted"] += 1
-    assert set(outcomes) == {"accepted", "identity", "actions"}
+            for how, values, action in broken_copies(rng, q):
+                ours = validation_outcome(validate_presheaf, cat, values, action)
+                assert ours == validation_outcome(reference_validate_presheaf, cat, values, action)
+                outcomes[how, refusal(ours)] += 1
+    assert {kind for _, kind in outcomes} == {"accepted", *REFUSALS}
+    # each break is refused, at least once, by the check that it targets
+    for how, kind in [
+        ("dropped value set", "missing value set"),
+        ("repeated element", "duplicate elements"),
+        ("dropped action", "missing action"),
+        ("missing key", "action along"),
+        ("extra key", "action along"),
+        ("value outside the codomain", "action along"),
+        ("redirected", "identity action"),
+        ("redirected", "actions not functorial"),
+    ]:
+        assert outcomes[how, kind], (how, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -905,10 +970,9 @@ def same_first_failures(base, topology, verdict, max_size, budget):
     return len(labelled)
 
 
-def test_sheaf_targets_keep_the_first_failing_target_of_a_restriction():
-    # site functors that are not continuous, so that restricting a sheaf can
-    # give a presheaf that is not a sheaf: fuzzed ones, and identities from a
-    # topology to one that it is not contained in
+def fuzzed_site_functors():
+    """Fuzzed site functors, and identities between every pair of topologies
+    on small fuzzed sites, continuous or not."""
     functors = []
     for index in range(150):
         try:
@@ -919,8 +983,14 @@ def test_sheaf_targets_keep_the_first_failing_target_of_a_restriction():
     for cat, _, _ in small_fuzzed_sites(60):
         topologies = list(enumerate_topologies(cat))
         functors.extend(SiteFunctor(identity_functor(cat), j, k) for j in topologies for k in topologies)
+    return functors
+
+
+def test_sheaf_targets_keep_the_first_failing_target_of_a_restriction():
+    # site functors that are not continuous, so that restricting a sheaf can
+    # give a presheaf that is not a sheaf
     failing = []
-    for sf in functors:
+    for sf in fuzzed_site_functors():
         if is_continuous(sf).ok:
             continue
 
@@ -929,6 +999,44 @@ def test_sheaf_targets_keep_the_first_failing_target_of_a_restriction():
 
         failing.append(same_first_failures(sf.functor.target, sf.target_topology, restricts_to_a_sheaf, 3, 3000))
     assert max(failing) > 1
+
+
+def reference_unpreserved_sheaf(functor, source_topology, targets):
+    """The continuity cross-check before it checked each distinct restriction
+    once: every target is restricted and checked, in order."""
+    for q in targets:
+        ok, witness = is_sheaf(precompose(q, functor), source_topology)
+        if not ok:
+            return witness
+    return None
+
+
+def test_cross_check_matches_a_check_of_every_target(monkeypatch):
+    # continuous functors and, run past the experiment's continuity gate,
+    # others whose restrictions can fail: the first failure and its witness
+    # are the same, and a pass checks fewer restrictions than there are targets
+    checks = []
+
+    def counted_is_sheaf(p, topology):
+        checks.append(p)
+        return is_sheaf(p, topology)
+
+    monkeypatch.setattr(experiments, "is_sheaf", counted_is_sheaf)
+    outcomes = Counter()
+    for sf in fuzzed_site_functors():
+        try:
+            targets = list(sheaf_targets(sf.functor.target, sf.target_topology, 3, 3000))
+        except CapExceeded:
+            continue
+        checks.clear()
+        ours = experiments._unpreserved_sheaf(sf.functor, sf.source_topology, targets)
+        assert ours == reference_unpreserved_sheaf(sf.functor, sf.source_topology, targets)
+        outcomes[is_continuous(sf).ok, ours is None] += 1
+        if ours is None:
+            outcomes["targets"] += len(targets)
+            outcomes["checks"] += len(checks)
+    assert outcomes[True, True] and outcomes[False, False] and not outcomes[True, False]
+    assert outcomes["checks"] < outcomes["targets"]
 
 
 def test_sheaf_targets_keep_the_first_failing_target_of_a_mismatched_unit():
