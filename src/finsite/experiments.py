@@ -59,6 +59,7 @@ from .generate import (
     derive_seed,
     describe_instance,
     gen_category,
+    gen_fibration,
     gen_functor,
     gen_galois,
     gen_galois_into,
@@ -168,12 +169,6 @@ class Report:
         lines.append("failures={}".format(len(self.failures)))
         lines.append("digest={}".format(digest))
         return "\n".join(lines) + "\n"
-
-    def render(self, with_timing: bool = False) -> str:
-        text = self.canonical_text()
-        if with_timing:
-            text += "# elapsed {:.2f}s (not part of the canonical report)\n".format(self.elapsed)
-        return text
 
     @property
     def ok(self) -> bool:
@@ -427,7 +422,8 @@ def _exp_minimality(run: _Run):
 
 def _exp_continuity(run: _Run):
     def check(inst):
-        cix = inst["indexed"]
+        morphism = inst["morphism"]
+        cix = morphism.source
         topology = inst["base_topology"]
         bundle = grothendieck(cix)
         gir = giraud_topology(cix, topology)
@@ -438,33 +434,29 @@ def _exp_continuity(run: _Run):
         v = is_continuous(site)
         if not v.ok:
             return "giraud projection is not continuous: {}".format(v.witness)
-        morphism = inst["morphism"]
-        src_bundle = grothendieck(morphism.source)
-        tgt_bundle = grothendieck(morphism.target)
-        top_fun = total_functor(morphism, src_bundle, tgt_bundle)
+        top_fun = total_functor(morphism)
         ident = identity_functor(cix.base)
-        square = identity_transform(compose_functors(ident, src_bundle.projection))
-        ok, witness = is_morphism_of_fibrations(top_fun, ident, src_bundle, tgt_bundle, square)
+        square = identity_transform(compose_functors(ident, bundle.projection))
+        ok, witness = is_morphism_of_fibrations(top_fun, ident, bundle, grothendieck(morphism.target), square)
         if not ok:
             return "indexed morphism is not a morphism of fibrations: {}".format(witness)
-        gir_src = giraud_topology(morphism.source, topology)
         gir_tgt = giraud_topology(morphism.target, topology)
-        v = is_continuous(SiteFunctor(top_fun, gir_src, gir_tgt))
+        v = is_continuous(SiteFunctor(top_fun, gir, gir_tgt))
         if not v.ok:
             return "morphism of fibrations is not continuous between Giraud sites: {}".format(v.witness)
         return None
 
     tp = corpus.two_point()
     morphism = collapse_morphism(tp)
-    run.check("twopoint", "twopoint", check({"indexed": tp, "base_topology": corpus.sier(), "morphism": morphism}))
+    run.check("twopoint", "twopoint", check({"base_topology": corpus.sier(), "morphism": morphism}))
 
     def make(i):
         rng = _rng(run.instance_seed(i))
         caps = replace(run.caps, base_objects=min(3, run.caps.base_objects), fiber_objects=min(3, run.caps.fiber_objects))
-        cat, topology, kind, meta = gen_site(rng, caps)
-        cix = gen_indexed(rng, cat, caps, kind, meta)
+        cix, topology = gen_fibration(rng, caps)
         morphism = gen_indexed_morphism(rng, cix, caps)
-        return {"kind": "fibration", "indexed": morphism.source, "base_topology": topology, "morphism": morphism}
+        # no "indexed" key: the minimiser would shrink it apart from the morphism
+        return {"kind": "fibration", "base_topology": topology, "morphism": morphism}
 
     run.loop(make, check)
 
@@ -493,10 +485,9 @@ def _exp_reflect_cartesian(run: _Run):
 
     def make(i):
         rng = _rng(run.instance_seed(i))
-        cat, _, kind, meta = gen_site(rng, run.caps)
-        dix = gen_indexed(rng, cat, run.caps, kind, meta)
-        src, _, _, _ = gen_site(rng, replace(run.caps, base_objects=min(3, run.caps.base_objects)))
-        fn = gen_functor(rng, src, cat)
+        dix, _ = gen_fibration(rng, run.caps)
+        src, _ = gen_site(rng, replace(run.caps, base_objects=min(3, run.caps.base_objects)))
+        fn = gen_functor(rng, src, dix.base)
         if fn is None:
             raise GenerationError("no functor")
         return {"kind": "direct-image", "indexed": dix, "functor": fn}
@@ -562,14 +553,22 @@ def _continuous_site_functor(rng, caps):
     trivially-topologised source)."""
     roll = rng.random()
     if roll < 0.3:
-        cat, topology, _, _ = gen_site(rng, caps)
+        cat, topology = gen_site(rng, caps)
         return SiteFunctor(identity_functor(cat), topology, topology)
-    src, _, _, _ = gen_site(rng, replace(caps, base_objects=min(3, caps.base_objects)))
-    tgt, tgt_top, _, _ = gen_site(rng, caps)
+    src, _ = gen_site(rng, replace(caps, base_objects=min(3, caps.base_objects)))
+    tgt, tgt_top = gen_site(rng, caps)
     fn = gen_functor(rng, src, tgt)
     if fn is None:
         raise GenerationError("no functor for a continuous instance")
     return SiteFunctor(fn, trivial_topology(src), tgt_top)
+
+
+def _direct_image_projection(inst) -> SiteFunctor:
+    """The direct image's projection q of ``inst["indexed"]`` along its site
+    functor, between the two Giraud sites."""
+    sf, cix = inst["site_functor"], inst["indexed"]
+    di = direct_image(cix, sf.functor)
+    return SiteFunctor(di.q, giraud_topology(di.indexed, sf.source_topology), giraud_topology(cix, sf.target_topology))
 
 
 def _exp_prop34(run: _Run):
@@ -578,11 +577,7 @@ def _exp_prop34(run: _Run):
         pre = is_continuous(sf)
         if not pre.ok:
             raise SkipInstance()
-        cix = inst["indexed"]
-        di = direct_image(cix, sf.functor)
-        gir_src = giraud_topology(di.indexed, sf.source_topology)
-        gir_tgt = giraud_topology(cix, sf.target_topology)
-        v = is_continuous(SiteFunctor(di.q, gir_src, gir_tgt))
+        v = is_continuous(_direct_image_projection(inst))
         if not v.ok:
             return "direct-image projection of a continuous functor is not continuous: {}".format(v.witness)
         return None
@@ -610,11 +605,7 @@ def _exp_prop42(run: _Run):
         pre = is_comorphism(sf)
         if not pre.ok:
             return "constructed comorphism fails its own check: {}".format(pre.witness)
-        cix = inst["indexed"]
-        di = direct_image(cix, sf.functor)
-        gir_src = giraud_topology(di.indexed, sf.source_topology)
-        gir_tgt = giraud_topology(cix, sf.target_topology)
-        v = is_comorphism(SiteFunctor(di.q, gir_src, gir_tgt))
+        v = is_comorphism(_direct_image_projection(inst))
         if not v.ok:
             return "direct-image projection of a comorphism is not a comorphism: {}".format(v.witness)
         return None
@@ -629,8 +620,8 @@ def _exp_prop42(run: _Run):
     def make(i):
         rng = _rng(run.instance_seed(i))
         caps = replace(run.caps, base_objects=min(3, run.caps.base_objects), fiber_objects=min(2, run.caps.fiber_objects))
-        tgt, tgt_top, _, _ = gen_site(rng, caps)
-        src, _, _, _ = gen_site(rng, caps)
+        tgt, tgt_top = gen_site(rng, caps)
+        src, _ = gen_site(rng, caps)
         fn = gen_functor(rng, src, tgt)
         if fn is None:
             raise GenerationError("no functor")
@@ -647,11 +638,7 @@ def _exp_dense(run: _Run):
         pre = is_dense_morphism(sf)
         if not pre.ok:
             return "constructed dense inclusion fails the dense check: {}".format(pre.witness)
-        cix = inst["indexed"]
-        di = direct_image(cix, sf.functor)
-        gir_src = giraud_topology(di.indexed, sf.source_topology)
-        gir_tgt = giraud_topology(cix, sf.target_topology)
-        v = is_dense_morphism(SiteFunctor(di.q, gir_src, gir_tgt))
+        v = is_dense_morphism(_direct_image_projection(inst))
         if not v.ok:
             return "direct-image projection along a dense morphism is not dense: {}".format(v.witness)
         return None
@@ -705,11 +692,10 @@ def _exp_prop44(run: _Run):
         rng = _rng(run.instance_seed(i))
         caps = replace(run.caps, base_objects=min(3, run.caps.base_objects))
         if rng.random() < 0.5:
-            top_cat, _, kind, meta = gen_site(rng, caps)
-            dix = gen_indexed(rng, top_cat, caps, kind, meta)
-            mid, _, _, _ = gen_site(rng, caps)
-            outer = gen_functor(rng, mid, top_cat)
-            src, _, _, _ = gen_site(rng, caps)
+            dix, _ = gen_fibration(rng, caps)
+            mid, _ = gen_site(rng, caps)
+            outer = gen_functor(rng, mid, dix.base)
+            src, _ = gen_site(rng, caps)
             inner = gen_functor(rng, src, mid) if outer is not None else None
             if outer is None or inner is None:
                 raise GenerationError("no functor chain")
@@ -766,7 +752,7 @@ def _exp_sheafify(run: _Run):
     def make(i):
         rng = _rng(run.instance_seed(i))
         caps = replace(run.caps, base_objects=min(2, run.caps.base_objects))
-        cat, topology, _, _ = gen_site(rng, caps)
+        cat, topology = gen_site(rng, caps)
         p = gen_presheaf(rng, cat, run.caps.value_size)
         return {"kind": "sheafify", "presheaf": p, "topology": topology}
 
@@ -846,7 +832,7 @@ def _exp_prop24(run: _Run):
         caps = replace(run.caps, base_objects=min(3, run.caps.base_objects))
         inst = generate_instance("dense-pair", run.instance_seed(i), caps)
         dense_sf = SiteFunctor(inst["functor"], inst["source_topology"], inst["target_topology"])
-        src, src_top, _, _ = gen_site(rng, caps)
+        src, src_top = gen_site(rng, caps)
         fn = gen_functor(rng, src, dense_sf.functor.source)
         if fn is None:
             raise GenerationError("no functor into the dense source")
@@ -864,17 +850,16 @@ def _exp_prop33(run: _Run):
         return None
 
     def build_fixed(morphism, topology):
-        src_bundle = grothendieck(morphism.source)
-        tgt_bundle = grothendieck(morphism.target)
-        a_fun = total_functor(morphism, src_bundle, tgt_bundle)
+        a_fun = total_functor(morphism)
+        tgt_proj = grothendieck(morphism.target).projection
         gir_tgt = giraud_topology(morphism.target, topology)
-        phi = identity_transform(compose_functors(tgt_bundle.projection, a_fun))
+        phi = identity_transform(compose_functors(tgt_proj, a_fun))
         return Prop33Square(
             a_fun,
             identity_functor(topology.base),
             phi,
-            tgt_bundle.projection,
-            src_bundle.projection,
+            tgt_proj,
+            grothendieck(morphism.source).projection,
             gir_tgt,
         )
 
@@ -888,8 +873,7 @@ def _exp_prop33(run: _Run):
     def make(i):
         rng = _rng(run.instance_seed(i))
         caps = replace(run.caps, base_objects=min(2, run.caps.base_objects), fiber_objects=min(2, run.caps.fiber_objects))
-        cat, topology, kind, meta = gen_site(rng, caps)
-        cix = gen_indexed(rng, cat, caps, kind, meta)
+        cix, topology = gen_fibration(rng, caps)
         morphism = gen_indexed_morphism(rng, cix, caps)
         return {"kind": "prop33-square", "square": build_fixed(morphism, topology)}
 
@@ -935,9 +919,7 @@ def _exp_prop412(run: _Run):
     def check(inst):
         morphism = inst["morphism"]
         topology = inst["base_topology"]
-        src_bundle = grothendieck(morphism.source)
-        tgt_bundle = grothendieck(morphism.target)
-        a_fun = total_functor(morphism, src_bundle, tgt_bundle)
+        a_fun = total_functor(morphism)
         gir_src = giraud_topology(morphism.source, topology)
         gir_tgt = giraud_topology(morphism.target, topology)
         enlarged = inst["extra"]
@@ -962,8 +944,7 @@ def _exp_prop412(run: _Run):
     def make(i):
         rng = _rng(run.instance_seed(i))
         caps = replace(run.caps, base_objects=min(3, run.caps.base_objects), fiber_objects=min(2, run.caps.fiber_objects))
-        cat, topology, kind, meta = gen_site(rng, caps)
-        cix = gen_indexed(rng, cat, caps, kind, meta)
+        cix, topology = gen_fibration(rng, caps)
         morphism = gen_indexed_morphism(rng, cix, caps)
         extra = None
         if rng.random() < 0.4:

@@ -8,6 +8,9 @@ whole bundle at once and only when its table is first read; the classical
 never trusted.  Questions about the fibration of an indexed
 category (``is_cartesian_fibration``, ``giraud_topology``) take the indexed
 category itself; ``grothendieck`` builds its bundle once and keeps it there.
+Every functor between total categories that base change induces (a morphism
+of indexed categories, a direct image's projection, an inverse image's
+comparison, the structure functor's unit leg) is built by ``_functor_over``.
 """
 from __future__ import annotations
 
@@ -324,17 +327,34 @@ def validate_indexed_morphism(source: IndexedCategory, target: IndexedCategory, 
     return IndexedMorphism(source, target, components)
 
 
-def total_functor(morphism: IndexedMorphism, src: FibrationBundle, tgt: FibrationBundle) -> FinFunctor:
-    """The induced functor between Grothendieck constructions over the identity base."""
+def _functor_over(
+    src: FibrationBundle,
+    tgt: FibrationBundle,
+    base: FinFunctor | None,
+    fiber: dict[str, FinFunctor] | None,
+) -> FinFunctor:
+    """The validated functor src.total -> tgt.total sending (x, c) to
+    (A_c(x), B(c)) and (u, f) out of (x, c) to (A_c(u), B(f)).
+
+    B is ``base``, or the identity when it is None; A_c is ``fiber[c]``, or
+    the identity when ``fiber`` is None."""
     obj_map = {}
     for name, (x, c) in src.obj_pair.items():
-        obj_map[name] = pair_obj(morphism.components[c].ob(x), c)
+        if fiber is not None:
+            x = fiber[c].ob(x)
+        obj_map[name] = pair_obj(x, c if base is None else base.ob(c))
     arr_map = {}
     for name, (u, f) in src.arr_pair.items():
         o1, o2 = src.total.src[name], src.total.tgt[name]
-        x1, c1 = src.obj_pair[o1]
-        arr_map[name] = pair_arr(morphism.components[c1].ar(u), f, obj_map[o1], obj_map[o2])
+        if fiber is not None:
+            u = fiber[src.obj_pair[o1][1]].ar(u)
+        arr_map[name] = pair_arr(u, f if base is None else base.ar(f), obj_map[o1], obj_map[o2])
     return validate_functor(obj_map, arr_map, src.total, tgt.total)
+
+
+def total_functor(morphism: IndexedMorphism) -> FinFunctor:
+    """The induced functor between Grothendieck constructions over the identity base."""
+    return _functor_over(grothendieck(morphism.source), grothendieck(morphism.target), None, morphism.components)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +364,6 @@ def total_functor(morphism: IndexedMorphism, src: FibrationBundle, tgt: Fibratio
 @dataclass(frozen=True)
 class DirectImage:
     indexed: IndexedCategory
-    along: FinFunctor
     q: FinFunctor
     source: FibrationBundle
     target: FibrationBundle
@@ -360,15 +379,7 @@ def direct_image(dix: IndexedCategory, functor: FinFunctor) -> DirectImage:
     pulled = validate_indexed(functor.source, fiber, restriction)
     src = grothendieck(pulled)
     tgt = grothendieck(dix)
-    obj_map = {}
-    for name, (x, c) in src.obj_pair.items():
-        obj_map[name] = pair_obj(x, functor.ob(c))
-    arr_map = {}
-    for name, (u, f) in src.arr_pair.items():
-        o1, o2 = src.total.src[name], src.total.tgt[name]
-        arr_map[name] = pair_arr(u, functor.ar(f), obj_map[o1], obj_map[o2])
-    q = validate_functor(obj_map, arr_map, src.total, tgt.total)
-    return DirectImage(pulled, functor, q, src, tgt)
+    return DirectImage(pulled, _functor_over(src, tgt, functor, None), src, tgt)
 
 
 def q_reflects_cartesian(instance: DirectImage) -> tuple[bool, tuple]:
@@ -390,8 +401,6 @@ class InverseImage:
     indexed: IndexedCategory
     q: FinFunctor
     comparison: FinFunctor
-    unit: dict[str, str]
-    counit: dict[str, str]
     source: FibrationBundle
     target: FibrationBundle
     adjunction_ok: bool
@@ -413,27 +422,18 @@ def inverse_image_adjoint(cix: IndexedCategory, adj: Adjunction) -> InverseImage
     di = direct_image(cix, left)
     pulled, q = di.indexed, di.q
     d_total, c_total = di.source, di.target
-    base = cix.base
-    obj_map = {}
-    for name, (x, c) in c_total.obj_pair.items():
-        obj_map[name] = pair_obj(cix.restriction[adj.counit[c]].ob(x), right.ob(c))
-    arr_map = {}
-    for name, (u, f) in c_total.arr_pair.items():
-        o1, o2 = c_total.total.src[name], c_total.total.tgt[name]
-        c1 = c_total.obj_pair[o1][1]
-        v = cix.restriction[adj.counit[c1]].ar(u)
-        arr_map[name] = pair_arr(v, right.ar(f), obj_map[o1], obj_map[o2])
-    comparison = validate_functor(obj_map, arr_map, c_total.total, d_total.total)
+    along = {c: cix.restriction[adj.counit[c]] for c in cix.base.objects}
+    comparison = _functor_over(c_total, d_total, right, along)
     unit = {}
     for name, (x, d) in d_total.obj_pair.items():
         fib = pulled.fiber[d]
         unit[name] = pair_arr(fib.identity[x], adj.unit[d], name, comparison.ob(q.ob(name)))
     counit = {}
     for name, (x, c) in c_total.obj_pair.items():
-        y = cix.restriction[adj.counit[c]].ob(x)
-        counit[name] = pair_arr(cix.fiber[base.src[adj.counit[c]]].identity[y], adj.counit[c], q.ob(comparison.ob(name)), name)
+        y = along[c].ob(x)
+        counit[name] = pair_arr(along[c].target.identity[y], adj.counit[c], q.ob(comparison.ob(name)), name)
     ok = check_adjunction(q, comparison, unit, counit)
-    return InverseImage(pulled, q, comparison, unit, counit, d_total, c_total, ok)
+    return InverseImage(pulled, q, comparison, d_total, c_total, ok)
 
 
 def compose_adjunctions(inner: Adjunction, outer: Adjunction) -> Adjunction:
@@ -463,7 +463,6 @@ class BaseChangeComposition:
     equal: bool
     iso: dict[str, str] | None
     composite: FinFunctor
-    direct: FinFunctor
 
 
 def compose_direct_images(dix: IndexedCategory, f_inner: FinFunctor, f_outer: FinFunctor) -> BaseChangeComposition:
@@ -481,7 +480,7 @@ def compose_direct_images(dix: IndexedCategory, f_inner: FinFunctor, f_outer: Fi
     )
     composite = compose_functors(step_outer.q, step_inner.q)
     equal = tables_equal and functor_equal(composite, once.q)
-    return BaseChangeComposition("direct", equal, None, composite, once.q)
+    return BaseChangeComposition("direct", equal, None, composite)
 
 
 def compose_inverse_images(cix: IndexedCategory, adj_inner: Adjunction, adj_outer: Adjunction) -> BaseChangeComposition:
@@ -494,9 +493,9 @@ def compose_inverse_images(cix: IndexedCategory, adj_inner: Adjunction, adj_oute
     composite = compose_functors(step2.comparison, step1.comparison)
     if functor_equal(composite, combined.comparison):
         iso = {o: composite.target.identity[composite.ob(o)] for o in composite.source.objects}
-        return BaseChangeComposition("inverse", True, iso, composite, combined.comparison)
+        return BaseChangeComposition("inverse", True, iso, composite)
     iso = natural_iso_search(composite, combined.comparison)
-    return BaseChangeComposition("inverse", iso is not None, iso, composite, combined.comparison)
+    return BaseChangeComposition("inverse", iso is not None, iso, composite)
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +534,7 @@ def is_cartesian_fibration(cix: IndexedCategory) -> tuple[bool, tuple]:
 
 @dataclass(frozen=True)
 class StructureFunctor:
-    unit_leg: FinFunctor
-    projection_leg: FinFunctor
     composite: FinFunctor
-    middle: IndexedCategory
     inverse: InverseImage
 
 
@@ -549,17 +545,6 @@ def structure_functor(cix: IndexedCategory, adj: Adjunction) -> StructureFunctor
     """
     inv = inverse_image_adjoint(cix, adj)
     mid = direct_image(inv.indexed, adj.right)
-    middle, q_mid = mid.indexed, mid.q
-    c_bundle = inv.target
-    m_bundle = mid.source
-    obj_map = {}
-    for name, (x, c) in c_bundle.obj_pair.items():
-        obj_map[name] = pair_obj(cix.restriction[adj.counit[c]].ob(x), c)
-    arr_map = {}
-    for name, (u, f) in c_bundle.arr_pair.items():
-        o1, o2 = c_bundle.total.src[name], c_bundle.total.tgt[name]
-        c1 = c_bundle.obj_pair[o1][1]
-        arr_map[name] = pair_arr(cix.restriction[adj.counit[c1]].ar(u), f, obj_map[o1], obj_map[o2])
-    zeta = validate_functor(obj_map, arr_map, c_bundle.total, m_bundle.total)
-    composite = compose_functors(q_mid, zeta)
-    return StructureFunctor(zeta, q_mid, composite, middle, inv)
+    along = {c: cix.restriction[adj.counit[c]] for c in cix.base.objects}
+    zeta = _functor_over(inv.target, mid.source, None, along)
+    return StructureFunctor(compose_functors(mid.q, zeta), inv)

@@ -165,9 +165,9 @@ def gen_topology(rng: random.Random, cat: FinCategory) -> Topology:
     return saturate(cat, generators)
 
 
-def gen_site(rng: random.Random, caps: Caps):
-    cat, kind, meta = gen_category(rng, caps)
-    return cat, gen_topology(rng, cat), kind, meta
+def gen_site(rng: random.Random, caps: Caps) -> tuple[FinCategory, Topology]:
+    cat = gen_category(rng, caps)[0]
+    return cat, gen_topology(rng, cat)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +341,14 @@ def gen_indexed(rng: random.Random, base: FinCategory, caps: Caps, base_kind: st
     if roll < 0.8 and sum(len(base.out_of(c)) for c in base.objects) <= 4 * len(base.objects):
         return coslice_indexed(base)
     return constant_indexed(base, gen_small_category(rng, caps.fiber_objects))
+
+
+def gen_fibration(rng: random.Random, caps: Caps) -> tuple[IndexedCategory, Topology]:
+    """A random indexed category over a random site; the base's recipe picks
+    the indexed category's.  Draws as ``gen_site`` then ``gen_indexed`` do."""
+    cat, kind, meta = gen_category(rng, caps)
+    topology = gen_topology(rng, cat)
+    return gen_indexed(rng, cat, caps, kind, meta), topology
 
 
 def constant_indexed(base: FinCategory, fiber: FinCategory) -> IndexedCategory:
@@ -534,9 +542,7 @@ def gen_dense_pair(rng: random.Random, caps: Caps):
     topology.  Returns (inclusion, source topology, target topology) or None.
     """
     for _ in range(20):
-        cat, kind, meta = gen_category(rng, caps)
-        if len(cat.objects) < 1:
-            continue
+        cat = gen_category(rng, caps)[0]
         k = rng.randint(1, len(cat.objects))
         objs = sorted(rng.sample(sorted(cat.objects), k))
         sub = full_subcategory(cat, objs)
@@ -638,24 +644,23 @@ def generate_instance(kind: str, seed: int, caps: Caps) -> dict:
     """
     rng = _rng(seed)
     if kind == "site":
-        cat, topology, ckind, meta = gen_site(rng, caps)
-        return {"kind": kind, "category": cat, "topology": topology, "recipe": ckind, "meta": meta}
+        cat, topology = gen_site(rng, caps)
+        return {"kind": kind, "category": cat, "topology": topology}
     if kind == "fibration":
-        cat, topology, ckind, meta = gen_site(rng, caps)
-        cix = gen_indexed(rng, cat, caps, ckind, meta)
+        cix, topology = gen_fibration(rng, caps)
         return {"kind": kind, "indexed": cix, "base_topology": topology}
     if kind == "site-functor":
         for _ in range(30):
-            src, src_top, _, _ = gen_site(rng, caps)
-            tgt, tgt_top, _, _ = gen_site(rng, caps)
+            src, src_top = gen_site(rng, caps)
+            tgt, tgt_top = gen_site(rng, caps)
             fn = gen_functor(rng, src, tgt)
             if fn is not None:
                 return {"kind": kind, "functor": fn, "source_topology": src_top, "target_topology": tgt_top}
         raise GenerationError("no functor found within caps")
     if kind == "comorphism":
-        cat, topology, ckind, meta = gen_site(rng, caps)
+        cat, topology = gen_site(rng, caps)
         for _ in range(30):
-            src, _, _, _ = gen_site(rng, caps)
+            src, _ = gen_site(rng, caps)
             fn = gen_functor(rng, src, cat)
             if fn is not None:
                 return {
@@ -677,8 +682,8 @@ def generate_instance(kind: str, seed: int, caps: Caps) -> dict:
             raise GenerationError("no Galois connection within caps")
         return {"kind": kind, "adjunction": adj}
     if kind == "prop33-square":
-        cat, topology, ckind, meta = gen_site(rng, caps)
-        cix = gen_indexed(rng, cat, caps, ckind, meta)
+        cix, topology = gen_fibration(rng, caps)
+        cat = cix.base
         if rng.random() < 0.5:
             morphism = gen_indexed_morphism(rng, cix, caps)
             return {
@@ -688,7 +693,7 @@ def generate_instance(kind: str, seed: int, caps: Caps) -> dict:
                 "base_topology": topology,
             }
         for _ in range(20):
-            src, src_top, _, _ = gen_site(rng, replace(caps, base_objects=min(caps.base_objects, 2)))
+            src, src_top = gen_site(rng, replace(caps, base_objects=min(caps.base_objects, 2)))
             fn = gen_functor(rng, src, cat)
             if fn is not None:
                 return {

@@ -41,13 +41,16 @@ from finsite.generate import (
     Caps,
     GenerationError,
     _rng,
+    collapse_morphism,
     constant_indexed,
     derive_seed,
     gen_category,
+    gen_fibration,
     gen_functor,
     gen_galois,
     gen_galois_into,
     gen_indexed,
+    gen_indexed_morphism,
     gen_poset,
     gen_site,
     generate_instance,
@@ -207,11 +210,9 @@ def test_fiber_functor_of_direct_image_is_iso(two_point, walk2, one):
 
 def test_fiber_functor_of_collapse_is_constant(two_point, walk2):
     tgt_cix = constant_one_indexed(walk2)
-    src = grothendieck(two_point)
-    tgt = grothendieck(tgt_cix)
     comps = {c: constant_functor(two_point.fiber[c], terminal_category(), "*") for c in walk2.objects}
     morphism = validate_indexed_morphism(two_point, tgt_cix, comps)
-    a_fun = total_functor(morphism, src, tgt)
+    a_fun = total_functor(morphism)
     fn = fiber_functor(a_fun, identity_functor(walk2), two_point, tgt_cix, "b")
     assert set(fn.obj_map.values()) == {"*"}
 
@@ -475,10 +476,9 @@ def cartesian_table_cases(draws):
         rng = _rng(derive_seed(5, index))
         try:
             yield grothendieck(generate_instance("fibration", derive_seed(6, index), caps)["indexed"])
-            cat, _, kind, meta = gen_site(rng, caps)
-            dix = gen_indexed(rng, cat, caps, kind, meta)
-            src, _, _, _ = gen_site(rng, caps)
-            fn = gen_functor(rng, src, cat)
+            dix, _ = gen_fibration(rng, caps)
+            src, _ = gen_site(rng, caps)
+            fn = gen_functor(rng, src, dix.base)
             if fn is not None:
                 di = direct_image(dix, fn)
                 yield di.source
@@ -774,8 +774,7 @@ def cartesian_fibration_cases():
     for i in range(60):
         rng = _rng(derive_seed(12, i))
         try:
-            cat, _, kind, meta = gen_site(rng, Caps())
-            yield gen_indexed(rng, cat, Caps(), kind, meta)
+            yield gen_fibration(rng, Caps())[0]
         except (GenerationError, CapExceeded):
             pass
         yield random_step_chain_indexed(rng)
@@ -820,3 +819,117 @@ def test_the_cartesian_table_is_decided_on_first_read_only(monkeypatch, walk2, s
         assert calls == list(b.total.arrows)
         calls.clear()
         assert b.cartesian is table and calls == []
+
+
+# ---------------------------------------------------------------------------
+# One builder for the functors that base change induces on total categories
+
+
+def reference_total_functor(morphism, src, tgt):
+    """``total_functor`` as a loop of its own: (x, c) to (A_c(x), c)."""
+    obj_map = {}
+    for name, (x, c) in src.obj_pair.items():
+        obj_map[name] = pair_obj(morphism.components[c].ob(x), c)
+    arr_map = {}
+    for name, (u, f) in src.arr_pair.items():
+        o1, o2 = src.total.src[name], src.total.tgt[name]
+        x1, c1 = src.obj_pair[o1]
+        arr_map[name] = pair_arr(morphism.components[c1].ar(u), f, obj_map[o1], obj_map[o2])
+    return validate_functor(obj_map, arr_map, src.total, tgt.total)
+
+
+def reference_direct_image_q(functor, src, tgt):
+    """A direct image's q as a loop of its own: (x, c) to (x, F(c))."""
+    obj_map = {}
+    for name, (x, c) in src.obj_pair.items():
+        obj_map[name] = pair_obj(x, functor.ob(c))
+    arr_map = {}
+    for name, (u, f) in src.arr_pair.items():
+        o1, o2 = src.total.src[name], src.total.tgt[name]
+        arr_map[name] = pair_arr(u, functor.ar(f), obj_map[o1], obj_map[o2])
+    return validate_functor(obj_map, arr_map, src.total, tgt.total)
+
+
+def reference_comparison(cix, adj, c_total, d_total):
+    """An inverse image's comparison as a loop of its own: (x, c) to
+    (restriction along the counit at c of x, R(c))."""
+    obj_map = {}
+    for name, (x, c) in c_total.obj_pair.items():
+        obj_map[name] = pair_obj(cix.restriction[adj.counit[c]].ob(x), adj.right.ob(c))
+    arr_map = {}
+    for name, (u, f) in c_total.arr_pair.items():
+        o1, o2 = c_total.total.src[name], c_total.total.tgt[name]
+        c1 = c_total.obj_pair[o1][1]
+        v = cix.restriction[adj.counit[c1]].ar(u)
+        arr_map[name] = pair_arr(v, adj.right.ar(f), obj_map[o1], obj_map[o2])
+    return validate_functor(obj_map, arr_map, c_total.total, d_total.total)
+
+
+def reference_unit_leg(cix, adj, c_bundle, m_bundle):
+    """The structure functor's unit leg as a loop of its own: (x, c) to
+    (restriction along the counit at c of x, c)."""
+    obj_map = {}
+    for name, (x, c) in c_bundle.obj_pair.items():
+        obj_map[name] = pair_obj(cix.restriction[adj.counit[c]].ob(x), c)
+    arr_map = {}
+    for name, (u, f) in c_bundle.arr_pair.items():
+        o1, o2 = c_bundle.total.src[name], c_bundle.total.tgt[name]
+        c1 = c_bundle.obj_pair[o1][1]
+        arr_map[name] = pair_arr(cix.restriction[adj.counit[c1]].ar(u), f, obj_map[o1], obj_map[o2])
+    return validate_functor(obj_map, arr_map, c_bundle.total, m_bundle.total)
+
+
+def same_maps(new, old):
+    return new.obj_map == old.obj_map and new.arr_map == old.arr_map
+
+
+@pytest.fixture(scope="module")
+def base_changes():
+    """Fixed-base morphisms, (indexed, functor) pairs and (indexed, adjunction)
+    pairs: the corpus ones, then generated ones."""
+    walk2 = corpus.walk2()
+    tp = corpus.two_point(walk2)
+    morphisms = [collapse_morphism(tp)]
+    direct = [(tp, corpus.pick(walk2, "b"))]
+    adjoint = [(constant_indexed(corpus.one(), corpus.discrete(("p", "q"))), corpus.walk2_terminal_adjunction())]
+    caps = Caps(base_objects=3, fiber_objects=3)
+    for index in range(40):
+        rng = _rng(derive_seed(13, index))
+        cix, _ = gen_fibration(rng, caps)
+        morphisms.append(gen_indexed_morphism(rng, cix, caps))
+        src, _ = gen_site(rng, caps)
+        fn = gen_functor(rng, src, cix.base)
+        if fn is not None:
+            direct.append((cix, fn))
+        adj = gen_galois(rng, caps)
+        if adj is not None:
+            adjoint.append((gen_indexed(rng, adj.left.target, caps), adj))
+    assert min(len(morphisms), len(direct), len(adjoint)) > 20
+    return morphisms, direct, adjoint
+
+
+def test_total_functor_matches_the_componentwise_loop(base_changes):
+    for morphism in base_changes[0]:
+        src, tgt = grothendieck(morphism.source), grothendieck(morphism.target)
+        assert same_maps(total_functor(morphism), reference_total_functor(morphism, src, tgt))
+
+
+def test_direct_image_q_matches_the_base_functor_loop(base_changes):
+    for dix, fn in base_changes[1]:
+        di = direct_image(dix, fn)
+        assert same_maps(di.q, reference_direct_image_q(fn, di.source, di.target))
+
+
+def test_inverse_image_comparison_matches_the_counit_loop(base_changes):
+    for cix, adj in base_changes[2]:
+        inv = inverse_image_adjoint(cix, adj)
+        assert same_maps(inv.comparison, reference_comparison(cix, adj, inv.target, inv.source))
+
+
+def test_structure_functor_matches_the_unit_leg_loop_then_the_projection(base_changes):
+    for cix, adj in base_changes[2]:
+        stf = structure_functor(cix, adj)
+        mid = direct_image(stf.inverse.indexed, adj.right)
+        leg = reference_unit_leg(cix, adj, stf.inverse.target, mid.source)
+        expected = compose_functors(reference_direct_image_q(adj.right, mid.source, mid.target), leg)
+        assert same_maps(stf.composite, expected)

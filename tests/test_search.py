@@ -26,6 +26,7 @@ from finsite.generate import (
     collapse_morphism,
     derive_seed,
     gen_category,
+    gen_fibration,
     gen_functor,
     gen_indexed,
     gen_indexed_morphism,
@@ -351,8 +352,7 @@ def test_gen_indexed_morphism_matches_the_rescanning_search_and_rng_state():
     searched = 0
     for seed in SEEDS:
         rng = random.Random(derive_seed(seed, 5))
-        cat, _, kind, meta = gen_site(rng, SMALL)
-        cix = gen_indexed(rng, cat, SMALL, kind, meta)
+        cix, _ = gen_fibration(rng, SMALL)
         state = rng.getstate()
         new = gen_indexed_morphism(rng, cix, SMALL)
         ref_rng = random.Random()
@@ -362,6 +362,22 @@ def test_gen_indexed_morphism_matches_the_rescanning_search_and_rng_state():
         assert rng.getstate() == ref_rng.getstate()
         searched += new.target not in (cix, collapse_morphism(cix).target)
     assert searched > 0
+
+
+def test_gen_fibration_matches_gen_site_then_gen_indexed_on_the_recipe():
+    # the reference reads the base's recipe from a second rng at the same
+    # state, as gen_site drew it before it stopped handing the recipe back
+    kinds = set()
+    for seed in range(200):
+        rng, ref_rng, recipe_rng = (random.Random(derive_seed(seed, 9)) for _ in range(3))
+        _, kind, meta = gen_category(recipe_rng, Caps())
+        cat, topology = gen_site(ref_rng, Caps())
+        expected = gen_indexed(ref_rng, cat, Caps(), kind, meta)
+        cix, got_topology = gen_fibration(rng, Caps())
+        assert cix == expected and got_topology == topology
+        assert rng.getstate() == ref_rng.getstate()
+        kinds.add(kind)
+    assert kinds == {"poset", "free", "library"}
 
 
 def _meets_empty_codomain(seed, cat, max_size):

@@ -347,7 +347,7 @@ def small_fuzzed_sites(count):
     while len(out) < count:
         rng = random.Random(derive_seed(3, index))
         index += 1
-        cat, topology, _, _ = gen_site(rng, caps)
+        cat, topology = gen_site(rng, caps)
         if len(cat.objects) <= 2:
             out.append((cat, topology, gen_presheaf(rng, cat, 3)))
     return out
@@ -853,7 +853,7 @@ def fuzzed_site_presheaves(count, budget=100):
     while len(out) < count:
         rng = random.Random(derive_seed(4, index))
         index += 1
-        cat, topology, _, _ = gen_site(rng, caps)
+        cat, topology = gen_site(rng, caps)
         if len(cat.objects) > 3:
             continue
         try:

@@ -234,8 +234,8 @@ def functor_cases(count):
     caps = Caps(base_objects=3)
     for index in range(count):
         rng = _rng(derive_seed(23, index))
-        src, _, _, _ = gen_site(rng, caps)
-        tgt, _, _, _ = gen_site(rng, caps)
+        src, _ = gen_site(rng, caps)
+        tgt, _ = gen_site(rng, caps)
         fn = gen_functor(rng, src, tgt)
         if fn is not None:
             yield fn

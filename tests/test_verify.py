@@ -45,8 +45,8 @@ from finsite.generate import (
     GenerationError,
     _rng,
     derive_seed,
+    gen_fibration,
     gen_functor,
-    gen_indexed,
     gen_indexed_morphism,
     gen_site,
     gen_topology,
@@ -128,9 +128,7 @@ def test_fibration_morphism_is_continuous_between_giraud_sites(two_point, walk2,
     )
     comps = {c: constant_functor(two_point.fiber[c], one_fib, "*") for c in walk2.objects}
     morphism = validate_indexed_morphism(two_point, target, comps)
-    src = grothendieck(two_point)
-    tgt = grothendieck(target)
-    a_fun = total_functor(morphism, src, tgt)
+    a_fun = total_functor(morphism)
     sf = SiteFunctor(
         a_fun,
         giraud_topology(two_point, sier),
@@ -281,7 +279,7 @@ def test_prop33_fixed_base_morphism(two_point, walk2, sier):
     morphism = validate_indexed_morphism(two_point, target, comps)
     src = grothendieck(two_point)
     tgt = grothendieck(target)
-    a_fun = total_functor(morphism, src, tgt)
+    a_fun = total_functor(morphism)
     gir_tgt = giraud_topology(target, sier)
     phi = identity_transform(compose_functors(tgt.projection, a_fun))
     square = Prop33Square(
@@ -852,12 +850,11 @@ def reference_check_prop33_conditions(square):
 
 def fixed_base_square(morphism, topology):
     """The square `prop-3.3-conditions` checks for a fixed-base morphism."""
-    src_bundle = grothendieck(morphism.source)
-    tgt_bundle = grothendieck(morphism.target)
-    a_fun = total_functor(morphism, src_bundle, tgt_bundle)
-    phi = identity_transform(compose_functors(tgt_bundle.projection, a_fun))
+    a_fun = total_functor(morphism)
+    tgt_proj = grothendieck(morphism.target).projection
+    phi = identity_transform(compose_functors(tgt_proj, a_fun))
     k_top = giraud_topology(morphism.target, topology)
-    return Prop33Square(a_fun, identity_functor(topology.base), phi, tgt_bundle.projection, src_bundle.projection, k_top)
+    return Prop33Square(a_fun, identity_functor(topology.base), phi, tgt_proj, grothendieck(morphism.source).projection, k_top)
 
 
 SQUARE_CAPS = replace(Caps(), base_objects=2, fiber_objects=2)
@@ -869,8 +866,8 @@ def experiment_prop33_squares(instances):
     for index in range(instances):
         rng = _rng(derive_seed(0, index))
         try:
-            cat, topology, kind, meta = gen_site(rng, SQUARE_CAPS)
-            morphism = gen_indexed_morphism(rng, gen_indexed(rng, cat, SQUARE_CAPS, kind, meta), SQUARE_CAPS)
+            cix, topology = gen_fibration(rng, SQUARE_CAPS)
+            morphism = gen_indexed_morphism(rng, cix, SQUARE_CAPS)
         except (GenerationError, CapExceeded):
             continue
         out.append(fixed_base_square(morphism, topology))
@@ -885,9 +882,9 @@ def terminal_base_squares(draws):
     for index in range(draws):
         rng = _rng(derive_seed(3, index))
         try:
-            cat, _, kind, meta = gen_site(rng, SQUARE_CAPS)
-            src = grothendieck(gen_indexed(rng, cat, SQUARE_CAPS, kind, meta))
-            fiber, _, _, _ = gen_site(rng, SQUARE_CAPS)
+            cix, _ = gen_fibration(rng, SQUARE_CAPS)
+            cat, src = cix.base, grothendieck(cix)
+            fiber, _ = gen_site(rng, SQUARE_CAPS)
             tgt = grothendieck(validate_indexed(one, {"*": fiber}, {}))
         except (GenerationError, CapExceeded):
             continue
