@@ -52,12 +52,6 @@ class Verdict:
     def __bool__(self):
         return self.ok
 
-    def describe(self) -> str:
-        head = "{}: {}".format(self.rule, "true" if self.ok else "false")
-        if not self.ok:
-            return head + "\n  witness: {}".format(self.witness)
-        return head + "\n  trace entries: {}".format(len(self.trace))
-
 
 def is_comorphism(sf: SiteFunctor) -> Verdict:
     """Target covers of image objects lift to source covers mapping inside them.

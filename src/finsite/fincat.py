@@ -3,8 +3,8 @@
 Everything is exact table arithmetic: a category is its composition table,
 a functor is a pair of finite maps, and every axiom is checked by exhaustive
 enumeration at construction time.  Objects and arrows are opaque string
-identifiers; equality is identifier equality, and "up to iso" questions are
-always answered by explicit search.
+identifiers; equality is identifier equality, and the one "up to iso"
+question, ``is_equivalence``, is answered by explicit search.
 
 Inside an ``interning()`` scope (one per experiment report) ``poset_category``
 and ``build_category`` return the category already built from the same
@@ -697,29 +697,6 @@ def is_equivalence(f: FinFunctor) -> tuple[bool, tuple]:
             return False, ("not_essentially_surjective", d)
         table[d] = hit
     return True, ("essential_preimages", tuple(sorted(table.items())))
-
-
-def natural_iso_search(p: FinFunctor, q: FinFunctor) -> dict[str, str] | None:
-    """Find one natural isomorphism p => q by backtracking, or None: one slot
-    per object over the isos p(c) -> q(c) in hom order, the square of each
-    non-identity arrow checked once both its ends are set."""
-    if p.source != q.source or p.target != q.target:
-        return None
-    cat, dcat = p.source, p.target
-    objs = list(cat.objects)
-    candidates = [[a for a in dcat.hom(p.ob(c), q.ob(c)) if dcat.is_iso(a)] for c in objs]
-    if not all(candidates):
-        return None
-    place = {c: i for i, c in enumerate(objs)}
-    checks: list[list] = [[] for _ in objs]
-    for f in cat.arrows:
-        if not cat.is_identity(f):
-            x, y = place[cat.src[f]], place[cat.tgt[f]]
-            checks[max(x, y)].append(
-                lambda a, x=x, y=y, pf=p.ar(f), qf=q.ar(f): dcat.compose(qf, a[x]) == dcat.compose(a[y], pf)
-            )
-    found = next(backtrack(candidates.__getitem__, checks), None)
-    return None if found is None else dict(zip(objs, found))
 
 
 # ---------------------------------------------------------------------------

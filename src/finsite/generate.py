@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .fincat import (
     Adjunction,
@@ -634,7 +634,7 @@ def gen_presheaf(rng: random.Random, cat: FinCategory, max_size: int) -> Preshea
 # Instance bundles (the generate_instance surface)
 
 
-KINDS = ("site", "fibration", "site-functor", "comorphism", "dense-pair", "adjoint-pair", "prop33-square")
+KINDS = ("site", "fibration", "site-functor", "comorphism", "dense-pair", "adjoint-pair")
 
 
 def generate_instance(kind: str, seed: int, caps: Caps) -> dict:
@@ -681,31 +681,6 @@ def generate_instance(kind: str, seed: int, caps: Caps) -> dict:
         if adj is None:
             raise GenerationError("no Galois connection within caps")
         return {"kind": kind, "adjunction": adj}
-    if kind == "prop33-square":
-        cix, topology = gen_fibration(rng, caps)
-        cat = cix.base
-        if rng.random() < 0.5:
-            morphism = gen_indexed_morphism(rng, cix, caps)
-            return {
-                "kind": kind,
-                "flavor": "fixed-base",
-                "morphism": morphism,
-                "base_topology": topology,
-            }
-        for _ in range(20):
-            src, src_top = gen_site(rng, replace(caps, base_objects=min(caps.base_objects, 2)))
-            fn = gen_functor(rng, src, cat)
-            if fn is not None:
-                return {
-                    "kind": kind,
-                    "flavor": "direct-image",
-                    "indexed": cix,
-                    "functor": fn,
-                    "base_topology": topology,
-                    "source_base_topology": src_top,
-                }
-        morphism = gen_indexed_morphism(rng, cix, caps)
-        return {"kind": kind, "flavor": "fixed-base", "morphism": morphism, "base_topology": topology}
     raise GenerationError("unknown instance kind {!r}".format(kind))
 
 

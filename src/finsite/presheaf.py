@@ -144,6 +144,11 @@ def _sheaf_witness(p: Presheaf, c: str, sieve: frozenset[str]) -> tuple | None:
     return None
 
 
+def _require_base(base: FinCategory, topology: Topology) -> None:
+    if base != topology.base:
+        raise StructureError("presheaf and topology live on different bases")
+
+
 def is_sheaf(p: Presheaf, topology: Topology) -> tuple[bool, tuple]:
     """Unique amalgamation for every matching family on each least cover S(c).
 
@@ -152,8 +157,7 @@ def is_sheaf(p: Presheaf, topology: Topology) -> tuple[bool, tuple]:
     skipped: a matching family on the maximal sieve is x_f = P(f)(x_id), so
     its one amalgamation is x_id.  The witness names S(c).
     """
-    if p.base != topology.base:
-        raise StructureError("presheaf and topology live on different bases")
+    _require_base(p.base, topology)
     for c in p.base.objects:
         sieve = topology.least[c]
         if p.base.identity[c] in sieve:
@@ -182,9 +186,11 @@ def plus(p: Presheaf, topology: Topology) -> PlusResult:
     family on S(c) in ``_fam_key`` order.  The action along f: d -> c sends x
     to g |-> x[f.g] on S(d), defined because S(d) lies in the cover f*S(c);
     the unit sends a in P(c) to g |-> P(g)(a) on S(c).  Raises StructureError,
-    witness f, when a hand-built topology breaks S(d) <= f*S(c).
+    witness f, when a hand-built topology breaks S(d) <= f*S(c), or when the
+    topology lives on another base.
     """
     base = p.base
+    _require_base(base, topology)
     covers = topology.least
     for f in base.arrows:
         d, c = base.src[f], base.tgt[f]
@@ -371,8 +377,10 @@ def sheaf_targets(base: FinCategory, topology: Topology, max_size: int = 3, budg
     ``is_sheaf``; for the trivial topology it is every presheaf up to
     isomorphism.  Every yielded sheaf is still validated in full.
 
-    Raises CapExceeded when the labelled presheaf space exceeds the budget.
+    Raises StructureError when the topology lives on another base, and
+    CapExceeded when the labelled presheaf space exceeds the budget.
     """
+    _require_base(base, topology)
     non_id = [f for f in base.arrows if not base.is_identity(f)]
     sizes = list(itertools.product(range(max_size + 1), repeat=len(base.objects)))
     space = 0
@@ -386,8 +394,6 @@ def sheaf_targets(base: FinCategory, topology: Topology, max_size: int = 3, budg
         space += per
         if space > budget:
             raise CapExceeded("presheaf enumeration space exceeds budget")
-    if base != topology.base:
-        raise StructureError("presheaf and topology live on different bases")
     position = {f: i for i, f in enumerate(non_id)}
     entries = entries_by_last_arrow(base, non_id)
     # decided[i]: the objects whose sheaf condition reads non_id[i] last;

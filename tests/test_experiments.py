@@ -233,7 +233,7 @@ def test_a_thm23_failure_in_the_morphism_is_not_reported_as_a_shrunk_fibration(m
     # morphism's source base cannot reproduce it and must not be reported
     from finsite import experiments
 
-    def needs_one_base_object(top_fun, base_fun, src, tgt, square):
+    def needs_one_base_object(top_fun, base_fun, src, tgt):
         return len(src.base.objects) < 2, ("synthetic",)
 
     monkeypatch.setattr(experiments, "is_morphism_of_fibrations", needs_one_base_object)

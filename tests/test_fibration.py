@@ -12,7 +12,6 @@ from finsite.fincat import (
     constant_functor,
     functor_equal,
     identity_functor,
-    identity_transform,
     is_equivalence,
     terminal_category,
     validate_functor,
@@ -123,13 +122,30 @@ def test_codomain_projection_of_walk2_arrow_category_is_a_fibration(walk2):
     assert ok, witness
 
 
+def reference_is_street_fibration(bundle):
+    """The up-to-iso (Street 1980) lifting condition: every base arrow f into
+    a projected object has a cartesian lift whose image is f . sigma for some
+    iso sigma.  ``is_fibration`` asks for sigma = id."""
+    total, proj, base = bundle.total, bundle.projection, bundle.base
+    for d in total.objects:
+        for f in base.into(proj.ob(d)):
+            if not any(
+                base.is_iso(sigma) and base.compose(f, sigma) == proj.ar(lift)
+                for lift in total.into(d)
+                if lift in bundle.cartesian
+                for sigma in base.hom(proj.ob(total.src[lift]), base.src[f])
+            ):
+                return False
+    return True
+
+
 def test_street_mode_accepts_iso_relabelled_lift():
     # base with an isomorphism: strict lifts over one leg, street over both
     iso2 = corpus.iso2()
     cix = constant_one_indexed(iso2)
     bundle = grothendieck(cix)
-    assert is_fibration(bundle, "strict")[0]
-    assert is_fibration(bundle, "street")[0]
+    assert is_fibration(bundle)[0]
+    assert reference_is_street_fibration(bundle)
 
 
 def test_street_and_strict_modes_genuinely_differ(one):
@@ -137,20 +153,41 @@ def test_street_and_strict_modes_genuinely_differ(one):
     # it, but the identity lift works after twisting by the iso y ~ z
     iso2 = corpus.iso2()
     bundle = FibrationBundle(one, corpus.pick(iso2, "y"))
-    strict_ok, witness = is_fibration(bundle, "strict")
+    strict_ok, witness = is_fibration(bundle)
     assert not strict_ok
     assert witness[1][0] == "j"
-    street_ok, _ = is_fibration(bundle, "street")
-    assert street_ok
+    assert reference_is_street_fibration(bundle)
+
+
+def test_strict_lifts_are_street_lifts_on_generated_fibrations():
+    # a lift lying exactly over f is a Street lift with sigma = id, so every
+    # grothendieck bundle, which is a strict fibration, is a Street one
+    checked = 0
+    for seed in range(40):
+        bundle = grothendieck(generate_instance("fibration", derive_seed(3, seed), Caps())["indexed"])
+        assert is_fibration(bundle)[0]
+        assert reference_is_street_fibration(bundle)
+        checked += any(bundle.base.is_iso(f) and not bundle.base.is_identity(f) for f in bundle.base.arrows)
+    assert checked > 0
 
 
 def test_morphism_of_fibrations_identity_square(two_point):
     bundle = grothendieck(two_point)
     ident = identity_functor(bundle.total)
     base_ident = identity_functor(bundle.base)
-    square = identity_transform(bundle.projection)
-    ok, witness = is_morphism_of_fibrations(ident, base_ident, bundle, bundle, square)
+    ok, witness = is_morphism_of_fibrations(ident, base_ident, bundle, bundle)
     assert ok, witness
+
+
+def test_morphism_of_fibrations_needs_a_commuting_square(walk2):
+    # the identity on the total of one-point fibers over walk2, against the
+    # base endofunctor sending both objects to b: the square commutes at b only
+    bundle = grothendieck(constant_one_indexed(walk2))
+    to_b = compose_functors(corpus.pick(walk2, "b"), corpus.bang(walk2))
+    ok, witness = is_morphism_of_fibrations(identity_functor(bundle.total), to_b, bundle, bundle)
+    assert not ok
+    assert witness[0] == "square_not_commuting"
+    assert bundle.projection.ob(bundle.total.src[witness[1]]) == "a"
 
 
 def test_collapse_breaking_cartesian_arrows_is_rejected(two_point, walk2, one):
@@ -169,9 +206,7 @@ def test_collapse_breaking_cartesian_arrows_is_rejected(two_point, walk2, one):
         src.total,
         tgt.total,
     )
-    bang = corpus.bang(walk2)
-    square = identity_transform(compose_functors(bang, src.projection))
-    ok, witness = is_morphism_of_fibrations(a_fun, bang, src, tgt, square)
+    ok, witness = is_morphism_of_fibrations(a_fun, corpus.bang(walk2), src, tgt)
     assert not ok
     assert witness[0] == "cartesian_broken"
 
@@ -350,9 +385,7 @@ def test_comparison_is_the_slice_functor_on_representables():
 
 
 def test_compose_direct_images_table_exact(two_point, walk2, one):
-    result = compose_direct_images(two_point, identity_functor(one), corpus.pick(walk2, "b"))
-    assert result.mode == "direct"
-    assert result.equal
+    assert compose_direct_images(two_point, identity_functor(one), corpus.pick(walk2, "b"))
 
 
 def test_compose_inverse_images_identity_iso():
@@ -364,11 +397,7 @@ def test_compose_inverse_images_identity_iso():
     while adj_outer is None:
         adj_outer = gen_galois_into(rng, Caps(base_objects=3), adj_inner.left.source)
     cix = representable_indexed(adj_inner.left.target, sorted(adj_inner.left.target.objects)[0])
-    result = compose_inverse_images(cix, adj_inner, adj_outer)
-    assert result.equal
-    assert all(
-        result.composite.target.is_identity(a) for a in result.iso.values()
-    )
+    assert compose_inverse_images(cix, adj_inner, adj_outer)
 
 
 def test_is_cartesian_fibration_examples(two_point, walk2):

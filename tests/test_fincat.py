@@ -19,7 +19,6 @@ from finsite.fincat import (
     full_subcategory,
     identity_functor,
     is_equivalence,
-    natural_iso_search,
     functor_equal,
     validate_category,
     validate_functor,
@@ -404,12 +403,6 @@ def test_is_equivalence_accepts_skeleton_inclusion():
     assert ok
     preimages = dict(witness[1])
     assert "z" in preimages
-
-
-def test_natural_iso_search_finds_identity(walk2):
-    ident = identity_functor(walk2)
-    iso = natural_iso_search(ident, ident)
-    assert iso == {c: walk2.identity[c] for c in walk2.objects}
 
 
 def test_natural_transform_validation(walk2, one):

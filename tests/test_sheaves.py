@@ -106,6 +106,16 @@ def test_hand_built_topology_that_is_not_pullback_stable_is_refused(worked, walk
         assert info.value.witness == "u"
 
 
+def test_a_topology_on_another_base_is_refused_before_any_work(worked, walk2):
+    # the refusal comes first: no KeyError from plus reading S(a) on chain3,
+    # and no CapExceeded from a budget too small for chain3's presheaf space
+    chain3 = corpus.chain3()
+    with pytest.raises(StructureError, match="different bases"):
+        plus(worked, trivial_topology(chain3))
+    with pytest.raises(StructureError, match="different bases"):
+        next(sheaf_targets(chain3, trivial_topology(walk2), 3, 10))
+
+
 def test_representable_at_b_is_a_sier_sheaf(walk2, sier):
     yb = representable(walk2, "b")
     # oracle: count amalgamations for each brute-forced family

@@ -607,7 +607,7 @@ def test_is_cover_is_membership_in_covers():
                 assert top.is_cover(c, s) == (s in top.covers[c])
 
 
-GENERATED_KINDS = ("site", "fibration", "site-functor", "comorphism", "dense-pair", "prop33-square")
+GENERATED_KINDS = ("site", "fibration", "site-functor", "comorphism", "dense-pair")
 
 
 def generated_topologies(instances):
