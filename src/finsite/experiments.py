@@ -1,15 +1,17 @@
-"""Named, replayable experiment bundles over the corpus and seeded fuzzing.
+"""Named, replayable experiments over the corpus and seeded fuzzing.
 
-Identical (id, seed, caps) triples yield byte-identical canonical reports;
-wall time is kept off the canonical text.  Each experiment knows which
-in-scope results it covers, and the release runner refuses to proceed when
-the union misses one.
+An experiment is data, an ``ExperimentSpec``: a check, an instance recipe and
+its corpus cases.  One driver, ``run_experiment``, checks the corpus cases,
+then the fuzz instances the recipe draws.  Identical (id, seed, caps) triples
+yield byte-identical canonical reports; wall time is kept off the canonical
+text.  Each experiment knows which in-scope results it covers, and the
+release runner refuses to proceed when the union misses one.
 """
 from __future__ import annotations
 
 import hashlib
-
 import time
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 
 from . import corpus
@@ -198,6 +200,16 @@ class _Run:
         elif outcome is not None:
             self.failures.append(Failure(label, str(outcome), instance_desc, minimized or instance_desc))
 
+    def fixed(self, cases, check):
+        """Check each corpus (label, instance) pair; a failure is described by its label."""
+        for label, inst in cases:
+            try:
+                outcome = check(inst)
+            except SkipInstance:
+                self.skips["SkipInstance"] += 1
+                continue
+            self.check(label, label, outcome)
+
     @property
     def skipped(self) -> int:
         return sum(self.skips.values())
@@ -252,289 +264,294 @@ class _Run:
 
 
 # ---------------------------------------------------------------------------
-# Experiment bodies
+# Checks, instance recipes and corpus cases
+#
+# A check takes (instance, caps) and returns None, NOTED or a failure message,
+# or raises SkipInstance.  A recipe takes (instance seed, caps) and returns an
+# instance dict, or raises GenerationError or CapExceeded.  Both look up the
+# kernel functions in this module's globals when they run, so that a wrapper
+# set on one of those names (a tracer, a test's monkeypatch) sees every call.
 
 
-def _exp_comma_kernel(run: _Run):
-    def check_cat(cat):
-        ac = arrow_category(cat)
-        ident = identity_functor(cat)
-        cc = comma_category(ident, ident)
-        obj_map = {}
-        for name, (_, _, u) in cc.obj_data.items():
-            obj_map[name] = ac.of_arrow[u]
-        if sorted(obj_map.values()) != sorted(ac.category.objects):
-            return "comma(Id,Id) object set differs from the arrow category"
-        arr_map = {}
-        for name, (w1, w2) in cc.arr_data.items():
-            o1, o2 = cc.category.src[name], cc.category.tgt[name]
-            arr_map[name] = "[{},{}]:{}->{}".format(w1, w2, obj_map[o1], obj_map[o2])
-        try:
-            iso = validate_functor(obj_map, arr_map, cc.category, ac.category)
-        except StructureError as err:
-            return "comma-to-arrow comparison is not a functor: {}".format(err)
-        if sorted(arr_map.values()) != sorted(ac.category.arrows):
-            return "comma(Id,Id) arrows differ from the arrow category"
-        if not functor_equal(compose_functors(ac.dom, iso), cc.left):
-            return "left projection disagrees with the domain functor"
-        if not functor_equal(compose_functors(ac.cod, iso), cc.right):
-            return "right projection disagrees with the codomain functor"
-        neighbours = {c: set() for c in cat.objects}
-        for a in cat.arrows:
-            neighbours[cat.src[a]].add(cat.tgt[a])
-            neighbours[cat.tgt[a]].add(cat.src[a])
-        seen = set()
-        groups = []
-        for c in cat.objects:
-            if c in seen:
+def _capped(caps: Caps, base: int, fiber: int | None = None) -> Caps:
+    """``caps`` with base_objects at most ``base``, and fiber_objects at most ``fiber`` if given."""
+    fiber_objects = caps.fiber_objects if fiber is None else min(fiber, caps.fiber_objects)
+    return replace(caps, base_objects=min(base, caps.base_objects), fiber_objects=fiber_objects)
+
+
+def _fibration(seed, caps):
+    return generate_instance("fibration", seed, caps)
+
+
+def _comma_kernel(inst, caps):
+    cat = inst["category"]
+    ac = arrow_category(cat)
+    ident = identity_functor(cat)
+    cc = comma_category(ident, ident)
+    obj_map = {}
+    for name, (_, _, u) in cc.obj_data.items():
+        obj_map[name] = ac.of_arrow[u]
+    if sorted(obj_map.values()) != sorted(ac.category.objects):
+        return "comma(Id,Id) object set differs from the arrow category"
+    arr_map = {}
+    for name, (w1, w2) in cc.arr_data.items():
+        o1, o2 = cc.category.src[name], cc.category.tgt[name]
+        arr_map[name] = "[{},{}]:{}->{}".format(w1, w2, obj_map[o1], obj_map[o2])
+    try:
+        iso = validate_functor(obj_map, arr_map, cc.category, ac.category)
+    except StructureError as err:
+        return "comma-to-arrow comparison is not a functor: {}".format(err)
+    if sorted(arr_map.values()) != sorted(ac.category.arrows):
+        return "comma(Id,Id) arrows differ from the arrow category"
+    if not functor_equal(compose_functors(ac.dom, iso), cc.left):
+        return "left projection disagrees with the domain functor"
+    if not functor_equal(compose_functors(ac.cod, iso), cc.right):
+        return "right projection disagrees with the codomain functor"
+    neighbours = {c: set() for c in cat.objects}
+    for a in cat.arrows:
+        neighbours[cat.src[a]].add(cat.tgt[a])
+        neighbours[cat.tgt[a]].add(cat.src[a])
+    seen = set()
+    groups = []
+    for c in cat.objects:
+        if c in seen:
+            continue
+        stack, group = [c], set()
+        while stack:
+            x = stack.pop()
+            if x in group:
                 continue
-            stack, group = [c], set()
-            while stack:
-                x = stack.pop()
-                if x in group:
-                    continue
-                group.add(x)
-                stack.extend(neighbours[x] - group)
-            seen |= group
-            groups.append(tuple(sorted(group)))
-        if tuple(sorted(groups)) != tuple(sorted(connected_components(cat))):
-            return "connected components disagree with graph reachability"
-        return None
-
-    for name, cat, _ in corpus.corpus_sites():
-        run.check(name, name, check_cat(cat))
-
-    def make(i):
-        cat, _, _ = gen_category(_rng(run.instance_seed(i)), run.caps)
-        return {"kind": "category", "category": cat}
-
-    run.loop(make, lambda inst: check_cat(inst["category"]))
+            group.add(x)
+            stack.extend(neighbours[x] - group)
+        seen |= group
+        groups.append(tuple(sorted(group)))
+    if tuple(sorted(groups)) != tuple(sorted(connected_components(cat))):
+        return "connected components disagree with graph reachability"
+    return None
 
 
-def _exp_cartesian_characterisation(run: _Run):
-    def check(inst):
-        cix = inst["indexed"]
-        bundle = grothendieck(cix)
-        ok, witness = is_fibration(bundle)
-        if not ok:
-            return "grothendieck output missed a strict lift: {}".format(witness)
-        for name, (u, f) in bundle.arr_pair.items():
-            c1 = bundle.obj_pair[bundle.total.src[name]][1]
-            vertical_iso = cix.fiber[c1].is_iso(u)
-            if vertical_iso != (name in bundle.cartesian):
-                return "cartesian table disagrees with the vertical-iso characterisation at {}".format(name)
-        return None
-
-    run.check("twopoint", "twopoint", check({"indexed": corpus.two_point()}))
-
-    def make(i):
-        return generate_instance("fibration", run.instance_seed(i), run.caps)
-
-    run.loop(make, check)
+def _cartesian_characterisation(inst, caps):
+    cix = inst["indexed"]
+    bundle = grothendieck(cix)
+    ok, witness = is_fibration(bundle)
+    if not ok:
+        return "grothendieck output missed a strict lift: {}".format(witness)
+    for name, (u, f) in bundle.arr_pair.items():
+        c1 = bundle.obj_pair[bundle.total.src[name]][1]
+        vertical_iso = cix.fiber[c1].is_iso(u)
+        if vertical_iso != (name in bundle.cartesian):
+            return "cartesian table disagrees with the vertical-iso characterisation at {}".format(name)
+    return None
 
 
-def _exp_topology_soundness(run: _Run):
-    def check(inst):
-        cix = inst["indexed"]
-        topology = inst["base_topology"]
-        base = topology.base
-        ok, witness = is_topology(base, topology.covers)
-        if not ok:
-            return "saturate output fails {}".format(witness)
-        again = saturate(base, {c: [topology.least[c]] for c in base.objects})
-        if again != topology:
-            return "saturate is not idempotent"
-        gir = giraud_topology(cix, topology)
-        ok, witness = is_topology(gir.base, gir.covers)
-        if not ok:
-            return "giraud output fails {}".format(witness)
-        ident = identity_functor(base)
-        if induced_image_topology(ident, topology) != topology:
-            return "induced topology along the identity is not the identity"
-        if len(base.objects) <= 3:
-            try:
-                for other in enumerate_topologies(base):
-                    gens_in = all(other.is_cover(c, topology.least[c]) for c in base.objects)
-                    if gens_in and not topology_leq(topology, other):
-                        return "saturation is not minimal among topologies containing the generators"
-            except CapExceeded:
-                raise SkipInstance()
-        return None
-
-    for name, cat, top in corpus.corpus_sites():
-        cix = corpus.two_point(cat) if cat == corpus.walk2() else constant_indexed(cat, terminal_category())
-        run.check(name, name, check({"indexed": cix, "base_topology": top}))
-
-    def make(i):
-        return generate_instance("fibration", run.instance_seed(i), run.caps)
-
-    run.loop(make, check)
-
-
-def _exp_minimality(run: _Run):
-    small = replace(run.caps, base_objects=min(3, run.caps.base_objects), fiber_objects=min(2, run.caps.fiber_objects))
-
-    def check(inst):
-        cix = inst["indexed"]
-        topology = inst["base_topology"]
-        bundle = grothendieck(cix)
-        total = bundle.total
-        if topology_candidate_count(total) > run.caps.enumeration_limit:
-            raise SkipInstance()
-        gir = giraud_topology(cix, topology)
+def _topology_soundness(inst, caps):
+    cix = inst["indexed"]
+    topology = inst["base_topology"]
+    base = topology.base
+    ok, witness = is_topology(base, topology.covers)
+    if not ok:
+        return "saturate output fails {}".format(witness)
+    again = saturate(base, {c: [topology.least[c]] for c in base.objects})
+    if again != topology:
+        return "saturate is not idempotent"
+    gir = giraud_topology(cix, topology)
+    ok, witness = is_topology(gir.base, gir.covers)
+    if not ok:
+        return "giraud output fails {}".format(witness)
+    ident = identity_functor(base)
+    if induced_image_topology(ident, topology) != topology:
+        return "induced topology along the identity is not the identity"
+    if len(base.objects) <= 3:
         try:
-            for candidate in enumerate_topologies(total):
-                passes = is_comorphism(SiteFunctor(bundle.projection, candidate, topology)).ok
-                above = topology_leq(gir, candidate)
-                if passes != above:
-                    return "comorphism topologies are not exactly the up-set of the Giraud topology at {}".format(
-                        sorted(map(sorted, candidate.covers[total.objects[0]]))
-                    )
+            for other in enumerate_topologies(base):
+                gens_in = all(other.is_cover(c, topology.least[c]) for c in base.objects)
+                if gens_in and not topology_leq(topology, other):
+                    return "saturation is not minimal among topologies containing the generators"
         except CapExceeded:
             raise SkipInstance()
-        return None
-
-    run.check("twopoint-sier", "twopoint-sier", check({"indexed": corpus.two_point(), "base_topology": corpus.sier()}))
-
-    def make(i):
-        return generate_instance("fibration", run.instance_seed(i), small)
-
-    run.loop(make, check)
+    return None
 
 
-def _exp_continuity(run: _Run):
-    def check(inst):
-        morphism = inst["morphism"]
-        cix = morphism.source
-        topology = inst["base_topology"]
-        bundle = grothendieck(cix)
-        gir = giraud_topology(cix, topology)
-        site = SiteFunctor(bundle.projection, gir, topology)
-        v = is_comorphism(site)
-        if not v.ok:
-            return "giraud projection is not a comorphism: {}".format(v.witness)
-        v = is_continuous(site)
-        if not v.ok:
-            return "giraud projection is not continuous: {}".format(v.witness)
-        top_fun = total_functor(morphism)
-        ok, witness = is_morphism_of_fibrations(top_fun, identity_functor(cix.base), bundle, grothendieck(morphism.target))
+def _topology_soundness_cases():
+    for name, cat, top in corpus.corpus_sites():
+        cix = corpus.two_point(cat) if cat == corpus.walk2() else constant_indexed(cat, terminal_category())
+        yield name, {"indexed": cix, "base_topology": top}
+
+
+def _minimality(inst, caps):
+    cix = inst["indexed"]
+    topology = inst["base_topology"]
+    bundle = grothendieck(cix)
+    total = bundle.total
+    if topology_candidate_count(total) > caps.enumeration_limit:
+        raise SkipInstance()
+    gir = giraud_topology(cix, topology)
+    try:
+        for candidate in enumerate_topologies(total):
+            passes = is_comorphism(SiteFunctor(bundle.projection, candidate, topology)).ok
+            above = topology_leq(gir, candidate)
+            if passes != above:
+                return "comorphism topologies are not exactly the up-set of the Giraud topology at {}".format(
+                    sorted(map(sorted, candidate.covers[total.objects[0]]))
+                )
+    except CapExceeded:
+        raise SkipInstance()
+    return None
+
+
+def _continuity(inst, caps):
+    morphism = inst["morphism"]
+    cix = morphism.source
+    topology = inst["base_topology"]
+    bundle = grothendieck(cix)
+    gir = giraud_topology(cix, topology)
+    site = SiteFunctor(bundle.projection, gir, topology)
+    v = is_comorphism(site)
+    if not v.ok:
+        return "giraud projection is not a comorphism: {}".format(v.witness)
+    v = is_continuous(site)
+    if not v.ok:
+        return "giraud projection is not continuous: {}".format(v.witness)
+    top_fun = total_functor(morphism)
+    ok, witness = is_morphism_of_fibrations(top_fun, identity_functor(cix.base), bundle, grothendieck(morphism.target))
+    if not ok:
+        return "indexed morphism is not a morphism of fibrations: {}".format(witness)
+    gir_tgt = giraud_topology(morphism.target, topology)
+    v = is_continuous(SiteFunctor(top_fun, gir, gir_tgt))
+    if not v.ok:
+        return "morphism of fibrations is not continuous between Giraud sites: {}".format(v.witness)
+    return None
+
+
+def _morphism_over_site(rng, caps) -> dict:
+    """A generated indexed morphism over a generated base site."""
+    cix, topology = gen_fibration(rng, caps)
+    # no "indexed" key: the minimiser would shrink it apart from the morphism
+    return {"morphism": gen_indexed_morphism(rng, cix, caps), "base_topology": topology}
+
+
+def _twopoint_collapse() -> dict:
+    return {"morphism": collapse_morphism(corpus.two_point()), "base_topology": corpus.sier()}
+
+
+def _reflect_cartesian(inst, caps):
+    di = direct_image(inst["indexed"], inst["functor"])
+    ok, witness = q_reflects_cartesian(di)
+    if not ok:
+        return "projection fails to reflect cartesian arrows: {}".format(witness)
+    ok, witness = is_morphism_of_fibrations(di.q, inst["functor"], di.source, di.target)
+    if not ok:
+        return "projection is not a morphism of fibrations: {}".format(witness)
+    for c in di.indexed.base.objects:
+        if di.indexed.fiber[c] != inst["indexed"].fiber[inst["functor"].ob(c)]:
+            return "pullback fiber table is not exact at {}".format(c)
+    return None
+
+
+def _make_reflect_cartesian(seed, caps):
+    rng = _rng(seed)
+    dix, _ = gen_fibration(rng, caps)
+    src, _ = gen_site(rng, _capped(caps, 3))
+    fn = gen_functor(rng, src, dix.base)
+    if fn is None:
+        raise GenerationError("no functor")
+    return {"kind": "direct-image", "indexed": dix, "functor": fn}
+
+
+def _adjoint_agreement(inst, caps):
+    adj = inst["adjunction"]
+    cix = inst["indexed"]
+    stf = structure_functor(cix, adj)
+    inv = stf.inverse
+    if not inv.adjunction_ok:
+        return "comparison adjunction failed the triangle identities"
+    if not functor_equal(stf.composite, inv.comparison):
+        return "structure functor disagrees with the adjoint comparison"
+    one = terminal_category()
+    dcat = adj.left.source
+    for d in dcat.objects:
+        comma = comma_category(constant_functor(one, dcat, d), adj.right)
+        cat = comma.category
+        initial = [
+            o for o in cat.objects if all(len(cat.hom(o, other)) == 1 for other in cat.objects)
+        ]
+        if not initial:
+            return "comma category (d over right adjoint) has no initial object at {}".format(d)
+        target_obj = None
+        for name, (_, c, u) in comma.obj_data.items():
+            if c == adj.left.ob(d) and u == adj.unit[d]:
+                target_obj = name
+                break
+        if target_obj is None:
+            return "unit object missing from the comma category at {}".format(d)
+        arrows = cat.hom(initial[0], target_obj)
+        if len(arrows) != 1:
+            return "initial object not strict at {}".format(d)
+        w = comma.arr_data[arrows[0]][1]
+        comparison = cix.restriction[w]
+        ok, witness = is_equivalence(comparison)
         if not ok:
-            return "indexed morphism is not a morphism of fibrations: {}".format(witness)
-        gir_tgt = giraud_topology(morphism.target, topology)
-        v = is_continuous(SiteFunctor(top_fun, gir, gir_tgt))
-        if not v.ok:
-            return "morphism of fibrations is not continuous between Giraud sites: {}".format(v.witness)
-        return None
-
-    tp = corpus.two_point()
-    morphism = collapse_morphism(tp)
-    run.check("twopoint", "twopoint", check({"base_topology": corpus.sier(), "morphism": morphism}))
-
-    def make(i):
-        rng = _rng(run.instance_seed(i))
-        caps = replace(run.caps, base_objects=min(3, run.caps.base_objects), fiber_objects=min(3, run.caps.fiber_objects))
-        cix, topology = gen_fibration(rng, caps)
-        morphism = gen_indexed_morphism(rng, cix, caps)
-        # no "indexed" key: the minimiser would shrink it apart from the morphism
-        return {"kind": "fibration", "base_topology": topology, "morphism": morphism}
-
-    run.loop(make, check)
+            return "pointwise comma-colimit disagrees with the adjoint inverse image at {}: {}".format(d, witness[0])
+    return None
 
 
-def _exp_reflect_cartesian(run: _Run):
-    def check(inst):
-        di = direct_image(inst["indexed"], inst["functor"])
-        ok, witness = q_reflects_cartesian(di)
-        if not ok:
-            return "projection fails to reflect cartesian arrows: {}".format(witness)
-        ok, witness = is_morphism_of_fibrations(di.q, inst["functor"], di.source, di.target)
-        if not ok:
-            return "projection is not a morphism of fibrations: {}".format(witness)
-        for c in di.indexed.base.objects:
-            if di.indexed.fiber[c] != inst["indexed"].fiber[inst["functor"].ob(c)]:
-                return "pullback fiber table is not exact at {}".format(c)
-        return None
-
-    tp = corpus.two_point()
-    run.check(
-        "twopoint-pick-b",
-        "twopoint-pick-b",
-        check({"indexed": tp, "functor": corpus.pick(corpus.walk2(), "b")}),
-    )
-
-    def make(i):
-        rng = _rng(run.instance_seed(i))
-        dix, _ = gen_fibration(rng, run.caps)
-        src, _ = gen_site(rng, replace(run.caps, base_objects=min(3, run.caps.base_objects)))
-        fn = gen_functor(rng, src, dix.base)
-        if fn is None:
-            raise GenerationError("no functor")
-        return {"kind": "direct-image", "indexed": dix, "functor": fn}
-
-    run.loop(make, check)
+def _galois_over(rng, caps) -> dict:
+    """A generated Galois connection, with an indexed category over its left adjoint's target."""
+    adj = gen_galois(rng, caps)
+    if adj is None:
+        raise GenerationError("no galois connection")
+    return {"adjunction": adj, "indexed": gen_indexed(rng, adj.left.target, caps)}
 
 
-def _exp_adjoint_agreement(run: _Run):
-    def check(inst):
-        adj = inst["adjunction"]
-        cix = inst["indexed"]
-        stf = structure_functor(cix, adj)
-        inv = stf.inverse
-        if not inv.adjunction_ok:
-            return "comparison adjunction failed the triangle identities"
-        if not functor_equal(stf.composite, inv.comparison):
-            return "structure functor disagrees with the adjoint comparison"
-        one = terminal_category()
-        dcat = adj.left.source
-        for d in dcat.objects:
-            comma = comma_category(constant_functor(one, dcat, d), adj.right)
-            cat = comma.category
-            initial = [
-                o for o in cat.objects if all(len(cat.hom(o, other)) == 1 for other in cat.objects)
-            ]
-            if not initial:
-                return "comma category (d over right adjoint) has no initial object at {}".format(d)
-            c0 = comma.obj_data[initial[0]][1]
-            target_obj = None
-            for name, (_, c, u) in comma.obj_data.items():
-                if c == adj.left.ob(d) and u == adj.unit[d]:
-                    target_obj = name
-                    break
-            if target_obj is None:
-                return "unit object missing from the comma category at {}".format(d)
-            arrows = cat.hom(initial[0], target_obj)
-            if len(arrows) != 1:
-                return "initial object not strict at {}".format(d)
-            w = comma.arr_data[arrows[0]][1]
-            comparison = cix.restriction[w]
-            ok, witness = is_equivalence(comparison)
-            if not ok:
-                return "pointwise comma-colimit disagrees with the adjoint inverse image at {}: {}".format(d, witness[0])
-        return None
-
+def _walk2_terminal() -> dict:
+    """The corpus adjunction bang -| pick b, with a two-object discrete fiber over its point."""
     adj = corpus.walk2_terminal_adjunction()
-    cix = constant_indexed(corpus.one(), corpus.discrete(("p", "q")))
-    run.check("walk2-terminal", "walk2-terminal", check({"adjunction": adj, "indexed": cix}))
-
-    def make(i):
-        rng = _rng(run.instance_seed(i))
-        adj = gen_galois(rng, run.caps)
-        if adj is None:
-            raise GenerationError("no galois connection")
-        cix = gen_indexed(rng, adj.left.target, run.caps)
-        return {"kind": "adjoint-pair", "adjunction": adj, "indexed": cix}
-
-    run.loop(make, check)
+    return {"adjunction": adj, "indexed": constant_indexed(corpus.one(), corpus.discrete(("p", "q")))}
 
 
-def _continuous_site_functor(rng, caps):
+def _transfer(decide, inst, lost: str, unmet: str | None = None):
+    """Props. 3.4, 4.2 and 4.6: when ``inst["site_functor"]`` has the property
+    that ``decide`` decides (continuity, comorphism, density), so does the
+    projection q of the direct image of ``inst["indexed"]`` along it, between
+    the two Giraud sites.  ``lost`` formats q's witness.  A site functor
+    without the property skips the instance, unless ``unmet`` is given: the
+    recipe then built it to have the property, and ``unmet`` formats its
+    witness."""
+    sf, cix = inst["site_functor"], inst["indexed"]
+    pre = decide(sf)
+    if not pre.ok:
+        if unmet is None:
+            raise SkipInstance()
+        return unmet.format(pre.witness)
+    di = direct_image(cix, sf.functor)
+    q = SiteFunctor(di.q, giraud_topology(di.indexed, sf.source_topology), giraud_topology(cix, sf.target_topology))
+    v = decide(q)
+    if not v.ok:
+        return lost.format(v.witness)
+    return None
+
+
+def _over_site_functor(kind: str, draw):
+    """The recipe of a transfer check: a site functor ``draw(rng, seed,
+    caps)``, then an indexed category over its target from the same stream."""
+
+    def make(seed, caps):
+        rng = _rng(seed)
+        caps = _capped(caps, 3, 2)
+        sf = draw(rng, seed, caps)
+        return {"kind": kind, "site_functor": sf, "indexed": gen_indexed(rng, sf.functor.target, caps)}
+
+    return make
+
+
+def _continuous_site_functor(rng, seed, caps):
     """A site functor that is continuous by construction (identity, or a
     trivially-topologised source)."""
     roll = rng.random()
     if roll < 0.3:
         cat, topology = gen_site(rng, caps)
         return SiteFunctor(identity_functor(cat), topology, topology)
-    src, _ = gen_site(rng, replace(caps, base_objects=min(3, caps.base_objects)))
+    src, _ = gen_site(rng, caps)
     tgt, tgt_top = gen_site(rng, caps)
     fn = gen_functor(rng, src, tgt)
     if fn is None:
@@ -542,199 +559,113 @@ def _continuous_site_functor(rng, caps):
     return SiteFunctor(fn, trivial_topology(src), tgt_top)
 
 
-def _direct_image_projection(inst) -> SiteFunctor:
-    """The direct image's projection q of ``inst["indexed"]`` along its site
-    functor, between the two Giraud sites."""
-    sf, cix = inst["site_functor"], inst["indexed"]
-    di = direct_image(cix, sf.functor)
-    return SiteFunctor(di.q, giraud_topology(di.indexed, sf.source_topology), giraud_topology(cix, sf.target_topology))
+def _comorphism_site_functor(rng, seed, caps):
+    tgt, tgt_top = gen_site(rng, caps)
+    src, _ = gen_site(rng, caps)
+    fn = gen_functor(rng, src, tgt)
+    if fn is None:
+        raise GenerationError("no functor")
+    return SiteFunctor(fn, min_comorphism_topology(fn, tgt_top), tgt_top)
 
 
-def _exp_prop34(run: _Run):
-    def check(inst):
-        sf = inst["site_functor"]
-        pre = is_continuous(sf)
-        if not pre.ok:
-            raise SkipInstance()
-        v = is_continuous(_direct_image_projection(inst))
-        if not v.ok:
-            return "direct-image projection of a continuous functor is not continuous: {}".format(v.witness)
-        return None
+def _dense_site_functor(rng, seed, caps):
+    """A dense inclusion, drawn from its own copy of the seed's stream: ``rng``
+    is left untouched."""
+    inst = generate_instance("dense-pair", seed, caps)
+    return SiteFunctor(inst["functor"], inst["source_topology"], inst["target_topology"])
 
+
+def _walk2_identity(label):
+    """The identity of Walk2 with the Sierpinski topology on both sides, over two_point."""
     w = corpus.walk2()
-    run.check(
-        "walk2-id",
-        "walk2-id",
-        check({"site_functor": SiteFunctor(identity_functor(w), corpus.sier(w), corpus.sier(w)), "indexed": corpus.two_point(w)}),
-    )
-
-    def make(i):
-        rng = _rng(run.instance_seed(i))
-        caps = replace(run.caps, base_objects=min(3, run.caps.base_objects), fiber_objects=min(2, run.caps.fiber_objects))
-        sf = _continuous_site_functor(rng, caps)
-        cix = gen_indexed(rng, sf.functor.target, caps)
-        return {"kind": "prop34", "site_functor": sf, "indexed": cix}
-
-    run.loop(make, check)
+    sf = SiteFunctor(identity_functor(w), corpus.sier(w), corpus.sier(w))
+    return [(label, {"site_functor": sf, "indexed": corpus.two_point(w)})]
 
 
-def _exp_prop42(run: _Run):
-    def check(inst):
-        sf = inst["site_functor"]
-        pre = is_comorphism(sf)
-        if not pre.ok:
-            return "constructed comorphism fails its own check: {}".format(pre.witness)
-        v = is_comorphism(_direct_image_projection(inst))
-        if not v.ok:
-            return "direct-image projection of a comorphism is not a comorphism: {}".format(v.witness)
+def _prop44(inst, caps):
+    if inst["flavor"] == "direct":
+        if not compose_direct_images(inst["indexed"], inst["inner"], inst["outer"]):
+            return "direct-image composition is not table-exact"
         return None
+    if not compose_inverse_images(inst["indexed"], inst["adj_inner"], inst["adj_outer"]):
+        return "inverse-image comparison composite is not the composite's comparison"
+    return None
 
-    w = corpus.walk2()
-    run.check(
-        "walk2-id",
-        "walk2-id",
-        check({"site_functor": SiteFunctor(identity_functor(w), corpus.sier(w), corpus.sier(w)), "indexed": corpus.two_point(w)}),
-    )
 
-    def make(i):
-        rng = _rng(run.instance_seed(i))
-        caps = replace(run.caps, base_objects=min(3, run.caps.base_objects), fiber_objects=min(2, run.caps.fiber_objects))
-        tgt, tgt_top = gen_site(rng, caps)
+def _make_prop44(seed, caps):
+    rng = _rng(seed)
+    caps = _capped(caps, 3)
+    if rng.random() < 0.5:
+        dix, _ = gen_fibration(rng, caps)
+        mid, _ = gen_site(rng, caps)
+        outer = gen_functor(rng, mid, dix.base)
         src, _ = gen_site(rng, caps)
-        fn = gen_functor(rng, src, tgt)
-        if fn is None:
-            raise GenerationError("no functor")
-        sf = SiteFunctor(fn, min_comorphism_topology(fn, tgt_top), tgt_top)
-        cix = gen_indexed(rng, tgt, caps)
-        return {"kind": "comorphism", "site_functor": sf, "indexed": cix}
+        inner = gen_functor(rng, src, mid) if outer is not None else None
+        if outer is None or inner is None:
+            raise GenerationError("no functor chain")
+        return {"kind": "prop44", "flavor": "direct", "indexed": dix, "inner": inner, "outer": outer}
+    adj_inner = gen_galois(rng, caps)
+    if adj_inner is None:
+        raise GenerationError("no inner galois")
+    adj_outer = gen_galois_into(rng, caps, adj_inner.left.source)
+    if adj_outer is None:
+        raise GenerationError("no outer galois")
+    base = adj_inner.left.target
+    if rng.random() < 0.5:
+        cix = gen_indexed(rng, base, caps)
+    else:
+        cix = representable_indexed(base, rng.choice(list(base.objects)))
+    return {"kind": "prop44", "flavor": "adjoint", "indexed": cix, "adj_inner": adj_inner, "adj_outer": adj_outer}
 
-    run.loop(make, check)
 
-
-def _exp_dense(run: _Run):
-    def check(inst):
-        sf = inst["site_functor"]
-        pre = is_dense_morphism(sf)
-        if not pre.ok:
-            return "constructed dense inclusion fails the dense check: {}".format(pre.witness)
-        v = is_dense_morphism(_direct_image_projection(inst))
-        if not v.ok:
-            return "direct-image projection along a dense morphism is not dense: {}".format(v.witness)
-        return None
-
-    def make(i):
-        rng = _rng(run.instance_seed(i))
-        caps = replace(run.caps, base_objects=min(3, run.caps.base_objects), fiber_objects=min(2, run.caps.fiber_objects))
-        inst = generate_instance("dense-pair", run.instance_seed(i), caps)
-        sf = SiteFunctor(inst["functor"], inst["source_topology"], inst["target_topology"])
-        cix = gen_indexed(rng, sf.functor.target, caps)
-        return {"kind": "dense-pair", "site_functor": sf, "indexed": cix}
-
+def _prop44_cases():
     w = corpus.walk2()
-    full = validate_functor({c: c for c in w.objects}, {a: a for a in w.arrows}, w, w)
-    run.check(
-        "walk2-full",
-        "walk2-full",
-        check({"site_functor": SiteFunctor(full, corpus.sier(w), corpus.sier(w)), "indexed": corpus.two_point(w)}),
-    )
-    run.loop(make, check)
+    inst = {
+        "flavor": "direct",
+        "indexed": corpus.two_point(w),
+        "inner": identity_functor(corpus.one()),
+        "outer": corpus.pick(w, "b"),
+    }
+    return [("walk2-pick-id", inst)]
 
 
-def _exp_prop44(run: _Run):
-    def check(inst):
-        if inst["flavor"] == "direct":
-            if not compose_direct_images(inst["indexed"], inst["inner"], inst["outer"]):
-                return "direct-image composition is not table-exact"
-            return None
-        if not compose_inverse_images(inst["indexed"], inst["adj_inner"], inst["adj_outer"]):
-            return "inverse-image comparison composite is not the composite's comparison"
+def _sheafify(inst, caps):
+    p = inst["presheaf"]
+    topology = inst["topology"]
+    sh = sheafify(p, topology)
+    ok, witness = is_sheaf(sh.sheaf, topology)
+    if not ok:
+        return "sheafification output is not a sheaf: {}".format(witness)
+    again = sheafify(sh.sheaf, topology)
+    for c in p.base.objects:
+        comp = again.unit[c]
+        if sorted(comp.values()) != sorted(set(comp.values())) or len(set(comp.values())) != len(sh.sheaf.values[c]):
+            return "sheafifying a sheaf did not give an isomorphic unit at {}".format(c)
+    if inst.get("expect_singleton"):
+        if any(len(sh.sheaf.values[c]) != 1 for c in p.base.objects):
+            return "worked example did not collapse to the constant singleton sheaf"
+    try:
+        targets = list(sheaf_targets(p.base, topology, caps.value_size, caps.sheaf_budget))
+    except CapExceeded:
         return None
-
-    w = corpus.walk2()
-    one = corpus.one()
-    run.check(
-        "walk2-pick-id",
-        "walk2-pick-id",
-        check(
-            {
-                "flavor": "direct",
-                "indexed": corpus.two_point(w),
-                "inner": identity_functor(one),
-                "outer": corpus.pick(w, "b"),
-            }
-        ),
-    )
-
-    def make(i):
-        rng = _rng(run.instance_seed(i))
-        caps = replace(run.caps, base_objects=min(3, run.caps.base_objects))
-        if rng.random() < 0.5:
-            dix, _ = gen_fibration(rng, caps)
-            mid, _ = gen_site(rng, caps)
-            outer = gen_functor(rng, mid, dix.base)
-            src, _ = gen_site(rng, caps)
-            inner = gen_functor(rng, src, mid) if outer is not None else None
-            if outer is None or inner is None:
-                raise GenerationError("no functor chain")
-            return {"kind": "prop44", "flavor": "direct", "indexed": dix, "inner": inner, "outer": outer}
-        adj_inner = gen_galois(rng, caps)
-        if adj_inner is None:
-            raise GenerationError("no inner galois")
-        adj_outer = gen_galois_into(rng, caps, adj_inner.left.source)
-        if adj_outer is None:
-            raise GenerationError("no outer galois")
-        base = adj_inner.left.target
-        if rng.random() < 0.5:
-            cix = gen_indexed(rng, base, caps)
-        else:
-            cix = representable_indexed(base, rng.choice(list(base.objects)))
-        return {"kind": "prop44", "flavor": "adjoint", "indexed": cix, "adj_inner": adj_inner, "adj_outer": adj_outer}
-
-    run.loop(make, check)
-
-
-def _exp_sheafify(run: _Run):
-    def check(inst):
-        p = inst["presheaf"]
-        topology = inst["topology"]
-        sh = sheafify(p, topology)
-        ok, witness = is_sheaf(sh.sheaf, topology)
+    for q in targets:
+        ok, witness = unit_universal_property(p, sh, q)
         if not ok:
-            return "sheafification output is not a sheaf: {}".format(witness)
-        again = sheafify(sh.sheaf, topology)
-        for c in p.base.objects:
-            comp = again.unit[c]
-            if sorted(comp.values()) != sorted(set(comp.values())) or len(set(comp.values())) != len(sh.sheaf.values[c]):
-                return "sheafifying a sheaf did not give an isomorphic unit at {}".format(c)
-        if inst.get("expect_singleton"):
-            if any(len(sh.sheaf.values[c]) != 1 for c in p.base.objects):
-                return "worked example did not collapse to the constant singleton sheaf"
-        if inst.get("universal", True):
-            try:
-                targets = list(sheaf_targets(p.base, topology, run.caps.value_size, run.caps.sheaf_budget))
-            except CapExceeded:
-                targets = None
-            if targets is not None:
-                for q in targets:
-                    ok, witness = unit_universal_property(p, sh, q)
-                    if not ok:
-                        return "unit universal property fails: {}".format(witness)
-                return NOTED
-        return None
+            return "unit universal property fails: {}".format(witness)
+    return NOTED
 
+
+def _make_sheafify(seed, caps):
+    rng = _rng(seed)
+    cat, topology = gen_site(rng, _capped(caps, 2))
+    p = gen_presheaf(rng, cat, caps.value_size)
+    return {"kind": "sheafify", "presheaf": p, "topology": topology}
+
+
+def _sheafify_cases():
     w = corpus.walk2()
     worked = validate_presheaf(w, {"b": ("0", "1"), "a": ("*",)}, {"u": {"0": "*", "1": "*"}})
-    run.check("walk2-worked", "walk2-worked", check({"presheaf": worked, "topology": corpus.sier(w), "expect_singleton": True}))
-
-    def make(i):
-        rng = _rng(run.instance_seed(i))
-        caps = replace(run.caps, base_objects=min(2, run.caps.base_objects))
-        cat, topology = gen_site(rng, caps)
-        p = gen_presheaf(rng, cat, run.caps.value_size)
-        return {"kind": "sheafify", "presheaf": p, "topology": topology}
-
-    run.loop(make, check)
-    run.notes.append("universal-property-instances {}".format(run.noted))
+    return [("walk2-worked", {"presheaf": worked, "topology": corpus.sier(w), "expect_singleton": True})]
 
 
 def _unpreserved_sheaf(functor, source_topology, targets):
@@ -754,252 +685,181 @@ def _unpreserved_sheaf(functor, source_topology, targets):
     return None
 
 
-def _exp_cross_check(run: _Run):
-    def check(inst):
-        sf = SiteFunctor(inst["functor"], inst["source_topology"], inst["target_topology"])
-        v = is_continuous(sf)
-        if not v.ok:
-            return None
-        try:
-            targets = list(sheaf_targets(sf.functor.target, sf.target_topology, run.caps.value_size, run.caps.sheaf_budget))
-        except CapExceeded:
-            raise SkipInstance()
-        witness = _unpreserved_sheaf(sf.functor, sf.source_topology, targets)
-        if witness is not None:
-            return "continuous functor failed to preserve a sheaf: {}".format(witness)
-        return NOTED
+def _cross_check(inst, caps):
+    sf = SiteFunctor(inst["functor"], inst["source_topology"], inst["target_topology"])
+    v = is_continuous(sf)
+    if not v.ok:
+        return None
+    try:
+        targets = list(sheaf_targets(sf.functor.target, sf.target_topology, caps.value_size, caps.sheaf_budget))
+    except CapExceeded:
+        raise SkipInstance()
+    witness = _unpreserved_sheaf(sf.functor, sf.source_topology, targets)
+    if witness is not None:
+        return "continuous functor failed to preserve a sheaf: {}".format(witness)
+    return NOTED
 
+
+def _cross_check_cases():
     w = corpus.walk2()
-    run.check(
-        "walk2-bang",
-        "walk2-bang",
-        check(
-            {
-                "functor": corpus.bang(w),
-                "source_topology": corpus.sier(w),
-                "target_topology": trivial_topology(corpus.one()),
-            }
-        ),
+    one = trivial_topology(corpus.one())
+    return [("walk2-bang", {"functor": corpus.bang(w), "source_topology": corpus.sier(w), "target_topology": one})]
+
+
+def _prop24(inst, caps):
+    dense_sf = inst["dense"]
+    f_prime = inst["functor"]
+    direct = is_continuous(SiteFunctor(f_prime, inst["source_topology"], dense_sf.source_topology))
+    composed = is_continuous(
+        SiteFunctor(compose_functors(dense_sf.functor, f_prime), inst["source_topology"], dense_sf.target_topology)
     )
-
-    def make(i):
-        caps = replace(run.caps, base_objects=min(3, run.caps.base_objects))
-        return generate_instance("site-functor", run.instance_seed(i), caps)
-
-    run.loop(make, check)
-    run.notes.append("continuous-instances {}".format(run.noted))
+    if direct.ok != composed.ok:
+        return "continuity through a dense morphism disagrees: direct={} composed={}".format(direct.ok, composed.ok)
+    return None
 
 
-def _exp_prop24(run: _Run):
-    def check(inst):
-        dense_sf = inst["dense"]
-        f_prime = inst["functor"]
-        direct = is_continuous(SiteFunctor(f_prime, inst["source_topology"], dense_sf.source_topology))
-        composed = is_continuous(
-            SiteFunctor(
-                compose_functors(dense_sf.functor, f_prime), inst["source_topology"], dense_sf.target_topology
-            )
-        )
-        if direct.ok != composed.ok:
-            return "continuity through a dense morphism disagrees: direct={} composed={}".format(direct.ok, composed.ok)
-        return None
-
-    def make(i):
-        rng = _rng(run.instance_seed(i))
-        caps = replace(run.caps, base_objects=min(3, run.caps.base_objects))
-        inst = generate_instance("dense-pair", run.instance_seed(i), caps)
-        dense_sf = SiteFunctor(inst["functor"], inst["source_topology"], inst["target_topology"])
-        src, src_top = gen_site(rng, caps)
-        fn = gen_functor(rng, src, dense_sf.functor.source)
-        if fn is None:
-            raise GenerationError("no functor into the dense source")
-        return {"kind": "prop24", "dense": dense_sf, "functor": fn, "source_topology": src_top}
-
-    run.loop(make, check)
+def _make_prop24(seed, caps):
+    rng = _rng(seed)
+    caps = _capped(caps, 3)
+    dense_sf = _dense_site_functor(rng, seed, caps)
+    src, src_top = gen_site(rng, caps)
+    fn = gen_functor(rng, src, dense_sf.functor.source)
+    if fn is None:
+        raise GenerationError("no functor into the dense source")
+    return {"kind": "prop24", "dense": dense_sf, "functor": fn, "source_topology": src_top}
 
 
-def _exp_prop33(run: _Run):
-    def check(inst):
-        square = inst["square"]
-        v = check_prop33_conditions(square)
-        if not v.ok:
-            return "comparison conditions fail: {}".format(v.witness)
-        return None
-
-    def build_fixed(morphism, topology):
-        a_fun = total_functor(morphism)
-        tgt_proj = grothendieck(morphism.target).projection
-        gir_tgt = giraud_topology(morphism.target, topology)
-        phi = identity_transform(compose_functors(tgt_proj, a_fun))
-        return Prop33Square(
-            a_fun,
-            identity_functor(topology.base),
-            phi,
-            tgt_proj,
-            grothendieck(morphism.source).projection,
-            gir_tgt,
-        )
-
-    tp = corpus.two_point()
-    run.check(
-        "twopoint-collapse",
-        "twopoint-collapse",
-        check({"square": build_fixed(collapse_morphism(tp), corpus.sier())}),
-    )
-
-    def make(i):
-        rng = _rng(run.instance_seed(i))
-        caps = replace(run.caps, base_objects=min(2, run.caps.base_objects), fiber_objects=min(2, run.caps.fiber_objects))
-        cix, topology = gen_fibration(rng, caps)
-        morphism = gen_indexed_morphism(rng, cix, caps)
-        return {"kind": "prop33-square", "square": build_fixed(morphism, topology)}
-
-    run.loop(make, check)
+def _prop33(inst, caps):
+    morphism, topology = inst["morphism"], inst["base_topology"]
+    a_fun = total_functor(morphism)
+    tgt_proj = grothendieck(morphism.target).projection
+    gir_tgt = giraud_topology(morphism.target, topology)
+    phi = identity_transform(compose_functors(tgt_proj, a_fun))
+    src_proj = grothendieck(morphism.source).projection
+    v = check_prop33_conditions(Prop33Square(a_fun, identity_functor(topology.base), phi, tgt_proj, src_proj, gir_tgt))
+    if not v.ok:
+        return "comparison conditions fail: {}".format(v.witness)
+    return None
 
 
-def _exp_prop29(run: _Run):
-    def check(inst):
-        dix = inst["indexed"]
-        fn = inst["functor"]
-        ok, witness = is_cartesian_fibration(dix)
-        if not ok:
-            return "cartesian input is not a cartesian fibration: {}".format(witness)
-        di = direct_image(dix, fn)
-        ok, witness = is_cartesian_fibration(di.indexed)
-        if not ok:
-            return "direct image lost the cartesian structure: {}".format(witness)
-        ok, witness = limits.reflects_limits_jointly(di.q, di.source.projection)
-        if not ok:
-            return "projection failed to reflect a limit cone: {}".format(witness)
-        return None
+def _prop29(inst, caps):
+    dix = inst["indexed"]
+    fn = inst["functor"]
+    ok, witness = is_cartesian_fibration(dix)
+    if not ok:
+        return "cartesian input is not a cartesian fibration: {}".format(witness)
+    di = direct_image(dix, fn)
+    ok, witness = is_cartesian_fibration(di.indexed)
+    if not ok:
+        return "direct image lost the cartesian structure: {}".format(witness)
+    ok, witness = limits.reflects_limits_jointly(di.q, di.source.projection)
+    if not ok:
+        return "projection failed to reflect a limit cone: {}".format(witness)
+    return None
 
-    def make(i):
-        # Reflection needs the stated hypotheses: bases with finite limits and
-        # a limit-preserving base functor.  Chains supply both cheaply.
-        rng = _rng(run.instance_seed(i))
-        caps = replace(run.caps, base_objects=min(3, run.caps.base_objects), fiber_objects=min(3, run.caps.fiber_objects))
-        tgt_size = rng.randint(1, caps.base_objects)
-        src_size = rng.randint(1, caps.base_objects)
-        tgt = _chain(tgt_size, "d")
-        src = _chain(src_size, "c")
-        fn = _chain_map(rng, src_size, tgt_size, src, tgt)
-        dix = graded_chain_indexed(rng, tgt, caps.fiber_objects)
-        return {"kind": "prop29", "indexed": dix, "functor": fn}
 
+def _make_prop29(seed, caps):
+    # Reflection needs the stated hypotheses: bases with finite limits and
+    # a limit-preserving base functor.  Chains supply both cheaply.
+    rng = _rng(seed)
+    caps = _capped(caps, 3, 3)
+    tgt_size = rng.randint(1, caps.base_objects)
+    src_size = rng.randint(1, caps.base_objects)
+    tgt = _chain(tgt_size, "d")
+    src = _chain(src_size, "c")
+    fn = _chain_map(rng, src_size, tgt_size, src, tgt)
+    dix = graded_chain_indexed(rng, tgt, caps.fiber_objects)
+    return {"kind": "prop29", "indexed": dix, "functor": fn}
+
+
+def _prop29_cases():
     one = corpus.one()
     cix = constant_indexed(one, corpus.discrete(("t",)))
-    run.check("one-point", "one-point", check({"indexed": cix, "functor": identity_functor(one)}))
-    run.loop(make, check)
+    return [("one-point", {"indexed": cix, "functor": identity_functor(one)})]
 
 
-def _exp_prop412(run: _Run):
-    def check(inst):
-        morphism = inst["morphism"]
-        topology = inst["base_topology"]
-        a_fun = total_functor(morphism)
-        gir_src = giraud_topology(morphism.source, topology)
-        gir_tgt = giraud_topology(morphism.target, topology)
-        enlarged = inst["extra"]
-        target_topology = gir_tgt if enlarged is None else enlarged
-        if not topology_leq(gir_tgt, target_topology):
-            return "constructed target topology does not contain the Giraud topology"
-        try:
-            induced = induced_image_topology(a_fun, target_topology)
-        except InducedTopologyError:
-            raise SkipInstance()
-        if not topology_leq(gir_src, induced):
-            return "induced topology does not contain the Giraud topology"
-        return None
-
-    tp = corpus.two_point()
-    run.check(
-        "twopoint-collapse",
-        "twopoint-collapse",
-        check({"morphism": collapse_morphism(tp), "base_topology": corpus.sier(), "extra": None}),
-    )
-
-    def make(i):
-        rng = _rng(run.instance_seed(i))
-        caps = replace(run.caps, base_objects=min(3, run.caps.base_objects), fiber_objects=min(2, run.caps.fiber_objects))
-        cix, topology = gen_fibration(rng, caps)
-        morphism = gen_indexed_morphism(rng, cix, caps)
-        extra = None
-        if rng.random() < 0.4:
-            tgt_bundle = grothendieck(morphism.target)
-            gir_tgt = giraud_topology(morphism.target, topology)
-            gens = {c: [sorted(gir_tgt.least[c])] for c in tgt_bundle.total.objects}
-            for c in tgt_bundle.total.objects:
-                if rng.random() < 0.4:
-                    into = sorted(tgt_bundle.total.into(c))
-                    gens[c].append(rng.sample(into, rng.randint(0, min(2, len(into)))))
-            extra = saturate(tgt_bundle.total, gens)
-        return {"kind": "prop412", "morphism": morphism, "base_topology": topology, "extra": extra}
-
-    run.loop(make, check)
+def _prop412(inst, caps):
+    morphism = inst["morphism"]
+    topology = inst["base_topology"]
+    a_fun = total_functor(morphism)
+    gir_src = giraud_topology(morphism.source, topology)
+    gir_tgt = giraud_topology(morphism.target, topology)
+    enlarged = inst["extra"]
+    target_topology = gir_tgt if enlarged is None else enlarged
+    if not topology_leq(gir_tgt, target_topology):
+        return "constructed target topology does not contain the Giraud topology"
+    try:
+        induced = induced_image_topology(a_fun, target_topology)
+    except InducedTopologyError:
+        raise SkipInstance()
+    if not topology_leq(gir_src, induced):
+        return "induced topology does not contain the Giraud topology"
+    return None
 
 
-def _exp_structure(run: _Run):
-    def check(inst):
-        adj = inst["adjunction"]
-        cix = inst["indexed"]
-        base_topology = inst["base_topology"]
-        target_topology = inst["target_topology"]
-        stf = structure_functor(cix, adj)
-        if not functor_equal(stf.composite, stf.inverse.comparison):
-            return "structure functor is not the unit-then-projection composite"
-        pre = is_morphism_of_sites(
-            SiteFunctor(adj.right, base_topology, target_topology)
-        )
-        if not pre.ok:
-            return "right adjoint is not a morphism of sites under the pushforward topology: {}".format(pre.witness)
-        gir_src = giraud_topology(cix, base_topology)
-        gir_tgt = giraud_topology(stf.inverse.indexed, target_topology)
-        v = is_morphism_of_sites(SiteFunctor(stf.composite, gir_src, gir_tgt))
-        if not v.ok:
-            return "structure functor is not a morphism of sites: {}".format(v.witness)
-        return None
+def _make_prop412(seed, caps):
+    rng = _rng(seed)
+    inst = {"kind": "prop412", **_morphism_over_site(rng, _capped(caps, 3, 2)), "extra": None}
+    if rng.random() < 0.4:
+        tgt_bundle = grothendieck(inst["morphism"].target)
+        gir_tgt = giraud_topology(inst["morphism"].target, inst["base_topology"])
+        gens = {c: [sorted(gir_tgt.least[c])] for c in tgt_bundle.total.objects}
+        for c in tgt_bundle.total.objects:
+            if rng.random() < 0.4:
+                into = sorted(tgt_bundle.total.into(c))
+                gens[c].append(rng.sample(into, rng.randint(0, min(2, len(into)))))
+        inst["extra"] = saturate(tgt_bundle.total, gens)
+    return inst
 
-    adj = corpus.walk2_terminal_adjunction()
-    cix = constant_indexed(corpus.one(), corpus.discrete(("p", "q")))
+
+def _structure(inst, caps):
+    adj = inst["adjunction"]
+    cix = inst["indexed"]
+    base_topology = inst["base_topology"]
+    target_topology = inst["target_topology"]
+    stf = structure_functor(cix, adj)
+    if not functor_equal(stf.composite, stf.inverse.comparison):
+        return "structure functor is not the unit-then-projection composite"
+    pre = is_morphism_of_sites(SiteFunctor(adj.right, base_topology, target_topology))
+    if not pre.ok:
+        return "right adjoint is not a morphism of sites under the pushforward topology: {}".format(pre.witness)
+    gir_src = giraud_topology(cix, base_topology)
+    gir_tgt = giraud_topology(stf.inverse.indexed, target_topology)
+    v = is_morphism_of_sites(SiteFunctor(stf.composite, gir_src, gir_tgt))
+    if not v.ok:
+        return "structure functor is not a morphism of sites: {}".format(v.witness)
+    return None
+
+
+def _make_structure(seed, caps):
+    rng = _rng(seed)
+    inst = {"kind": "structure", **_galois_over(rng, _capped(caps, 3, 2))}
+    adj = inst["adjunction"]
+    inst["base_topology"] = gen_topology(rng, adj.left.target)
+    inst["target_topology"] = pushforward_topology(adj.right, inst["base_topology"], rng)
+    return inst
+
+
+def _structure_cases():
+    inst = _walk2_terminal()
     j = trivial_topology(corpus.one())
-    run.check(
-        "walk2-terminal",
-        "walk2-terminal",
-        check(
-            {
-                "adjunction": adj,
-                "indexed": cix,
-                "base_topology": j,
-                "target_topology": pushforward_topology(adj.right, j),
-            }
-        ),
-    )
-
-    def make(i):
-        rng = _rng(run.instance_seed(i))
-        caps = replace(run.caps, base_objects=min(3, run.caps.base_objects), fiber_objects=min(2, run.caps.fiber_objects))
-        adj = gen_galois(rng, caps)
-        if adj is None:
-            raise GenerationError("no galois connection")
-        cix = gen_indexed(rng, adj.left.target, caps)
-        base_topology = gen_topology(rng, adj.left.target)
-        target_topology = pushforward_topology(adj.right, base_topology, rng)
-        return {
-            "kind": "structure",
-            "adjunction": adj,
-            "indexed": cix,
-            "base_topology": base_topology,
-            "target_topology": target_topology,
-        }
-
-    run.loop(make, check)
+    inst.update(base_topology=j, target_topology=pushforward_topology(inst["adjunction"].right, j))
+    return [("walk2-terminal", inst)]
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    fn: object
+    """An experiment as data: ``run_experiment`` checks each of ``fixed()``'s
+    (label, instance) corpus cases, then ``caps.instances`` fuzz instances
+    ``make(instance seed, caps)``, each by ``check(instance, caps)``; with a
+    ``note``, the report carries the count of NOTED passes under that name."""
+
+    check: Callable[[dict, Caps], object]
+    make: Callable[[int, Caps], dict]
+    fixed: Callable[[], Iterable[tuple[str, dict]]]
     description: str
     tags: tuple[str, ...]
+    note: str | None = None
 
 
 IN_SCOPE_TAGS = (
@@ -1032,92 +892,142 @@ IN_SCOPE_TAGS = (
 
 EXPERIMENTS: dict[str, ExperimentSpec] = {
     "comma-kernel": ExperimentSpec(
-        _exp_comma_kernel,
+        _comma_kernel,
+        lambda seed, caps: {"kind": "category", "category": gen_category(_rng(seed), caps)[0]},
+        lambda: [(name, {"category": cat}) for name, cat, _ in corpus.corpus_sites()],
         "comma categories vs the arrow-category and graph-reachability oracles",
         ("sec-2.1-comma",),
     ),
     "def-2.2-cartesian": ExperimentSpec(
-        _exp_cartesian_characterisation,
+        _cartesian_characterisation,
+        _fibration,
+        lambda: [("twopoint", {"indexed": corpus.two_point()})],
         "grothendieck outputs are fibrations; cartesian arrows are the vertical isos",
         ("def-2.2",),
     ),
     "topology-soundness": ExperimentSpec(
-        _exp_topology_soundness,
+        _topology_soundness,
+        _fibration,
+        _topology_soundness_cases,
         "saturate/giraud/induced outputs satisfy the axioms; saturation idempotent and minimal",
         ("def-2.5", "prop-4.11"),
     ),
     "def-2.5-minimality": ExperimentSpec(
-        _exp_minimality,
+        _minimality,
+        lambda seed, caps: generate_instance("fibration", seed, _capped(caps, 3, 2)),
+        lambda: [("twopoint-sier", {"indexed": corpus.two_point(), "base_topology": corpus.sier()})],
         "comorphism topologies on the total category are exactly the up-set of the Giraud topology",
         ("def-2.5", "def-2.6", "def-2.7", "comorphism-condition"),
     ),
     "thm-2.3-continuity": ExperimentSpec(
-        _exp_continuity,
+        _continuity,
+        lambda seed, caps: {"kind": "fibration", **_morphism_over_site(_rng(seed), _capped(caps, 3, 3))},
+        lambda: [("twopoint", _twopoint_collapse())],
         "giraud projections are continuous comorphisms; fibration morphisms are continuous",
         ("def-2.3", "def-2.4", "def-2.9-prop-2.2", "def-2.5"),
     ),
     "prop-2.5-reflect": ExperimentSpec(
-        _exp_reflect_cartesian,
+        _reflect_cartesian,
+        _make_reflect_cartesian,
+        lambda: [("twopoint-pick-b", {"indexed": corpus.two_point(), "functor": corpus.pick(corpus.walk2(), "b")})],
         "pullback projections reflect cartesian arrows and are morphisms of fibrations",
         ("prop-2.5", "def-2.10"),
     ),
     "prop-2.7-agreement": ExperimentSpec(
-        _exp_adjoint_agreement,
+        _adjoint_agreement,
+        lambda seed, caps: {"kind": "adjoint-pair", **_galois_over(_rng(seed), caps)},
+        lambda: [("walk2-terminal", _walk2_terminal())],
         "adjoint-route inverse images agree with the pointwise comma-colimit oracle",
         ("prop-2.7", "remark-4.1b"),
     ),
     "prop-3.4-continuous": ExperimentSpec(
-        _exp_prop34,
+        lambda inst, caps: _transfer(
+            is_continuous, inst, "direct-image projection of a continuous functor is not continuous: {}"
+        ),
+        _over_site_functor("prop34", _continuous_site_functor),
+        lambda: _walk2_identity("walk2-id"),
         "direct-image projections of continuous functors are continuous between Giraud sites",
         ("prop-3.4",),
     ),
     "prop-4.2-comorphism": ExperimentSpec(
-        _exp_prop42,
+        lambda inst, caps: _transfer(
+            is_comorphism,
+            inst,
+            "direct-image projection of a comorphism is not a comorphism: {}",
+            "constructed comorphism fails its own check: {}",
+        ),
+        _over_site_functor("comorphism", _comorphism_site_functor),
+        lambda: _walk2_identity("walk2-id"),
         "direct-image projections of comorphisms are comorphisms between Giraud sites",
         ("prop-4.2",),
     ),
     "prop-4.6-dense": ExperimentSpec(
-        _exp_dense,
+        lambda inst, caps: _transfer(
+            is_dense_morphism,
+            inst,
+            "direct-image projection along a dense morphism is not dense: {}",
+            "constructed dense inclusion fails the dense check: {}",
+        ),
+        _over_site_functor("dense-pair", _dense_site_functor),
+        lambda: _walk2_identity("walk2-full"),
         "direct-image projections along dense morphisms are dense between Giraud sites",
         ("prop-4.6",),
     ),
     "prop-4.4-compose": ExperimentSpec(
-        _exp_prop44,
+        _prop44,
+        _make_prop44,
+        _prop44_cases,
         "base-change comparisons compose on the nose: direct images and adjoint comparisons",
         ("prop-4.4",),
     ),
     "sheafify-soundness": ExperimentSpec(
-        _exp_sheafify,
+        _sheafify,
+        _make_sheafify,
+        _sheafify_cases,
         "double plus yields sheaves, is idempotent, and satisfies the unit universal property",
         (),
+        "universal-property-instances",
     ),
     "continuity-cross-check": ExperimentSpec(
-        _exp_cross_check,
+        _cross_check,
+        lambda seed, caps: generate_instance("site-functor", seed, _capped(caps, 3)),
+        _cross_check_cases,
         "continuity implies precomposition preserves all bounded sheaves, one check per distinct restriction",
         ("def-2.9-prop-2.2",),
+        "continuous-instances",
     ),
     "prop-2.4-triangle": ExperimentSpec(
-        _exp_prop24,
+        _prop24,
+        _make_prop24,
+        lambda: (),
         "continuity through a dense morphism of sites is equivalent to continuity",
         ("prop-2.4",),
     ),
     "prop-3.3-conditions": ExperimentSpec(
-        _exp_prop33,
+        _prop33,
+        lambda seed, caps: {"kind": "prop33-square", **_morphism_over_site(_rng(seed), _capped(caps, 2, 2))},
+        lambda: [("twopoint-collapse", _twopoint_collapse())],
         "fixed-base morphisms of fibrations satisfy both comparison conditions",
         ("prop-3.3-iii",),
     ),
     "prop-2.9-cartesian": ExperimentSpec(
-        _exp_prop29,
+        _prop29,
+        _make_prop29,
+        _prop29_cases,
         "direct images preserve cartesian fibrations and projections reflect limit cones",
         ("def-2.12", "prop-2.9"),
     ),
     "prop-4.12-containment": ExperimentSpec(
-        _exp_prop412,
+        _prop412,
+        _make_prop412,
+        lambda: [("twopoint-collapse", {**_twopoint_collapse(), "extra": None})],
         "induced topologies along fibration morphisms contain the Giraud topology",
         ("prop-4.12-containment", "prop-4.11"),
     ),
     "structure-functor-sites": ExperimentSpec(
-        _exp_structure,
+        _structure,
+        _make_structure,
+        _structure_cases,
         "the unit-then-projection structure functor is a morphism of sites",
         ("sec-4.3-structure",),
     ),
@@ -1160,11 +1070,18 @@ def run_experiment(experiment_id: str, seed: int = 0, caps: Caps | None = None) 
     if experiment_id not in EXPERIMENTS:
         raise KeyError("unknown experiment id {!r}".format(experiment_id))
     caps = caps or Caps()
-    entry = EXPERIMENTS[experiment_id]
+    spec = EXPERIMENTS[experiment_id]
     run = _Run(seed, caps)
     start = time.perf_counter()
     with interning():
-        entry.fn(run)
+
+        def check(inst):
+            return spec.check(inst, caps)
+
+        run.fixed(spec.fixed(), check)
+        run.loop(lambda i: spec.make(run.instance_seed(i), caps), check)
+    if spec.note is not None:
+        run.notes.append("{} {}".format(spec.note, run.noted))
     elapsed = time.perf_counter() - start
     return Report(
         experiment_id,

@@ -688,100 +688,85 @@ def generate_instance(kind: str, seed: int, caps: Caps) -> dict:
 # Shrinking
 
 
+def _shrink(current, reductions, still_fails):
+    """Greedy shrinking: take the first of ``reductions(current)`` that is
+    not None and still fails, and restart from it, until none does."""
+    while True:
+        for cand in reductions(current):
+            if cand is not None and still_fails(*cand):
+                current = cand
+                break
+        else:
+            return current
+
+
+def _restrict_site(cat: FinCategory, top: Topology, drop: str):
+    """The full subcategory without ``drop``, each least cover cut to its
+    arrows and re-saturated; None if nothing is left or it is not valid."""
+    objs = [o for o in cat.objects if o != drop]
+    if not objs:
+        return None
+    try:
+        sub = full_subcategory(cat, objs)
+        keep = set(sub.arrows)
+        return sub, saturate(sub, {c: [sorted(top.least[c] & keep)] for c in sub.objects})
+    except StructureError:
+        return None
+
+
 def shrink_site(category: FinCategory, topology: Topology, still_fails) -> tuple[FinCategory, Topology]:
     """Greedy object deletion preserving failure; each least cover is
     restricted to the surviving arrows and re-saturated."""
-    cat, top = category, topology
-    progress = True
-    while progress and len(cat.objects) > 1:
-        progress = False
-        for drop in sorted(cat.objects):
-            objs = [o for o in cat.objects if o != drop]
-            try:
-                sub = full_subcategory(cat, objs)
-                keep = set(sub.arrows)
-                gens = {c: [sorted(top.least[c] & keep)] for c in sub.objects}
-                sub_top = saturate(sub, gens)
-            except StructureError:
-                continue
-            if still_fails(sub, sub_top):
-                cat, top = sub, sub_top
-                progress = True
-                break
-    return cat, top
+
+    def reductions(pair):
+        return (_restrict_site(*pair, drop) for drop in sorted(pair[0].objects))
+
+    return _shrink((category, topology), reductions, still_fails)
+
+
+def _restrict_base(cix: IndexedCategory, top: Topology, drop: str):
+    site = _restrict_site(cix.base, top, drop)
+    if site is None:
+        return None
+    sub, sub_top = site
+    restriction = {f: cix.restriction[f] for f in sub.arrows if not sub.is_identity(f)}
+    try:
+        return validate_indexed(sub, {c: cix.fiber[c] for c in sub.objects}, restriction), sub_top
+    except StructureError:
+        return None
+
+
+def _restrict_fiber(cix: IndexedCategory, top: Topology, c: str, drop: str):
+    objs = [o for o in cix.fiber[c].objects if o != drop]
+    if not objs:
+        return None
+    try:
+        fibers = {**cix.fiber, c: full_subcategory(cix.fiber[c], objs)}
+        restriction = {}
+        for f in cix.base.arrows:
+            if not cix.base.is_identity(f):
+                fn, src_fib, tgt_fib = cix.restriction[f], fibers[cix.base.tgt[f]], fibers[cix.base.src[f]]
+                obj_map = {x: fn.ob(x) for x in src_fib.objects}
+                restriction[f] = validate_functor(obj_map, {a: fn.ar(a) for a in src_fib.arrows}, src_fib, tgt_fib)
+        return validate_indexed(cix.base, fibers, restriction), top
+    except StructureError:
+        # as when a restriction functor maps an object onto the deleted one
+        return None
 
 
 def shrink_fibration(cix: IndexedCategory, topology: Topology, still_fails):
-    """Greedy base-object deletion, then fiber-object deletion, preserving failure."""
-    current = (cix, topology)
+    """Greedy base-object deletion, then fiber-object deletion, preserving
+    failure; a base deletion restricts the topology as ``shrink_site`` does."""
 
-    def restrict_base(pair, drop):
+    def reductions(pair):
         cix, top = pair
-        objs = [o for o in cix.base.objects if o != drop]
-        if not objs:
-            return None
-        try:
-            sub = full_subcategory(cix.base, objs)
-            fibers = {c: cix.fiber[c] for c in sub.objects}
-            restriction = {
-                f: cix.restriction[f] for f in sub.arrows if not sub.is_identity(f)
-            }
-            new_cix = validate_indexed(sub, fibers, restriction)
-            keep = set(sub.arrows)
-            gens = {c: [sorted(top.least[c] & keep)] for c in sub.objects}
-            return new_cix, saturate(sub, gens)
-        except StructureError:
-            return None
+        for drop in sorted(cix.base.objects):
+            yield _restrict_base(cix, top, drop)
+        for c in sorted(cix.base.objects):
+            for drop in sorted(cix.fiber[c].objects):
+                yield _restrict_fiber(cix, top, c, drop)
 
-    def restrict_fiber(pair, c, drop):
-        cix, top = pair
-        fib = cix.fiber[c]
-        objs = [o for o in fib.objects if o != drop]
-        if not objs:
-            return None
-        try:
-            sub = full_subcategory(fib, objs)
-            fibers = dict(cix.fiber)
-            fibers[c] = sub
-            restriction = {}
-            for f in cix.base.arrows:
-                if cix.base.is_identity(f):
-                    continue
-                fn = cix.restriction[f]
-                src_fib = fibers[cix.base.tgt[f]]
-                tgt_fib = fibers[cix.base.src[f]]
-                obj_map = {x: fn.ob(x) for x in src_fib.objects}
-                if not set(obj_map.values()) <= set(tgt_fib.objects):
-                    return None
-                arr_map = {a: fn.ar(a) for a in src_fib.arrows}
-                if not set(arr_map.values()) <= set(tgt_fib.arrows):
-                    return None
-                restriction[f] = validate_functor(obj_map, arr_map, src_fib, tgt_fib)
-            return validate_indexed(cix.base, fibers, restriction), top
-        except StructureError:
-            return None
-
-    progress = True
-    while progress:
-        progress = False
-        for drop in sorted(current[0].base.objects):
-            cand = restrict_base(current, drop)
-            if cand is not None and still_fails(*cand):
-                current = cand
-                progress = True
-                break
-        if progress:
-            continue
-        for c in sorted(current[0].base.objects):
-            for drop in sorted(current[0].fiber[c].objects):
-                cand = restrict_fiber(current, c, drop)
-                if cand is not None and still_fails(*cand):
-                    current = cand
-                    progress = True
-                    break
-            if progress:
-                break
-    return current
+    return _shrink((cix, topology), reductions, still_fails)
 
 
 def describe_instance(instance: dict) -> str:

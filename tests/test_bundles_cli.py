@@ -465,6 +465,18 @@ def test_cli_prop_exit_codes(capsys):
     assert "unknown experiment" in err
 
 
+@pytest.mark.parametrize(
+    "exp_id, caps",
+    [("def-2.5-minimality", "enumeration_limit=1;instances=3"), ("continuity-cross-check", "sheaf_budget=1;instances=3")],
+)
+def test_cli_prop_counts_a_corpus_case_that_skips(exp_id, caps, capsys):
+    # the corpus case exceeds the cap as the three fuzz instances do
+    code, out, err = run_cli(["prop", exp_id, "--caps", caps], capsys)
+    assert code == 0
+    assert "checked 0\nskipped 4\nfailures 0\n" in out
+    assert "SkipInstance=4" in err
+
+
 def test_cli_fuzz_requires_all(capsys):
     code, _, err = run_cli(["fuzz"], capsys)
     assert code == 2

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from finsite.bundles import category_to_json, dumps_canonical, topology_to_json
 from finsite.experiments import (
     EXPERIMENTS,
     coverage_gaps,
@@ -15,6 +16,7 @@ from finsite.generate import (
     KINDS,
     derive_seed,
     generate_instance,
+    shrink_fibration,
     shrink_site,
 )
 from finsite.sieves import CapExceeded, is_topology
@@ -226,6 +228,50 @@ def test_reports_match_the_recorded_digests():
             if hashlib.sha256(text.encode("utf-8")).hexdigest() != digest:
                 wrong.append(key)
     assert len(wrong) == 0, wrong
+
+
+def has_proper_cover(category, topology):
+    return any(len(sieve) < len(category.into(c)) for c in category.objects for sieve in topology.covers[c])
+
+
+def shrink_answer(kind, instance_seed):
+    """The benchmark's answer for one shrink: the sha256 of the canonical
+    document of the shrunk instance, or "-" when it has no proper cover."""
+    inst = generate_instance(kind, instance_seed, Caps())
+    if kind == "site":
+        cat, top = inst["category"], inst["topology"]
+        if not has_proper_cover(cat, top):
+            return "-"
+        cat, top = shrink_site(cat, top, has_proper_cover)
+        doc = {"category": category_to_json(cat), "topology": topology_to_json(top, "c")}
+    else:
+        cix, top = inst["indexed"], inst["base_topology"]
+        if not has_proper_cover(cix.base, top):
+            return "-"
+        cix, top = shrink_fibration(cix, top, lambda c, t: has_proper_cover(c.base, t))
+        doc = {
+            "base": category_to_json(cix.base),
+            "fibers": {c: category_to_json(cix.fiber[c]) for c in cix.base.objects},
+            "topology": topology_to_json(top, "base"),
+        }
+    return hashlib.sha256(dumps_canonical(doc).encode("utf-8")).hexdigest()
+
+
+def test_shrinks_match_the_recorded_answers():
+    """Every ``shrink-<kind>@<seed>.<index>`` answer the benchmark records is
+    reproduced: shrink_site and shrink_fibration keep an instance with a
+    proper cover, from the generated site or fibration at that seed and
+    index.  The file is only read."""
+    with open(EXPECTED_ANSWERS, encoding="utf-8") as fh:
+        recorded = {k: v for k, v in json.load(fh)["site-kernel"].items() if k.startswith("shrink-")}
+    assert len(recorded) == 100
+    wrong = []
+    for key, answer in recorded.items():
+        kind, _, where = key[len("shrink-"):].partition("@")
+        seed, _, index = where.partition(".")
+        if shrink_answer(kind, derive_seed(int(seed), int(index))) != answer:
+            wrong.append(key)
+    assert wrong == []
 
 
 def test_a_thm23_failure_in_the_morphism_is_not_reported_as_a_shrunk_fibration(monkeypatch):

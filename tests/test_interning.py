@@ -21,12 +21,13 @@ def test_the_table_is_gone_after_a_report_even_when_the_report_raises(monkeypatc
     assert fincat._interned is None
     seen = []
 
-    def boom(run):
+    def boom(inst, caps):
         poset_category(*DIAMOND)
         seen.append(dict(fincat._interned))
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(EXPERIMENTS, "comma-kernel", replace(EXPERIMENTS["comma-kernel"], fn=boom))
+    spec = replace(EXPERIMENTS["comma-kernel"], check=boom, fixed=lambda: [("boom", {})])
+    monkeypatch.setitem(EXPERIMENTS, "comma-kernel", spec)
     with pytest.raises(RuntimeError, match="boom"):
         run_experiment("comma-kernel", 0, Caps(instances=2))
     assert len(seen) == 1 and len(seen[0]) == 1
@@ -124,13 +125,16 @@ def test_reports_keep_only_derived_data_on_their_categories(monkeypatch):
     kept = []
     for exp_id in sorted(EXPERIMENTS):
         spec = EXPERIMENTS[exp_id]
+        tables = []
 
-        def snapshot(run, fn=spec.fn):
-            fn(run)
-            kept.extend(fincat._interned.values())
+        def snapshot(inst, caps, check=spec.check, tables=tables):
+            # the report's table, which keeps every category built in its scope
+            tables[:] = [fincat._interned]
+            return check(inst, caps)
 
-        monkeypatch.setitem(EXPERIMENTS, exp_id, replace(spec, fn=snapshot))
+        monkeypatch.setitem(EXPERIMENTS, exp_id, replace(spec, check=snapshot))
         run_experiment(exp_id, 0, Caps(instances=4))
+        kept.extend(tables[0].values())
     assert any("sieve_lattice" in cat._scratch for cat in kept)
     assert any("finite_limits" in cat._scratch for cat in kept)
     for cat in kept:
