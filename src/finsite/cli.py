@@ -13,27 +13,20 @@ import argparse
 import sys
 
 from .bundles import BundleError, Workspace, load_bundle, read_document
-from .deciders import (
-    SiteFunctor,
-    is_comorphism,
-    is_continuous,
-    is_cover_preserving,
-    is_covering_flat,
-    is_dense_morphism,
-    is_morphism_of_sites,
-)
 from .fincat import StructureError
 from .fibration import direct_image, giraud_topology
 from .presheaf import sheafify
 from .sieves import CapExceeded, Topology
 
+# kind -> the name of its decider in ``finsite.deciders``, which ``check``
+# imports when it runs
 CHECK_KINDS = {
-    "comorphism": is_comorphism,
-    "cover": is_cover_preserving,
-    "continuous": is_continuous,
-    "flat": is_covering_flat,
-    "site-morphism": is_morphism_of_sites,
-    "dense": is_dense_morphism,
+    "comorphism": "is_comorphism",
+    "cover": "is_cover_preserving",
+    "continuous": "is_continuous",
+    "flat": "is_covering_flat",
+    "site-morphism": "is_morphism_of_sites",
+    "dense": "is_dense_morphism",
 }
 
 
@@ -97,6 +90,8 @@ def cmd_giraud(args, out) -> int:
 
 
 def cmd_check(args, out) -> int:
+    from . import deciders
+
     functor, src_top, tgt_top = _entries(
         args.bundle,
         ("functors", args.functor, "functor"),
@@ -104,10 +99,10 @@ def cmd_check(args, out) -> int:
         ("topologies", args.tgt_topology, "topology"),
     )
     try:
-        site = SiteFunctor(functor, src_top, tgt_top)
+        site = deciders.SiteFunctor(functor, src_top, tgt_top)
     except StructureError as err:
         raise InputError(str(err))
-    verdict = CHECK_KINDS[args.kind](site)
+    verdict = getattr(deciders, CHECK_KINDS[args.kind])(site)
     out.write("{}\n".format("true" if verdict.ok else "false"))
     if verdict.ok:
         out.write("trace entries: {}\n".format(len(verdict.trace)))

@@ -14,13 +14,14 @@ category itself; ``grothendieck`` builds its bundle once and keeps it there.
 Every functor between total categories that base change induces (a morphism
 of indexed categories, a direct image's projection, an inverse image's
 comparison, the structure functor's unit leg) is built by ``_functor_over``.
+The finite-limit search, ``finsite.limits``, is imported by the first
+cartesian-fibration question; the base-change constructions never load it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from . import limits
 from .fincat import (
     Adjunction,
     FinCategory,
@@ -471,6 +472,8 @@ def compose_inverse_images(cix: IndexedCategory, adj_inner: Adjunction, adj_oute
 def _finite_limits(cat: FinCategory):
     """``limits.finite_limits(cat)``, searched once per category and kept in
     its ``_scratch``; the stored cones are read-only."""
+    from . import limits
+
     found = cat._scratch.get("finite_limits")
     if found is None:
         found = cat._scratch["finite_limits"] = limits.finite_limits(cat)
@@ -483,6 +486,8 @@ def is_cartesian_fibration(cix: IndexedCategory) -> tuple[bool, tuple]:
     every restriction functor preserves the found cones.  Each fiber's
     limits are searched once per category, however many indexed categories
     (a direct image reuses its target's fibers) share it."""
+    from . import limits
+
     cones = {}
     for c in cix.base.objects:
         ok, witness, found = _finite_limits(cix.fiber[c])

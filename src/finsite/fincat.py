@@ -129,7 +129,8 @@ def validate_category(objects, arrows, identity, table) -> FinCategory:
 
     ``arrows`` maps arrow name -> (source, target).  Fails on the first
     violated axiom, naming the witnessing pair or triple, and on more than
-    ``DEFAULT_MAX_OBJECTS`` objects or ``DEFAULT_MAX_ARROWS`` arrows.
+    ``DEFAULT_MAX_OBJECTS`` objects or ``DEFAULT_MAX_ARROWS`` arrows.  An
+    ``identity`` entry for anything but an object is dropped.
 
     Each table entry is checked once, in table order; only when one fails
     are the entries rescanned in sorted order, so the witness is the first
@@ -162,6 +163,7 @@ def validate_category(objects, arrows, identity, table) -> FinCategory:
             raise StructureError("object {} has no identity arrow".format(c), witness=c)
         if i not in arrows or src[i] != c or tgt[i] != c:
             raise StructureError("identity of {} is not an endo-arrow on it".format(c), witness=c)
+    identity = {c: identity[c] for c in objects}
     table = dict(table)
     for (g, f), h in table.items():
         if not (g in src and f in src and h in src and src[g] == tgt[f] and src[h] == src[f] and tgt[h] == tgt[g]):
@@ -388,17 +390,16 @@ def validate_functor(obj_map, arr_map, source: FinCategory, target: FinCategory)
     once endpoints and identities are, by the unit laws of both categories.
     """
     obj_map, arr_map = dict(obj_map), dict(arr_map)
-    target_objects, target_arrows = set(target.objects), set(target.arrows)
     for x in source.objects:
         if x not in obj_map:
             raise StructureError("dangling object {}".format(x), witness=x)
-        if obj_map[x] not in target_objects:
+        if obj_map[x] not in target.identity:
             raise StructureError("object {} maps outside the target".format(x), witness=x)
     for f in source.arrows:
         g = arr_map.get(f)
         if g is None:
             raise StructureError("arrow {} has no image".format(f), witness=f)
-        if g not in target_arrows:
+        if g not in target.src:
             raise StructureError("arrow {} maps outside the target".format(f), witness=f)
         if target.src[g] != obj_map[source.src[f]] or target.tgt[g] != obj_map[source.tgt[f]]:
             raise StructureError("image of {} has wrong endpoints".format(f), witness=f)

@@ -8,7 +8,7 @@ import types
 import pytest
 
 import finsite
-from finsite import cli, corpus, experiments, sieves
+from finsite import cli, corpus, experiments, fibration, sieves
 from finsite.bundles import (
     SECTIONS,
     BundleError,
@@ -533,7 +533,8 @@ def python_outputs_under_hash_seeds(args, hash_seeds=("1", "2")):
 IMPORT_CLI_SCRIPT = """
 import sys
 import finsite.cli
-print(sorted(name for name in ("finsite.experiments", "finsite.generate") if name in sys.modules))
+engine = ("finsite.experiments", "finsite.generate", "finsite.deciders", "finsite.limits")
+print(sorted(name for name in engine if name in sys.modules))
 sys.exit(finsite.cli.main(["prop", "prop-4.2", "--caps", "instances=2"]))
 """
 
@@ -541,6 +542,31 @@ sys.exit(finsite.cli.main(["prop", "prop-4.2", "--caps", "instances=2"]))
 def test_importing_the_cli_leaves_the_experiment_engine_unloaded():
     [out] = python_outputs_under_hash_seeds(["-c", IMPORT_CLI_SCRIPT], ("0",))
     assert out.startswith("[]\nexperiment prop-4.2-comorphism\n"), out
+
+
+COLD_START_SCRIPT = """
+import sys
+def loaded():
+    return sorted(name[len("finsite."):] for name in sys.modules if name.startswith("finsite."))
+import finsite
+print(loaded())
+from finsite import corpus
+corpus.corpus_workspace()
+print(loaded())
+from finsite import fibration
+print(fibration.is_cartesian_fibration(corpus.two_point()))
+print("finsite.limits" in sys.modules)
+"""
+
+
+def test_cold_start_loads_only_the_modules_it_uses():
+    """``import finsite`` loads no submodule, the corpus workspace loads only
+    the modules it builds with, and the limit search is loaded on the first
+    cartesian-fibration question."""
+    [out] = python_outputs_under_hash_seeds(["-c", COLD_START_SCRIPT], ("0",))
+    workspace = ["bundles", "corpus", "fibration", "fincat", "presheaf", "sieves"]
+    verdict = fibration.is_cartesian_fibration(corpus.two_point())
+    assert out == "[]\n{}\n{}\nTrue\n".format(workspace, verdict), out
 
 
 def cli_outputs_under_hash_seeds(argv):

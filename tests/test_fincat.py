@@ -234,6 +234,17 @@ def test_validate_functor_names_the_witness(source, target, obj_map, arr_map, me
     assert info.value.witness == witness
 
 
+def test_an_identity_named_for_no_object_is_dropped():
+    # A stray entry naming e as an identity must not exempt e's composites
+    # from the functoriality check.
+    idem = _idempotent()
+    arrows = {a: (idem.src[a], idem.tgt[a]) for a in idem.arrows}
+    stray = validate_category(idem.objects, arrows, {"x": "id_x", "w": "e"}, idem.table)
+    assert stray.identity == {"x": "id_x"} and stray == idem
+    with pytest.raises(StructureError, match=r"composite \(e, e\) not preserved"):
+        validate_functor({"x": "y"}, {"id_x": "id_y", "e": "t"}, stray, _involution())
+
+
 def brute_force_comma_objects(f_leg, g_leg):
     amb = f_leg.target
     out = set()
