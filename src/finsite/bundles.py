@@ -47,19 +47,6 @@ class Workspace:
     naturals: dict[str, NatTransform] = field(default_factory=dict)
     presheaves: dict[str, Presheaf] = field(default_factory=dict)
 
-    def __eq__(self, other):
-        if not isinstance(other, Workspace):
-            return NotImplemented
-        return (
-            self.categories == other.categories
-            and self.topologies == other.topologies
-            and {k: (v.base, v.fiber, v.restriction.keys()) for k, v in self.indexed.items()}
-            == {k: (v.base, v.fiber, v.restriction.keys()) for k, v in other.indexed.items()}
-            and self.functors == other.functors
-            and self.naturals == other.naturals
-            and self.presheaves == other.presheaves
-        )
-
 
 @contextmanager
 def _at(path: str):

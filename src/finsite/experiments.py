@@ -59,7 +59,6 @@ from .generate import (
     collapse_morphism,
     constant_indexed,
     derive_seed,
-    describe_instance,
     gen_category,
     gen_fibration,
     gen_functor,
@@ -76,7 +75,6 @@ from .generate import (
     pushforward_topology,
     representable_indexed,
     shrink_fibration,
-    shrink_site,
     _chain,
     _chain_map,
     _rng,
@@ -189,9 +187,6 @@ class _Run:
         self.noted = 0
         self.failures: list[Failure] = []
 
-    def instance_seed(self, index: int) -> int:
-        return derive_seed(self.seed, index)
-
     def check(self, label: str, instance_desc: str, outcome, minimized: str = ""):
         """outcome is None (pass), NOTED (a counted pass) or a failure message."""
         self.checked += 1
@@ -215,10 +210,13 @@ class _Run:
         return sum(self.skips.values())
 
     def loop(self, make, check):
-        """make(index) -> instance dict or raises; check(instance) -> None | NOTED | message."""
+        """make(instance seed) -> instance dict or raises; check(instance) ->
+        None | NOTED | message.  A failure is named ``seed <n>``, the
+        instance seed n from which ``make`` rebuilds it."""
         for i in range(self.caps.instances):
+            n = derive_seed(self.seed, i)
             try:
-                inst = make(i)
+                inst = make(n)
             except GenerationError:
                 self.skips["GenerationError"] += 1
                 continue
@@ -230,37 +228,34 @@ class _Run:
             except SkipInstance:
                 self.skips["SkipInstance"] += 1
                 continue
-            desc = describe_instance(inst) if _failed(msg) else ""  # only a failure keeps it
-            self.check("fuzz[{}]".format(i), desc, msg, self._minimize(inst, check, msg))
+            minimized = self._minimize(inst, check) if _failed(msg) else ""
+            self.check("fuzz[{}]".format(i), "seed {}".format(n), msg, minimized)
 
     @staticmethod
-    def _minimize(inst, check, msg) -> str:
-        if not _failed(msg):
+    def _minimize(inst, check) -> str:
+        """The canonical document of a failing bare fibration over a site
+        (def-2.2, topology-soundness, def-2.5), shrunk while it keeps
+        failing; "" for any other instance, which only its seed rebuilds
+        whole."""
+        if inst.keys() != {"indexed", "base_topology"}:
             return ""
 
-        def fails(**parts):
+        def fails(cix, top):
             try:
-                return _failed(check({**inst, **parts}))
+                return _failed(check({"indexed": cix, "base_topology": top}))
             except _SHRINK_REJECTS:
                 # a reduction that breaks dependent instance parts does not
                 # count as a preserved failure; any other error surfaces
                 return False
 
-        if "category" in inst and "topology" in inst:
-            cat, top = shrink_site(inst["category"], inst["topology"], lambda c, t: fails(category=c, topology=t))
-            return dumps_canonical({"category": category_to_json(cat), "topology": topology_to_json(top, "category")})
-        if "indexed" in inst and "base_topology" in inst:
-            cix, top = shrink_fibration(
-                inst["indexed"], inst["base_topology"], lambda c, t: fails(indexed=c, base_topology=t)
-            )
-            return dumps_canonical(
-                {
-                    "base": category_to_json(cix.base),
-                    "fibers": {c: category_to_json(cix.fiber[c]) for c in sorted(cix.base.objects)},
-                    "topology": topology_to_json(top, "base"),
-                }
-            )
-        return describe_instance(inst)
+        cix, top = shrink_fibration(inst["indexed"], inst["base_topology"], fails)
+        return dumps_canonical(
+            {
+                "base": category_to_json(cix.base),
+                "fibers": {c: category_to_json(cix.fiber[c]) for c in sorted(cix.base.objects)},
+                "topology": topology_to_json(top, "base"),
+            }
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +421,6 @@ def _continuity(inst, caps):
 def _morphism_over_site(rng, caps) -> dict:
     """A generated indexed morphism over a generated base site."""
     cix, topology = gen_fibration(rng, caps)
-    # no "indexed" key: the minimiser would shrink it apart from the morphism
     return {"morphism": gen_indexed_morphism(rng, cix, caps), "base_topology": topology}
 
 
@@ -455,7 +449,7 @@ def _make_reflect_cartesian(seed, caps):
     fn = gen_functor(rng, src, dix.base)
     if fn is None:
         raise GenerationError("no functor")
-    return {"kind": "direct-image", "indexed": dix, "functor": fn}
+    return {"indexed": dix, "functor": fn}
 
 
 def _adjoint_agreement(inst, caps):
@@ -531,7 +525,7 @@ def _transfer(decide, inst, lost: str, unmet: str | None = None):
     return None
 
 
-def _over_site_functor(kind: str, draw):
+def _over_site_functor(draw):
     """The recipe of a transfer check: a site functor ``draw(rng, seed,
     caps)``, then an indexed category over its target from the same stream."""
 
@@ -539,7 +533,7 @@ def _over_site_functor(kind: str, draw):
         rng = _rng(seed)
         caps = _capped(caps, 3, 2)
         sf = draw(rng, seed, caps)
-        return {"kind": kind, "site_functor": sf, "indexed": gen_indexed(rng, sf.functor.target, caps)}
+        return {"site_functor": sf, "indexed": gen_indexed(rng, sf.functor.target, caps)}
 
     return make
 
@@ -603,7 +597,7 @@ def _make_prop44(seed, caps):
         inner = gen_functor(rng, src, mid) if outer is not None else None
         if outer is None or inner is None:
             raise GenerationError("no functor chain")
-        return {"kind": "prop44", "flavor": "direct", "indexed": dix, "inner": inner, "outer": outer}
+        return {"flavor": "direct", "indexed": dix, "inner": inner, "outer": outer}
     adj_inner = gen_galois(rng, caps)
     if adj_inner is None:
         raise GenerationError("no inner galois")
@@ -615,7 +609,7 @@ def _make_prop44(seed, caps):
         cix = gen_indexed(rng, base, caps)
     else:
         cix = representable_indexed(base, rng.choice(list(base.objects)))
-    return {"kind": "prop44", "flavor": "adjoint", "indexed": cix, "adj_inner": adj_inner, "adj_outer": adj_outer}
+    return {"flavor": "adjoint", "indexed": cix, "adj_inner": adj_inner, "adj_outer": adj_outer}
 
 
 def _prop44_cases():
@@ -659,7 +653,7 @@ def _make_sheafify(seed, caps):
     rng = _rng(seed)
     cat, topology = gen_site(rng, _capped(caps, 2))
     p = gen_presheaf(rng, cat, caps.value_size)
-    return {"kind": "sheafify", "presheaf": p, "topology": topology}
+    return {"presheaf": p, "topology": topology}
 
 
 def _sheafify_cases():
@@ -726,7 +720,7 @@ def _make_prop24(seed, caps):
     fn = gen_functor(rng, src, dense_sf.functor.source)
     if fn is None:
         raise GenerationError("no functor into the dense source")
-    return {"kind": "prop24", "dense": dense_sf, "functor": fn, "source_topology": src_top}
+    return {"dense": dense_sf, "functor": fn, "source_topology": src_top}
 
 
 def _prop33(inst, caps):
@@ -769,7 +763,7 @@ def _make_prop29(seed, caps):
     src = _chain(src_size, "c")
     fn = _chain_map(rng, src_size, tgt_size, src, tgt)
     dix = graded_chain_indexed(rng, tgt, caps.fiber_objects)
-    return {"kind": "prop29", "indexed": dix, "functor": fn}
+    return {"indexed": dix, "functor": fn}
 
 
 def _prop29_cases():
@@ -799,7 +793,7 @@ def _prop412(inst, caps):
 
 def _make_prop412(seed, caps):
     rng = _rng(seed)
-    inst = {"kind": "prop412", **_morphism_over_site(rng, _capped(caps, 3, 2)), "extra": None}
+    inst = {**_morphism_over_site(rng, _capped(caps, 3, 2)), "extra": None}
     if rng.random() < 0.4:
         tgt_bundle = grothendieck(inst["morphism"].target)
         gir_tgt = giraud_topology(inst["morphism"].target, inst["base_topology"])
@@ -833,7 +827,7 @@ def _structure(inst, caps):
 
 def _make_structure(seed, caps):
     rng = _rng(seed)
-    inst = {"kind": "structure", **_galois_over(rng, _capped(caps, 3, 2))}
+    inst = _galois_over(rng, _capped(caps, 3, 2))
     adj = inst["adjunction"]
     inst["base_topology"] = gen_topology(rng, adj.left.target)
     inst["target_topology"] = pushforward_topology(adj.right, inst["base_topology"], rng)
@@ -893,7 +887,7 @@ IN_SCOPE_TAGS = (
 EXPERIMENTS: dict[str, ExperimentSpec] = {
     "comma-kernel": ExperimentSpec(
         _comma_kernel,
-        lambda seed, caps: {"kind": "category", "category": gen_category(_rng(seed), caps)[0]},
+        lambda seed, caps: {"category": gen_category(_rng(seed), caps)[0]},
         lambda: [(name, {"category": cat}) for name, cat, _ in corpus.corpus_sites()],
         "comma categories vs the arrow-category and graph-reachability oracles",
         ("sec-2.1-comma",),
@@ -921,7 +915,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
     ),
     "thm-2.3-continuity": ExperimentSpec(
         _continuity,
-        lambda seed, caps: {"kind": "fibration", **_morphism_over_site(_rng(seed), _capped(caps, 3, 3))},
+        lambda seed, caps: _morphism_over_site(_rng(seed), _capped(caps, 3, 3)),
         lambda: [("twopoint", _twopoint_collapse())],
         "giraud projections are continuous comorphisms; fibration morphisms are continuous",
         ("def-2.3", "def-2.4", "def-2.9-prop-2.2", "def-2.5"),
@@ -935,7 +929,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
     ),
     "prop-2.7-agreement": ExperimentSpec(
         _adjoint_agreement,
-        lambda seed, caps: {"kind": "adjoint-pair", **_galois_over(_rng(seed), caps)},
+        lambda seed, caps: _galois_over(_rng(seed), caps),
         lambda: [("walk2-terminal", _walk2_terminal())],
         "adjoint-route inverse images agree with the pointwise comma-colimit oracle",
         ("prop-2.7", "remark-4.1b"),
@@ -944,7 +938,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         lambda inst, caps: _transfer(
             is_continuous, inst, "direct-image projection of a continuous functor is not continuous: {}"
         ),
-        _over_site_functor("prop34", _continuous_site_functor),
+        _over_site_functor(_continuous_site_functor),
         lambda: _walk2_identity("walk2-id"),
         "direct-image projections of continuous functors are continuous between Giraud sites",
         ("prop-3.4",),
@@ -956,7 +950,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             "direct-image projection of a comorphism is not a comorphism: {}",
             "constructed comorphism fails its own check: {}",
         ),
-        _over_site_functor("comorphism", _comorphism_site_functor),
+        _over_site_functor(_comorphism_site_functor),
         lambda: _walk2_identity("walk2-id"),
         "direct-image projections of comorphisms are comorphisms between Giraud sites",
         ("prop-4.2",),
@@ -968,7 +962,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             "direct-image projection along a dense morphism is not dense: {}",
             "constructed dense inclusion fails the dense check: {}",
         ),
-        _over_site_functor("dense-pair", _dense_site_functor),
+        _over_site_functor(_dense_site_functor),
         lambda: _walk2_identity("walk2-full"),
         "direct-image projections along dense morphisms are dense between Giraud sites",
         ("prop-4.6",),
@@ -1005,7 +999,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
     ),
     "prop-3.3-conditions": ExperimentSpec(
         _prop33,
-        lambda seed, caps: {"kind": "prop33-square", **_morphism_over_site(_rng(seed), _capped(caps, 2, 2))},
+        lambda seed, caps: _morphism_over_site(_rng(seed), _capped(caps, 2, 2)),
         lambda: [("twopoint-collapse", _twopoint_collapse())],
         "fixed-base morphisms of fibrations satisfy both comparison conditions",
         ("prop-3.3-iii",),
@@ -1079,7 +1073,7 @@ def run_experiment(experiment_id: str, seed: int = 0, caps: Caps | None = None) 
             return spec.check(inst, caps)
 
         run.fixed(spec.fixed(), check)
-        run.loop(lambda i: spec.make(run.instance_seed(i), caps), check)
+        run.loop(lambda n: spec.make(n, caps), check)
     if spec.note is not None:
         run.notes.append("{} {}".format(spec.note, run.noted))
     elapsed = time.perf_counter() - start

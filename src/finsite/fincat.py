@@ -631,11 +631,7 @@ class Adjunction:
     counit: dict[str, str]
 
 
-def _components_of(data):
-    return dict(data.component) if isinstance(data, NatTransform) else dict(data)
-
-
-def check_adjunction(left: FinFunctor, right: FinFunctor, unit, counit) -> bool:
+def check_adjunction(left: FinFunctor, right: FinFunctor, unit: dict[str, str], counit: dict[str, str]) -> bool:
     """True iff (unit, counit) exhibit left -| right via the triangle identities.
 
     Returns False when the supplied components do not even typecheck as
@@ -644,8 +640,6 @@ def check_adjunction(left: FinFunctor, right: FinFunctor, unit, counit) -> bool:
     if left.source != right.target or left.target != right.source:
         raise StructureError("functors do not form a composable adjoint pair")
     a_cat, b_cat = left.source, left.target
-    unit = _components_of(unit)
-    counit = _components_of(counit)
     if not is_natural(unit, identity_functor(a_cat), compose_functors(right, left)):
         return False
     if not is_natural(counit, compose_functors(left, right), identity_functor(b_cat)):
@@ -664,7 +658,7 @@ def check_adjunction(left: FinFunctor, right: FinFunctor, unit, counit) -> bool:
 def validate_adjunction(left, right, unit, counit) -> Adjunction:
     if not check_adjunction(left, right, unit, counit):
         raise StructureError("triangle identities fail for the supplied adjunction data")
-    return Adjunction(left, right, _components_of(unit), _components_of(counit))
+    return Adjunction(left, right, dict(unit), dict(counit))
 
 
 def is_equivalence(f: FinFunctor) -> tuple[bool, tuple]:

@@ -140,14 +140,14 @@ def gen_library(rng: random.Random) -> FinCategory:
 
 
 def gen_category(rng: random.Random, caps: Caps):
-    """Returns (category, kind, meta); kind in {poset, free, library}."""
+    """Returns (category, edges): a random poset, the free category on the
+    DAG ``edges``, or a library shape; edges is None unless free."""
     roll = rng.random()
     if roll < 0.45:
-        return gen_poset(rng, caps.base_objects), "poset", None
+        return gen_poset(rng, caps.base_objects), None
     if roll < 0.85:
-        cat, edges = gen_free(rng, min(caps.base_objects, 3), caps.base_arrows)
-        return cat, "free", edges
-    return gen_library(rng), "library", None
+        return gen_free(rng, min(caps.base_objects, 3), caps.base_arrows)
+    return gen_library(rng), None
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +309,11 @@ def gen_small_category(rng: random.Random, max_objects: int) -> FinCategory:
     return corpus.walk2() if rng.random() < 0.5 else corpus.one()
 
 
-def gen_indexed(rng: random.Random, base: FinCategory, caps: Caps, base_kind: str = "poset", base_meta=None) -> IndexedCategory:
-    """Recipes: constant fibers, representable (slice), coslice, or free-base
-    fibers with arbitrary restrictions along generating edges."""
+def gen_indexed(rng: random.Random, base: FinCategory, caps: Caps, edges=None) -> IndexedCategory:
+    """Recipes: constant fibers, representable (slice), coslice, or, on a
+    base free on the generating ``edges``, arbitrary restrictions along them."""
     roll = rng.random()
-    if base_kind == "free" and base_meta is not None and roll < 0.45:
-        edges = base_meta
+    if edges is not None and roll < 0.45:
         fibers = {c: gen_small_category(rng, min(caps.fiber_objects, 3)) for c in base.objects}
         edge_restriction = {}
         ok = True
@@ -344,11 +343,12 @@ def gen_indexed(rng: random.Random, base: FinCategory, caps: Caps, base_kind: st
 
 
 def gen_fibration(rng: random.Random, caps: Caps) -> tuple[IndexedCategory, Topology]:
-    """A random indexed category over a random site; the base's recipe picks
-    the indexed category's.  Draws as ``gen_site`` then ``gen_indexed`` do."""
-    cat, kind, meta = gen_category(rng, caps)
+    """A random indexed category over a random site; a free base's edges
+    reach the indexed category's recipe.  Draws as ``gen_site`` then
+    ``gen_indexed`` do."""
+    cat, edges = gen_category(rng, caps)
     topology = gen_topology(rng, cat)
-    return gen_indexed(rng, cat, caps, kind, meta), topology
+    return gen_indexed(rng, cat, caps, edges), topology
 
 
 def constant_indexed(base: FinCategory, fiber: FinCategory) -> IndexedCategory:
@@ -472,8 +472,10 @@ def _poset_arrow(cat: FinCategory, x: str, y: str) -> str:
 
 def _galois_attempt(rng: random.Random, p: FinCategory, q: FinCategory) -> Adjunction | None:
     """One try at a Galois connection from p to q: a random monotone lower
-    adjoint, kept if its pointwise right adjoint exists, with unit/counit
-    read off the orders."""
+    adjoint L, kept if each R(b) = max {x : L x <= b} exists, with unit and
+    counit read off the orders.  That maximum makes L -| R with R monotone:
+    L x <= b gives x <= R b; x <= R b gives L x <= L R b <= b; and a <= b
+    puts R a in {x : L x <= b}, so R a <= R b."""
     obj_map = {x: rng.choice(list(q.objects)) for x in p.objects}
     if not all(
         _poset_leq(q, obj_map[x], obj_map[y])
@@ -489,27 +491,11 @@ def _galois_attempt(rng: random.Random, p: FinCategory, q: FinCategory) -> Adjun
         if len(top) != 1:
             return None
         right_map[qo] = top[0]
-    if not all(
-        _poset_leq(q, obj_map[x], qo) == _poset_leq(p, x, right_map[qo])
-        for x in p.objects
-        for qo in q.objects
-    ):
-        return None
-    if not all(
-        _poset_leq(p, right_map[a], right_map[b])
-        for a in q.objects
-        for b in q.objects
-        if _poset_leq(q, a, b)
-    ):
-        return None
     left = _poset_functor(obj_map, p, q)
     right = _poset_functor(right_map, q, p)
     unit = {x: _poset_arrow(p, x, right_map[obj_map[x]]) for x in p.objects}
     counit = {qo: _poset_arrow(q, obj_map[right_map[qo]], qo) for qo in q.objects}
-    try:
-        return validate_adjunction(left, right, unit, counit)
-    except StructureError:
-        return None
+    return validate_adjunction(left, right, unit, counit)
 
 
 def gen_galois(rng: random.Random, caps: Caps) -> Adjunction | None:
@@ -645,17 +631,17 @@ def generate_instance(kind: str, seed: int, caps: Caps) -> dict:
     rng = _rng(seed)
     if kind == "site":
         cat, topology = gen_site(rng, caps)
-        return {"kind": kind, "category": cat, "topology": topology}
+        return {"category": cat, "topology": topology}
     if kind == "fibration":
         cix, topology = gen_fibration(rng, caps)
-        return {"kind": kind, "indexed": cix, "base_topology": topology}
+        return {"indexed": cix, "base_topology": topology}
     if kind == "site-functor":
         for _ in range(30):
             src, src_top = gen_site(rng, caps)
             tgt, tgt_top = gen_site(rng, caps)
             fn = gen_functor(rng, src, tgt)
             if fn is not None:
-                return {"kind": kind, "functor": fn, "source_topology": src_top, "target_topology": tgt_top}
+                return {"functor": fn, "source_topology": src_top, "target_topology": tgt_top}
         raise GenerationError("no functor found within caps")
     if kind == "comorphism":
         cat, topology = gen_site(rng, caps)
@@ -664,7 +650,6 @@ def generate_instance(kind: str, seed: int, caps: Caps) -> dict:
             fn = gen_functor(rng, src, cat)
             if fn is not None:
                 return {
-                    "kind": kind,
                     "functor": fn,
                     "source_topology": min_comorphism_topology(fn, topology),
                     "target_topology": topology,
@@ -675,12 +660,12 @@ def generate_instance(kind: str, seed: int, caps: Caps) -> dict:
         if got is None:
             raise GenerationError("no dense pair within caps")
         inclusion, induced, topology = got
-        return {"kind": kind, "functor": inclusion, "source_topology": induced, "target_topology": topology}
+        return {"functor": inclusion, "source_topology": induced, "target_topology": topology}
     if kind == "adjoint-pair":
         adj = gen_galois(rng, caps)
         if adj is None:
             raise GenerationError("no Galois connection within caps")
-        return {"kind": kind, "adjunction": adj}
+        return {"adjunction": adj}
     raise GenerationError("unknown instance kind {!r}".format(kind))
 
 
@@ -768,17 +753,3 @@ def shrink_fibration(cix: IndexedCategory, topology: Topology, still_fails):
 
     return _shrink((cix, topology), reductions, still_fails)
 
-
-def describe_instance(instance: dict) -> str:
-    """One-line deterministic digest of an instance bundle."""
-    bits = [instance.get("kind", "?")]
-    for key in sorted(instance):
-        val = instance[key]
-        if isinstance(val, FinCategory):
-            bits.append("{}:|O|={},|A|={}".format(key, len(val.objects), len(val.arrows)))
-        elif isinstance(val, IndexedCategory):
-            sizes = ",".join(str(len(val.fiber[c].objects)) for c in val.base.objects)
-            bits.append("{}:base|O|={} fibers=[{}]".format(key, len(val.base.objects), sizes))
-        elif isinstance(val, FinFunctor):
-            bits.append("{}:{}->{}".format(key, len(val.source.objects), len(val.target.objects)))
-    return " ".join(bits)

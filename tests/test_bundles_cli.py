@@ -73,6 +73,20 @@ def test_round_trip_is_identity():
     assert load_bundle(workspace_to_json(ws)) == ws
 
 
+def test_workspaces_differing_in_one_restriction_functor_are_unequal():
+    # same base, fibers and restriction keys: only the functor along u differs
+    w, two = corpus.walk2(), corpus.discrete(("p", "q"))
+
+    def over_walk2(obj_map):
+        ids = {two.identity[x]: two.identity[obj_map[x]] for x in two.objects}
+        along_u = validate_functor(obj_map, ids, two, two)
+        return Workspace(indexed={"E": validate_indexed(w, {"a": two, "b": two}, {"u": along_u})})
+
+    fixed = over_walk2({"p": "p", "q": "q"})
+    assert fixed == over_walk2({"p": "p", "q": "q"})
+    assert fixed != over_walk2({"p": "q", "q": "p"})
+
+
 def test_missing_composite_is_located():
     doc = {
         "categories": {

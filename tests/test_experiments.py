@@ -42,12 +42,22 @@ def test_unknown_instance_kind_is_rejected():
         generate_instance("nonsense", 0, SMALL)
 
 
+SITE_FUNCTOR_KEYS = {"functor", "source_topology", "target_topology"}
+INSTANCE_KEYS = {
+    "site": {"category", "topology"},
+    "fibration": {"indexed", "base_topology"},
+    "site-functor": SITE_FUNCTOR_KEYS,
+    "comorphism": SITE_FUNCTOR_KEYS,
+    "dense-pair": SITE_FUNCTOR_KEYS,
+    "adjoint-pair": {"adjunction"},
+}
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_generate_instance_is_valid_and_deterministic(kind):
     first = generate_instance(kind, 5, SMALL)
     second = generate_instance(kind, 5, SMALL)
-    assert first.get("kind") == kind
-    assert sorted(first) == sorted(second)
+    assert first.keys() == second.keys() == INSTANCE_KEYS[kind]
     if "category" in first:
         assert first["category"] == second["category"]
         ok, witness = is_topology(first["category"], first["topology"].covers)
@@ -125,53 +135,57 @@ def test_failure_records_render_with_minimized_instance():
 
     run = _Run(seed=0, caps=Caps(instances=3))
 
-    def make(i):
-        return generate_instance("site", derive_seed(0, i), Caps())
+    def make(n):
+        return generate_instance("fibration", n, Caps())
 
     def check(inst):
-        return "synthetic failure" if len(inst["category"].objects) >= 1 else None
+        return "synthetic failure" if len(inst["indexed"].base.objects) >= 1 else None
 
     run.loop(make, check)
-    assert len(run.failures) == 3
-    assert all(f.minimized for f in run.failures)
+    assert [f.instance for f in run.failures] == ["seed {}".format(derive_seed(0, i)) for i in range(3)]
+    for failure in run.failures:
+        doc = json.loads(failure.minimized)
+        assert doc.keys() == {"base", "fibers", "topology"}
+        assert len(doc["base"]["objects"]) == 1
 
 
-def _site_with_two_objects():
+def _fibration_with_two_base_objects():
     for index in range(50):
-        inst = generate_instance("site", derive_seed(0, index), Caps())
-        if len(inst["category"].objects) >= 2:
+        inst = generate_instance("fibration", derive_seed(0, index), Caps())
+        if len(inst["indexed"].base.objects) >= 2:
             return inst
-    raise AssertionError("no two-object site among the first 50 seeds")
+    raise AssertionError("no fibration over two base objects among the first 50 seeds")
 
 
 def test_minimisation_surfaces_a_crash_on_a_shrunk_candidate():
-    # a check that fails on the original site and crashes on every smaller
-    # one: the crash is an error, not a candidate that "no longer fails"
+    # a check that fails on the original fibration and crashes on every
+    # smaller one: the crash is an error, not a candidate that "no longer fails"
     from finsite.experiments import _Run
 
-    original = _site_with_two_objects()
+    original = _fibration_with_two_base_objects()
     run = _Run(seed=0, caps=Caps(instances=1))
 
     def check(inst):
-        if inst["category"] is original["category"]:
+        if inst["indexed"] is original["indexed"]:
             return "synthetic failure"
         raise RuntimeError("kernel crash while shrinking")
 
     with pytest.raises(RuntimeError, match="kernel crash while shrinking"):
-        run.loop(lambda i: original, check)
+        run.loop(lambda n: original, check)
 
 
 def test_skips_are_counted_by_reason_outside_the_canonical_report():
     from finsite.experiments import SkipInstance, _Run
 
     run = _Run(seed=0, caps=Caps(instances=6))
-    site = _site_with_two_objects()
-    raised_by_make = {0: GenerationError("too small"), 1: CapExceeded("too big"), 2: GenerationError("too small")}
+    fibration = _fibration_with_two_base_objects()
+    errors = (GenerationError("too small"), CapExceeded("too big"), GenerationError("too small"))
+    raised_by_make = {derive_seed(0, i): err for i, err in enumerate(errors)}
 
-    def make(i):
-        if i in raised_by_make:
-            raise raised_by_make[i]
-        return site
+    def make(n):
+        if n in raised_by_make:
+            raise raised_by_make[n]
+        return fibration
 
     def check(inst):
         raise SkipInstance()
@@ -188,25 +202,25 @@ def test_skips_are_counted_by_reason_outside_the_canonical_report():
 
 
 def test_noted_passes_count_only_for_checked_instances_not_shrink_candidates():
-    # a check that fails on the original site and passes, noted, on every
-    # smaller one: the shrinker runs it many times, the note count stays 0
+    # a check that fails on the original fibration and passes, noted, on
+    # every smaller one: the shrinker runs it many times, the note count stays 0
     from finsite.experiments import NOTED, _Run
 
-    original = _site_with_two_objects()
+    original = _fibration_with_two_base_objects()
     run = _Run(seed=0, caps=Caps(instances=2))
     calls = []
 
     def check(inst):
         calls.append(inst)
-        return "synthetic failure" if inst["category"] is original["category"] else NOTED
+        return "synthetic failure" if inst["indexed"] is original["indexed"] else NOTED
 
-    run.loop(lambda i: original, check)
+    run.loop(lambda n: original, check)
     assert len(calls) > 2
     assert run.noted == 0
     assert run.checked == 2 and len(run.failures) == 2
 
     run.check("corpus", "corpus", NOTED)
-    run.loop(lambda i: _site_with_two_objects(), lambda inst: NOTED)
+    run.loop(lambda n: _fibration_with_two_base_objects(), lambda inst: NOTED)
     assert run.noted == 3
     assert run.checked == 5 and len(run.failures) == 2
 
@@ -274,18 +288,50 @@ def test_shrinks_match_the_recorded_answers():
     assert wrong == []
 
 
+def _needs_one_base_object(top_fun, base_fun, src, tgt):
+    return len(src.base.objects) < 2, ("synthetic",)
+
+
 def test_a_thm23_failure_in_the_morphism_is_not_reported_as_a_shrunk_fibration(monkeypatch):
     # the failure lives in the morphism alone, so a shrunk copy of the
     # morphism's source base cannot reproduce it and must not be reported
     from finsite import experiments
 
-    def needs_one_base_object(top_fun, base_fun, src, tgt):
-        return len(src.base.objects) < 2, ("synthetic",)
-
-    monkeypatch.setattr(experiments, "is_morphism_of_fibrations", needs_one_base_object)
+    monkeypatch.setattr(experiments, "is_morphism_of_fibrations", _needs_one_base_object)
     report = run_experiment("thm-2.3", 0, Caps(instances=20))
     fuzzed = [f for f in report.failures if f.label.startswith("fuzz")]
     assert fuzzed
     for failure in fuzzed:
         assert failure.minimized == failure.instance
         assert "fibers" not in failure.minimized
+
+
+def test_a_thm23_failure_names_the_seed_that_rebuilds_it(monkeypatch):
+    from finsite import experiments
+
+    monkeypatch.setattr(experiments, "is_morphism_of_fibrations", _needs_one_base_object)
+    caps = Caps(instances=20)
+    report = run_experiment("thm-2.3", 0, caps)
+    fuzzed = [f for f in report.failures if f.label.startswith("fuzz")]
+    assert fuzzed
+    spec = EXPERIMENTS["thm-2.3-continuity"]
+    for failure in fuzzed:
+        index = int(failure.label[len("fuzz["):-1])
+        assert failure.instance == "seed {}".format(derive_seed(0, index))
+        n = int(failure.instance.split()[1])
+        assert spec.check(spec.make(n, caps), caps) == failure.message
+
+
+def test_a_structure_functor_failure_is_named_by_its_seed_not_a_shrunk_fibration(monkeypatch):
+    # the check reads the adjunction and the target topology too, so a shrunk
+    # copy of the indexed category alone would replay nothing
+    from finsite import experiments
+
+    monkeypatch.setattr(experiments, "functor_equal", lambda f, g: len(f.source.objects) < 2)
+    report = run_experiment("structure-functor-sites", 0, Caps(instances=20))
+    fuzzed = [f for f in report.failures if f.label.startswith("fuzz")]
+    assert fuzzed
+    for failure in fuzzed:
+        assert "fibers" not in failure.minimized
+        assert failure.minimized == failure.instance
+        assert failure.instance.startswith("seed ")

@@ -132,7 +132,7 @@ def associativity_cases(seeds):
         arrows = {a: ("x", "x") for a in names + ["id_x"]}
         composites = {(g, f): rng.choice(names + ["id_x"]) for g in names for f in names}
         yield ("x",), arrows, {"x": "id_x"}, unital_table(arrows, {"x": "id_x"}, composites)
-        cat, _, _ = gen_category(rng, Caps())
+        cat, _ = gen_category(rng, Caps())
         moves = [
             (pair, h2)
             for pair, h in sorted(cat.table.items())
@@ -326,7 +326,7 @@ def test_connected_components_examples(one, walk2):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6))
 def test_connected_components_match_graph_reachability(seed):
-    cat, _, _ = gen_category(_rng(seed), Caps())
+    cat, _ = gen_category(_rng(seed), Caps())
     neighbours = {c: set() for c in cat.objects}
     for a in cat.arrows:
         neighbours[cat.src[a]].add(cat.tgt[a])

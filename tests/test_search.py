@@ -5,7 +5,8 @@ replaced: each re-checks every constraint after each assignment.  The new
 searches must return the same results and, where they draw from an rng,
 leave it in the same state.  ``reference_natural_iso_search`` outlived its
 replacement: base change is decided on the nose, and it confirms that the
-iso it would have searched for is the identity.
+iso it would have searched for is the identity.  ``reference_galois_attempt``
+keeps the two filters that the maximum right adjoint makes redundant.
 """
 import itertools
 import random
@@ -13,11 +14,13 @@ import random
 from finsite import corpus
 from finsite.fincat import (
     FinFunctor,
+    StructureError,
     backtrack,
     compose_functors,
     entries_by_last_arrow,
     functor_equal,
     identity_functor,
+    validate_adjunction,
     validate_functor,
 )
 from finsite.fibration import (
@@ -38,8 +41,13 @@ from finsite.generate import (
     gen_galois_into,
     gen_indexed,
     gen_indexed_morphism,
+    gen_poset,
     gen_presheaf,
     gen_site,
+    _galois_attempt,
+    _poset_arrow,
+    _poset_functor,
+    _poset_leq,
 )
 from finsite.presheaf import validate_presheaf
 
@@ -300,6 +308,45 @@ def reference_natural_iso_search(p, q):
     return dict(assign) if go(0) else None
 
 
+def reference_galois_attempt(rng, p, q):
+    obj_map = {x: rng.choice(list(q.objects)) for x in p.objects}
+    if not all(
+        _poset_leq(q, obj_map[x], obj_map[y])
+        for x in p.objects
+        for y in p.objects
+        if _poset_leq(p, x, y)
+    ):
+        return None
+    right_map = {}
+    for qo in q.objects:
+        below = [x for x in p.objects if _poset_leq(q, obj_map[x], qo)]
+        top = [x for x in below if all(_poset_leq(p, y, x) for y in below)]
+        if len(top) != 1:
+            return None
+        right_map[qo] = top[0]
+    if not all(
+        _poset_leq(q, obj_map[x], qo) == _poset_leq(p, x, right_map[qo])
+        for x in p.objects
+        for qo in q.objects
+    ):
+        return None
+    if not all(
+        _poset_leq(p, right_map[a], right_map[b])
+        for a in q.objects
+        for b in q.objects
+        if _poset_leq(q, a, b)
+    ):
+        return None
+    left = _poset_functor(obj_map, p, q)
+    right = _poset_functor(right_map, q, p)
+    unit = {x: _poset_arrow(p, x, right_map[obj_map[x]]) for x in p.objects}
+    counit = {qo: _poset_arrow(q, obj_map[right_map[qo]], qo) for qo in q.objects}
+    try:
+        return validate_adjunction(left, right, unit, counit)
+    except StructureError:
+        return None
+
+
 # ---------------------------------------------------------------------------
 # Differential tests
 
@@ -311,8 +358,8 @@ def _category_pairs():
     pairs = [(src, tgt) for src in library for tgt in library]
     for seed in SEEDS:
         rng = random.Random(derive_seed(seed, 3))
-        src, _, _ = gen_category(rng, SMALL)
-        tgt, _, _ = gen_category(rng, SMALL)
+        src, _ = gen_category(rng, SMALL)
+        tgt, _ = gen_category(rng, SMALL)
         pairs.append((src, tgt))
     return pairs
 
@@ -382,19 +429,34 @@ def test_gen_indexed_morphism_matches_the_rescanning_search_and_rng_state():
 
 
 def test_gen_fibration_matches_gen_site_then_gen_indexed_on_the_recipe():
-    # the reference reads the base's recipe from a second rng at the same
-    # state, as gen_site drew it before it stopped handing the recipe back
-    kinds = set()
+    # the reference reads a free base's edges from a second rng at the same
+    # state, as gen_site drew it before it stopped handing them back
+    free = set()
     for seed in range(200):
         rng, ref_rng, recipe_rng = (random.Random(derive_seed(seed, 9)) for _ in range(3))
-        _, kind, meta = gen_category(recipe_rng, Caps())
+        _, edges = gen_category(recipe_rng, Caps())
         cat, topology = gen_site(ref_rng, Caps())
-        expected = gen_indexed(ref_rng, cat, Caps(), kind, meta)
+        expected = gen_indexed(ref_rng, cat, Caps(), edges)
         cix, got_topology = gen_fibration(rng, Caps())
         assert cix == expected and got_topology == topology
         assert rng.getstate() == ref_rng.getstate()
-        kinds.add(kind)
-    assert kinds == {"poset", "free", "library"}
+        free.add(edges is not None)
+    assert free == {True, False}
+
+
+def test_galois_attempt_matches_the_filtering_search_and_rng_state():
+    found = missed = 0
+    for seed in range(300):
+        rng = random.Random(derive_seed(seed, 6))
+        p, q = gen_poset(rng, 4), gen_poset(rng, 4)
+        ref_rng = random.Random()
+        ref_rng.setstate(rng.getstate())
+        new = _galois_attempt(rng, p, q)
+        assert new == reference_galois_attempt(ref_rng, p, q)
+        assert rng.getstate() == ref_rng.getstate()
+        found += new is not None
+        missed += new is None
+    assert found > 0 and missed > 0
 
 
 def _meets_empty_codomain(seed, cat, max_size):

@@ -158,7 +158,7 @@ def category_cases(count):
     total categories of generated fibrations (these have parallel arrows)."""
     yield from (corpus.one(), corpus.walk2(), corpus.retract(), corpus.chain3(), corpus.iso2())
     for index in range(count):
-        cat, _, _ = gen_category(_rng(derive_seed(21, index)), Caps())
+        cat, _ = gen_category(_rng(derive_seed(21, index)), Caps())
         yield cat
         yield arrow_category(cat).category
         yield grothendieck(generate_instance("fibration", derive_seed(22, index), Caps())["indexed"]).total
