@@ -4,18 +4,17 @@ Every "there exists a covering family such that each member ..." condition
 is asked on the least cover S(c) (``Topology.least``) only: on a finite site
 the covers J(c) are exactly the sieves containing S(c), so the condition
 holds exactly when it holds at every member of S(c) (``_local_miss``).  The
-full set of qualifying arrows into c is built only for a failing witness,
-except by covering-flat F1, local covering by images and continuity, whose
-positive traces record it.  Comorphism, cover preservation and the zig-zag
-condition of continuity are likewise decided on S(c) alone, and so is cover
-reflection, the first condition of a dense morphism: S(c) must lie in the
-meet of the sieves whose image covers (``sieves.image_cover_meet``),
-so no decider builds a sieve lattice.  Local connectedness (continuity, and
-the second comparison condition of Prop. 3.3) asks whether two pairs lie in
-one connected component of a comma category (d_i ↓ G) over a category of
-elements; ``_comma_components`` answers it for every d_i with one
-union-find over the pairs (x, w: d_i -> G x), without building the elements
-or the comma categories.  Verdicts carry replayable witnesses: a negative
+full set of qualifying arrows into c is built only for a failing witness.
+Comorphism, cover preservation and the zig-zag condition of continuity are
+likewise decided on S(c) alone, and so is cover reflection, the first
+condition of a dense morphism: S(c) must lie in the meet of the sieves whose
+image covers (``sieves.image_cover_meet``), so no decider builds a sieve
+lattice.  Local connectedness (continuity, and the second comparison
+condition of Prop. 3.3) asks whether two pairs lie in one connected
+component of a comma category (d_i ↓ G) over a category of elements;
+``_comma_components`` answers it for every d_i with one union-find over the
+pairs (x, w: d_i -> G x), without building the elements or the comma
+categories.  Verdicts carry replayable witnesses: a negative
 witness re-fails its condition, a positive trace re-verifies.
 """
 from __future__ import annotations
@@ -147,21 +146,19 @@ def is_continuous(sf: SiteFunctor) -> Verdict:
                         for beta in dcat.hom(d, functor.ob(ccat.src[g])):
                             if lhs != dcat.compose(ag, beta):
                                 continue
-                            qualifying = {
-                                t
-                                for t in dcat.into(d)
-                                if comp[(f, dcat.compose(alpha, t))] == comp[(g, dcat.compose(beta, t))]
-                            }
-                            if not k_tgt.is_cover(d, frozenset(qualifying)):
+                            miss = _local_miss(
+                                k_tgt,
+                                dcat,
+                                d,
+                                lambda t: comp[(f, dcat.compose(alpha, t))] == comp[(g, dcat.compose(beta, t))],
+                            )
+                            if miss is not None:
                                 return Verdict(
                                     False,
                                     "continuous",
-                                    (
-                                        "no_local_connection",
-                                        (c, tuple(sorted(sieve)), f, g, d, alpha, beta, tuple(sorted(qualifying))),
-                                    ),
+                                    ("no_local_connection", (c, tuple(sorted(sieve)), f, g, d, alpha, beta, miss)),
                                 )
-                            trace.append((c, f, g, d, alpha, beta, tuple(sorted(qualifying))))
+                            trace.append((c, f, g, d, alpha, beta))
     return Verdict(True, "continuous", (), tuple(trace))
 
 
@@ -184,10 +181,10 @@ def is_covering_flat(sf: SiteFunctor) -> Verdict:
     # the objects with an arrow into some image F(c): the same for every d
     has_cone = {e for e in dcat.objects if any(dcat.hom(e, functor.ob(c)) for c in ccat.objects)}
     for d in dcat.objects:
-        w = frozenset(h for h in dcat.into(d) if dcat.src[h] in has_cone)
-        if not k_tgt.is_cover(d, w):
-            return Verdict(False, "covering-flat", ("no_local_cone", d, tuple(sorted(w))))
-        trace.append(("f1", d, tuple(sorted(w))))
+        miss = _local_miss(k_tgt, dcat, d, lambda h: dcat.src[h] in has_cone)
+        if miss is not None:
+            return Verdict(False, "covering-flat", ("no_local_cone", d, miss))
+        trace.append(("f1", d))
     for d in dcat.objects:
         for c1 in ccat.objects:
             for u1 in dcat.hom(d, functor.ob(c1)):
@@ -269,10 +266,10 @@ def is_dense_morphism(sf: SiteFunctor) -> Verdict:
     images = {functor.ob(c) for c in ccat_src.objects}
     for d in ccat_tgt.objects:
         family = [m for m in ccat_tgt.into(d) if ccat_tgt.src[m] in images]
-        w = generate_sieve(ccat_tgt, d, family)
-        if not j_tgt.is_cover(d, w):
-            return Verdict(False, "dense-morphism", ("not_locally_covered_by_images", d, tuple(sorted(w))))
-        trace.append(("images-cover", d, tuple(sorted(w))))
+        miss = _local_miss(j_tgt, ccat_tgt, d, generate_sieve(ccat_tgt, d, family).__contains__)
+        if miss is not None:
+            return Verdict(False, "dense-morphism", ("not_locally_covered_by_images", d, miss))
+        trace.append(("images-cover", d))
     for c1 in ccat_src.objects:
         for c2 in ccat_src.objects:
             for g in ccat_tgt.hom(functor.ob(c1), functor.ob(c2)):

@@ -446,10 +446,7 @@ def _make_reflect_cartesian(seed, caps):
     rng = _rng(seed)
     dix, _ = gen_fibration(rng, caps)
     src, _ = gen_site(rng, _capped(caps, 3))
-    fn = gen_functor(rng, src, dix.base)
-    if fn is None:
-        raise GenerationError("no functor")
-    return {"indexed": dix, "functor": fn}
+    return {"indexed": dix, "functor": gen_functor(rng, src, dix.base)}
 
 
 def _adjoint_agreement(inst, caps):
@@ -492,8 +489,6 @@ def _adjoint_agreement(inst, caps):
 def _galois_over(rng, caps) -> dict:
     """A generated Galois connection, with an indexed category over its left adjoint's target."""
     adj = gen_galois(rng, caps)
-    if adj is None:
-        raise GenerationError("no galois connection")
     return {"adjunction": adj, "indexed": gen_indexed(rng, adj.left.target, caps)}
 
 
@@ -547,18 +542,13 @@ def _continuous_site_functor(rng, seed, caps):
         return SiteFunctor(identity_functor(cat), topology, topology)
     src, _ = gen_site(rng, caps)
     tgt, tgt_top = gen_site(rng, caps)
-    fn = gen_functor(rng, src, tgt)
-    if fn is None:
-        raise GenerationError("no functor for a continuous instance")
-    return SiteFunctor(fn, trivial_topology(src), tgt_top)
+    return SiteFunctor(gen_functor(rng, src, tgt), trivial_topology(src), tgt_top)
 
 
 def _comorphism_site_functor(rng, seed, caps):
     tgt, tgt_top = gen_site(rng, caps)
     src, _ = gen_site(rng, caps)
     fn = gen_functor(rng, src, tgt)
-    if fn is None:
-        raise GenerationError("no functor")
     return SiteFunctor(fn, min_comorphism_topology(fn, tgt_top), tgt_top)
 
 
@@ -594,16 +584,9 @@ def _make_prop44(seed, caps):
         mid, _ = gen_site(rng, caps)
         outer = gen_functor(rng, mid, dix.base)
         src, _ = gen_site(rng, caps)
-        inner = gen_functor(rng, src, mid) if outer is not None else None
-        if outer is None or inner is None:
-            raise GenerationError("no functor chain")
-        return {"flavor": "direct", "indexed": dix, "inner": inner, "outer": outer}
+        return {"flavor": "direct", "indexed": dix, "inner": gen_functor(rng, src, mid), "outer": outer}
     adj_inner = gen_galois(rng, caps)
-    if adj_inner is None:
-        raise GenerationError("no inner galois")
     adj_outer = gen_galois_into(rng, caps, adj_inner.left.source)
-    if adj_outer is None:
-        raise GenerationError("no outer galois")
     base = adj_inner.left.target
     if rng.random() < 0.5:
         cix = gen_indexed(rng, base, caps)
@@ -717,10 +700,7 @@ def _make_prop24(seed, caps):
     caps = _capped(caps, 3)
     dense_sf = _dense_site_functor(rng, seed, caps)
     src, src_top = gen_site(rng, caps)
-    fn = gen_functor(rng, src, dense_sf.functor.source)
-    if fn is None:
-        raise GenerationError("no functor into the dense source")
-    return {"dense": dense_sf, "functor": fn, "source_topology": src_top}
+    return {"dense": dense_sf, "functor": gen_functor(rng, src, dense_sf.functor.source), "source_topology": src_top}
 
 
 def _prop33(inst, caps):

@@ -211,16 +211,16 @@ def all_functors(src: FinCategory, tgt: FinCategory, limit: int = 2000) -> list[
     return list(itertools.islice(found, limit))
 
 
-def gen_functor(rng: random.Random, src: FinCategory, tgt: FinCategory) -> FinFunctor | None:
+def gen_functor(rng: random.Random, src: FinCategory, tgt: FinCategory) -> FinFunctor:
     """One random functor: up to 30 random object maps, each searched with
-    its hom-sets shuffled."""
+    its hom-sets shuffled; GenerationError when none extends."""
     objects = list(tgt.objects)
     for _ in range(30):
         obj_map = {c: rng.choice(objects) for c in src.objects}
         fn = next(_functors(src, tgt, obj_map, rng.shuffle), None)
         if fn is not None:
             return validate_functor(fn.obj_map, fn.arr_map, src, tgt)
-    return None
+    raise GenerationError("no functor found within caps")
 
 
 # ---------------------------------------------------------------------------
@@ -231,20 +231,13 @@ def _discrete(objs) -> FinCategory:
     return build_category(tuple(objs), {})
 
 
-def _discrete_functor(src: FinCategory, tgt: FinCategory, obj_map) -> FinFunctor:
-    arr_map = {src.identity[c]: tgt.identity[obj_map[c]] for c in src.objects}
-    return validate_functor(obj_map, arr_map, src, tgt)
-
-
 def representable_indexed(base: FinCategory, obj: str) -> IndexedCategory:
     """Discrete fibers hom(c, obj); the total category is the slice over obj."""
     fibers = {c: _discrete(base.hom(c, obj)) for c in base.objects}
     restriction = {}
     for f in base.arrows:
         s, t = base.src[f], base.tgt[f]
-        restriction[f] = _discrete_functor(
-            fibers[t], fibers[s], {u: base.compose(u, f) for u in base.hom(t, obj)}
-        )
+        restriction[f] = _poset_functor({u: base.compose(u, f) for u in base.hom(t, obj)}, fibers[t], fibers[s])
     return validate_indexed(base, fibers, restriction)
 
 
@@ -315,15 +308,11 @@ def gen_indexed(rng: random.Random, base: FinCategory, caps: Caps, edges=None) -
     roll = rng.random()
     if edges is not None and roll < 0.45:
         fibers = {c: gen_small_category(rng, min(caps.fiber_objects, 3)) for c in base.objects}
-        edge_restriction = {}
-        ok = True
-        for e, (s, t) in edges.items():
-            fn = gen_functor(rng, fibers[t], fibers[s])
-            if fn is None:
-                ok = False
-                break
-            edge_restriction[e] = fn
-        if ok:
+        try:
+            edge_restriction = {e: gen_functor(rng, fibers[t], fibers[s]) for e, (s, t) in edges.items()}
+        except GenerationError:
+            pass
+        else:
             restriction = {}
             for a in base.arrows:
                 if base.is_identity(a):
@@ -498,24 +487,24 @@ def _galois_attempt(rng: random.Random, p: FinCategory, q: FinCategory) -> Adjun
     return validate_adjunction(left, right, unit, counit)
 
 
-def gen_galois(rng: random.Random, caps: Caps) -> Adjunction | None:
-    """A verified Galois connection between two random posets."""
+def gen_galois(rng: random.Random, caps: Caps) -> Adjunction:
+    """A verified Galois connection between two random posets, in at most 40 attempts."""
     for _ in range(40):
         p = gen_poset(rng, caps.base_objects)
         q = gen_poset(rng, caps.base_objects)
         adj = _galois_attempt(rng, p, q)
         if adj is not None:
             return adj
-    return None
+    raise GenerationError("no Galois connection within caps")
 
 
-def gen_galois_into(rng: random.Random, caps: Caps, target: FinCategory) -> Adjunction | None:
-    """A verified Galois connection whose lower adjoint lands in ``target``."""
+def gen_galois_into(rng: random.Random, caps: Caps, target: FinCategory) -> Adjunction:
+    """A verified Galois connection whose lower adjoint lands in ``target``, in at most 40 attempts."""
     for _ in range(40):
         adj = _galois_attempt(rng, gen_poset(rng, caps.base_objects), target)
         if adj is not None:
             return adj
-    return None
+    raise GenerationError("no Galois connection into the target within caps")
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +514,7 @@ def gen_galois_into(rng: random.Random, caps: Caps, target: FinCategory) -> Adju
 def gen_dense_pair(rng: random.Random, caps: Caps):
     """A full subcategory inclusion made dense by construction: image-sourced
     families are forced to cover, and the subcategory carries the induced
-    topology.  Returns (inclusion, source topology, target topology) or None.
+    topology.  Returns (inclusion, source topology, target topology).
     """
     for _ in range(20):
         cat = gen_category(rng, caps)[0]
@@ -551,7 +540,7 @@ def gen_dense_pair(rng: random.Random, caps: Caps):
         except StructureError:
             continue
         return inclusion, induced, topology
-    return None
+    raise GenerationError("no dense pair within caps")
 
 
 def min_comorphism_topology(functor: FinFunctor, target_topology: Topology) -> Topology:
@@ -639,34 +628,32 @@ def generate_instance(kind: str, seed: int, caps: Caps) -> dict:
         for _ in range(30):
             src, src_top = gen_site(rng, caps)
             tgt, tgt_top = gen_site(rng, caps)
-            fn = gen_functor(rng, src, tgt)
-            if fn is not None:
-                return {"functor": fn, "source_topology": src_top, "target_topology": tgt_top}
+            try:
+                fn = gen_functor(rng, src, tgt)
+            except GenerationError:
+                continue
+            return {"functor": fn, "source_topology": src_top, "target_topology": tgt_top}
         raise GenerationError("no functor found within caps")
     if kind == "comorphism":
         cat, topology = gen_site(rng, caps)
         for _ in range(30):
             src, _ = gen_site(rng, caps)
-            fn = gen_functor(rng, src, cat)
-            if fn is not None:
-                return {
-                    "functor": fn,
-                    "source_topology": min_comorphism_topology(fn, topology),
-                    "target_topology": topology,
-                }
+            try:
+                fn = gen_functor(rng, src, cat)
+            except GenerationError:
+                continue
+            return {
+                "functor": fn,
+                "source_topology": min_comorphism_topology(fn, topology),
+                "target_topology": topology,
+            }
         raise GenerationError("no comorphism instance within caps")
     if kind == "dense-pair":
-        got = gen_dense_pair(rng, caps)
-        if got is None:
-            raise GenerationError("no dense pair within caps")
-        inclusion, induced, topology = got
+        inclusion, induced, topology = gen_dense_pair(rng, caps)
         return {"functor": inclusion, "source_topology": induced, "target_topology": topology}
     if kind == "adjoint-pair":
-        adj = gen_galois(rng, caps)
-        if adj is None:
-            raise GenerationError("no Galois connection within caps")
-        return {"adjunction": adj}
-    raise GenerationError("unknown instance kind {!r}".format(kind))
+        return {"adjunction": gen_galois(rng, caps)}
+    raise ValueError("unknown instance kind {!r}".format(kind))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ def test_unknown_experiment_id_is_rejected():
 
 
 def test_unknown_instance_kind_is_rejected():
-    with pytest.raises(GenerationError):
+    with pytest.raises(ValueError, match="unknown instance kind"):
         generate_instance("nonsense", 0, SMALL)
 
 

@@ -346,10 +346,7 @@ def test_comparison_is_the_slice_functor_on_representables():
     """With a representable indexed category, the adjoint comparison is the
     slice functor [u] |-> [right(u)] after transposing the inverse image's
     fibers along the adjunction."""
-    rng = _rng(7)
-    adj = None
-    while adj is None:
-        adj = gen_galois(rng, Caps(base_objects=3))
+    adj = gen_galois(_rng(7), Caps(base_objects=3))
     base = adj.left.target
     dcat = adj.left.source
     c0 = sorted(base.objects)[-1]
@@ -390,12 +387,8 @@ def test_compose_direct_images_table_exact(two_point, walk2, one):
 
 def test_compose_inverse_images_identity_iso():
     rng = _rng(11)
-    adj_inner = None
-    while adj_inner is None:
-        adj_inner = gen_galois(rng, Caps(base_objects=3))
-    adj_outer = None
-    while adj_outer is None:
-        adj_outer = gen_galois_into(rng, Caps(base_objects=3), adj_inner.left.source)
+    adj_inner = gen_galois(rng, Caps(base_objects=3))
+    adj_outer = gen_galois_into(rng, Caps(base_objects=3), adj_inner.left.source)
     cix = representable_indexed(adj_inner.left.target, sorted(adj_inner.left.target.objects)[0])
     assert compose_inverse_images(cix, adj_inner, adj_outer)
 
@@ -507,14 +500,16 @@ def cartesian_table_cases(draws):
             yield grothendieck(generate_instance("fibration", derive_seed(6, index), caps)["indexed"])
             dix, _ = gen_fibration(rng, caps)
             src, _ = gen_site(rng, caps)
-            fn = gen_functor(rng, src, dix.base)
-            if fn is not None:
+            try:
+                fn = gen_functor(rng, src, dix.base)
+            except GenerationError:
+                pass
+            else:
                 di = direct_image(dix, fn)
                 yield di.source
                 yield di.target
             adj = gen_galois(rng, caps)
-            if adj is not None:
-                yield inverse_image_adjoint(gen_indexed(rng, adj.left.target, caps), adj).source
+            yield inverse_image_adjoint(gen_indexed(rng, adj.left.target, caps), adj).source
         except (GenerationError, CapExceeded):
             continue
 
@@ -731,8 +726,9 @@ def test_reflects_limits_jointly_matches_the_reference_on_generated_functor_pair
     for i in range(40):
         rng = _rng(derive_seed(5, i))
         src, image, base = (gen_category(rng, Caps())[0] for _ in range(3))
-        functor, base_proj = gen_functor(rng, src, image), gen_functor(rng, src, base)
-        if functor is None or base_proj is None:
+        try:
+            functor, base_proj = gen_functor(rng, src, image), gen_functor(rng, src, base)
+        except GenerationError:
             continue
         expected = reference_reflects_limits_jointly(functor, base_proj)
         assert reflects_limits_jointly(functor, base_proj) == expected
@@ -927,12 +923,15 @@ def base_changes():
         cix, _ = gen_fibration(rng, caps)
         morphisms.append(gen_indexed_morphism(rng, cix, caps))
         src, _ = gen_site(rng, caps)
-        fn = gen_functor(rng, src, cix.base)
-        if fn is not None:
-            direct.append((cix, fn))
-        adj = gen_galois(rng, caps)
-        if adj is not None:
-            adjoint.append((gen_indexed(rng, adj.left.target, caps), adj))
+        try:
+            direct.append((cix, gen_functor(rng, src, cix.base)))
+        except GenerationError:
+            pass
+        try:
+            adj = gen_galois(rng, caps)
+        except GenerationError:
+            continue
+        adjoint.append((gen_indexed(rng, adj.left.target, caps), adj))
     assert min(len(morphisms), len(direct), len(adjoint)) > 20
     return morphisms, direct, adjoint
 

@@ -11,6 +11,8 @@ keeps the two filters that the maximum right adjoint makes redundant.
 import itertools
 import random
 
+import pytest
+
 from finsite import corpus
 from finsite.fincat import (
     FinFunctor,
@@ -31,6 +33,7 @@ from finsite.fibration import (
 )
 from finsite.generate import (
     Caps,
+    GenerationError,
     all_functors,
     collapse_morphism,
     derive_seed,
@@ -378,17 +381,36 @@ def test_all_functors_matches_the_rescanning_search():
     assert found > 0
 
 
+def _discrete_30():
+    return corpus.discrete(tuple("x{}".format(i) for i in range(30)))
+
+
 def test_gen_functor_matches_the_rescanning_search_and_rng_state():
-    found = 0
-    for seed, (src, tgt) in enumerate(_category_pairs()):
+    found = missed = 0
+    # 30 random object maps of Walk2 into 30 points all split its arrow: no draw
+    pairs = [(corpus.walk2(), _discrete_30())] + _category_pairs()
+    for seed, (src, tgt) in enumerate(pairs):
         rng, ref_rng = random.Random(seed), random.Random(seed)
-        new = gen_functor(rng, src, tgt)
         old = reference_gen_functor(ref_rng, src, tgt)
-        assert (new is None) == (old is None)
-        assert new is None or functor_equal(new, old)
+        try:
+            new = gen_functor(rng, src, tgt)
+        except GenerationError:
+            assert old is None
+            missed += 1
+        else:
+            assert functor_equal(new, old)
+            found += 1
         assert rng.getstate() == ref_rng.getstate()
-        found += new is not None
-    assert found > 0
+    assert found > 0 and missed > 0
+
+
+def test_a_draw_that_cannot_be_made_raises_generation_error():
+    with pytest.raises(GenerationError):
+        gen_functor(random.Random(0), corpus.walk2(), _discrete_30())
+    # a one-object poset has no lower adjoint onto two points
+    for seed in range(20):
+        with pytest.raises(GenerationError):
+            gen_galois_into(random.Random(seed), Caps(base_objects=1), corpus.discrete(("p", "q")))
 
 
 def test_inverse_image_comparisons_compose_on_the_nose():
@@ -397,9 +419,10 @@ def test_inverse_image_comparisons_compose_on_the_nose():
     checked = 0
     for seed in SEEDS:
         rng = random.Random(derive_seed(seed, 4))
-        adj_inner = gen_galois(rng, SMALL)
-        adj_outer = None if adj_inner is None else gen_galois_into(rng, SMALL, adj_inner.left.source)
-        if adj_outer is None:
+        try:
+            adj_inner = gen_galois(rng, SMALL)
+            adj_outer = gen_galois_into(rng, SMALL, adj_inner.left.source)
+        except GenerationError:
             continue
         cix = gen_indexed(rng, adj_inner.left.target, SMALL)
         assert compose_inverse_images(cix, adj_inner, adj_outer)
