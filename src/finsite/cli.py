@@ -221,40 +221,47 @@ COMMANDS = {
 }
 
 
-def _command_parser(name: str, parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """``parser`` with the arguments and handler of the command ``name``."""
-    fn, _, arguments = COMMANDS[name]
-    for arg, options in arguments.items():
-        parser.add_argument(arg, **options)
-    parser.set_defaults(fn=fn)
-    return parser
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The top-level parser with every command's parser."""
     parser = argparse.ArgumentParser(prog="finsite", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, text, _) in COMMANDS.items():
-        _command_parser(name, sub.add_parser(name, help=text))
+    for name, (fn, text, arguments) in COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        for arg, options in arguments.items():
+            command.add_argument(arg, **options)
+        command.set_defaults(fn=fn)
     return parser
+
+
+def _bind(argv):
+    """The namespace, less ``command``, that the full parser gives ``argv``
+    when no word needs parsing: a command whose arguments are all
+    positional, followed by one word per argument, none starting with ``-``
+    and each among its argument's choices.  ``None`` for any other line."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    fn, _, arguments = COMMANDS[argv[0]]
+    if len(argv) - 1 != len(arguments):
+        return None
+    args = argparse.Namespace(fn=fn)
+    for (arg, options), word in zip(arguments.items(), argv[1:]):
+        if arg.startswith("-") or word.startswith("-") or word not in options.get("choices", (word,)):
+            return None
+        setattr(args, arg, word)
+    return args
 
 
 def main(argv=None) -> int:
     """Parse ``argv`` (default ``sys.argv[1:]``) and run its command.
 
-    A command line that starts with a command is parsed by that command's
-    parser alone, named as the full parser names it.  The full parser is
-    built only for the help and errors that parser cannot report: a missing
-    or unknown command, a leading option such as ``-h``, and arguments left
-    over.
+    A command whose arguments are all positional, given one plain word for
+    each, is bound to them directly (``_bind``).  Every other line, help,
+    options and errors included, goes to the full parser.
     """
     if argv is None:
         argv = sys.argv[1:]
-    args = extra = None
-    if argv and argv[0] in COMMANDS:
-        parser = _command_parser(argv[0], argparse.ArgumentParser(prog="finsite " + argv[0]))
-        args, extra = parser.parse_known_args(argv[1:])
-    if args is None or extra:
+    args = _bind(argv)
+    if args is None:
         args = build_parser().parse_args(argv)
     try:
         return args.fn(args, sys.stdout)

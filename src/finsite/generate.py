@@ -602,7 +602,7 @@ def gen_presheaf(rng: random.Random, cat: FinCategory, max_size: int) -> Preshea
         found = next(backtrack(choices, checks), None)
         if found is not None:
             return validate_presheaf(cat, values, dict(zip(non_id, found)))
-    return validate_presheaf(cat, {c: () for c in cat.objects}, {})
+    return validate_presheaf(cat, {c: () for c in cat.objects}, {f: {} for f in non_id})
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
+import argparse
+import contextlib
 import gc
+import importlib.util
+import io
 import json
 import os
+import random
 import subprocess
 import sys
-import types
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import finsite
 from finsite import cli, corpus, experiments, fibration, sieves
@@ -24,7 +29,8 @@ from finsite.presheaf import sheaf_targets
 from finsite.sieves import induced_image_topology, saturate, trivial_topology
 
 
-DATA = os.path.join(os.path.dirname(__file__), "..", "src", "finsite", "data")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+DATA = os.path.join(ROOT, "src", "finsite", "data")
 WALK2_BUNDLE = os.path.join(DATA, "walk2.bundle")
 CORPUS_BUNDLE = os.path.join(DATA, "corpus.bundle")
 
@@ -288,16 +294,109 @@ def test_cli_matches_the_full_parser(args, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "build_parser", spy)
     assert run_cli_exit(main, args, capsys) == expected
-    # the full parser only for help and errors a command's parser cannot report
-    unreported = not args or args[0] not in cli.COMMANDS or "unrecognized arguments" in expected[2]
-    assert len(built) == unreported
-    try:
-        full_parser().parse_args(args)
-    except SystemExit:
-        return
-    finally:
-        capsys.readouterr()
-    assert built == [], "a well-formed command line built the full parser"
+    # the full parser once for every line the binder declines, and never otherwise
+    assert len(built) == (cli._bind(args) is None)
+
+
+# words that argparse reads as options, separators or numbers, every choice,
+# a word no command accepts and a bundle path
+BIND_WORDS = [
+    "",
+    "-",
+    "--",
+    "-h",
+    "-1",
+    "--seed",
+    *sorted({c for _, _, args in cli.COMMANDS.values() for opts in args.values() for c in opts.get("choices", ())}),
+    "bogus",
+    WALK2_BUNDLE,
+]
+
+
+@st.composite
+def command_lines(draw):
+    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    arguments = cli.COMMANDS[name][2]
+    return [name, *draw(st.lists(st.sampled_from(BIND_WORDS), max_size=len(arguments) + 1))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+def test_bind_gives_the_full_parsers_namespace_or_declines(argv):
+    bound = cli._bind(argv)
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            parsed = vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            parsed = None
+    if bound is not None:
+        del parsed["command"]
+        assert vars(bound) == parsed
+    elif all(not arg.startswith("-") for arg in cli.COMMANDS[argv[0]][2]):
+        # a line of plain words is declined only when argparse rejects it
+        assert parsed is None or any(word.startswith("-") for word in argv[1:])
+
+
+def load_perfbench_workloads(monkeypatch):
+    """``perfbench/workloads.py`` as a module, listed in ``sys.modules`` while
+    the test runs."""
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """The ``prog`` of every argparse parser built while the test runs."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    return built
+
+
+def test_every_benchmark_request_is_bound(tmp_path, monkeypatch, parsers_built):
+    workloads = load_perfbench_workloads(monkeypatch)
+    monkeypatch.setattr(workloads, "CLI_BUNDLES", 1)
+    sent = []
+    real_main = cli.main
+
+    def recording_main(argv):
+        sent.append(argv)
+        assert cli._bind(argv) is not None
+        return real_main(argv)
+
+    monkeypatch.setattr(cli, "main", recording_main)
+    for op in workloads.CliWorkload(str(tmp_path)).pass_ops(0, random.Random(0)):
+        code, _ = op.call()
+        assert code in (0, 1)
+    shapes = sorted(tuple(argv[:2]) if argv[0] == "check" else (argv[0],) for argv in sent)
+    assert shapes == sorted([("giraud",), ("sheafify",), *(("check", kind) for kind in workloads.CHECK_KINDS)])
+    assert parsers_built == []
+
+
+BOUND_LINES = [
+    ["giraud", WALK2_BUNDLE, "twopoint", "sier"],
+    ["check", "continuous", WALK2_BUNDLE, "p", "gir_twopoint", "sier"],
+    ["sheafify", WALK2_BUNDLE, "twofold", "sier"],
+]
+
+
+def test_only_a_declined_line_builds_an_argparse_parser(parsers_built, capsys):
+    for argv in BOUND_LINES:
+        assert run_cli(argv, capsys)[0] == 0
+    assert parsers_built == []
+    for argv in (["prop", "prop-9.9"], ["fuzz"], ["giraud", "-h"]):
+        run_cli_exit(main, argv, capsys)
+        assert parsers_built, argv
+        parsers_built.clear()
 
 
 def test_cli_main_reads_sys_argv(monkeypatch, capsys):
@@ -429,34 +528,21 @@ def test_cli_sheafify_collapses_worked_example(capsys):
     assert "value b: {s0}" in out
 
 
-def finsite_garbage(garbage):
-    """The objects of a finsite type, and the functions defined in finsite,
-    among ``garbage``."""
-    return sorted(
-        {
-            getattr(o, "__qualname__", type(o).__qualname__)
-            for o in garbage
-            if type(o).__module__.startswith("finsite")
-            or (isinstance(o, types.FunctionType) and o.__module__.startswith("finsite"))
-        }
-    )
-
-
 def test_finsite_leaves_no_cyclic_garbage(walk2, sier, capsys):
     # with the cycle collector off, what the cycle collector then finds was
-    # freed by nothing else; argparse's own cycles are allowed
+    # freed by nothing else; this holds for every module, argparse included,
+    # since a bound request builds no parser
     gc.collect()
     gc.disable()
     try:
+        for argv in BOUND_LINES:
+            assert run_cli(argv, capsys)[0] == 0
         load_bundle(WALK2_BUNDLE)
-        assert run_cli(["giraud", WALK2_BUNDLE, "twopoint", "sier"], capsys)[0] == 0
-        assert run_cli(["check", "continuous", WALK2_BUNDLE, "p", "gir_twopoint", "sier"], capsys)[0] == 0
-        assert run_cli(["sheafify", WALK2_BUNDLE, "twofold", "sier"], capsys)[0] == 0
         assert list(sheaf_targets(walk2, sier, 2))
         assert sieves.topology_candidate_count(walk2) > 1
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
-        found = finsite_garbage(gc.garbage)
+        found = sorted({type(o).__qualname__ for o in gc.garbage})
     finally:
         gc.set_debug(0)
         gc.garbage.clear()

@@ -28,6 +28,7 @@ from finsite.fincat import (
 from finsite.fibration import (
     compose_adjunctions,
     compose_inverse_images,
+    grothendieck,
     inverse_image_adjoint,
     validate_indexed_morphism,
 )
@@ -273,7 +274,7 @@ def reference_gen_presheaf(rng, cat, max_size):
 
         if go(0):
             return validate_presheaf(cat, values, {f: dict(m) for f, m in assign.items()})
-    return validate_presheaf(cat, {c: () for c in cat.objects}, {})
+    return validate_presheaf(cat, {c: () for c in cat.objects}, {f: {} for f in non_id})
 
 
 def reference_natural_iso_search(p, q):
@@ -488,6 +489,15 @@ def _meets_empty_codomain(seed, cat, max_size):
     rng = random.Random(seed)
     sizes = {c: rng.randint(0, max_size) for c in cat.objects}
     return any(sizes[cat.tgt[f]] and not sizes[cat.src[f]] for f in cat.arrows if not cat.is_identity(f))
+
+
+def test_gen_presheaf_falls_back_to_the_empty_presheaf():
+    # all 50 size draws fail on this 16-object total category
+    cix = gen_fibration(random.Random(derive_seed(0, 154)), Caps())[0]
+    total = grothendieck(cix).total
+    presheaf = gen_presheaf(random.Random(154), total, 2)
+    assert set(presheaf.values.values()) == {()}
+    assert presheaf == reference_gen_presheaf(random.Random(154), total, 2)
 
 
 def test_gen_presheaf_matches_the_rescanning_search_and_rng_state():
