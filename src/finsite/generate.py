@@ -227,13 +227,9 @@ def gen_functor(rng: random.Random, src: FinCategory, tgt: FinCategory) -> FinFu
 # Indexed categories
 
 
-def _discrete(objs) -> FinCategory:
-    return build_category(tuple(objs), {})
-
-
 def representable_indexed(base: FinCategory, obj: str) -> IndexedCategory:
     """Discrete fibers hom(c, obj); the total category is the slice over obj."""
-    fibers = {c: _discrete(base.hom(c, obj)) for c in base.objects}
+    fibers = {c: corpus.discrete(base.hom(c, obj)) for c in base.objects}
     restriction = {}
     for f in base.arrows:
         s, t = base.src[f], base.tgt[f]
@@ -296,7 +292,7 @@ def coslice_indexed(base: FinCategory) -> IndexedCategory:
 def gen_small_category(rng: random.Random, max_objects: int) -> FinCategory:
     roll = rng.random()
     if roll < 0.5:
-        return _discrete(["x{}".format(i) for i in range(rng.randint(1, max_objects))])
+        return corpus.discrete(["x{}".format(i) for i in range(rng.randint(1, max_objects))])
     if roll < 0.85:
         return gen_poset(rng, max_objects)
     return corpus.walk2() if rng.random() < 0.5 else corpus.one()

@@ -11,7 +11,7 @@ The bounded oracles search by backtracking that checks each condition as
 soon as it is decided: ``sheaf_targets`` generates one sheaf per
 isomorphism class by orderly generation, pruning a prefix as soon as it
 fails the sheaf condition at an object (for the trivial topology it yields
-every presheaf up to isomorphism), and ``presheaf_morphisms`` assigns a
+every presheaf up to isomorphism), and ``_natural_maps`` assigns a
 natural map one (object, element) slot at a time.  Natural maps and
 matching families both run on ``_assignments``, one iterative search over
 slots whose links are tested when the later of their two slots is assigned.
@@ -288,14 +288,6 @@ def _as_components(p: Presheaf, image: tuple[str, ...]) -> dict[str, dict[str, s
     for (c, a), b in zip(_slots(p), image):
         out[c][a] = b
     return out
-
-
-def presheaf_morphisms(p: Presheaf, q: Presheaf):
-    """All natural maps p -> q as {object: {element: image}}, by backtracking
-    one (object, element) slot at a time with naturality pruning (see
-    ``_natural_maps``)."""
-    for image in _natural_maps(p, q):
-        yield _as_components(p, image)
 
 
 class _Orderly:

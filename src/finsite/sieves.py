@@ -12,12 +12,10 @@ sieves on c whose image covers F(c) are an up-set; its meet is found from
 the largest sieve lacking each arrow (``image_cover_meet``), which decides
 the induced topology and cover reflection without a sieve lattice.  The full
 up-sets are built only where they are the subject: printing a topology, the
-all-covers oracle ``is_topology``, and the enumeration and counting of
-topologies.
+all-covers oracle ``is_topology``, and ``topology_candidate_count``.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -278,9 +276,10 @@ def _count_upsets(rest: int, above: list[int], below: list[int], memo: dict[int,
 def topology_candidate_count(base: FinCategory) -> int:
     """Number of covers-maps that assign each object an up-set of its sieve lattice.
 
-    This is the size of the naive search space (capped once it passes 10**9),
-    not the work ``enumerate_topologies`` does; the experiments use it as
-    their measure for skipping an instance as too large.
+    This is the size of the naive search space (capped once it passes 10**9).
+    Nothing searches that space any more: the count is only def-2.5-minimality's
+    rule for skipping an instance as too large, kept so that its recorded
+    answers do not move.
     """
     total = 1
     for c in base.objects:
@@ -312,26 +311,3 @@ def _least_cover_failure(base: FinCategory, least) -> tuple:
         if not least[c] <= forced:
             return ("transitivity", c)
     return ()
-
-
-def enumerate_topologies(base: FinCategory):
-    """Yield every topology on ``base`` in a deterministic order.
-
-    Covers of a finite site are closed under intersection, so J(c) is the
-    principal up-set of the least cover S(c).  The candidate least covers per
-    object are therefore its sieves, sorted by the size and then the content
-    of their up-sets; their products are filtered by stability and
-    transitivity (``_least_cover_failure``).  Raises CapExceeded on an
-    object with more than 14 sieves.
-    """
-    per_object = []
-    for c in base.objects:
-        lat = sieve_lattice(base, c)
-        if len(lat) > 14:
-            raise CapExceeded("sieve lattice too large on {}".format(c))
-        upsets = {s: sorted(tuple(sorted(t)) for t in lat if s <= t) for s in lat}
-        per_object.append(sorted(lat, key=lambda s: (len(upsets[s]), upsets[s])))
-    for combo in itertools.product(*per_object):
-        least = dict(zip(base.objects, combo))
-        if not _least_cover_failure(base, least):
-            yield Topology(base, least)

@@ -11,7 +11,8 @@ seed-1 digests to acceptance_digests_seed1.json.  Run it from a checkout whose
 reports are trusted; re-recording declares a change to a canonical report.
 
 ``--check`` writes nothing: it compares every report with its recorded digest,
-names each changed (experiment, seed) and exits 1 if there is one.
+names each changed (experiment, seed) with the report's current checked and
+skipped counts and skips by reason, and exits 1 if there is one.
 """
 from __future__ import annotations
 
@@ -35,9 +36,19 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def digests(seed: int) -> dict[str, str]:
+def reports(seed: int) -> dict:
     caps = Caps()
-    return {e: digest(run_experiment(e, seed, caps).canonical_text()) for e in all_experiment_ids()}
+    return {e: run_experiment(e, seed, caps) for e in all_experiment_ids()}
+
+
+def digests(seed: int) -> dict[str, str]:
+    return {e: digest(report.canonical_text()) for e, report in reports(seed).items()}
+
+
+def counts(report) -> str:
+    """The report's checked and skipped counts, and its skips by reason."""
+    reasons = ", ".join("{} {}".format(reason, n) for reason, n in report.skips if n) or "none"
+    return "checked {}, skipped {} ({})".format(report.checked, report.skipped, reasons)
 
 
 def check() -> int:
@@ -45,11 +56,16 @@ def check() -> int:
     for seed, path in DIGESTS.items():
         with open(path, encoding="utf-8") as fh:
             recorded = json.load(fh)
-        now = digests(seed)
+        now = reports(seed)
         total += len(now)
-        changed += [(e, seed) for e in sorted(recorded.keys() | now.keys()) if recorded.get(e) != now.get(e)]
-    for exp_id, seed in changed:
+        for e in sorted(recorded.keys() | now.keys()):
+            report = now.get(e)
+            if report is None or recorded.get(e) != digest(report.canonical_text()):
+                changed.append((e, seed, report))
+    for exp_id, seed, report in changed:
         print("changed: {} at seed {}".format(exp_id, seed))
+        if report is not None:
+            print("  now {}".format(counts(report)))
     print("{} of {} reports changed".format(len(changed), total))
     return 1 if changed else 0
 

@@ -57,7 +57,7 @@ def _criterion(number: int, title: str, experiment_ids: tuple[str, ...]):
 
 
 def test_criterion_01_topology_soundness():
-    _criterion(1, "topology soundness and saturation minimality", ("topology-soundness",))
+    _criterion(1, "topology soundness and saturation idempotence", ("topology-soundness",))
 
 
 def test_criterion_02_giraud_minimality():

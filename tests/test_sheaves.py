@@ -11,13 +11,14 @@ from finsite.deciders import SiteFunctor, is_continuous
 from finsite.generate import Caps, GenerationError, derive_seed, gen_presheaf, gen_site, generate_instance
 from finsite.presheaf import (
     Presheaf,
+    _as_components,
     _assignments,
+    _natural_maps,
     amalgamations,
     is_sheaf,
     matching_families,
     plus,
     precompose,
-    presheaf_morphisms,
     prop33_pullback_data,
     representable,
     sheaf_targets,
@@ -28,12 +29,12 @@ from finsite.presheaf import (
 from finsite.sieves import (
     CapExceeded,
     Topology,
-    enumerate_topologies,
     maximal_sieve,
     pullback_arrows,
     saturate,
     trivial_topology,
 )
+from test_verify import enumerate_topologies
 
 
 @pytest.fixture
@@ -243,7 +244,7 @@ def test_prop33_pullback_two_point_instance(two_point, walk2):
 def test_presheaf_morphism_enumeration_counts(walk2):
     singleton = validate_presheaf(walk2, {"a": ("*",), "b": ("*",)}, {"u": {"*": "*"}})
     pair = validate_presheaf(walk2, {"a": ("0", "1"), "b": ("0", "1")}, {"u": {"0": "0", "1": "1"}})
-    maps = list(presheaf_morphisms(singleton, pair))
+    maps = [_as_components(singleton, image) for image in _natural_maps(singleton, pair)]
     assert len(maps) == 2
 
 
@@ -411,7 +412,7 @@ def test_enumerate_presheaves_matches_the_full_scan_in_order():
 def test_presheaf_morphisms_match_the_full_scan_in_order():
     for cat, _, p in small_fuzzed_sites(60):
         for q in reference_enumerate_presheaves(cat, 3):
-            ours = [list((c, list(m.items())) for c, m in h.items()) for h in presheaf_morphisms(p, q)]
+            ours = [list((c, list(m.items())) for c, m in _as_components(p, h).items()) for h in _natural_maps(p, q)]
             oracle = [list((c, list(m.items())) for c, m in h.items()) for h in reference_presheaf_morphisms(p, q)]
             assert ours == oracle
 

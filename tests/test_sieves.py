@@ -27,7 +27,6 @@ from finsite.sieves import (
     Topology,
     InducedTopologyError,
     _least_cover_failure,
-    enumerate_topologies,
     generate_sieve,
     image_cover_meet,
     image_sieve,
@@ -42,7 +41,7 @@ from finsite.sieves import (
     topology_leq,
     trivial_topology,
 )
-from test_verify import elements_of_sieve
+from test_verify import elements_of_sieve, enumerate_topologies
 
 
 def validate_sieve(base, apex, arrows):
@@ -583,6 +582,21 @@ def test_saturate_matches_the_worklist_on_fuzzed_coverages():
                     kinds.add("not a sieve")
         assert saturate(base, gens) == reference_saturate(base, gens)
     assert kinds == {"no generators", "empty family", "not a sieve"}
+
+
+def test_saturate_is_the_least_topology_covering_its_generators():
+    topologies = {base: list(enumerate_topologies(base)) for base in enumerable_bases()}
+    coverages = 0
+    for base, gens in fuzzed_coverages(1000, seed=12):
+        if base not in topologies:
+            continue
+        sieves = [(c, generate_sieve(base, c, fam)) for c, fams in gens.items() for fam in fams]
+        covering = [k for k in topologies[base] if all(k.is_cover(c, s) for c, s in sieves)]
+        least = saturate(base, gens)
+        assert least in covering
+        assert all(topology_leq(least, k) for k in covering)
+        coverages += 1
+    assert coverages >= 800
 
 
 def representation_cases():

@@ -1,8 +1,9 @@
+import itertools
 from dataclasses import dataclass, replace
 
 import pytest
 
-from finsite import corpus
+from finsite import corpus, experiments
 from finsite.deciders import (
     Prop33Square,
     SiteFunctor,
@@ -51,11 +52,13 @@ from finsite.generate import (
     gen_site,
     gen_topology,
     generate_instance,
+    min_comorphism_topology,
 )
 from finsite.presheaf import Presheaf, prop33_pullback_data, validate_presheaf
 from finsite.sieves import (
     CapExceeded,
-    enumerate_topologies,
+    Topology,
+    _least_cover_failure,
     generate_sieve,
     image_cover_meet,
     image_sieve,
@@ -63,6 +66,7 @@ from finsite.sieves import (
     sieve_lattice,
     sieve_without,
     topology_candidate_count,
+    topology_leq,
     trivial_topology,
 )
 
@@ -295,6 +299,77 @@ def test_prop33_rejects_cartesian_breaking_functor(walk2, one, two_point):
     assert verdict.witness[0] == "no_local_triplets"
     assert verdict.witness[1][0] == "u"
     assert replay(verdict, square)
+
+
+# ---------------------------------------------------------------------------
+# Every topology on a small base, the oracle the topology tests enumerate
+
+
+def enumerate_topologies(base):
+    """Yield every topology on ``base`` in a deterministic order.
+
+    Covers of a finite site are closed under intersection, so J(c) is the
+    principal up-set of the least cover S(c).  The candidate least covers per
+    object are therefore its sieves, sorted by the size and then the content
+    of their up-sets; their products are filtered by stability and
+    transitivity (``_least_cover_failure``).  Raises CapExceeded on an
+    object with more than 14 sieves.
+    """
+    per_object = []
+    for c in base.objects:
+        lat = sieve_lattice(base, c)
+        if len(lat) > 14:
+            raise CapExceeded("sieve lattice too large on {}".format(c))
+        upsets = {s: sorted(tuple(sorted(t)) for t in lat if s <= t) for s in lat}
+        per_object.append(sorted(lat, key=lambda s: (len(upsets[s]), upsets[s])))
+    for combo in itertools.product(*per_object):
+        least = dict(zip(base.objects, combo))
+        if not _least_cover_failure(base, least):
+            yield Topology(base, least)
+
+
+def minimality_instances(per_seed):
+    """def-2.5-minimality's corpus case, then its first ``per_seed`` fuzz
+    instances at seeds 0 and 1 that pass its size gate."""
+    spec = experiments.EXPERIMENTS["def-2.5-minimality"]
+    caps = Caps()
+    out = [{"indexed": corpus.two_point(), "base_topology": corpus.sier()}]
+    for seed in (0, 1):
+        for index in range(per_seed):
+            try:
+                inst = spec.make(derive_seed(seed, index), caps)
+            except (GenerationError, CapExceeded):
+                continue
+            if topology_candidate_count(grothendieck(inst["indexed"]).total) <= caps.enumeration_limit:
+                out.append(inst)
+    return out
+
+
+def test_comorphism_topologies_are_exactly_the_up_set_of_giraud():
+    # Def. 2.5 decided as def-2.5-minimality decided it before it compared
+    # Giraud with the least comorphism topology: over every topology on the
+    # total category
+    instances = minimality_instances(50)
+    candidates = comorphic = 0
+    for inst in instances:
+        cix, base_topology = inst["indexed"], inst["base_topology"]
+        bundle = grothendieck(cix)
+        gir = giraud_topology(cix, base_topology)
+        assert gir == min_comorphism_topology(bundle.projection, base_topology)
+        topologies = list(enumerate_topologies(bundle.total))
+        passes = {k for k in topologies if is_comorphism(SiteFunctor(bundle.projection, k, base_topology)).ok}
+        assert passes == {k for k in topologies if topology_leq(gir, k)}
+        candidates += len(topologies)
+        comorphic += len(passes)
+    assert len(instances) >= 90
+    assert 0 < comorphic < candidates
+
+
+def test_minimality_fails_on_a_wrong_least_comorphism_topology(monkeypatch):
+    monkeypatch.setattr(experiments, "min_comorphism_topology", lambda functor, _: trivial_topology(functor.source))
+    report = experiments.run_experiment("def-2.5-minimality", 0, Caps(instances=0))
+    assert [f.label for f in report.failures] == ["twopoint-sier"]
+    assert report.failures[0].message.startswith("the Giraud topology is not the least comorphism topology")
 
 
 # ---------------------------------------------------------------------------
