@@ -9,15 +9,11 @@ an error located at its entry's path.
 """
 from __future__ import annotations
 
-import json
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from functools import partial
-
 from .fincat import (
     FinCategory,
     FinFunctor,
     NatTransform,
+    Record,
     StructureError,
     validate_category,
     validate_functor,
@@ -38,31 +34,30 @@ class BundleError(ValueError):
         self.reason = message
 
 
-@dataclass
-class Workspace:
-    categories: dict[str, FinCategory] = field(default_factory=dict)
-    topologies: dict[str, Topology] = field(default_factory=dict)
-    indexed: dict[str, IndexedCategory] = field(default_factory=dict)
-    functors: dict[str, FinFunctor] = field(default_factory=dict)
-    naturals: dict[str, NatTransform] = field(default_factory=dict)
-    presheaves: dict[str, Presheaf] = field(default_factory=dict)
+class Workspace(Record):
+    """Loaded entries by section and name.  Unlike the other records a
+    workspace is mutable, so unhashable: its sections may be assigned."""
 
+    _fields = ("categories", "topologies", "indexed", "functors", "naturals", "presheaves")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
-@contextmanager
-def _at(path: str):
-    """Raise a failed validation as a BundleError located at ``path``.
-
-    Loading and validation read JSON as maps and lists; a table of another
-    JSON type fails there with TypeError, AttributeError or ValueError, and
-    is reported here as malformed."""
-    try:
-        yield
-    except BundleError:
-        raise
-    except (StructureError, CapExceeded) as err:
-        raise BundleError(path, str(err))
-    except (TypeError, AttributeError, ValueError) as err:
-        raise BundleError(path, "malformed tables: {}".format(err))
+    def __init__(
+        self,
+        categories: dict[str, FinCategory] | None = None,
+        topologies: dict[str, Topology] | None = None,
+        indexed: dict[str, IndexedCategory] | None = None,
+        functors: dict[str, FinFunctor] | None = None,
+        naturals: dict[str, NatTransform] | None = None,
+        presheaves: dict[str, Presheaf] | None = None,
+    ):
+        self.categories = {} if categories is None else categories
+        self.topologies = {} if topologies is None else topologies
+        self.indexed = {} if indexed is None else indexed
+        self.functors = {} if functors is None else functors
+        self.naturals = {} if naturals is None else naturals
+        self.presheaves = {} if presheaves is None else presheaves
 
 
 def _load_category(get, path: str, doc: dict) -> FinCategory:
@@ -158,25 +153,46 @@ def read_document(source) -> dict:
         elif "\n" not in str(source) and not str(source).lstrip().startswith("{"):
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
+        import json
+
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as err:
             raise BundleError("/", "parse error: {}".format(err))
-    with _at("/"):
+    try:
         return {key: dict(doc.get(key, {})) for key in SECTIONS}
+    except (TypeError, AttributeError, ValueError) as err:
+        raise BundleError("/", "malformed tables: {}".format(err))
 
 
-def _resolve(ws: Workspace, sections: dict, section, name, path, kind):
-    """``load_bundle``'s resolver: the entry, loaded into ``ws`` on first use.
-    Loaders get it bound by ``partial``, which holds no reference to itself."""
-    loaded = getattr(ws, section)
-    if name not in loaded:
-        if name not in sections[section]:
-            raise BundleError(path, "dangling reference to {} {!r}".format(kind, name))
-        entry_path = "{}/{}".format(section, name)
-        with _at(entry_path):
-            loaded[name] = _LOADERS[section](partial(_resolve, ws, sections), entry_path, sections[section][name])
-    return loaded[name]
+class _Resolver:
+    """Loads the entries of ``sections`` into ``ws``.  Loaders read the
+    entries they reference through the bound ``get``; nothing keeps that
+    bound method, so loading leaves no cycle for the collector."""
+
+    def __init__(self, sections: dict):
+        self.sections = sections
+        self.ws = Workspace()
+
+    def get(self, section, name, path, kind):
+        """The entry, loaded on first use.  Loading and validation read JSON
+        as maps and lists; a table of another JSON type fails there with
+        TypeError, AttributeError or ValueError, reported as malformed."""
+        loaded = getattr(self.ws, section)
+        if name not in loaded:
+            entries = self.sections[section]
+            if name not in entries:
+                raise BundleError(path, "dangling reference to {} {!r}".format(kind, name))
+            entry_path = "{}/{}".format(section, name)
+            try:
+                loaded[name] = _LOADERS[section](self.get, entry_path, entries[name])
+            except BundleError:
+                raise
+            except (StructureError, CapExceeded) as err:
+                raise BundleError(entry_path, str(err))
+            except (TypeError, AttributeError, ValueError) as err:
+                raise BundleError(entry_path, "malformed tables: {}".format(err))
+        return loaded[name]
 
 
 def load_bundle(source, names=None) -> Workspace:
@@ -191,14 +207,18 @@ def load_bundle(source, names=None) -> Workspace:
     ``names`` every entry is loaded, section by section in ``SECTIONS`` order
     and by sorted name, so the first malformed entry is the one reported.
     """
-    sections = read_document(source)
-    ws = Workspace()
+    return load_sections(read_document(source), names)
+
+
+def load_sections(sections: dict, names=None) -> Workspace:
+    """``load_bundle`` on the sections ``read_document`` returned."""
+    resolver = _Resolver(sections)
     wanted = sections if names is None else names
     for section in SECTIONS:
         for name in sorted(wanted.get(section, ())):
             if name in sections[section]:  # so the "/" location is never reported
-                _resolve(ws, sections, section, name, "/", section)
-    return ws
+                resolver.get(section, name, "/", section)
+    return resolver.ws
 
 
 def category_to_json(cat: FinCategory) -> dict:
@@ -287,4 +307,6 @@ def workspace_to_json(ws: Workspace) -> dict:
 
 
 def dumps_canonical(doc: dict) -> str:
+    import json
+
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))

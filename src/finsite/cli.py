@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bundles import BundleError, Workspace, load_bundle, read_document
+from .bundles import BundleError, Workspace, load_sections, read_document
 from .fincat import StructureError
 from .fibration import direct_image, giraud_topology
 from .presheaf import sheafify
@@ -36,10 +36,10 @@ class InputError(Exception):
 
 def _load(path: str, names=None) -> tuple[dict, Workspace]:
     """The bundle's sections and its workspace, with ``names`` loaded as in
-    ``load_bundle``."""
+    ``load_bundle``; the document is read once."""
     try:
         sections = read_document(path)
-        return sections, load_bundle(sections, names)
+        return sections, load_sections(sections, names)
     except (BundleError, OSError) as err:
         raise InputError(str(err))
 

@@ -19,34 +19,34 @@ witness re-fails its condition, a positive trace re-verifies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .fincat import FinFunctor, NatTransform, StructureError, compose_functors, validate_transform
+from .fincat import FinFunctor, NatTransform, Record, StructureError, compose_functors, validate_transform
 from .presheaf import prop33_pullback_data
 from .sieves import Topology, generate_sieve, image_cover_meet, image_sieve, sieve_without
 
 
-@dataclass(frozen=True)
-class SiteFunctor:
+class SiteFunctor(Record):
     """A functor decorated with topologies on its source and target."""
 
-    functor: FinFunctor
-    source_topology: Topology
-    target_topology: Topology
+    _fields = ("functor", "source_topology", "target_topology")
 
-    def __post_init__(self):
-        if self.source_topology.base != self.functor.source:
+    def __init__(self, functor: FinFunctor, source_topology: Topology, target_topology: Topology):
+        object.__setattr__(self, "functor", functor)
+        object.__setattr__(self, "source_topology", source_topology)
+        object.__setattr__(self, "target_topology", target_topology)
+        if source_topology.base != functor.source:
             raise StructureError("source topology lives on the wrong category")
-        if self.target_topology.base != self.functor.target:
+        if target_topology.base != functor.target:
             raise StructureError("target topology lives on the wrong category")
 
 
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    rule: str
-    witness: tuple = ()
-    trace: tuple = ()
+class Verdict(Record):
+    _fields = ("ok", "rule", "witness", "trace")
+
+    def __init__(self, ok: bool, rule: str, witness: tuple = (), trace: tuple = ()):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "trace", trace)
 
     def __bool__(self):
         return self.ok
@@ -298,24 +298,30 @@ def is_dense_morphism(sf: SiteFunctor) -> Verdict:
     return Verdict(True, "dense-morphism", (), tuple(trace))
 
 
-@dataclass(frozen=True)
-class Prop33Square:
+class Prop33Square(Record):
     """The square of a comparison condition check: a continuous functor over a
     base-change morphism, with the connecting transformation and the topology
     on the top-right site."""
 
-    a_top: FinFunctor
-    b_base: FinFunctor
-    phi: NatTransform
-    p: FinFunctor
-    p_prime: FinFunctor
-    k_top: Topology
+    _fields = ("a_top", "b_base", "phi", "p", "p_prime", "k_top")
 
-    def __post_init__(self):
-        want_src = compose_functors(self.p, self.a_top)
-        want_tgt = compose_functors(self.b_base, self.p_prime)
-        validate_transform(self.phi.component, want_src, want_tgt)
-        if self.k_top.base != self.p.source:
+    def __init__(
+        self,
+        a_top: FinFunctor,
+        b_base: FinFunctor,
+        phi: NatTransform,
+        p: FinFunctor,
+        p_prime: FinFunctor,
+        k_top: Topology,
+    ):
+        object.__setattr__(self, "a_top", a_top)
+        object.__setattr__(self, "b_base", b_base)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p_prime", p_prime)
+        object.__setattr__(self, "k_top", k_top)
+        validate_transform(phi.component, compose_functors(p, a_top), compose_functors(b_base, p_prime))
+        if k_top.base != p.source:
             raise StructureError("top topology must live on the target total category")
 
 

@@ -12,6 +12,10 @@ from __future__ import annotations
 import hashlib
 import time
 from collections.abc import Callable, Iterable
+# Failure, Report, ExperimentSpec and generate.Caps stay dataclasses, unlike
+# the ``fincat.Record`` records: callers derive variants of them with
+# ``dataclasses.replace``, and they load only with this engine, never on the
+# set-up or bundle-command paths, so ``dataclasses`` costs those nothing.
 from dataclasses import dataclass, replace
 
 from . import corpus

@@ -19,13 +19,13 @@ cartesian-fibration question; the base-change constructions never load it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .fincat import (
     Adjunction,
     FinCategory,
     FinFunctor,
+    Record,
     StructureError,
     check_adjunction,
     composable_pairs,
@@ -46,19 +46,22 @@ def pair_arr(u: str, f: str, src: str, tgt: str) -> str:
     return "({},{}):{}->{}".format(u, f, src, tgt)
 
 
-@dataclass(frozen=True)
-class IndexedCategory:
+class IndexedCategory(Record):
     """A strict contravariant assignment of fiber categories to a base.
 
     ``restriction[f]`` for f: c -> c' is a functor fiber(c') -> fiber(c).
     Instances are treated as immutable: ``grothendieck`` builds the total
-    category once per instance and keeps it in ``_scratch``.
+    category once per instance and keeps it in ``_scratch``, which is not a
+    field, so equality and ``repr`` ignore it.
     """
 
-    base: FinCategory
-    fiber: dict[str, FinCategory]
-    restriction: dict[str, FinFunctor]
-    _scratch: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("base", "fiber", "restriction")
+
+    def __init__(self, base: FinCategory, fiber: dict[str, FinCategory], restriction: dict[str, FinFunctor]):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "fiber", fiber)
+        object.__setattr__(self, "restriction", restriction)
+        object.__setattr__(self, "_scratch", {})
 
 
 def _is_identity_on(r: FinFunctor, cat: FinCategory) -> bool:
@@ -113,8 +116,7 @@ def validate_indexed(base: FinCategory, fiber, restriction) -> IndexedCategory:
     return IndexedCategory(base, fiber, restriction)
 
 
-@dataclass(frozen=True)
-class FibrationBundle:
+class FibrationBundle(Record):
     """A total category with its projection; its cartesian table is decided
     on first read.
 
@@ -122,10 +124,19 @@ class FibrationBundle:
     it, so the two are freed without the cycle collector.
     """
 
-    total: FinCategory
-    projection: FinFunctor
-    obj_pair: dict[str, tuple[str, str]] | None = None
-    arr_pair: dict[str, tuple[str, str]] | None = None
+    _fields = ("total", "projection", "obj_pair", "arr_pair")
+
+    def __init__(
+        self,
+        total: FinCategory,
+        projection: FinFunctor,
+        obj_pair: dict[str, tuple[str, str]] | None = None,
+        arr_pair: dict[str, tuple[str, str]] | None = None,
+    ):
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "projection", projection)
+        object.__setattr__(self, "obj_pair", obj_pair)
+        object.__setattr__(self, "arr_pair", arr_pair)
 
     @property
     def base(self) -> FinCategory:
@@ -282,11 +293,13 @@ def giraud_topology(cix: IndexedCategory, base_topology: Topology, bundle: Fibra
 # Morphisms of indexed categories (fixed base)
 
 
-@dataclass(frozen=True)
-class IndexedMorphism:
-    source: IndexedCategory
-    target: IndexedCategory
-    components: dict[str, FinFunctor]
+class IndexedMorphism(Record):
+    _fields = ("source", "target", "components")
+
+    def __init__(self, source: IndexedCategory, target: IndexedCategory, components: dict[str, FinFunctor]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "components", components)
 
 
 def validate_indexed_morphism(source: IndexedCategory, target: IndexedCategory, components) -> IndexedMorphism:
@@ -340,12 +353,14 @@ def total_functor(morphism: IndexedMorphism) -> FinFunctor:
 # Direct image (pullback of the fibration)
 
 
-@dataclass(frozen=True)
-class DirectImage:
-    indexed: IndexedCategory
-    q: FinFunctor
-    source: FibrationBundle
-    target: FibrationBundle
+class DirectImage(Record):
+    _fields = ("indexed", "q", "source", "target")
+
+    def __init__(self, indexed: IndexedCategory, q: FinFunctor, source: FibrationBundle, target: FibrationBundle):
+        object.__setattr__(self, "indexed", indexed)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
 
 
 def direct_image(dix: IndexedCategory, functor: FinFunctor) -> DirectImage:
@@ -375,14 +390,24 @@ def q_reflects_cartesian(instance: DirectImage) -> tuple[bool, tuple]:
 # Inverse image along a right adjoint
 
 
-@dataclass(frozen=True)
-class InverseImage:
-    indexed: IndexedCategory
-    q: FinFunctor
-    comparison: FinFunctor
-    source: FibrationBundle
-    target: FibrationBundle
-    adjunction_ok: bool
+class InverseImage(Record):
+    _fields = ("indexed", "q", "comparison", "source", "target", "adjunction_ok")
+
+    def __init__(
+        self,
+        indexed: IndexedCategory,
+        q: FinFunctor,
+        comparison: FinFunctor,
+        source: FibrationBundle,
+        target: FibrationBundle,
+        adjunction_ok: bool,
+    ):
+        object.__setattr__(self, "indexed", indexed)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "comparison", comparison)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "adjunction_ok", adjunction_ok)
 
 
 def inverse_image_adjoint(cix: IndexedCategory, adj: Adjunction) -> InverseImage:
@@ -503,10 +528,12 @@ def is_cartesian_fibration(cix: IndexedCategory) -> tuple[bool, tuple]:
     return True, ()
 
 
-@dataclass(frozen=True)
-class StructureFunctor:
-    composite: FinFunctor
-    inverse: InverseImage
+class StructureFunctor(Record):
+    _fields = ("composite", "inverse")
+
+    def __init__(self, composite: FinFunctor, inverse: InverseImage):
+        object.__setattr__(self, "composite", composite)
+        object.__setattr__(self, "inverse", inverse)
 
 
 def structure_functor(cix: IndexedCategory, adj: Adjunction) -> StructureFunctor:

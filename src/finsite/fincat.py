@@ -12,11 +12,14 @@ presentation, so each distinct presentation is validated in full once per
 report and one category may be shared by several of the report's instances.
 Because of that sharing a category's ``_scratch`` holds only data derived
 from the category itself: its sieve lattices and its finite-limit search.
+
+The records of this and the other modules (categories, functors,
+topologies, presheaves, verdicts, ...) derive from ``Record``: immutable,
+compared and printed field by field.
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cached_property
 
 DEFAULT_MAX_OBJECTS = 64
@@ -34,8 +37,41 @@ class StructureError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True, eq=False)
-class FinCategory:
+class Record:
+    """An immutable record of the fields its class names in ``_fields``.
+
+    Each subclass sets its fields in its own ``__init__`` with
+    ``object.__setattr__``.  Two records are equal when they are of the same
+    class and their fields are equal; a record hashes its fields, so one
+    holding a dict cannot be hashed; it prints as ``Name(field=value, ...)``.
+    Assigning or deleting an attribute raises AttributeError.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join("{}={!r}".format(name, getattr(self, name)) for name in self._fields)
+        return "{}({})".format(type(self).__qualname__, fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field {!r}".format(name))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field {!r}".format(name))
+
+
+class FinCategory(Record):
     """An explicit finite category.
 
     ``table[(g, f)]`` is the composite "g after f"; it is defined exactly on
@@ -45,30 +81,40 @@ class FinCategory:
     ``limits.finite_limits`` (``"finite_limits"``; its cones are read-only).
     Nothing else may go there: inside an ``interning()`` scope one instance
     serves every caller that builds the same presentation, so the instances
-    of a report may share it.  Equality and hashing compare the
-    sorted tables, which are built on the first ``__hash__`` or non-identical
-    ``__eq__``, not on construction.
+    of a report may share it.  The constructor only indexes the tables by
+    endpoint; ``validate_category`` checks them.  Equality and hashing
+    compare the sorted tables, which are built on the first ``__hash__`` or
+    non-identical ``__eq__``, not on construction.
     """
 
-    objects: tuple[str, ...]
-    arrows: tuple[str, ...]
-    src: dict[str, str]
-    tgt: dict[str, str]
-    identity: dict[str, str]
-    table: dict[tuple[str, str], str]
+    _fields = ("objects", "arrows", "src", "tgt", "identity", "table")
 
-    def __post_init__(self):
-        into = {c: [] for c in self.objects}
-        out = {c: [] for c in self.objects}
+    def __init__(
+        self,
+        objects: tuple[str, ...],
+        arrows: tuple[str, ...],
+        src: dict[str, str],
+        tgt: dict[str, str],
+        identity: dict[str, str],
+        table: dict[tuple[str, str], str],
+    ):
+        object.__setattr__(self, "objects", objects)
+        object.__setattr__(self, "arrows", arrows)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "tgt", tgt)
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "table", table)
+        into = {c: [] for c in objects}
+        out = {c: [] for c in objects}
         hom: dict[tuple[str, str], list[str]] = {}
-        for a in self.arrows:
-            into[self.tgt[a]].append(a)
-            out[self.src[a]].append(a)
-            hom.setdefault((self.src[a], self.tgt[a]), []).append(a)
+        for a in arrows:
+            into[tgt[a]].append(a)
+            out[src[a]].append(a)
+            hom.setdefault((src[a], tgt[a]), []).append(a)
         object.__setattr__(self, "_into", {c: tuple(v) for c, v in into.items()})
         object.__setattr__(self, "_out", {c: tuple(v) for c, v in out.items()})
         object.__setattr__(self, "_hom", {k: tuple(v) for k, v in hom.items()})
-        object.__setattr__(self, "_ids", frozenset(self.identity.values()))
+        object.__setattr__(self, "_ids", frozenset(identity.values()))
         object.__setattr__(self, "_inverse_cache", {})
         object.__setattr__(self, "_scratch", {})
 
@@ -366,12 +412,14 @@ def full_subcategory(cat: FinCategory, objects) -> FinCategory:
     return validate_category(objects, arrows, identity, table)
 
 
-@dataclass(frozen=True)
-class FinFunctor:
-    source: FinCategory
-    target: FinCategory
-    obj_map: dict[str, str]
-    arr_map: dict[str, str]
+class FinFunctor(Record):
+    _fields = ("source", "target", "obj_map", "arr_map")
+
+    def __init__(self, source: FinCategory, target: FinCategory, obj_map: dict[str, str], arr_map: dict[str, str]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "obj_map", obj_map)
+        object.__setattr__(self, "arr_map", arr_map)
 
     def ob(self, x: str) -> str:
         return self.obj_map[x]
@@ -446,11 +494,13 @@ def functor_equal(p: FinFunctor, q: FinFunctor) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class NatTransform:
-    source: FinFunctor
-    target: FinFunctor
-    component: dict[str, str]
+class NatTransform(Record):
+    _fields = ("source", "target", "component")
+
+    def __init__(self, source: FinFunctor, target: FinFunctor, component: dict[str, str]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "component", component)
 
 
 def validate_transform(component, source: FinFunctor, target: FinFunctor) -> NatTransform:
@@ -494,15 +544,24 @@ def _triple_name(d, d2, u):
     return "({},{},{})".format(d, d2, u)
 
 
-@dataclass(frozen=True)
-class CommaCategory:
+class CommaCategory(Record):
     """The category of triples (d, d', u: F(d) -> G(d')) with its projections."""
 
-    category: FinCategory
-    left: FinFunctor
-    right: FinFunctor
-    obj_data: dict[str, tuple[str, str, str]]
-    arr_data: dict[str, tuple[str, str]]
+    _fields = ("category", "left", "right", "obj_data", "arr_data")
+
+    def __init__(
+        self,
+        category: FinCategory,
+        left: FinFunctor,
+        right: FinFunctor,
+        obj_data: dict[str, tuple[str, str, str]],
+        arr_data: dict[str, tuple[str, str]],
+    ):
+        object.__setattr__(self, "category", category)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "obj_data", obj_data)
+        object.__setattr__(self, "arr_data", arr_data)
 
 
 def comma_category(f_leg: FinFunctor, g_leg: FinFunctor) -> CommaCategory:
@@ -553,12 +612,14 @@ def comma_category(f_leg: FinFunctor, g_leg: FinFunctor) -> CommaCategory:
     return CommaCategory(cat, proj_l, proj_r, obj_data, arr_data)
 
 
-@dataclass(frozen=True)
-class ArrowCategory:
-    category: FinCategory
-    dom: FinFunctor
-    cod: FinFunctor
-    of_arrow: dict[str, str]
+class ArrowCategory(Record):
+    _fields = ("category", "dom", "cod", "of_arrow")
+
+    def __init__(self, category: FinCategory, dom: FinFunctor, cod: FinFunctor, of_arrow: dict[str, str]):
+        object.__setattr__(self, "category", category)
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "of_arrow", of_arrow)
 
 
 def arrow_category(cat: FinCategory) -> ArrowCategory:
@@ -617,18 +678,20 @@ def connected_components(cat: FinCategory) -> tuple[tuple[str, ...], ...]:
 # Adjunctions and equivalences
 
 
-@dataclass(frozen=True)
-class Adjunction:
+class Adjunction(Record):
     """left -| right with left: A -> B, right: B -> A.
 
     unit has components at A-objects (a -> right(left(a))), counit at
     B-objects (left(right(b)) -> b).
     """
 
-    left: FinFunctor
-    right: FinFunctor
-    unit: dict[str, str]
-    counit: dict[str, str]
+    _fields = ("left", "right", "unit", "counit")
+
+    def __init__(self, left: FinFunctor, right: FinFunctor, unit: dict[str, str], counit: dict[str, str]):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "counit", counit)
 
 
 def check_adjunction(left: FinFunctor, right: FinFunctor, unit: dict[str, str], counit: dict[str, str]) -> bool:

@@ -5,9 +5,7 @@ limits; every universal property is decided by brute-force cone counting.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .fincat import FinCategory, FinFunctor
+from .fincat import FinCategory, FinFunctor, Record
 
 
 def is_terminal(cat: FinCategory, t: str) -> bool:
@@ -67,11 +65,18 @@ def find_equalizer(cat: FinCategory, f: str, g: str):
     return None
 
 
-@dataclass(frozen=True)
-class LimitCones:
-    terminal: str
-    products: dict[tuple[str, str], tuple[str, str, str]]
-    equalizers: dict[tuple[str, str], tuple[str, str]]
+class LimitCones(Record):
+    _fields = ("terminal", "products", "equalizers")
+
+    def __init__(
+        self,
+        terminal: str,
+        products: dict[tuple[str, str], tuple[str, str, str]],
+        equalizers: dict[tuple[str, str], tuple[str, str]],
+    ):
+        object.__setattr__(self, "terminal", terminal)
+        object.__setattr__(self, "products", products)
+        object.__setattr__(self, "equalizers", equalizers)
 
 
 def finite_limits(cat: FinCategory):

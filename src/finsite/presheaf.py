@@ -20,17 +20,17 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
-
-from .fincat import FinCategory, FinFunctor, StructureError, entries_by_last_arrow
+from .fincat import FinCategory, FinFunctor, Record, StructureError, entries_by_last_arrow
 from .sieves import CapExceeded, Topology
 
 
-@dataclass(frozen=True)
-class Presheaf:
-    base: FinCategory
-    values: dict[str, tuple[str, ...]]
-    action: dict[str, dict[str, str]]
+class Presheaf(Record):
+    _fields = ("base", "values", "action")
+
+    def __init__(self, base: FinCategory, values: dict[str, tuple[str, ...]], action: dict[str, dict[str, str]]):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "action", action)
 
     def act(self, f: str, a: str) -> str:
         return self.action[f][a]
@@ -172,10 +172,12 @@ def _fam_key(fam: dict[str, str]) -> tuple:
     return tuple(sorted(fam.items()))
 
 
-@dataclass(frozen=True)
-class PlusResult:
-    presheaf: Presheaf
-    unit: dict[str, dict[str, str]]
+class PlusResult(Record):
+    _fields = ("presheaf", "unit")
+
+    def __init__(self, presheaf: Presheaf, unit: dict[str, dict[str, str]]):
+        object.__setattr__(self, "presheaf", presheaf)
+        object.__setattr__(self, "unit", unit)
 
 
 def plus(p: Presheaf, topology: Topology) -> PlusResult:
@@ -219,10 +221,12 @@ def plus(p: Presheaf, topology: Topology) -> PlusResult:
     return PlusResult(out, unit)
 
 
-@dataclass(frozen=True)
-class Sheafification:
-    sheaf: Presheaf
-    unit: dict[str, dict[str, str]]
+class Sheafification(Record):
+    _fields = ("sheaf", "unit")
+
+    def __init__(self, sheaf: Presheaf, unit: dict[str, dict[str, str]]):
+        object.__setattr__(self, "sheaf", sheaf)
+        object.__setattr__(self, "unit", unit)
 
 
 def sheafify(p: Presheaf, topology: Topology) -> Sheafification:

@@ -16,10 +16,9 @@ all-covers oracle ``is_topology``, and ``topology_candidate_count``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .fincat import FinCategory, FinFunctor, StructureError
+from .fincat import FinCategory, FinFunctor, Record, StructureError
 
 
 class CapExceeded(RuntimeError):
@@ -80,16 +79,18 @@ def sieve_lattice(base: FinCategory, apex: str) -> tuple[frozenset[str], ...]:
     return cache[apex]
 
 
-@dataclass(frozen=True)
-class Topology:
+class Topology(Record):
     """A topology as its least covering sieve S(c) per object: J(c) = ↑S(c).
 
     {S(c)} is a coverage that generates the topology.  ``is_cover`` takes a
     sieve; any set of arrows containing S(c) would pass.
     """
 
-    base: FinCategory
-    least: dict[str, frozenset[str]]
+    _fields = ("base", "least")
+
+    def __init__(self, base: FinCategory, least: dict[str, frozenset[str]]):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "least", least)
 
     def is_cover(self, obj: str, sieve: frozenset[str]) -> bool:
         return self.least[obj] <= sieve

@@ -645,28 +645,38 @@ def test_importing_the_cli_leaves_the_experiment_engine_unloaded():
 
 
 COLD_START_SCRIPT = """
-import sys
+import contextlib, io, sys
 def loaded():
     return sorted(name[len("finsite."):] for name in sys.modules if name.startswith("finsite."))
+def stdlib():
+    return [name for name in ("dataclasses", "inspect", "json") if name in sys.modules]
 import finsite
 print(loaded())
 from finsite import corpus
 corpus.corpus_workspace()
-print(loaded())
+print(loaded(), stdlib())
+import finsite.cli, finsite.deciders
+print(stdlib())
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [finsite.cli.main(argv) for argv in {lines!r}]
+print(codes, stdlib())
 from finsite import fibration
 print(fibration.is_cartesian_fibration(corpus.two_point()))
 print("finsite.limits" in sys.modules)
-"""
+""".format(lines=BOUND_LINES)
 
 
 def test_cold_start_loads_only_the_modules_it_uses():
     """``import finsite`` loads no submodule, the corpus workspace loads only
     the modules it builds with, and the limit search is loaded on the first
-    cartesian-fibration question."""
+    cartesian-fibration question.  Neither set-up, nor importing the CLI and
+    the deciders, nor a bound request loads ``dataclasses`` or ``inspect``,
+    and ``json`` is loaded only once a document is read."""
     [out] = python_outputs_under_hash_seeds(["-c", COLD_START_SCRIPT], ("0",))
     workspace = ["bundles", "corpus", "fibration", "fincat", "presheaf", "sieves"]
     verdict = fibration.is_cartesian_fibration(corpus.two_point())
-    assert out == "[]\n{}\n{}\nTrue\n".format(workspace, verdict), out
+    expected = "[]\n{} []\n[]\n[0, 0, 0] ['json']\n{}\nTrue\n".format(workspace, verdict)
+    assert out == expected, out
 
 
 def cli_outputs_under_hash_seeds(argv):

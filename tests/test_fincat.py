@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finsite import corpus
+from finsite.deciders import SiteFunctor, is_comorphism
+from finsite.fibration import grothendieck
 from finsite.fincat import (
     DEFAULT_MAX_ARROWS,
     DEFAULT_MAX_OBJECTS,
@@ -25,6 +27,8 @@ from finsite.fincat import (
     validate_transform,
 )
 from finsite.generate import gen_category, Caps, _rng
+from finsite.presheaf import validate_presheaf
+from finsite.sieves import trivial_topology
 
 
 def test_terminal_category_is_valid(one):
@@ -445,3 +449,40 @@ def test_retract_composition_table(retract):
     assert retract.compose("t", "t") == "t"
     assert not retract.is_iso("t")
     assert retract.is_iso("id_r")
+
+
+def test_records_refuse_assignment_and_compare_by_fields(walk2, sier, two_point):
+    w2 = corpus.walk2()
+    grothendieck(two_point)  # fills ``_scratch``, which equality and repr ignore
+    comorphic = is_comorphism(SiteFunctor(identity_functor(walk2), sier, sier))
+    twofold = {"b": ("0", "1"), "a": ("*",)}, {"u": {"0": "*", "1": "*"}}
+    pairs = [
+        (walk2, w2, "objects"),
+        (identity_functor(walk2), identity_functor(w2), "obj_map"),
+        (sier, corpus.sier(w2), "least"),
+        (validate_presheaf(walk2, *twofold), validate_presheaf(w2, *twofold), "values"),
+        (two_point, corpus.two_point(w2), "fiber"),
+        (comorphic, is_comorphism(SiteFunctor(identity_functor(w2), sier, sier)), "ok"),
+    ]
+    for record, equal, name in pairs:
+        assert record is not equal and record == equal, type(record)
+        with pytest.raises(AttributeError, match="cannot assign to field '{}'".format(name)):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError, match="cannot delete field '{}'".format(name)):
+            delattr(record, name)
+    assert hash(comorphic) == hash(pairs[-1][1])
+    assert repr(two_point) == repr(corpus.two_point(w2)) and "_scratch" not in repr(two_point)
+    assert comorphic != is_comorphism(SiteFunctor(identity_functor(walk2), trivial_topology(walk2), sier))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(identity_functor(walk2))
+    # the strings the dataclass versions of these records printed
+    assert repr(identity_functor(walk2)) == "FinFunctor(2 -> 2)"
+    assert repr(comorphic) == (
+        "Verdict(ok=True, rule='comorphism', witness=(), trace=(('a', ('id_a',), ('id_a',)), ('b', ('u',), ('u',))))"
+    )
+    assert repr(is_comorphism(SiteFunctor(identity_functor(walk2), trivial_topology(walk2), sier))) == (
+        "Verdict(ok=False, rule='comorphism', witness=('b', ('u',)), trace=())"
+    )
+    assert repr(sier) == (
+        "Topology(base=FinCategory(2 objects, 3 arrows), least={'a': frozenset({'id_a'}), 'b': frozenset({'u'})})"
+    )
