@@ -264,6 +264,10 @@ def presheaf_to_json(p: Presheaf, category_name: str) -> dict:
 
 def workspace_to_json(ws: Workspace) -> dict:
     """Serialize a workspace; inverse to load_bundle up to saturation."""
+
+    def key(fn: FinFunctor) -> tuple:
+        return (fn.source, fn.target, tuple(sorted(fn.obj_map.items())), tuple(sorted(fn.arr_map.items())))
+
     cat_names = {}
     doc: dict = {"categories": {}, "topologies": {}, "indexed": {}, "functors": {}, "naturals": {}, "presheaves": {}}
     for name in sorted(ws.categories):
@@ -273,7 +277,7 @@ def workspace_to_json(ws: Workspace) -> dict:
     for name in sorted(ws.functors):
         fn = ws.functors[name]
         doc["functors"][name] = functor_to_json(fn, cat_names[fn.source], cat_names[fn.target])
-        fun_names[(fn.source, fn.target, tuple(sorted(fn.obj_map.items())), tuple(sorted(fn.arr_map.items())))] = name
+        fun_names[key(fn)] = name
     for name in sorted(ws.topologies):
         top = ws.topologies[name]
         doc["topologies"][name] = topology_to_json(top, cat_names[top.base])
@@ -287,17 +291,13 @@ def workspace_to_json(ws: Workspace) -> dict:
         for f in cix.base.arrows:
             if cix.base.is_identity(f):
                 continue
-            fn = cix.restriction[f]
-            key = (fn.source, fn.target, tuple(sorted(fn.obj_map.items())), tuple(sorted(fn.arr_map.items())))
-            entry["restrictions"][f] = fun_names[key]
+            entry["restrictions"][f] = fun_names[key(cix.restriction[f])]
         doc["indexed"][name] = entry
     for name in sorted(ws.naturals):
         nt = ws.naturals[name]
-        src_key = (nt.source.source, nt.source.target, tuple(sorted(nt.source.obj_map.items())), tuple(sorted(nt.source.arr_map.items())))
-        tgt_key = (nt.target.source, nt.target.target, tuple(sorted(nt.target.obj_map.items())), tuple(sorted(nt.target.arr_map.items())))
         doc["naturals"][name] = {
-            "source": fun_names[src_key],
-            "target": fun_names[tgt_key],
+            "source": fun_names[key(nt.source)],
+            "target": fun_names[key(nt.target)],
             "components": dict(sorted(nt.component.items())),
         }
     for name in sorted(ws.presheaves):

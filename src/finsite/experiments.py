@@ -36,7 +36,6 @@ from .fincat import (
     compose_functors,
     connected_components,
     constant_functor,
-    functor_equal,
     identity_functor,
     identity_transform,
     interning,
@@ -301,9 +300,9 @@ def _comma_kernel(inst, caps):
         return "comma-to-arrow comparison is not a functor: {}".format(err)
     if sorted(arr_map.values()) != sorted(ac.category.arrows):
         return "comma(Id,Id) arrows differ from the arrow category"
-    if not functor_equal(compose_functors(ac.dom, iso), cc.left):
+    if compose_functors(ac.dom, iso) != cc.left:
         return "left projection disagrees with the domain functor"
-    if not functor_equal(compose_functors(ac.cod, iso), cc.right):
+    if compose_functors(ac.cod, iso) != cc.right:
         return "right projection disagrees with the codomain functor"
     neighbours = {c: set() for c in cat.objects}
     for a in cat.arrows:
@@ -450,7 +449,7 @@ def _adjoint_agreement(inst, caps):
     inv = stf.inverse
     if not inv.adjunction_ok:
         return "comparison adjunction failed the triangle identities"
-    if not functor_equal(stf.composite, inv.comparison):
+    if stf.composite != inv.comparison:
         return "structure functor disagrees with the adjoint comparison"
     one = terminal_category()
     dcat = adj.left.source
@@ -784,7 +783,7 @@ def _structure(inst, caps):
     base_topology = inst["base_topology"]
     target_topology = inst["target_topology"]
     stf = structure_functor(cix, adj)
-    if not functor_equal(stf.composite, stf.inverse.comparison):
+    if stf.composite != stf.inverse.comparison:
         return "structure functor is not the unit-then-projection composite"
     pre = is_morphism_of_sites(SiteFunctor(adj.right, base_topology, target_topology))
     if not pre.ok:

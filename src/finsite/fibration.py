@@ -30,7 +30,6 @@ from .fincat import (
     check_adjunction,
     composable_pairs,
     compose_functors,
-    functor_equal,
     identity_functor,
     validate_category,
     validate_functor,
@@ -65,7 +64,7 @@ class IndexedCategory(Record):
 
 
 def _is_identity_on(r: FinFunctor, cat: FinCategory) -> bool:
-    """``functor_equal(r, identity_functor(cat))`` for r: cat -> cat, read entry by entry."""
+    """``r == identity_functor(cat)`` for r: cat -> cat, read entry by entry."""
     return (
         len(r.obj_map) == len(cat.objects)
         and len(r.arr_map) == len(cat.arrows)
@@ -75,7 +74,7 @@ def _is_identity_on(r: FinFunctor, cat: FinCategory) -> bool:
 
 
 def _composes_to(rf: FinFunctor, rg: FinFunctor, rh: FinFunctor, unit: bool) -> bool:
-    """``functor_equal(compose_functors(rf, rg), rh)``, read entry by entry.
+    """``compose_functors(rf, rg) == rh``, read entry by entry.
 
     With ``unit`` one of rf, rg is an identity restriction and rh the other,
     so the entries agree and only the key sets of rh's maps are compared.
@@ -255,7 +254,7 @@ def is_morphism_of_fibrations(
         raise StructureError("base functor endpoints do not match the bundles")
     top = compose_functors(tgt.projection, a_fun)
     bottom = compose_functors(b_fun, src.projection)
-    if not functor_equal(top, bottom):
+    if top != bottom:
         return False, ("square_not_commuting", next(a for a in src.total.arrows if top.ar(a) != bottom.ar(a)))
     for f in sorted(src.cartesian):
         if a_fun.ar(f) not in tgt.cartesian:
@@ -296,11 +295,6 @@ def giraud_topology(cix: IndexedCategory, base_topology: Topology, bundle: Fibra
 class IndexedMorphism(Record):
     _fields = ("source", "target", "components")
 
-    def __init__(self, source: IndexedCategory, target: IndexedCategory, components: dict[str, FinFunctor]):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "components", components)
-
 
 def validate_indexed_morphism(source: IndexedCategory, target: IndexedCategory, components) -> IndexedMorphism:
     if source.base != target.base:
@@ -314,7 +308,7 @@ def validate_indexed_morphism(source: IndexedCategory, target: IndexedCategory, 
         c, c2 = source.base.src[f], source.base.tgt[f]
         lhs = compose_functors(components[c], source.restriction[f])
         rhs = compose_functors(target.restriction[f], components[c2])
-        if not functor_equal(lhs, rhs):
+        if lhs != rhs:
             raise StructureError("components not natural along {}".format(f), witness=f)
     return IndexedMorphism(source, target, components)
 
@@ -356,12 +350,6 @@ def total_functor(morphism: IndexedMorphism) -> FinFunctor:
 class DirectImage(Record):
     _fields = ("indexed", "q", "source", "target")
 
-    def __init__(self, indexed: IndexedCategory, q: FinFunctor, source: FibrationBundle, target: FibrationBundle):
-        object.__setattr__(self, "indexed", indexed)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-
 
 def direct_image(dix: IndexedCategory, functor: FinFunctor) -> DirectImage:
     """Precompose the indexed category with the functor; q is the second
@@ -392,22 +380,6 @@ def q_reflects_cartesian(instance: DirectImage) -> tuple[bool, tuple]:
 
 class InverseImage(Record):
     _fields = ("indexed", "q", "comparison", "source", "target", "adjunction_ok")
-
-    def __init__(
-        self,
-        indexed: IndexedCategory,
-        q: FinFunctor,
-        comparison: FinFunctor,
-        source: FibrationBundle,
-        target: FibrationBundle,
-        adjunction_ok: bool,
-    ):
-        object.__setattr__(self, "indexed", indexed)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "comparison", comparison)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "adjunction_ok", adjunction_ok)
 
 
 def inverse_image_adjoint(cix: IndexedCategory, adj: Adjunction) -> InverseImage:
@@ -462,19 +434,13 @@ def compose_adjunctions(inner: Adjunction, outer: Adjunction) -> Adjunction:
 
 
 def compose_direct_images(dix: IndexedCategory, f_inner: FinFunctor, f_outer: FinFunctor) -> bool:
-    """(dix o F') o F against dix o (F' o F): fiber tables must agree on the
-    nose and the projections must compose exactly."""
+    """(dix o F') o F against dix o (F' o F): the pulled-back indexed
+    categories must agree on the nose and the projections must compose
+    exactly."""
     step_outer = direct_image(dix, f_outer)
     step_inner = direct_image(step_outer.indexed, f_inner)
     once = direct_image(dix, compose_functors(f_outer, f_inner))
-    return (
-        once.indexed.fiber == step_inner.indexed.fiber
-        and all(
-            functor_equal(once.indexed.restriction[f], step_inner.indexed.restriction[f])
-            for f in once.indexed.base.arrows
-        )
-        and functor_equal(compose_functors(step_outer.q, step_inner.q), once.q)
-    )
+    return once.indexed == step_inner.indexed and compose_functors(step_outer.q, step_inner.q) == once.q
 
 
 def compose_inverse_images(cix: IndexedCategory, adj_inner: Adjunction, adj_outer: Adjunction) -> bool:
@@ -487,7 +453,7 @@ def compose_inverse_images(cix: IndexedCategory, adj_inner: Adjunction, adj_oute
     step1 = inverse_image_adjoint(cix, adj_inner)
     step2 = inverse_image_adjoint(step1.indexed, adj_outer)
     combined = inverse_image_adjoint(cix, compose_adjunctions(adj_inner, adj_outer))
-    return functor_equal(compose_functors(step2.comparison, step1.comparison), combined.comparison)
+    return compose_functors(step2.comparison, step1.comparison) == combined.comparison
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +496,6 @@ def is_cartesian_fibration(cix: IndexedCategory) -> tuple[bool, tuple]:
 
 class StructureFunctor(Record):
     _fields = ("composite", "inverse")
-
-    def __init__(self, composite: FinFunctor, inverse: InverseImage):
-        object.__setattr__(self, "composite", composite)
-        object.__setattr__(self, "inverse", inverse)
 
 
 def structure_functor(cix: IndexedCategory, adj: Adjunction) -> StructureFunctor:

@@ -14,8 +14,9 @@ Because of that sharing a category's ``_scratch`` holds only data derived
 from the category itself: its sieve lattices and its finite-limit search.
 
 The records of this and the other modules (categories, functors,
-topologies, presheaves, verdicts, ...) derive from ``Record``: immutable,
-compared and printed field by field.
+topologies, presheaves, verdicts, ...) derive from ``Record``: each names its
+fields once, in ``_fields``, is built from them in that order, is immutable,
+and is compared and printed field by field, so ``==`` compares two functors.
 """
 from __future__ import annotations
 
@@ -40,14 +41,29 @@ class StructureError(ValueError):
 class Record:
     """An immutable record of the fields its class names in ``_fields``.
 
-    Each subclass sets its fields in its own ``__init__`` with
-    ``object.__setattr__``.  Two records are equal when they are of the same
-    class and their fields are equal; a record hashes its fields, so one
-    holding a dict cannot be hashed; it prints as ``Name(field=value, ...)``.
-    Assigning or deleting an attribute raises AttributeError.
+    A subclass that defines no ``__init__`` gets one taking its fields in
+    order, generated once per class as ``namedtuple`` generates its
+    ``__new__``; a subclass that does more than set its fields writes its own
+    and sets them with ``object.__setattr__``.  Two records are equal when
+    they are of the same class and their fields are equal; a record hashes
+    its fields, so one holding a dict cannot be hashed; it prints as
+    ``Name(field=value, ...)``.  Assigning or deleting an attribute raises
+    AttributeError.
     """
 
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        if "__init__" in vars(cls):
+            return
+        # generated once per class: a loop over the fields makes every
+        # construction slower, and filling the instance dictionary in one
+        # update also makes every later attribute read slower
+        names = cls._fields
+        body = "".join("\n    _set(self, {!r}, {})".format(name, name) for name in names)
+        namespace = {"_set": object.__setattr__}
+        exec("def __init__(self, {}):{}".format(", ".join(names), body), namespace)
+        cls.__init__ = namespace["__init__"]
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -415,12 +431,6 @@ def full_subcategory(cat: FinCategory, objects) -> FinCategory:
 class FinFunctor(Record):
     _fields = ("source", "target", "obj_map", "arr_map")
 
-    def __init__(self, source: FinCategory, target: FinCategory, obj_map: dict[str, str], arr_map: dict[str, str]):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "obj_map", obj_map)
-        object.__setattr__(self, "arr_map", arr_map)
-
     def ob(self, x: str) -> str:
         return self.obj_map[x]
 
@@ -485,22 +495,8 @@ def compose_functors(g: FinFunctor, f: FinFunctor) -> FinFunctor:
     )
 
 
-def functor_equal(p: FinFunctor, q: FinFunctor) -> bool:
-    return (
-        p.source == q.source
-        and p.target == q.target
-        and p.obj_map == q.obj_map
-        and p.arr_map == q.arr_map
-    )
-
-
 class NatTransform(Record):
     _fields = ("source", "target", "component")
-
-    def __init__(self, source: FinFunctor, target: FinFunctor, component: dict[str, str]):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "component", component)
 
 
 def validate_transform(component, source: FinFunctor, target: FinFunctor) -> NatTransform:
@@ -548,20 +544,6 @@ class CommaCategory(Record):
     """The category of triples (d, d', u: F(d) -> G(d')) with its projections."""
 
     _fields = ("category", "left", "right", "obj_data", "arr_data")
-
-    def __init__(
-        self,
-        category: FinCategory,
-        left: FinFunctor,
-        right: FinFunctor,
-        obj_data: dict[str, tuple[str, str, str]],
-        arr_data: dict[str, tuple[str, str]],
-    ):
-        object.__setattr__(self, "category", category)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "obj_data", obj_data)
-        object.__setattr__(self, "arr_data", arr_data)
 
 
 def comma_category(f_leg: FinFunctor, g_leg: FinFunctor) -> CommaCategory:
@@ -614,12 +596,6 @@ def comma_category(f_leg: FinFunctor, g_leg: FinFunctor) -> CommaCategory:
 
 class ArrowCategory(Record):
     _fields = ("category", "dom", "cod", "of_arrow")
-
-    def __init__(self, category: FinCategory, dom: FinFunctor, cod: FinFunctor, of_arrow: dict[str, str]):
-        object.__setattr__(self, "category", category)
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "of_arrow", of_arrow)
 
 
 def arrow_category(cat: FinCategory) -> ArrowCategory:
@@ -686,12 +662,6 @@ class Adjunction(Record):
     """
 
     _fields = ("left", "right", "unit", "counit")
-
-    def __init__(self, left: FinFunctor, right: FinFunctor, unit: dict[str, str], counit: dict[str, str]):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "counit", counit)
 
 
 def check_adjunction(left: FinFunctor, right: FinFunctor, unit: dict[str, str], counit: dict[str, str]) -> bool:

@@ -30,7 +30,6 @@ from .fincat import (
     entries_by_last_arrow,
     free_category,
     full_subcategory,
-    functor_equal,
     identity_functor,
     poset_category,
     terminal_category,
@@ -376,7 +375,7 @@ def gen_indexed_morphism(rng: random.Random, cix: IndexedCategory, caps: Caps) -
             s, t = place[base.src[f]], place[base.tgt[f]]
             down, up = cix.restriction[f], target.restriction[f]
             checks[max(s, t)].append(
-                lambda a, s=s, t=t, down=down, up=up: functor_equal(compose_functors(a[s], down), compose_functors(up, a[t]))
+                lambda a, s=s, t=t, down=down, up=up: compose_functors(a[s], down) == compose_functors(up, a[t])
             )
 
     def choices(i):
@@ -443,11 +442,7 @@ def _poset_leq(cat: FinCategory, x: str, y: str) -> bool:
 
 
 def _poset_functor(obj_map, src: FinCategory, tgt: FinCategory) -> FinFunctor:
-    arr_map = {}
-    for a in src.arrows:
-        x, y = src.src[a], src.tgt[a]
-        mx, my = obj_map[x], obj_map[y]
-        arr_map[a] = tgt.identity[mx] if mx == my else "{}->{}".format(mx, my)
+    arr_map = {a: _poset_arrow(tgt, obj_map[src.src[a]], obj_map[src.tgt[a]]) for a in src.arrows}
     return validate_functor(obj_map, arr_map, src, tgt)
 
 
@@ -605,7 +600,7 @@ def gen_presheaf(rng: random.Random, cat: FinCategory, max_size: int) -> Preshea
 # Instance bundles (the generate_instance surface)
 
 
-KINDS = ("site", "fibration", "site-functor", "comorphism", "dense-pair", "adjoint-pair")
+KINDS = ("site", "fibration", "site-functor", "comorphism", "dense-pair")
 
 
 def generate_instance(kind: str, seed: int, caps: Caps) -> dict:
@@ -647,8 +642,6 @@ def generate_instance(kind: str, seed: int, caps: Caps) -> dict:
     if kind == "dense-pair":
         inclusion, induced, topology = gen_dense_pair(rng, caps)
         return {"functor": inclusion, "source_topology": induced, "target_topology": topology}
-    if kind == "adjoint-pair":
-        return {"adjunction": gen_galois(rng, caps)}
     raise ValueError("unknown instance kind {!r}".format(kind))
 
 

@@ -68,16 +68,6 @@ def find_equalizer(cat: FinCategory, f: str, g: str):
 class LimitCones(Record):
     _fields = ("terminal", "products", "equalizers")
 
-    def __init__(
-        self,
-        terminal: str,
-        products: dict[tuple[str, str], tuple[str, str, str]],
-        equalizers: dict[tuple[str, str], tuple[str, str]],
-    ):
-        object.__setattr__(self, "terminal", terminal)
-        object.__setattr__(self, "products", products)
-        object.__setattr__(self, "equalizers", equalizers)
-
 
 def finite_limits(cat: FinCategory):
     """(ok, witness, cones): search a terminal object, all binary products and

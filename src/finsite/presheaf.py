@@ -27,11 +27,6 @@ from .sieves import CapExceeded, Topology
 class Presheaf(Record):
     _fields = ("base", "values", "action")
 
-    def __init__(self, base: FinCategory, values: dict[str, tuple[str, ...]], action: dict[str, dict[str, str]]):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "action", action)
-
     def act(self, f: str, a: str) -> str:
         return self.action[f][a]
 
@@ -175,10 +170,6 @@ def _fam_key(fam: dict[str, str]) -> tuple:
 class PlusResult(Record):
     _fields = ("presheaf", "unit")
 
-    def __init__(self, presheaf: Presheaf, unit: dict[str, dict[str, str]]):
-        object.__setattr__(self, "presheaf", presheaf)
-        object.__setattr__(self, "unit", unit)
-
 
 def plus(p: Presheaf, topology: Topology) -> PlusResult:
     """One application of the plus construction, on the least covers.
@@ -223,10 +214,6 @@ def plus(p: Presheaf, topology: Topology) -> PlusResult:
 
 class Sheafification(Record):
     _fields = ("sheaf", "unit")
-
-    def __init__(self, sheaf: Presheaf, unit: dict[str, dict[str, str]]):
-        object.__setattr__(self, "sheaf", sheaf)
-        object.__setattr__(self, "unit", unit)
 
 
 def sheafify(p: Presheaf, topology: Topology) -> Sheafification:

@@ -88,10 +88,6 @@ class Topology(Record):
 
     _fields = ("base", "least")
 
-    def __init__(self, base: FinCategory, least: dict[str, frozenset[str]]):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "least", least)
-
     def is_cover(self, obj: str, sieve: frozenset[str]) -> bool:
         return self.least[obj] <= sieve
 

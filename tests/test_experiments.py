@@ -5,6 +5,7 @@ import os
 import pytest
 
 from finsite.bundles import category_to_json, dumps_canonical, topology_to_json
+from finsite.deciders import Verdict
 from finsite.experiments import (
     EXPERIMENTS,
     coverage_gaps,
@@ -49,7 +50,6 @@ INSTANCE_KEYS = {
     "site-functor": SITE_FUNCTOR_KEYS,
     "comorphism": SITE_FUNCTOR_KEYS,
     "dense-pair": SITE_FUNCTOR_KEYS,
-    "adjoint-pair": {"adjunction"},
 }
 
 
@@ -327,7 +327,9 @@ def test_a_structure_functor_failure_is_named_by_its_seed_not_a_shrunk_fibration
     # copy of the indexed category alone would replay nothing
     from finsite import experiments
 
-    monkeypatch.setattr(experiments, "functor_equal", lambda f, g: len(f.source.objects) < 2)
+    monkeypatch.setattr(
+        experiments, "is_morphism_of_sites", lambda site: Verdict(len(site.functor.source.objects) < 2, "injected")
+    )
     report = run_experiment("structure-functor-sites", 0, Caps(instances=20))
     fuzzed = [f for f in report.failures if f.label.startswith("fuzz")]
     assert fuzzed

@@ -10,7 +10,6 @@ from finsite.fincat import (
     arrow_category,
     compose_functors,
     constant_functor,
-    functor_equal,
     identity_functor,
     is_equivalence,
     terminal_category,
@@ -216,7 +215,7 @@ def fiber_functor(a_fun, b_fun, src_cix, tgt_cix, c):
     constructions of ``src_cix`` and ``tgt_cix`` whose square with ``b_fun``
     commutes strictly."""
     src, tgt = grothendieck(src_cix), grothendieck(tgt_cix)
-    if not functor_equal(compose_functors(tgt.projection, a_fun), compose_functors(b_fun, src.projection)):
+    if compose_functors(tgt.projection, a_fun) != compose_functors(b_fun, src.projection):
         raise StructureError("square must commute strictly for fiber restriction")
     fib = src_cix.fiber[c]
     obj_map = {}
@@ -289,7 +288,7 @@ def test_giraud_constant_fibers_transports_the_base_topology(walk2, sier, map_to
 
 def test_direct_image_identity(two_point, walk2):
     di = direct_image(two_point, identity_functor(walk2))
-    assert functor_equal(di.q, identity_functor(di.source.total))
+    assert di.q == identity_functor(di.source.total)
 
 
 def test_direct_image_pick_b(two_point, walk2, one):
@@ -316,8 +315,8 @@ def test_inverse_image_identity_adjunction(walk2):
     cix = constant_one_indexed(walk2)
     inv = inverse_image_adjoint(cix, adj)
     assert inv.adjunction_ok
-    assert functor_equal(inv.q, identity_functor(inv.source.total))
-    assert functor_equal(inv.comparison, identity_functor(inv.source.total))
+    assert inv.q == identity_functor(inv.source.total)
+    assert inv.comparison == identity_functor(inv.source.total)
 
 
 def test_inverse_image_constant_over_walk2(one, walk2):
@@ -413,7 +412,7 @@ def test_structure_functor_identity_adjunction(walk2):
     adj = corpus.validate_adjunction(ident, ident, unit, unit)
     cix = constant_one_indexed(walk2)
     stf = structure_functor(cix, adj)
-    assert functor_equal(stf.composite, identity_functor(grothendieck(cix).total))
+    assert stf.composite == identity_functor(grothendieck(cix).total)
 
 
 def test_structure_functor_is_fiber_inclusion(one, walk2):
@@ -422,7 +421,7 @@ def test_structure_functor_is_fiber_inclusion(one, walk2):
     cix = validate_indexed(one, {"*": fib}, {})
     stf = structure_functor(cix, adj)
     assert stf.composite.obj_map == {"(p,*)": "(p,b)", "(q,*)": "(q,b)"}
-    assert functor_equal(stf.composite, stf.inverse.comparison)
+    assert stf.composite == stf.inverse.comparison
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +471,11 @@ def reference_validate_indexed(base, fiber, restriction):
         if r.source != fiber[base.tgt[f]] or r.target != fiber[base.src[f]]:
             raise StructureError("restriction along {} has wrong endpoints".format(f), witness=f)
     for c in base.objects:
-        if not functor_equal(restriction[base.identity[c]], identity_functor(fiber[c])):
+        if restriction[base.identity[c]] != identity_functor(fiber[c]):
             raise StructureError("restriction along id_{} is not the identity".format(c), witness=c)
     for (g, f), h in base.table.items():
         lhs = compose_functors(restriction[f], restriction[g])
-        if not functor_equal(lhs, restriction[h]):
+        if lhs != restriction[h]:
             raise StructureError(
                 "restrictions not strictly functorial on ({}, {})".format(g, f), witness=(g, f)
             )

@@ -1,14 +1,23 @@
 
+import inspect
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from finsite import corpus
-from finsite.deciders import SiteFunctor, is_comorphism
-from finsite.fibration import grothendieck
+from finsite.bundles import Workspace
+from finsite.deciders import Prop33Square, SiteFunctor, is_comorphism
+from finsite.fibration import (
+    direct_image,
+    grothendieck,
+    structure_functor,
+    validate_indexed_morphism,
+)
 from finsite.fincat import (
     DEFAULT_MAX_ARROWS,
     DEFAULT_MAX_OBJECTS,
     FinCategory,
+    Record,
     StructureError,
     arrow_category,
     build_category,
@@ -20,14 +29,15 @@ from finsite.fincat import (
     constant_functor,
     full_subcategory,
     identity_functor,
+    identity_transform,
     is_equivalence,
-    functor_equal,
     validate_category,
     validate_functor,
     validate_transform,
 )
-from finsite.generate import gen_category, Caps, _rng
-from finsite.presheaf import validate_presheaf
+from finsite.generate import gen_category, Caps, _rng, constant_indexed
+from finsite.limits import finite_limits
+from finsite.presheaf import plus, sheafify, validate_presheaf
 from finsite.sieves import trivial_topology
 
 
@@ -295,8 +305,8 @@ def _comma_matches_arrow_category(cat):
     iso = validate_functor(obj_map, arr_map, cc.category, ac.category)
     assert sorted(obj_map.values()) == sorted(ac.category.objects)
     assert sorted(arr_map.values()) == sorted(ac.category.arrows)
-    assert functor_equal(compose_functors(ac.dom, iso), cc.left)
-    assert functor_equal(compose_functors(ac.cod, iso), cc.right)
+    assert compose_functors(ac.dom, iso) == cc.left
+    assert compose_functors(ac.cod, iso) == cc.right
 
 
 def test_comma_of_identities_is_the_arrow_category(walk2, retract):
@@ -451,6 +461,47 @@ def test_retract_composition_table(retract):
     assert retract.is_iso("id_r")
 
 
+def _record_samples(walk2, sier, two_point):
+    """One instance of every ``Record`` subclass, built from the corpus."""
+    one = corpus.one()
+    ident = identity_functor(walk2)
+    presheaf = validate_presheaf(walk2, {"b": ("0", "1"), "a": ("*",)}, {"u": {"0": "*", "1": "*"}})
+    stf = structure_functor(constant_indexed(one, corpus.discrete(("p", "q"))), corpus.walk2_terminal_adjunction())
+    fiber_ids = {c: identity_functor(two_point.fiber[c]) for c in walk2.objects}
+    return [
+        walk2,
+        ident,
+        identity_transform(ident),
+        comma_category(ident, ident),
+        arrow_category(walk2),
+        corpus.walk2_terminal_adjunction(),
+        two_point,
+        grothendieck(two_point),
+        validate_indexed_morphism(two_point, two_point, fiber_ids),
+        direct_image(two_point, ident),
+        stf.inverse,
+        stf,
+        finite_limits(one)[2],
+        sier,
+        presheaf,
+        plus(presheaf, sier),
+        sheafify(presheaf, sier),
+        SiteFunctor(ident, sier, sier),
+        is_comorphism(SiteFunctor(ident, sier, sier)),
+        Prop33Square(ident, ident, identity_transform(ident), ident, ident, sier),
+        corpus.corpus_workspace(),
+    ]
+
+
+def _record_classes():
+    found, todo = [], [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            found.append(sub)
+            todo.append(sub)
+    return found
+
+
 def test_records_refuse_assignment_and_compare_by_fields(walk2, sier, two_point):
     w2 = corpus.walk2()
     grothendieck(two_point)  # fills ``_scratch``, which equality and repr ignore
@@ -486,3 +537,24 @@ def test_records_refuse_assignment_and_compare_by_fields(walk2, sier, two_point)
     assert repr(sier) == (
         "Topology(base=FinCategory(2 objects, 3 arrows), least={'a': frozenset({'id_a'}), 'b': frozenset({'u'})})"
     )
+
+    # every record: its constructor takes its fields in order, positionally
+    # or by keyword, and nothing else
+    samples = _record_samples(walk2, sier, two_point)
+    assert sorted(type(r).__qualname__ for r in samples) == sorted(c.__qualname__ for c in _record_classes())
+    for record in samples:
+        cls, fields = type(record), type(record)._fields
+        parameters = inspect.signature(cls).parameters.values()
+        assert [p.name for p in parameters] == list(fields), cls
+        values = [getattr(record, name) for name in fields]
+        assert cls(*values) == record == cls(**dict(zip(fields, values))), cls
+        with pytest.raises(TypeError):
+            cls(*values, None)
+        if all(p.default is p.empty for p in parameters):
+            with pytest.raises(TypeError):
+                cls(*values[:-1])
+        if cls is not Workspace:
+            with pytest.raises(AttributeError, match="cannot assign to field"):
+                setattr(record, fields[0], None)
+            with pytest.raises(AttributeError, match="cannot delete field"):
+                delattr(record, fields[0])

@@ -20,7 +20,6 @@ from finsite.fincat import (
     backtrack,
     compose_functors,
     entries_by_last_arrow,
-    functor_equal,
     identity_functor,
     validate_adjunction,
     validate_functor,
@@ -214,7 +213,7 @@ def reference_gen_indexed_morphism(rng, cix, caps):
             if s in assign and t in assign:
                 lhs = compose_functors(assign[s], cix.restriction[f])
                 rhs = compose_functors(target.restriction[f], assign[t])
-                if not functor_equal(lhs, rhs):
+                if lhs != rhs:
                     return False
         return True
 
@@ -368,16 +367,12 @@ def _category_pairs():
     return pairs
 
 
-def _same_functors(xs, ys):
-    return len(xs) == len(ys) and all(functor_equal(x, y) for x, y in zip(xs, ys))
-
-
 def test_all_functors_matches_the_rescanning_search():
     found = 0
     for src, tgt in _category_pairs():
         for limit in (2000, 3):
             new = all_functors(src, tgt, limit=limit)
-            assert _same_functors(new, reference_all_functors(src, tgt, limit=limit))
+            assert new == reference_all_functors(src, tgt, limit=limit)
             found += len(new)
     assert found > 0
 
@@ -399,7 +394,7 @@ def test_gen_functor_matches_the_rescanning_search_and_rng_state():
             assert old is None
             missed += 1
         else:
-            assert functor_equal(new, old)
+            assert new == old
             found += 1
         assert rng.getstate() == ref_rng.getstate()
     assert found > 0 and missed > 0
