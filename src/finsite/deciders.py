@@ -5,6 +5,12 @@ is asked on the least cover S(c) (``Topology.least``) only: on a finite site
 the covers J(c) are exactly the sieves containing S(c), so the condition
 holds exactly when it holds at every member of S(c) (``_local_miss``).  The
 full set of qualifying arrows into c is built only for a failing witness.
+Each such condition asks whether an arrow h into c factors in a given way,
+and each is one membership test: the factorisations that qualify (the spans
+and equalizing arrows of covering flatness, the images F(g2) of local
+fullness, the Prop. 3.3 triplets) are built once per decider call as a set
+of keys, and h qualifies when its own key is in it.  A key determines the
+source of h, so no search over the arrows out of src h is needed.
 Comorphism, cover preservation and the zig-zag condition of continuity are
 likewise decided on S(c) alone, and so is cover reflection, the first
 condition of a dense morphism: S(c) must lie in the meet of the sieves whose
@@ -185,24 +191,24 @@ def is_covering_flat(sf: SiteFunctor) -> Verdict:
         if miss is not None:
             return Verdict(False, "covering-flat", ("no_local_cone", d, miss))
         trace.append(("f1", d))
+    # F2 asks whether (u1 h, u2 h) is one of the pairs (F s1 o gamma, F s2 o gamma)
+    # over the spans s1: c -> c1, s2: c -> c2 and the gamma into F(c); a pair
+    # names c1 and c2, since F need not be injective on objects
+    spans = {
+        (ccat.tgt[s1], ccat.tgt[s2], dcat.compose(functor.ar(s1), gamma), dcat.compose(functor.ar(s2), gamma))
+        for c in ccat.objects
+        for s1 in ccat.out_of(c)
+        for s2 in ccat.out_of(c)
+        for gamma in dcat.into(functor.ob(c))
+    }
     for d in dcat.objects:
         for c1 in ccat.objects:
             for u1 in dcat.hom(d, functor.ob(c1)):
                 for c2 in ccat.objects:
                     for u2 in dcat.hom(d, functor.ob(c2)):
-
-                        def spans(h):
-                            # (u1 h, u2 h) = (F s1, F s2) o gamma for one c, s1, s2, gamma
-                            e, v1, v2 = dcat.src[h], dcat.compose(u1, h), dcat.compose(u2, h)
-                            return any(
-                                dcat.compose(functor.ar(s1), gamma) == v1
-                                and any(dcat.compose(functor.ar(s2), gamma) == v2 for s2 in ccat.hom(c, c2))
-                                for c in ccat.objects
-                                for s1 in ccat.hom(c, c1)
-                                for gamma in dcat.hom(e, functor.ob(c))
-                            )
-
-                        miss = _local_miss(k_tgt, dcat, d, spans)
+                        miss = _local_miss(
+                            k_tgt, dcat, d, lambda h: (c1, c2, dcat.compose(u1, h), dcat.compose(u2, h)) in spans
+                        )
                         if miss is not None:
                             return Verdict(False, "covering-flat", ("no_local_span", (d, c1, u1, c2, u2), miss))
                         trace.append(("f2", d, u1, u2))
@@ -210,22 +216,18 @@ def is_covering_flat(sf: SiteFunctor) -> Verdict:
         for t in ccat.arrows:
             if ccat.src[s] != ccat.src[t] or ccat.tgt[s] != ccat.tgt[t]:
                 continue
-            equalizers = [w for w in ccat.into(ccat.src[s]) if ccat.compose(s, w) == ccat.compose(t, w)]
+            # F3 asks whether u h is one of the F(w) o gamma with s w = t w
+            equalized = {
+                dcat.compose(functor.ar(w), gamma)
+                for w in ccat.into(ccat.src[s])
+                if ccat.compose(s, w) == ccat.compose(t, w)
+                for gamma in dcat.into(functor.ob(ccat.src[w]))
+            }
             for d in dcat.objects:
                 for u in dcat.hom(d, functor.ob(ccat.src[s])):
                     if dcat.compose(functor.ar(s), u) != dcat.compose(functor.ar(t), u):
                         continue
-
-                    def equalizes(h):
-                        # u h = F w o gamma for an arrow w with s w = t w
-                        target = dcat.compose(u, h)
-                        return any(
-                            dcat.compose(functor.ar(w), gamma) == target
-                            for w in equalizers
-                            for gamma in dcat.hom(dcat.src[h], functor.ob(ccat.src[w]))
-                        )
-
-                    miss = _local_miss(k_tgt, dcat, d, equalizes)
+                    miss = _local_miss(k_tgt, dcat, d, lambda h: dcat.compose(u, h) in equalized)
                     if miss is not None:
                         return Verdict(False, "covering-flat", ("no_local_equalization", (d, s, t, u), miss))
                     trace.append(("f3", d, s, t, u))
@@ -270,16 +272,16 @@ def is_dense_morphism(sf: SiteFunctor) -> Verdict:
         if miss is not None:
             return Verdict(False, "dense-morphism", ("not_locally_covered_by_images", d, miss))
         trace.append(("images-cover", d))
+    # local fullness asks whether (src v, g F(v)) is one of the (src g2, F(g2))
+    # over the arrows g2 into c2
+    images_into = {c2: {(ccat_src.src[g2], functor.ar(g2)) for g2 in ccat_src.into(c2)} for c2 in ccat_src.objects}
     for c1 in ccat_src.objects:
         for c2 in ccat_src.objects:
+            lifted = images_into[c2]
             for g in ccat_tgt.hom(functor.ob(c1), functor.ob(c2)):
-
-                def lifts(v):
-                    # g F(v) = F(g2) for an arrow g2: src v -> c2
-                    gv = ccat_tgt.compose(g, functor.ar(v))
-                    return any(gv == functor.ar(g2) for g2 in ccat_src.hom(ccat_src.src[v], c2))
-
-                miss = _local_miss(j_src, ccat_src, c1, lifts)
+                miss = _local_miss(
+                    j_src, ccat_src, c1, lambda v: (ccat_src.src[v], ccat_tgt.compose(g, functor.ar(v))) in lifted
+                )
                 if miss is not None:
                     return Verdict(False, "dense-morphism", ("not_locally_full", (c1, c2, g), miss))
                 trace.append(("local-fullness", c1, c2, g))
@@ -344,13 +346,18 @@ def check_prop33_conditions(square: Prop33Square) -> Verdict:
         c2_obj, c1_obj = c2cat.src[f_prime], c2cat.tgt[f_prime]
         for d_prime in d2cat.objects:
             for u_prime in c2cat.hom(p2.ob(d_prime), c1_obj):
-                triplets_by_src: dict[str, list] = {}
+                presheaf, elem_data = prop33_pullback_data(p2, d_prime, u_prime, f_prime)
+                # the triplets (dbar, element (gbar, ubar), x) by src x, each with
+                # its key (B(ubar) phi_dbar p(x), A(gbar) x)
+                triplets: dict[str, list] = {d: [] for d in dcat.objects}
                 for dbar in d2cat.objects:
-                    for gbar in d2cat.hom(dbar, d_prime):
-                        for ubar in c2cat.hom(p2.ob(dbar), c2_obj):
-                            if c2cat.compose(u_prime, p2.ar(gbar)) != c2cat.compose(f_prime, ubar):
-                                continue
-                            triplets_by_src.setdefault(dbar, []).append((gbar, ubar))
+                    for elem in presheaf.values[dbar]:
+                        gbar, ubar = elem_data[dbar][elem]
+                        left, top = ccat.compose(b_fun.ar(ubar), phi[dbar]), a_fun.ar(gbar)
+                        for x in dcat.into(a_fun.ob(dbar)):
+                            key = (ccat.compose(left, p.ar(x)), dcat.compose(top, x))
+                            triplets[dcat.src[x]].append((dbar, elem, x, key))
+                keys = {entry[3] for entries in triplets.values() for entry in entries}
                 for d in dcat.objects:
                     for g in dcat.hom(d, a_fun.ob(d_prime)):
                         rhs_fixed = ccat.compose(
@@ -359,25 +366,14 @@ def check_prop33_conditions(square: Prop33Square) -> Verdict:
                         for u2 in ccat.hom(p.ob(d), b_fun.ob(c2_obj)):
                             if ccat.compose(b_fun.ar(f_prime), u2) != rhs_fixed:
                                 continue
-
-                            def has_triplet(t):
-                                # (u2 p t, g t) = (B ubar phi p x, A gbar x) for a triplet and an x
-                                left, top = ccat.compose(u2, p.ar(t)), dcat.compose(g, t)
-                                return any(
-                                    left == ccat.compose(ccat.compose(b_fun.ar(ubar), phi[dbar]), p.ar(x))
-                                    and top == dcat.compose(a_fun.ar(gbar), x)
-                                    for dbar, pairs in triplets_by_src.items()
-                                    for x in dcat.hom(dcat.src[t], a_fun.ob(dbar))
-                                    for gbar, ubar in pairs
-                                )
-
-                            miss = _local_miss(k_top, dcat, d, has_triplet)
+                            miss = _local_miss(
+                                k_top, dcat, d, lambda t: (ccat.compose(u2, p.ar(t)), dcat.compose(g, t)) in keys
+                            )
                             if miss is not None:
                                 return Verdict(
                                     False, "prop33", ("no_local_triplets", (f_prime, d_prime, u_prime, d, g, u2), miss)
                                 )
                             trace.append(("b1", f_prime, d_prime, u_prime, d, g, u2))
-                presheaf, elem_data = prop33_pullback_data(p2, d_prime, u_prime, f_prime)
                 comp = _comma_components(
                     dcat,
                     {(e2, elem): a_fun.ob(e2) for e2 in d2cat.objects for elem in presheaf.values[e2]},
@@ -389,17 +385,10 @@ def check_prop33_conditions(square: Prop33Square) -> Verdict:
                 )
                 for d in dcat.objects:
                     least = sorted(k_top.least[d])
-                    trips = []
-                    for dbar in d2cat.objects:
-                        for elem in presheaf.values[dbar]:
-                            gbar, ubar = elem_data[dbar][elem]
-                            for x in dcat.hom(d, a_fun.ob(dbar)):
-                                key = (
-                                    ccat.compose(ccat.compose(b_fun.ar(ubar), phi[dbar]), p.ar(x)),
-                                    dcat.compose(a_fun.ar(gbar), x),
-                                )
-                                signature = tuple(comp[((dbar, elem), dcat.compose(x, t))] for t in least)
-                                trips.append((dbar, elem, x, key, signature))
+                    trips = [
+                        (dbar, elem, x, key, tuple(comp[((dbar, elem), dcat.compose(x, t))] for t in least))
+                        for dbar, elem, x, key in triplets[d]
+                    ]
                     for i, (d1, e1, x1, key1, sig1) in enumerate(trips):
                         for (d2_, e2_, x2, key2, sig2) in trips[i:]:
                             if key1 != key2:

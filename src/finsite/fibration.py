@@ -125,18 +125,6 @@ class FibrationBundle(Record):
 
     _fields = ("total", "projection", "obj_pair", "arr_pair")
 
-    def __init__(
-        self,
-        total: FinCategory,
-        projection: FinFunctor,
-        obj_pair: dict[str, tuple[str, str]] | None = None,
-        arr_pair: dict[str, tuple[str, str]] | None = None,
-    ):
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "projection", projection)
-        object.__setattr__(self, "obj_pair", obj_pair)
-        object.__setattr__(self, "arr_pair", arr_pair)
-
     @property
     def base(self) -> FinCategory:
         return self.projection.target

@@ -131,7 +131,6 @@ class FinCategory(Record):
         object.__setattr__(self, "_out", {c: tuple(v) for c, v in out.items()})
         object.__setattr__(self, "_hom", {k: tuple(v) for k, v in hom.items()})
         object.__setattr__(self, "_ids", frozenset(identity.values()))
-        object.__setattr__(self, "_inverse_cache", {})
         object.__setattr__(self, "_scratch", {})
 
     @cached_property
@@ -169,21 +168,12 @@ class FinCategory(Record):
     def is_identity(self, a: str) -> bool:
         return a in self._ids
 
-    def inverse(self, a: str) -> str | None:
-        """The two-sided inverse of ``a``, or None. Found by search, cached."""
-        cache = self._inverse_cache
-        if a not in cache:
-            found = None
-            x, y = self.src[a], self.tgt[a]
-            for b in self.hom(y, x):
-                if self.compose(b, a) == self.identity[x] and self.compose(a, b) == self.identity[y]:
-                    found = b
-                    break
-            cache[a] = found
-        return cache[a]
-
     def is_iso(self, a: str) -> bool:
-        return self.inverse(a) is not None
+        """Whether some arrow back is a two-sided inverse of ``a``."""
+        x, y = self.src[a], self.tgt[a]
+        return any(
+            self.compose(b, a) == self.identity[x] and self.compose(a, b) == self.identity[y] for b in self.hom(y, x)
+        )
 
 
 def validate_category(objects, arrows, identity, table) -> FinCategory:

@@ -124,18 +124,11 @@ def gen_free(rng: random.Random, max_objects: int, max_arrows: int):
     return cat, {}
 
 
-_LIBRARY = ("one", "walk2", "retract", "iso2", "chain3")
+_LIBRARY = (corpus.one, corpus.walk2, corpus.retract, corpus.iso2, corpus.chain3)
 
 
 def gen_library(rng: random.Random) -> FinCategory:
-    name = rng.choice(_LIBRARY)
-    return {
-        "one": corpus.one,
-        "walk2": corpus.walk2,
-        "retract": corpus.retract,
-        "iso2": corpus.iso2,
-        "chain3": corpus.chain3,
-    }[name]()
+    return rng.choice(_LIBRARY)()
 
 
 def gen_category(rng: random.Random, caps: Caps):
@@ -312,9 +305,10 @@ def gen_indexed(rng: random.Random, base: FinCategory, caps: Caps, edges=None) -
             for a in base.arrows:
                 if base.is_identity(a):
                     continue
-                seq = a.split("*")[::-1]
+                # the path "ek*...*e1" applies e1 first, so its restriction
+                # applies ek's first: r(e1) after ... after r(ek)
                 fn = identity_functor(fibers[base.tgt[a]])
-                for e in reversed(seq):
+                for e in a.split("*"):
                     fn = compose_functors(edge_restriction[e], fn)
                 restriction[a] = fn
             return validate_indexed(base, fibers, restriction)
@@ -600,7 +594,7 @@ def gen_presheaf(rng: random.Random, cat: FinCategory, max_size: int) -> Preshea
 # Instance bundles (the generate_instance surface)
 
 
-KINDS = ("site", "fibration", "site-functor", "comorphism", "dense-pair")
+KINDS = ("site", "fibration", "site-functor", "dense-pair")
 
 
 def generate_instance(kind: str, seed: int, caps: Caps) -> dict:
@@ -625,20 +619,6 @@ def generate_instance(kind: str, seed: int, caps: Caps) -> dict:
                 continue
             return {"functor": fn, "source_topology": src_top, "target_topology": tgt_top}
         raise GenerationError("no functor found within caps")
-    if kind == "comorphism":
-        cat, topology = gen_site(rng, caps)
-        for _ in range(30):
-            src, _ = gen_site(rng, caps)
-            try:
-                fn = gen_functor(rng, src, cat)
-            except GenerationError:
-                continue
-            return {
-                "functor": fn,
-                "source_topology": min_comorphism_topology(fn, topology),
-                "target_topology": topology,
-            }
-        raise GenerationError("no comorphism instance within caps")
     if kind == "dense-pair":
         inclusion, induced, topology = gen_dense_pair(rng, caps)
         return {"functor": inclusion, "source_topology": induced, "target_topology": topology}

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import gc
 import importlib.util
@@ -677,6 +678,28 @@ def test_cold_start_loads_only_the_modules_it_uses():
     verdict = fibration.is_cartesian_fibration(corpus.two_point())
     expected = "[]\n{} []\n[]\n[0, 0, 0] ['json']\n{}\nTrue\n".format(workspace, verdict)
     assert out == expected, out
+
+
+def test_the_package_imports_only_itself_and_the_standard_library():
+    """Every ``import`` and ``from`` in ``finsite/*.py`` names ``finsite``
+    (relative imports included) or a standard-library module.  The files are
+    parsed, not imported."""
+    package = os.path.dirname(os.path.abspath(finsite.__file__))
+    files = sorted(name for name in os.listdir(package) if name.endswith(".py"))
+    allowed = sys.stdlib_module_names | {"finsite"}
+    outside = []
+    for name in files:
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            outside += [(name, module) for module in modules if module.partition(".")[0] not in allowed]
+    assert "deciders.py" in files and outside == []
 
 
 def cli_outputs_under_hash_seeds(argv):

@@ -48,7 +48,6 @@ INSTANCE_KEYS = {
     "site": {"category", "topology"},
     "fibration": {"indexed", "base_topology"},
     "site-functor": SITE_FUNCTOR_KEYS,
-    "comorphism": SITE_FUNCTOR_KEYS,
     "dense-pair": SITE_FUNCTOR_KEYS,
 }
 

@@ -105,7 +105,7 @@ def test_non_iso_vertical_arrow_is_not_cartesian(walk2):
 
 
 def test_is_fibration_finds_missing_lift(walk2, one):
-    bundle = FibrationBundle(one, corpus.pick(walk2, "b"))
+    bundle = FibrationBundle(one, corpus.pick(walk2, "b"), None, None)
     ok, witness = is_fibration(bundle)
     assert not ok
     assert witness[1][0] == "u"
@@ -116,7 +116,7 @@ def test_codomain_projection_of_walk2_arrow_category_is_a_fibration(walk2):
     from finsite.fincat import arrow_category
 
     ac = arrow_category(walk2)
-    bundle = FibrationBundle(ac.category, ac.cod)
+    bundle = FibrationBundle(ac.category, ac.cod, None, None)
     ok, witness = is_fibration(bundle)
     assert ok, witness
 
@@ -151,7 +151,7 @@ def test_street_and_strict_modes_genuinely_differ(one):
     # One over iso2 at y: the arrow j: z -> y has no lift lying exactly over
     # it, but the identity lift works after twisting by the iso y ~ z
     iso2 = corpus.iso2()
-    bundle = FibrationBundle(one, corpus.pick(iso2, "y"))
+    bundle = FibrationBundle(one, corpus.pick(iso2, "y"), None, None)
     strict_ok, witness = is_fibration(bundle)
     assert not strict_ok
     assert witness[1][0] == "j"
@@ -488,8 +488,8 @@ def cartesian_table_cases(draws):
     arrows = arrow_category(walk2)
     yield grothendieck(corpus.two_point())
     yield grothendieck(constant_one_indexed(corpus.iso2()))
-    yield FibrationBundle(arrows.category, arrows.cod)
-    yield FibrationBundle(corpus.one(), corpus.pick(corpus.iso2(), "y"))
+    yield FibrationBundle(arrows.category, arrows.cod, None, None)
+    yield FibrationBundle(corpus.one(), corpus.pick(corpus.iso2(), "y"), None, None)
     yield direct_image(corpus.two_point(walk2), corpus.pick(walk2, "b")).source
     yield inverse_image_adjoint(constant_indexed(corpus.one(), corpus.discrete(("p", "q"))), corpus.walk2_terminal_adjunction()).source
     caps = Caps(base_objects=3, fiber_objects=3)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from dataclasses import dataclass, replace
 
@@ -645,6 +646,18 @@ def retract_point_site_functor():
     )
 
 
+def retract_two_point_site_functor():
+    """Two points p, q of the retract's s, with k: q -> p sent to t and p
+    covered by {k}.  F is a morphism of sites that reflects covers, but
+    id_s: F(p) -> F(q) is not locally the image of an arrow p -> q; the image
+    id_s of id_q starts at F(q) = F(p) but comes from q, so it qualifies
+    no arrow into p."""
+    retract = corpus.retract()
+    points = build_category(("p", "q"), {"k": ("q", "p")})
+    functor = validate_functor({"p": "s", "q": "s"}, {"id_p": "id_s", "id_q": "id_s", "k": "t"}, points, retract)
+    return SiteFunctor(functor, saturate(points, {"p": [["k"]]}), corpus.retract_topology(retract))
+
+
 def cospan_site_functor():
     """x -f-> c <-g- y with {f, g} covering c, mapped to the terminal site.
 
@@ -655,14 +668,33 @@ def cospan_site_functor():
     return SiteFunctor(corpus.bang(cospan), covers, trivial_topology(terminal_category()))
 
 
+def comorphism_instance(seed, caps):
+    """A random functor into a random site, with the least comorphism
+    topology on its source."""
+    rng = _rng(seed)
+    cat, topology = gen_site(rng, caps)
+    for _ in range(30):
+        src, _ = gen_site(rng, caps)
+        try:
+            fn = gen_functor(rng, src, cat)
+        except GenerationError:
+            continue
+        return {"functor": fn, "source_topology": min_comorphism_topology(fn, topology), "target_topology": topology}
+    raise GenerationError("no comorphism instance within caps")
+
+
 def fuzzed_site_functors(instances):
     """Fixed-seed site functors: fuzzed site-functor, comorphism and dense-pair
     instances, each also with the trivial source topology."""
     out = []
-    for kind in ("site-functor", "comorphism", "dense-pair"):
+    for make in (
+        functools.partial(generate_instance, "site-functor"),
+        comorphism_instance,
+        functools.partial(generate_instance, "dense-pair"),
+    ):
         for index in range(instances):
             try:
-                inst = generate_instance(kind, derive_seed(7, index), Caps())
+                inst = make(derive_seed(7, index), Caps())
             except (GenerationError, CapExceeded):
                 continue
             fn = inst["functor"]
@@ -724,7 +756,8 @@ def test_least_cover_continuity_matches_the_all_covers_search(differential_site_
 
 def test_least_cover_flatness_and_density_match_the_qualifying_set_searches(differential_site_functors):
     outcomes = {}
-    for sf in differential_site_functors + [parallel_pair_site_functor(), retract_point_site_functor()]:
+    hand_built = [parallel_pair_site_functor(), retract_point_site_functor(), retract_two_point_site_functor()]
+    for sf in differential_site_functors + hand_built:
         for decide, reference in (
             (is_covering_flat, reference_is_covering_flat),
             (is_dense_morphism, reference_is_dense_morphism),
@@ -738,7 +771,7 @@ def test_least_cover_flatness_and_density_match_the_qualifying_set_searches(diff
     assert outcomes[("covering-flat", "no_local_equalization")] >= 1
     assert outcomes[("dense-morphism", "cover_not_reflected")] >= 418
     assert outcomes[("dense-morphism", "not_locally_covered_by_images")] >= 29
-    assert outcomes[("dense-morphism", "not_locally_full")] >= 1
+    assert outcomes[("dense-morphism", "not_locally_full")] >= 2
 
 
 def test_covering_flat_fails_without_local_equalization():
