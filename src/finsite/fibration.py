@@ -31,6 +31,7 @@ from .fincat import (
     composable_pairs,
     compose_functors,
     identity_functor,
+    raise_stray_key,
     validate_category,
     validate_functor,
 )
@@ -94,6 +95,8 @@ def validate_indexed(base: FinCategory, fiber, restriction) -> IndexedCategory:
     for c in base.objects:
         if c not in fiber:
             raise StructureError("missing fiber over {}".format(c), witness=c)
+    if len(fiber) != len(base.objects):
+        raise_stray_key(fiber, base.identity, "fiber over unknown object {}")
     for f in base.arrows:
         if base.is_identity(f):
             restriction.setdefault(f, identity_functor(fiber[base.src[f]]))
@@ -103,6 +106,8 @@ def validate_indexed(base: FinCategory, fiber, restriction) -> IndexedCategory:
             raise StructureError("missing restriction along {}".format(f), witness=f)
         if r.source != fiber[base.tgt[f]] or r.target != fiber[base.src[f]]:
             raise StructureError("restriction along {} has wrong endpoints".format(f), witness=f)
+    if len(restriction) != len(base.arrows):
+        raise_stray_key(restriction, base.src, "restriction along unknown arrow {}")
     for c in base.objects:
         if not _is_identity_on(restriction[base.identity[c]], fiber[c]):
             raise StructureError("restriction along id_{} is not the identity".format(c), witness=c)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from functools import cached_property
+from operator import attrgetter
 
 DEFAULT_MAX_OBJECTS = 64
 DEFAULT_MAX_ARROWS = 512
@@ -36,6 +37,14 @@ class StructureError(ValueError):
     def __init__(self, message: str, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+def raise_stray_key(given, known, message: str) -> None:
+    """Raise StructureError for the first key of ``given``, in sorted order,
+    that ``known`` lacks.  Validators call it when ``given`` holds every key
+    of ``known`` and is larger, so one comparison of sizes finds a stray key."""
+    stray = min(k for k in given if k not in known)
+    raise StructureError(message.format(stray), witness=stray)
 
 
 class Record:
@@ -54,6 +63,9 @@ class Record:
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
+        # one getter of the fields per class; every record has at least two
+        # fields, so it returns a tuple
+        cls._values = attrgetter(*cls._fields)
         if "__init__" in vars(cls):
             return
         # generated once per class: a loop over the fields makes every
@@ -65,16 +77,14 @@ class Record:
         exec("def __init__(self, {}):{}".format(", ".join(names), body), namespace)
         cls.__init__ = namespace["__init__"]
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            values = self._values
+            return values(self) == values(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self):
         fields = ", ".join("{}={!r}".format(name, getattr(self, name)) for name in self._fields)
@@ -451,6 +461,10 @@ def validate_functor(obj_map, arr_map, source: FinCategory, target: FinCategory)
             raise StructureError("arrow {} maps outside the target".format(f), witness=f)
         if target.src[g] != obj_map[source.src[f]] or target.tgt[g] != obj_map[source.tgt[f]]:
             raise StructureError("image of {} has wrong endpoints".format(f), witness=f)
+    if len(obj_map) != len(source.objects):
+        raise_stray_key(obj_map, source.identity, "image of unknown object {}")
+    if len(arr_map) != len(source.arrows):
+        raise_stray_key(arr_map, source.src, "image of unknown arrow {}")
     for c in source.objects:
         if arr_map[source.identity[c]] != target.identity[obj_map[c]]:
             raise StructureError("identity of {} not preserved".format(c), witness=c)
@@ -503,6 +517,8 @@ def validate_transform(component, source: FinFunctor, target: FinFunctor) -> Nat
             raise StructureError("component at {} is not an arrow of the target".format(c), witness=c)
         if dcat.src[a] != source.ob(c) or dcat.tgt[a] != target.ob(c):
             raise StructureError("component at {} has wrong endpoints".format(c), witness=c)
+    if len(component) != len(cat.objects):
+        raise_stray_key(component, cat.identity, "component at unknown object {}")
     for f in cat.arrows:
         x, y = cat.src[f], cat.tgt[f]
         if dcat.compose(target.ar(f), component[x]) != dcat.compose(component[y], source.ar(f)):

@@ -12,15 +12,24 @@ soon as it is decided: ``sheaf_targets`` generates one sheaf per
 isomorphism class by orderly generation, pruning a prefix as soon as it
 fails the sheaf condition at an object (for the trivial topology it yields
 every presheaf up to isomorphism), and ``_natural_maps`` assigns a
-natural map one (object, element) slot at a time.  Natural maps and
+natural map one (object, element) slot at a time.  ``sheaf_targets`` builds
+only the images of an arrow that the composition table leaves open: by
+P(g.f) = P(f).P(g) an entry settled by the arrow gives each element of its
+domain a list of candidate images, and the images are the product of those
+lists.  It runs the orbit test on each image tuple first, and skips it
+where every relabelling fixing the earlier arrows is the identity at the
+arrow's two ends.  Natural maps and
 matching families both run on ``_assignments``, one iterative search over
-slots whose links are tested when the later of their two slots is assigned.
+slots whose links are tested when the later of their two slots is assigned;
+the sheaf condition reads a plan per object, built once per call, of the
+least cover's members in order and its links named by arrow.
 """
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from .fincat import FinCategory, FinFunctor, Record, StructureError, entries_by_last_arrow
+from operator import itemgetter
+from .fincat import FinCategory, FinFunctor, Record, StructureError, entries_by_last_arrow, raise_stray_key
 from .sieves import CapExceeded, Topology
 
 
@@ -34,6 +43,7 @@ class Presheaf(Record):
 def validate_presheaf(base: FinCategory, values, action) -> Presheaf:
     values = {c: tuple(v) for c, v in values.items()}
     action = {f: dict(m) for f, m in action.items()}
+    src, tgt, identity, ids = base.src, base.tgt, base.identity, base._ids
     vs = {}
     for c in base.objects:
         if c not in values:
@@ -41,29 +51,32 @@ def validate_presheaf(base: FinCategory, values, action) -> Presheaf:
         vs[c] = set(values[c])
         if len(vs[c]) != len(values[c]):
             raise StructureError("duplicate elements at {}".format(c), witness=c)
-    for f in base.arrows:
-        if base.is_identity(f):
-            action.setdefault(f, {a: a for a in values[base.src[f]]})
+    if len(values) != len(vs):
+        raise_stray_key(values, vs, "value set at unknown object {}")
     for f in base.arrows:
         m = action.get(f)
         if m is None:
-            raise StructureError("missing action along {}".format(f), witness=f)
-        s, t = base.src[f], base.tgt[f]
+            if f not in ids:
+                raise StructureError("missing action along {}".format(f), witness=f)
+            m = action[f] = {a: a for a in values[src[f]]}
+        s, t = src[f], tgt[f]
         if m.keys() != vs[t] or not vs[s].issuperset(m.values()):
             raise StructureError("action along {} is not a map values({}) -> values({})".format(f, t, s), witness=f)
+    if len(action) != len(src):
+        raise_stray_key(action, src, "action along unknown arrow {}")
     for c in base.objects:
-        # a map values(c) -> values(c) by now, so the identity iff it fixes every element
-        m = action[base.identity[c]]
-        if not all(m[a] == a for a in values[c]):
+        # a map values(c) -> values(c) by now, so the identity iff each key is its value
+        m = action[identity[c]]
+        if list(m) != list(m.values()):
             raise StructureError("identity action at {} is not the identity".format(c), witness=c)
     for (g, f), h in base.table.items():
         # an entry with an identity factor holds once identity actions are
         # identities; one whose composite alone is an identity (an inverse
         # pair) can still fail
-        if base.is_identity(f) or base.is_identity(g):
+        if f in ids or g in ids:
             continue
         fa, ga, ha = action[f], action[g], action[h]
-        for a in values[base.tgt[g]]:
+        for a in values[tgt[g]]:
             if fa[ga[a]] != ha[a]:
                 raise StructureError("actions not functorial on ({}, {})".format(g, f), witness=(g, f))
     return Presheaf(base, values, action)
@@ -102,23 +115,38 @@ def _assignments(domains, links):
             k -= 1
 
 
-def matching_families(p: Presheaf, sieve: frozenset[str]) -> list[dict[str, str]]:
-    """All compatible assignments on the sieve, in sorted member order, by
-    ``_assignments``: member f takes values in p(src f), and a compatibility
-    triple (f, g, f.g) links x_{f.g} = p(g)(x_f).  The actions p(g) are read
-    before the search starts, so every one of them must already be set:
-    ``sheaf_targets`` asks only once all the arrows the sieve reads are."""
-    base = p.base
-    members = sorted(sieve)
+def _family_plan(base: FinCategory, sieve: frozenset[str]) -> tuple:
+    """The search plan of the matching families on the sieve: its members
+    sorted, the source of each, and ``_assignments``' links named by arrow,
+    a compatibility triple (f, g, f.g) filed as (place of f.g, g, place of f)
+    under the later place."""
+    members = tuple(sorted(sieve))
     place = {f: i for i, f in enumerate(members)}
-    links: list[list[tuple[int, dict[str, str], int]]] = [[] for _ in members]
+    links: list[list[tuple[int, str, int]]] = [[] for _ in members]
     for i, f in enumerate(members):
         for g in base.into(base.src[f]):
             j = place.get(base.compose(f, g))
             if j is not None:
-                links[max(i, j)].append((j, p.action[g], i))
-    domains = [p.values[base.src[f]] for f in members]
-    return [dict(zip(members, fam)) for fam in _assignments(domains, links)]
+                links[max(i, j)].append((j, g, i))
+    return members, tuple(base.src[f] for f in members), links
+
+
+def _families(values, action, plan):
+    """The matching families of ``plan`` as value tuples, one per member,
+    for the value sets ``values`` and the action tables ``action``: member f
+    takes values in values[src f], and a triple (f, g, f.g) links
+    x_{f.g} = action[g][x_f].  Every table the links name must be set."""
+    _, sources, links = plan
+    tables = [[(j, action[g], i) for j, g, i in here] for here in links]
+    return _assignments([values[c] for c in sources], tables)
+
+
+def matching_families(p: Presheaf, sieve: frozenset[str]) -> list[dict[str, str]]:
+    """All compatible assignments on the sieve, in sorted member order, by
+    ``_assignments``: member f takes values in p(src f), and a compatibility
+    triple (f, g, f.g) links x_{f.g} = p(g)(x_f)."""
+    plan = _family_plan(p.base, sieve)
+    return [dict(zip(plan[0], fam)) for fam in _families(p.values, p.action, plan)]
 
 
 def amalgamations(p: Presheaf, apex: str, sieve: frozenset[str], family: dict[str, str]) -> list[str]:
@@ -126,16 +154,19 @@ def amalgamations(p: Presheaf, apex: str, sieve: frozenset[str], family: dict[st
     return [a for a in p.values[apex] if all(p.act(f, a) == family[f] for f in members)]
 
 
-def _sheaf_witness(p: Presheaf, c: str, sieve: frozenset[str]) -> tuple | None:
-    """The sheaf condition at c on the sieve: None when every matching family
-    has exactly one amalgamation, else ``is_sheaf``'s witness for the first
-    family that does not.  Reads only the actions along the members of the
-    sieve and along the arrows into their sources."""
-    for fam in matching_families(p, sieve):
-        glue = amalgamations(p, c, sieve, fam)
-        if len(glue) != 1:
-            kind = "no_amalgamation" if not glue else "ambiguous_amalgamation"
-            return kind, (c, tuple(sorted(sieve)), tuple(sorted(fam.items())), tuple(glue))
+def _failing_family(values, action, c: str, plan) -> tuple | None:
+    """The sheaf condition at c on the sieve of ``plan``: None when every
+    matching family has exactly one amalgamation, else the first family
+    that does not, with its amalgamations.  Each element of values[c] is
+    restricted to the members once; its amalgamations of a family are the
+    elements restricting to it.  Reads only the tables along the members
+    and along the arrows into their sources."""
+    members = plan[0]
+    elements = values[c]
+    restricted = [tuple([action[f][a] for f in members]) for a in elements]
+    for fam in _families(values, action, plan):
+        if restricted.count(fam) != 1:
+            return fam, tuple(a for a, r in zip(elements, restricted) if r == fam)
     return None
 
 
@@ -157,9 +188,13 @@ def is_sheaf(p: Presheaf, topology: Topology) -> tuple[bool, tuple]:
         sieve = topology.least[c]
         if p.base.identity[c] in sieve:
             continue
-        witness = _sheaf_witness(p, c, sieve)
-        if witness is not None:
-            return False, witness
+        plan = _family_plan(p.base, sieve)
+        failing = _failing_family(p.values, p.action, c, plan)
+        if failing is not None:
+            fam, glue = failing
+            members = plan[0]
+            kind = "no_amalgamation" if not glue else "ambiguous_amalgamation"
+            return False, (kind, (c, members, tuple(zip(members, fam)), glue))
     return True, ()
 
 
@@ -283,54 +318,103 @@ def _as_components(p: Presheaf, image: tuple[str, ...]) -> dict[str, dict[str, s
 
 class _Orderly:
     """``sheaf_targets``' search on one size combination ``sz``, kept on an
-    object so that the recursive ``extend`` does not reach itself through a closure."""
+    object so that the recursive ``extend`` does not reach itself through a
+    closure.  It works on value indices: the image of an arrow f is a tuple
+    that sends index j of P(tgt f) to an index of P(src f)."""
 
-    def __init__(self, base: FinCategory, topology: Topology, plan, sz: dict[str, int]):
-        self.base, self.topology, self.sz = base, topology, sz
-        self.non_id, self.entries, self.decided, self.fresh, self.slot, self.perms = plan
-        self.values = {c: tuple(str(i) for i in range(sz[c])) for c in base.objects}
-        # the action of every arrow assigned so far, identities included
-        self.acts = {f: {v: v for v in self.values[base.src[f]]} for f in base.arrows if base.is_identity(f)}
-        self.provisional = Presheaf(base, self.values, self.acts)
+    def __init__(self, base: FinCategory, plan, sz: dict[str, int]):
+        self.base, self.sz = base, sz
+        self.non_id, self.rules, self.twice, self.decided, self.fresh, self.slot, self.perms = plan
+        self.indices = {c: range(sz[c]) for c in base.objects}
+        self.values = {c: tuple(str(k) for k in range(sz[c])) for c in base.objects}
+        # the image of every arrow assigned so far, identities included
+        self.images = {base.identity[c]: tuple(range(sz[c])) for c in base.objects}
+
+    def candidates(self, i: int) -> list:
+        """Per element a of P(tgt x), x = non_id[i], the sorted indices a may
+        go to under the entries g.f = h filed under x in which x occurs once
+        (the rules of ``sheaf_targets``' docstring)."""
+        images, x = self.images, self.non_id[i]
+        n = self.sz[self.base.tgt[x]]
+        allowed = [range(self.sz[self.base.src[x]])] * n
+        for place, g, f, h in self.rules[i]:
+            if place == "g":
+                # a keeps the v with P(f)(v) = P(h)(a)
+                pf, ph = images[f], images[h]
+                for a in range(n):
+                    allowed[a] = [v for v in allowed[a] if pf[v] == ph[a]]
+                continue
+            if place == "h":
+                # a goes to P(f)(P(g)(a))
+                pf = images[f]
+                pins = enumerate([pf[b] for b in images[g]])
+            else:
+                # P(g)(a) goes to P(h)(a)
+                pins = zip(images[g], images[h])
+            for a, v in pins:
+                allowed[a] = [v] if v in allowed[a] else []
+        return allowed
 
     def consistent(self, i: int) -> bool:
-        acts = self.acts
-        for g, f, h in self.entries[i]:
-            fa, ga, ha = acts[f], acts[g], acts[h]
-            for a in self.values[self.base.tgt[g]]:
-                if fa[ga[a]] != ha[a]:
-                    return False
+        """The entries filed under non_id[i] in which it occurs more than once."""
+        images = self.images
+        for g, f, h in self.twice[i]:
+            pf = images[f]
+            if any(pf[b] != c for b, c in zip(images[g], images[h])):
+                return False
         return True
 
+    def presheaf(self) -> Presheaf:
+        """The presheaf of the images assigned, validated in full."""
+        base, values = self.base, self.values
+        action = {}
+        for f in self.non_id:
+            dom, cod = values[base.tgt[f]], values[base.src[f]]
+            action[f] = dict(zip(dom, map(cod.__getitem__, self.images[f])))
+        return validate_presheaf(base, values, action)
+
     def extend(self, i: int, group):
-        base, non_id, values, acts = self.base, self.non_id, self.values, self.acts
+        base, non_id, images = self.base, self.non_id, self.images
         if i == len(non_id):
-            action = {f: dict(acts[f]) for f in non_id}
-            yield validate_presheaf(base, values, action)
+            yield self.presheaf()
             return
         f = non_id[i]
-        dom = values[base.tgt[f]]
-        cod = values[base.src[f]]
         for c in self.fresh[i]:
             group = [sigma + (pair,) for sigma in group for pair in self.perms[self.sz[c]]]
         s, t = self.slot[base.src[f]], self.slot[base.tgt[f]]
-        # each relabelling's permutation at the source and inverse at the target
-        moves = [(sigma[s][0], sigma[t][1], sigma) for sigma in group]
-        for image in itertools.product(range(len(cod)), repeat=len(dom)):
-            acts[f] = {a: cod[x] for a, x in zip(dom, image)}
-            if self.consistent(i):
+        # the relabellings by what the orbit test reads of them: the
+        # permutation at the source and the inverse at the target.  Where
+        # that is the identity pair alone, every image is fixed by them all.
+        moves: dict[tuple, list] = {}
+        for sigma in group:
+            moves.setdefault((sigma[s][0], sigma[t][1]), []).append(sigma)
+        if len(moves) == 1:
+            moves = {}
+        twice, decided, indices = self.twice[i], self.decided[i], self.indices
+        last = i + 1 == len(non_id)
+        for image in itertools.product(*self.candidates(i)):
+            fixing = group
+            if moves:
                 fixing = []
-                for to, back, sigma in moves:
+                for (to, back), sigmas in moves.items():
                     moved = tuple([to[image[j]] for j in back])
                     if moved < image:
+                        fixing = None
                         break
                     if moved == image:
-                        fixing.append(sigma)
-                else:
-                    # a least prefix failing a sheaf condition it decides has no sheaf completion
-                    if all(_sheaf_witness(self.provisional, c, self.topology.least[c]) is None for c in self.decided[i]):
-                        yield from self.extend(i + 1, fixing)
-            del acts[f]
+                        fixing += sigmas
+                if fixing is None:
+                    continue
+            images[f] = image
+            if twice and not self.consistent(i):
+                continue
+            # a least prefix failing a sheaf condition it decides has no sheaf completion
+            if decided and not all(_failing_family(indices, images, c, plan) is None for c, plan in decided):
+                continue
+            if last:
+                yield self.presheaf()
+            else:
+                yield from self.extend(i + 1, fixing)
 
 
 def sheaf_targets(base: FinCategory, topology: Topology, max_size: int = 3, budget: int = 200_000):
@@ -344,54 +428,81 @@ def sheaf_targets(base: FinCategory, topology: Topology, max_size: int = 3, budg
     x of f: s -> t to j |-> sigma_s(x[sigma_t^-1(j)]), so every prefix of a
     least assignment is least.  An arrow's image is kept only if no
     relabelling fixing the earlier arrows makes it smaller, and the
-    relabellings that leave it unchanged go on to the next arrow.
+    relabellings that leave it unchanged go on to the next arrow.  This
+    orbit test runs on the image tuple first, once per distinct pair of
+    permutations at f's source and target, and not at all where that pair
+    is the identity alone.
 
-    Non-identity actions are assigned one arrow at a time; a composition-table
-    entry is checked once, when the last of its non-identity arrows is
-    assigned.  The sheaf condition at c with id_c not in S(c) reads only the
-    actions along the members of S(c) and along the arrows into their
-    sources, so it is decided as soon as the last of them is assigned, and a
-    prefix that fails it, having no sheaf completion, is pruned.  Where S(c)
-    is empty the condition is |P(c)| = 1, decided by the size combination.
-    A combination with |P(t)| > 0 and |P(s)| = 0 for some non-identity
-    f: s -> t holds no presheaf at all, since no map goes from a non-empty
-    set into the empty one, and is skipped before any arrow is assigned.
-    The stream is therefore the orderly stream of all presheaves, filtered by
-    ``is_sheaf``; for the trivial topology it is every presheaf up to
-    isomorphism.  Every yielded sheaf is still validated in full.
+    Non-identity actions are assigned one arrow at a time, and a
+    composition-table entry g.f = h is settled when the last x of its
+    non-identity arrows is assigned.  Where x occurs once in the entry,
+    P(g.f) = P(f).P(g) fixes x's action element by element: x = h sends a to
+    P(f)(P(g)(a)), x = g keeps for a only the v with P(f)(v) = P(h)(a), and
+    x = f sends P(g)(a) to P(h)(a).  Each element of P(tgt x) thus has a
+    sorted list of candidate images, and the images of x are the product of
+    those lists: exactly the images that keep these entries, in the same
+    order.  An entry in which x occurs twice, such as an idempotent t.t = t,
+    is checked on each image.  The sheaf condition at c with id_c not in
+    S(c) reads only the actions along the members of S(c) and along the
+    arrows into their sources, so it is decided as soon as the last of them
+    is assigned, and a prefix that fails it, having no sheaf completion, is
+    pruned.  Where S(c) is empty the condition is |P(c)| = 1, decided by the
+    size combination.  A combination with |P(t)| > 0 and |P(s)| = 0 for some
+    non-identity f: s -> t holds no presheaf at all, since no map goes from
+    a non-empty set into the empty one, and is skipped before any arrow is
+    assigned.  The stream is therefore the orderly stream of all presheaves,
+    filtered by ``is_sheaf``; for the trivial topology it is every presheaf
+    up to isomorphism.  Every yielded sheaf is still validated in full.
 
     Raises StructureError when the topology lives on another base, and
     CapExceeded when the labelled presheaf space exceeds the budget.
     """
     _require_base(base, topology)
     non_id = [f for f in base.arrows if not base.is_identity(f)]
+    at = {c: k for k, c in enumerate(base.objects)}
+    # ends: each arrow's source and target as places in a size combination;
+    # maps[m][n]: the tables from an n-set to an m-set, one where there is none
+    ends = [(at[base.src[f]], at[base.tgt[f]]) for f in non_id]
+    maps = [[max(1, m) ** n for n in range(max_size + 1)] for m in range(max_size + 1)]
     sizes = list(itertools.product(range(max_size + 1), repeat=len(base.objects)))
     space = 0
     for combo in sizes:
         per = 1
-        sz = dict(zip(base.objects, combo))
-        for f in non_id:
-            per *= max(1, sz[base.src[f]]) ** sz[base.tgt[f]]
+        for s, t in ends:
+            per *= maps[combo[s]][combo[t]]
             if per > budget:
                 break
         space += per
         if space > budget:
             raise CapExceeded("presheaf enumeration space exceeds budget")
+    # rules[i]: the entries (g, f, h) filed under x = non_id[i] in which x
+    # occurs once, with the place of x; twice[i]: the others
+    rules: list[list[tuple[str, str, str, str]]] = []
+    twice: list[list[tuple[str, str, str]]] = []
+    for x, filed in zip(non_id, entries_by_last_arrow(base, non_id)):
+        rules.append([])
+        twice.append([])
+        for entry in filed:
+            if entry.count(x) > 1:
+                twice[-1].append(entry)
+            else:
+                # x's place in the entry, named as in (g, f, h)
+                rules[-1].append(("gfh"[entry.index(x)],) + entry)
     position = {f: i for i, f in enumerate(non_id)}
-    entries = entries_by_last_arrow(base, non_id)
-    # decided[i]: the objects whose sheaf condition reads non_id[i] last;
-    # singletons: the objects whose least cover is empty.
-    decided: list[list[str]] = [[] for _ in non_id]
+    # decided[i]: the objects whose sheaf condition reads non_id[i] last,
+    # each with its family plan; singletons: the objects whose least cover
+    # is empty.
+    decided: list[list[tuple[str, tuple]]] = [[] for _ in non_id]
     singletons = []
     for c in base.objects:
         sieve = topology.least[c]
         if base.identity[c] in sieve:
             continue
         if not sieve:
-            singletons.append(c)
+            singletons.append(at[c])
             continue
         read = set(sieve).union(*(base.into(base.src[f]) for f in sieve))
-        decided[max(position[a] for a in read if a in position)].append(c)
+        decided[max(position[a] for a in read if a in position)].append((c, _family_plan(base, sieve)))
     # fresh[i]: the objects that non_id[i] touches first.  A relabelling is a
     # tuple of (permutation, inverse) pairs, one per object touched so far in
     # this order, and slot[c] is the place of c's pair.
@@ -407,15 +518,14 @@ def sheaf_targets(base: FinCategory, topology: Topology, max_size: int = 3, budg
         [(q, tuple(sorted(range(n), key=q.__getitem__))) for q in itertools.permutations(range(n))]
         for n in range(max_size + 1 if slot else 0)
     ]
-    plan = (non_id, entries, decided, fresh, slot, perms)
+    plan = (non_id, rules, twice, decided, fresh, slot, perms)
     for combo in sizes:
-        sz = dict(zip(base.objects, combo))
-        if any(sz[c] != 1 for c in singletons):
+        if any(combo[k] != 1 for k in singletons):
             continue
         # no map goes from a non-empty set into the empty one
-        if any(sz[base.tgt[f]] and not sz[base.src[f]] for f in non_id):
+        if any(combo[t] and not combo[s] for s, t in ends):
             continue
-        yield from _Orderly(base, topology, plan, sz).extend(0, [()])
+        yield from _Orderly(base, plan, dict(zip(base.objects, combo))).extend(0, [()])
 
 
 def unit_universal_property(p: Presheaf, sh: Sheafification, target: Presheaf) -> tuple[bool, tuple]:
@@ -429,7 +539,13 @@ def unit_universal_property(p: Presheaf, sh: Sheafification, target: Presheaf) -
     """
     place = {slot: k for k, slot in enumerate(_slots(sh.sheaf))}
     unit_at = [place[c, sh.unit[c][a]] for c, a in _slots(p)]
-    hits = Counter(tuple([h[k] for k in unit_at]) for h in _natural_maps(sh.sheaf, target))
+    if len(unit_at) > 1:
+        compose_unit = itemgetter(*unit_at)
+    else:
+        # itemgetter returns a bare item for one index and needs at least one
+        def compose_unit(h):
+            return tuple([h[k] for k in unit_at])
+    hits = Counter(map(compose_unit, _natural_maps(sh.sheaf, target)))
     for m in _natural_maps(p, target):
         n = hits[m]
         if n != 1:

@@ -26,7 +26,7 @@ from finsite.cli import main
 from finsite.deciders import SiteFunctor, is_continuous, is_dense_morphism
 from finsite.fibration import validate_indexed
 from finsite.fincat import build_category, full_subcategory, identity_functor, terminal_category, validate_functor
-from finsite.presheaf import sheaf_targets
+from finsite.presheaf import representable, sheaf_targets, sheafify, unit_universal_property
 from finsite.sieves import induced_image_topology, saturate, trivial_topology
 
 
@@ -493,6 +493,15 @@ def test_cli_commands_ignore_a_malformed_entry_they_never_reach(broken, tmp_path
     assert err.startswith("error: " + message)
 
 
+def test_cli_validate_rejects_an_action_along_an_unknown_arrow(tmp_path, capsys):
+    entry = read_json(WALK2_BUNDLE)["presheaves"]["twofold"]
+    entry["actions"]["ghost"] = {"0": "*", "1": "*"}
+    path = write_walk2_variant(tmp_path, "presheaves", "twofold", entry)
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: presheaves/twofold: action along unknown arrow ghost")
+
+
 # command -> (section, name, field, value): a malformed entry the command
 # reaches through a reference of an entry it names
 REACHED = {
@@ -540,6 +549,13 @@ def test_finsite_leaves_no_cyclic_garbage(walk2, sier, capsys):
             assert run_cli(argv, capsys)[0] == 0
         load_bundle(WALK2_BUNDLE)
         assert list(sheaf_targets(walk2, sier, 2))
+        # the per-call search plans: composites in chain3, an idempotent
+        # and an inverse pair in retract
+        chain3, retract = corpus.chain3(), corpus.retract()
+        assert list(sheaf_targets(chain3, corpus.chain3_topology(chain3), 2))
+        targets = list(sheaf_targets(retract, corpus.retract_topology(retract), 2))
+        p = representable(retract, "s")
+        assert unit_universal_property(p, sheafify(p, corpus.retract_topology(retract)), targets[-1])[0]
         assert sieves.topology_candidate_count(walk2) > 1
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()

@@ -6,7 +6,14 @@ from collections import Counter
 import pytest
 
 from finsite import corpus, experiments, presheaf
-from finsite.fincat import StructureError, build_category, compose_functors, identity_functor, validate_category
+from finsite.fincat import (
+    StructureError,
+    build_category,
+    compose_functors,
+    entries_by_last_arrow,
+    identity_functor,
+    validate_category,
+)
 from finsite.deciders import SiteFunctor, is_continuous
 from finsite.generate import Caps, GenerationError, derive_seed, gen_presheaf, gen_site, generate_instance
 from finsite.presheaf import (
@@ -462,28 +469,130 @@ def reversed_arrow_order(cat):
     )
 
 
+def reference_sheaf_targets_full_image_loop(base, topology, max_size, budget=200_000):
+    """Sheaf targets as the search ran before the per-element candidates:
+    every image tuple of an arrow is built as an action table, checked
+    against every composition-table entry filed under the arrow, then put to
+    the orbit test against the whole stabiliser of the prefix, and a least
+    prefix is checked against the sheaf conditions it decides."""
+    non_id = [f for f in base.arrows if not base.is_identity(f)]
+    sizes = list(itertools.product(range(max_size + 1), repeat=len(base.objects)))
+    space = 0
+    for combo in sizes:
+        per = 1
+        sz = dict(zip(base.objects, combo))
+        for f in non_id:
+            per *= max(1, sz[base.src[f]]) ** sz[base.tgt[f]]
+            if per > budget:
+                break
+        space += per
+        if space > budget:
+            raise CapExceeded("presheaf enumeration space exceeds budget")
+    position = {f: i for i, f in enumerate(non_id)}
+    entries = entries_by_last_arrow(base, non_id)
+    decided = [[] for _ in non_id]
+    singletons = []
+    for c in base.objects:
+        sieve = topology.least[c]
+        if base.identity[c] in sieve:
+            continue
+        if not sieve:
+            singletons.append(c)
+            continue
+        read = set(sieve).union(*(base.into(base.src[f]) for f in sieve))
+        decided[max(position[a] for a in read if a in position)].append(c)
+    fresh, slot = [], {}
+    for f in non_id:
+        fresh.append([c for c in dict.fromkeys((base.src[f], base.tgt[f])) if c not in slot])
+        for c in fresh[-1]:
+            slot[c] = len(slot)
+    perms = [
+        [(q, tuple(sorted(range(n), key=q.__getitem__))) for q in itertools.permutations(range(n))]
+        for n in range(max_size + 1)
+    ]
+
+    def glues(p, c):
+        sieve = topology.least[c]
+        return all(len(amalgamations(p, c, sieve, fam)) == 1 for fam in matching_families(p, sieve))
+
+    for combo in sizes:
+        sz = dict(zip(base.objects, combo))
+        if any(sz[c] != 1 for c in singletons):
+            continue
+        if any(sz[base.tgt[f]] and not sz[base.src[f]] for f in non_id):
+            continue
+        values = {c: tuple(str(i) for i in range(sz[c])) for c in base.objects}
+        acts = {f: {v: v for v in values[base.src[f]]} for f in base.arrows if base.is_identity(f)}
+        provisional = Presheaf(base, values, acts)
+
+        def consistent(i):
+            for g, f, h in entries[i]:
+                for a in values[base.tgt[g]]:
+                    if acts[f][acts[g][a]] != acts[h][a]:
+                        return False
+            return True
+
+        def extend(i, group):
+            if i == len(non_id):
+                yield validate_presheaf(base, values, {f: dict(acts[f]) for f in non_id})
+                return
+            f = non_id[i]
+            dom, cod = values[base.tgt[f]], values[base.src[f]]
+            for c in fresh[i]:
+                group = [sigma + (pair,) for sigma in group for pair in perms[sz[c]]]
+            s, t = slot[base.src[f]], slot[base.tgt[f]]
+            for image in itertools.product(range(len(cod)), repeat=len(dom)):
+                acts[f] = {a: cod[x] for a, x in zip(dom, image)}
+                if consistent(i):
+                    fixing = []
+                    for sigma in group:
+                        to, back = sigma[s][0], sigma[t][1]
+                        moved = tuple([to[image[j]] for j in back])
+                        if moved < image:
+                            break
+                        if moved == image:
+                            fixing.append(sigma)
+                    else:
+                        if all(glues(provisional, c) for c in decided[i]):
+                            yield from extend(i + 1, fixing)
+                del acts[f]
+
+        yield from extend(0, [()])
+
+
 def test_sheaf_targets_match_the_filtered_orderly_stream(monkeypatch):
     # fuzzed sites with up to three objects, in both arrow orders, under every
-    # topology, and a chain e -z-> d -a-> c whose arrow z into the source of
+    # topology; a chain e -z-> d -a-> c whose arrow z into the source of
     # the cover member a sorts after every member of the cover {a, a.z} of c;
-    # only the yielded sheaves are ever built
+    # chain3 (a composite) and retract (an idempotent t.t = t, which the
+    # entries filed before it already force, and an inverse pair e.m = id_r);
+    # and the one-arrow monoids t.t = t and t.t = id, where t occurs twice in
+    # the only entry, so it is checked on each image of t.  The stream is
+    # the filtered orderly stream and the full image loop's, in the same
+    # order, and only the yielded sheaves are ever built.
     built = counting_validations(monkeypatch)
     compared = pruned = 0
     chain = build_category(("c", "d", "e"), {"a": ("d", "c"), "b": ("e", "c"), "z": ("e", "d")}, {("a", "z"): "b"})
+    monoids = [build_category(("x",), {"t": ("x", "x")}, {("t", "t"): h}) for h in ("t", "id_x")]
+    corpus_cases = [(cat, 3) for cat in [corpus.chain3(), corpus.retract()] + monoids]
     fuzzed = [(base, 3) for cat, _, _ in fuzzed_site_presheaves(40) for base in (cat, reversed_arrow_order(cat))]
-    for cat, max_size in [(chain, 2)] + fuzzed:
+    for cat, max_size in [(chain, 2)] + corpus_cases + fuzzed:
         for topology in enumerate_topologies(cat):
             try:
                 reference = list(reference_sheaf_targets(cat, topology, max_size, 20_000))
             except CapExceeded:
                 with pytest.raises(CapExceeded):
                     next(sheaf_targets(cat, topology, max_size, 20_000))
+                with pytest.raises(CapExceeded):
+                    next(reference_sheaf_targets_full_image_loop(cat, topology, max_size, 20_000))
                 continue
             orderly = built["presheaves"]
             built.clear()
             ours = list(sheaf_targets(cat, topology, max_size, 20_000))
             assert [ordered(q) for q in ours] == [ordered(q) for q in reference]
             assert built["presheaves"] == len(ours)
+            full = list(reference_sheaf_targets_full_image_loop(cat, topology, max_size, 20_000))
+            assert [ordered(q) for q in full] == [ordered(q) for q in ours]
             built.clear()
             compared += 1
             pruned += orderly - len(ours)

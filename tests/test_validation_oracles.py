@@ -7,11 +7,14 @@ a dict.  The references below are the straightforward versions they
 replaced.  On generated categories, functors and fibrations, and on
 corruptions of them, both must accept the same inputs, build the same
 tables, and raise the same message with the same witness.
+``validate_presheaf`` reads identities through the category's tables; its
+reference reads them through ``is_identity``, on one corrupted input per
+check.  Every validator also rejects keys its base does not have.
 """
 from collections import Counter
 
 from finsite import corpus
-from finsite.fibration import arrow_is_cartesian, grothendieck
+from finsite.fibration import arrow_is_cartesian, grothendieck, validate_indexed
 from finsite.fincat import (
     DEFAULT_MAX_ARROWS,
     DEFAULT_MAX_OBJECTS,
@@ -19,8 +22,10 @@ from finsite.fincat import (
     FinFunctor,
     StructureError,
     arrow_category,
+    identity_functor,
     validate_category,
     validate_functor,
+    validate_transform,
 )
 from finsite.generate import (
     Caps,
@@ -32,6 +37,8 @@ from finsite.generate import (
     gen_site,
     generate_instance,
 )
+
+from finsite.presheaf import Presheaf, representable, validate_presheaf
 
 from test_fibration import cartesian_table_cases
 
@@ -301,3 +308,126 @@ def test_cartesian_arrows_match_the_lift_counter():
             cartesian += expected
             not_cartesian += not expected
     assert cartesian > 100 and not_cartesian > 100, (cartesian, not_cartesian)
+
+
+def reference_validate_presheaf(base, values, action) -> Presheaf:
+    """``validate_presheaf`` before it rejected stray keys: identities read
+    through ``is_identity``, identity actions filled in arrow order."""
+    values = {c: tuple(v) for c, v in values.items()}
+    action = {f: dict(m) for f, m in action.items()}
+    vs = {}
+    for c in base.objects:
+        if c not in values:
+            raise StructureError("missing value set at {}".format(c), witness=c)
+        vs[c] = set(values[c])
+        if len(vs[c]) != len(values[c]):
+            raise StructureError("duplicate elements at {}".format(c), witness=c)
+    for f in base.arrows:
+        if base.is_identity(f):
+            action.setdefault(f, {a: a for a in values[base.src[f]]})
+    for f in base.arrows:
+        m = action.get(f)
+        if m is None:
+            raise StructureError("missing action along {}".format(f), witness=f)
+        s, t = base.src[f], base.tgt[f]
+        if m.keys() != vs[t] or not vs[s].issuperset(m.values()):
+            raise StructureError("action along {} is not a map values({}) -> values({})".format(f, t, s), witness=f)
+    for c in base.objects:
+        m = action[base.identity[c]]
+        if not all(m[a] == a for a in values[c]):
+            raise StructureError("identity action at {} is not the identity".format(c), witness=c)
+    for (g, f), h in base.table.items():
+        if base.is_identity(f) or base.is_identity(g):
+            continue
+        fa, ga, ha = action[f], action[g], action[h]
+        for a in values[base.tgt[g]]:
+            if fa[ga[a]] != ha[a]:
+                raise StructureError("actions not functorial on ({}, {})".format(g, f), witness=(g, f))
+    return Presheaf(base, values, action)
+
+
+def presheaf_tables(p):
+    """Copies of p's value sets and non-identity actions, to corrupt."""
+    base = p.base
+    return dict(p.values), {f: dict(m) for f, m in p.action.items() if not base.is_identity(f)}
+
+
+def corrupted_presheaves():
+    """(phrase, base, values, action): one input per check of
+    ``validate_presheaf``, each failing that check first."""
+    retract, chain = corpus.retract(), corpus.chain3()
+    # P(s) = {id_s, t}, P(r) = {m}
+    hom_s = representable(retract, "s")
+    cases = []
+    values, action = presheaf_tables(hom_s)
+    del values["r"]
+    cases.append(("missing value set", retract, values, action))
+    values, action = presheaf_tables(hom_s)
+    values["s"] += ("t",)
+    cases.append(("duplicate elements", retract, values, action))
+    values, action = presheaf_tables(hom_s)
+    del action["m"]
+    cases.append(("missing action", retract, values, action))
+    values, action = presheaf_tables(hom_s)
+    action["e"]["id_s"] = "elsewhere"
+    cases.append(("is not a map", retract, values, action))
+    values, action = presheaf_tables(hom_s)
+    action["id_s"] = {"id_s": "t", "t": "id_s"}
+    cases.append(("identity action", retract, values, action))
+    values, action = presheaf_tables(representable(chain, "a2"))
+    composite = next(f for f in action if chain.src[f] == "a0" and chain.tgt[f] == "a2")
+    action[composite] = {x: "elsewhere" for x in action[composite]}
+    values["a0"] += ("elsewhere",)
+    cases.append(("not functorial", chain, values, action))
+    # e.m = id_r fails alone: P(r) = {0, 1} goes through P(s) = {0}
+    cases.append((
+        "not functorial on (e, m)",
+        retract,
+        {"r": ("0", "1"), "s": ("0",)},
+        {"e": {"0": "0", "1": "0"}, "m": {"0": "0"}, "t": {"0": "0"}},
+    ))
+    return cases
+
+
+def test_validate_presheaf_keeps_every_message_and_witness():
+    for phrase, base, values, action in corrupted_presheaves():
+        ours = outcome(validate_presheaf, base, values, action)
+        assert ours == outcome(reference_validate_presheaf, base, values, action), phrase
+        assert ours[0] == "raise" and phrase in ours[1], (phrase, ours)
+    for base in (corpus.retract(), corpus.chain3(), corpus.walk2()):
+        for c in base.objects:
+            values, action = presheaf_tables(representable(base, c))
+            assert validate_presheaf(base, values, action) == reference_validate_presheaf(base, values, action)
+
+
+def test_validators_name_the_first_stray_key():
+    walk2, one = corpus.walk2(), corpus.one()
+    worked = presheaf_tables(representable(walk2, "b"))
+    values, action = worked
+    assert outcome(validate_presheaf, walk2, dict(values, zz=(), ghost=("x",)), action) == (
+        "raise", "value set at unknown object ghost", "ghost"
+    )
+    assert outcome(validate_presheaf, walk2, values, dict(action, ghost={})) == (
+        "raise", "action along unknown arrow ghost", "ghost"
+    )
+    bang = validate_functor({"a": "*", "b": "*"}, {"id_a": "id_*", "id_b": "id_*", "u": "id_*"}, walk2, one)
+    args = (bang.source, bang.target)
+    assert outcome(validate_functor, dict(bang.obj_map, ghost="*"), bang.arr_map, *args) == (
+        "raise", "image of unknown object ghost", "ghost"
+    )
+    assert outcome(validate_functor, bang.obj_map, dict(bang.arr_map, zz="id_*", ghost="id_*"), *args) == (
+        "raise", "image of unknown arrow ghost", "ghost"
+    )
+    same = identity_functor(walk2)
+    component = {c: walk2.identity[c] for c in walk2.objects}
+    assert outcome(validate_transform, dict(component, ghost="u"), same, same) == (
+        "raise", "component at unknown object ghost", "ghost"
+    )
+    two_point = corpus.two_point(walk2)
+    assert outcome(validate_indexed, walk2, dict(two_point.fiber, ghost=one), two_point.restriction) == (
+        "raise", "fiber over unknown object ghost", "ghost"
+    )
+    restriction = dict(two_point.restriction, ghost=two_point.restriction["u"])
+    assert outcome(validate_indexed, walk2, two_point.fiber, restriction) == (
+        "raise", "restriction along unknown arrow ghost", "ghost"
+    )
