@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from operator import itemgetter
 from .fincat import FinCategory, FinFunctor, Record, StructureError, entries_by_last_arrow, raise_stray_key
 from .sieves import CapExceeded, Topology
 
@@ -147,11 +146,6 @@ def matching_families(p: Presheaf, sieve: frozenset[str]) -> list[dict[str, str]
     triple (f, g, f.g) links x_{f.g} = p(g)(x_f)."""
     plan = _family_plan(p.base, sieve)
     return [dict(zip(plan[0], fam)) for fam in _families(p.values, p.action, plan)]
-
-
-def amalgamations(p: Presheaf, apex: str, sieve: frozenset[str], family: dict[str, str]) -> list[str]:
-    members = sorted(sieve)
-    return [a for a in p.values[apex] if all(p.act(f, a) == family[f] for f in members)]
 
 
 def _failing_family(values, action, c: str, plan) -> tuple | None:
@@ -391,7 +385,6 @@ class _Orderly:
         if len(moves) == 1:
             moves = {}
         twice, decided, indices = self.twice[i], self.decided[i], self.indices
-        last = i + 1 == len(non_id)
         for image in itertools.product(*self.candidates(i)):
             fixing = group
             if moves:
@@ -411,10 +404,7 @@ class _Orderly:
             # a least prefix failing a sheaf condition it decides has no sheaf completion
             if decided and not all(_failing_family(indices, images, c, plan) is None for c, plan in decided):
                 continue
-            if last:
-                yield self.presheaf()
-            else:
-                yield from self.extend(i + 1, fixing)
+            yield from self.extend(i + 1, fixing)
 
 
 def sheaf_targets(base: FinCategory, topology: Topology, max_size: int = 3, budget: int = 200_000):
@@ -460,16 +450,14 @@ def sheaf_targets(base: FinCategory, topology: Topology, max_size: int = 3, budg
     _require_base(base, topology)
     non_id = [f for f in base.arrows if not base.is_identity(f)]
     at = {c: k for k, c in enumerate(base.objects)}
-    # ends: each arrow's source and target as places in a size combination;
-    # maps[m][n]: the tables from an n-set to an m-set, one where there is none
+    # ends: each arrow's source and target as places in a size combination
     ends = [(at[base.src[f]], at[base.tgt[f]]) for f in non_id]
-    maps = [[max(1, m) ** n for n in range(max_size + 1)] for m in range(max_size + 1)]
     sizes = list(itertools.product(range(max_size + 1), repeat=len(base.objects)))
     space = 0
     for combo in sizes:
         per = 1
         for s, t in ends:
-            per *= maps[combo[s]][combo[t]]
+            per *= max(1, combo[s]) ** combo[t]
             if per > budget:
                 break
         space += per
@@ -539,13 +527,7 @@ def unit_universal_property(p: Presheaf, sh: Sheafification, target: Presheaf) -
     """
     place = {slot: k for k, slot in enumerate(_slots(sh.sheaf))}
     unit_at = [place[c, sh.unit[c][a]] for c, a in _slots(p)]
-    if len(unit_at) > 1:
-        compose_unit = itemgetter(*unit_at)
-    else:
-        # itemgetter returns a bare item for one index and needs at least one
-        def compose_unit(h):
-            return tuple([h[k] for k in unit_at])
-    hits = Counter(map(compose_unit, _natural_maps(sh.sheaf, target)))
+    hits = Counter(tuple([h[k] for k in unit_at]) for h in _natural_maps(sh.sheaf, target))
     for m in _natural_maps(p, target):
         n = hits[m]
         if n != 1:

@@ -21,7 +21,6 @@ from finsite.presheaf import (
     _as_components,
     _assignments,
     _natural_maps,
-    amalgamations,
     is_sheaf,
     matching_families,
     plus,
@@ -47,6 +46,13 @@ from test_verify import enumerate_topologies
 @pytest.fixture
 def worked(walk2):
     return validate_presheaf(walk2, {"b": ("0", "1"), "a": ("*",)}, {"u": {"0": "*", "1": "*"}})
+
+
+def amalgamations(p, apex, sieve, family):
+    """The elements of p(apex) that restrict to ``family`` along every member
+    of the sieve, in the order of p(apex)."""
+    members = sorted(sieve)
+    return [a for a in p.values[apex] if all(p.act(f, a) == family[f] for f in members)]
 
 
 def brute_force_families(p, sieve):
