@@ -615,11 +615,10 @@ def _sheafify(inst, caps):
     try:
         targets = list(sheaf_targets(p.base, topology, caps.value_size, caps.sheaf_budget))
     except CapExceeded:
-        return None
-    for q in targets:
-        ok, witness = unit_universal_property(p, sh, q)
-        if not ok:
-            return "unit universal property fails: {}".format(witness)
+        raise SkipInstance()
+    ok, witness = unit_universal_property(p, sh, targets)
+    if not ok:
+        return "unit universal property fails: {}".format(witness)
     return NOTED
 
 

@@ -11,18 +11,20 @@ The bounded oracles search by backtracking that checks each condition as
 soon as it is decided: ``sheaf_targets`` generates one sheaf per
 isomorphism class by orderly generation, pruning a prefix as soon as it
 fails the sheaf condition at an object (for the trivial topology it yields
-every presheaf up to isomorphism), and ``_natural_maps`` assigns a
-natural map one (object, element) slot at a time.  ``sheaf_targets`` builds
-only the images of an arrow that the composition table leaves open: by
+every presheaf up to isomorphism), and natural maps are assigned one
+(object, element) slot at a time.  ``sheaf_targets`` builds only the
+images of an arrow that the composition table leaves open: by
 P(g.f) = P(f).P(g) an entry settled by the arrow gives each element of its
 domain a list of candidate images, and the images are the product of those
 lists.  It runs the orbit test on each image tuple first, and skips it
 where every relabelling fixing the earlier arrows is the identity at the
-arrow's two ends.  Natural maps and
-matching families both run on ``_assignments``, one iterative search over
-slots whose links are tested when the later of their two slots is assigned;
-the sheaf condition reads a plan per object, built once per call, of the
-least cover's members in order and its links named by arrow.
+arrow's two ends.  Natural maps and matching families both run on
+``_assignments``, one iterative search over slots whose links are tested
+when the later of their two slots is assigned.  Its plan names arrows, is
+built once per instance and binds each presheaf's tables: an object's
+family plan serves both plus steps and the sheaf check of ``sheafify``,
+or a whole ``sheaf_targets`` call, and the natural-map plans of P and aP
+every target of ``unit_universal_property``.
 """
 from __future__ import annotations
 
@@ -140,14 +142,6 @@ def _families(values, action, plan):
     return _assignments([values[c] for c in sources], tables)
 
 
-def matching_families(p: Presheaf, sieve: frozenset[str]) -> list[dict[str, str]]:
-    """All compatible assignments on the sieve, in sorted member order, by
-    ``_assignments``: member f takes values in p(src f), and a compatibility
-    triple (f, g, f.g) links x_{f.g} = p(g)(x_f)."""
-    plan = _family_plan(p.base, sieve)
-    return [dict(zip(plan[0], fam)) for fam in _families(p.values, p.action, plan)]
-
-
 def _failing_family(values, action, c: str, plan) -> tuple | None:
     """The sheaf condition at c on the sieve of ``plan``: None when every
     matching family has exactly one amalgamation, else the first family
@@ -169,6 +163,18 @@ def _require_base(base: FinCategory, topology: Topology) -> None:
         raise StructureError("presheaf and topology live on different bases")
 
 
+def _sheaf_witness(p: Presheaf, plans) -> tuple:
+    """``is_sheaf``'s witness for the first (object, family plan) pair of
+    ``plans`` at which the sheaf condition fails, or ()."""
+    for c, plan in plans:
+        failing = _failing_family(p.values, p.action, c, plan)
+        if failing is not None:
+            fam, glue = failing
+            kind = "no_amalgamation" if not glue else "ambiguous_amalgamation"
+            return kind, (c, plan[0], tuple(zip(plan[0], fam)), glue)
+    return ()
+
+
 def is_sheaf(p: Presheaf, topology: Topology) -> tuple[bool, tuple]:
     """Unique amalgamation for every matching family on each least cover S(c).
 
@@ -178,26 +184,46 @@ def is_sheaf(p: Presheaf, topology: Topology) -> tuple[bool, tuple]:
     its one amalgamation is x_id.  The witness names S(c).
     """
     _require_base(p.base, topology)
-    for c in p.base.objects:
-        sieve = topology.least[c]
-        if p.base.identity[c] in sieve:
-            continue
-        plan = _family_plan(p.base, sieve)
-        failing = _failing_family(p.values, p.action, c, plan)
-        if failing is not None:
-            fam, glue = failing
-            members = plan[0]
-            kind = "no_amalgamation" if not glue else "ambiguous_amalgamation"
-            return False, (kind, (c, members, tuple(zip(members, fam)), glue))
-    return True, ()
-
-
-def _fam_key(fam: dict[str, str]) -> tuple:
-    return tuple(sorted(fam.items()))
+    base, least = p.base, topology.least
+    plans = ((c, _family_plan(base, least[c])) for c in base.objects if base.identity[c] not in least[c])
+    witness = _sheaf_witness(p, plans)
+    return not witness, witness
 
 
 class PlusResult(Record):
     _fields = ("presheaf", "unit")
+
+
+def _plus_plan(base: FinCategory, topology: Topology) -> tuple:
+    """``plus``' plan: the family plan of each object's least cover, and per
+    arrow f: d -> c the place in S(c) of f.g for each member g of S(d).
+    Raises as ``plus`` does."""
+    _require_base(base, topology)
+    plans = {c: _family_plan(base, topology.least[c]) for c in base.objects}
+    places = {c: {g: i for i, g in enumerate(plan[0])} for c, plan in plans.items()}
+    pulled = {}
+    for f in base.arrows:
+        d, c = base.src[f], base.tgt[f]
+        pulled[f] = [places[c].get(base.compose(f, g)) for g in plans[d][0]]
+        if None in pulled[f]:
+            message = "least cover at {} is not inside the pullback of the least cover at {} along {}"
+            raise StructureError(message.format(d, c, f), witness=f)
+    return plans, pulled
+
+
+def _plus(p: Presheaf, plan) -> PlusResult:
+    """``plus`` on the ``_plus_plan`` of p's base and topology.  The members
+    at c are the same in every family, so value tuples sort as items do."""
+    plans, pulled = plan
+    base, action = p.base, {}
+    name = {c: {fam: "s{}".format(i) for i, fam in enumerate(sorted(_families(p.values, p.action, plans[c])))}
+            for c in base.objects}
+    for f, at in pulled.items():
+        here, there = name[base.tgt[f]], name[base.src[f]]
+        action[f] = zip(here.values(), [there[tuple([fam[j] for j in at])] for fam in here])
+    out = validate_presheaf(base, {c: tuple(name[c].values()) for c in base.objects}, action)
+    unit = {c: {a: name[c][tuple([p.action[g][a] for g in plans[c][0]])] for a in p.values[c]} for c in base.objects}
+    return PlusResult(out, unit)
 
 
 def plus(p: Presheaf, topology: Topology) -> PlusResult:
@@ -205,40 +231,13 @@ def plus(p: Presheaf, topology: Topology) -> PlusResult:
 
     P+(c) is the colimit of Match(S, P) over the covers S of c, which is
     reached at the least cover S(c).  Element s<i> at c is the i-th matching
-    family on S(c) in ``_fam_key`` order.  The action along f: d -> c sends x
-    to g |-> x[f.g] on S(d), defined because S(d) lies in the cover f*S(c);
-    the unit sends a in P(c) to g |-> P(g)(a) on S(c).  Raises StructureError,
-    witness f, when a hand-built topology breaks S(d) <= f*S(c), or when the
-    topology lives on another base.
+    family on S(c) in the order of its (arrow, value) items.  The action
+    along f: d -> c sends x to g |-> x[f.g] on S(d), defined because S(d)
+    lies in the cover f*S(c); the unit sends a in P(c) to g |-> P(g)(a) on
+    S(c).  Raises StructureError, witness f, when a hand-built topology
+    breaks S(d) <= f*S(c), or when the topology lives on another base.
     """
-    base = p.base
-    _require_base(base, topology)
-    covers = topology.least
-    for f in base.arrows:
-        d, c = base.src[f], base.tgt[f]
-        if not all(base.compose(f, g) in covers[c] for g in covers[d]):
-            raise StructureError(
-                "least cover at {} is not inside the pullback of the least cover at {} along {}".format(d, c, f),
-                witness=f,
-            )
-    least = {c: sorted(s) for c, s in covers.items()}
-    name: dict[str, dict[tuple, str]] = {}
-    for c in base.objects:
-        keys = sorted(_fam_key(fam) for fam in matching_families(p, covers[c]))
-        name[c] = {k: "s{}".format(i) for i, k in enumerate(keys)}
-    action: dict[str, dict[str, str]] = {}
-    for f in base.arrows:
-        s, t = base.src[f], base.tgt[f]
-        action[f] = {}
-        for k, nm in name[t].items():
-            x = dict(k)
-            action[f][nm] = name[s][tuple((g, x[base.compose(f, g)]) for g in least[s])]
-    out = validate_presheaf(base, {c: tuple(name[c].values()) for c in base.objects}, action)
-    unit = {
-        c: {a: name[c][tuple((g, p.act(g, a)) for g in least[c])] for a in p.values[c]}
-        for c in base.objects
-    }
-    return PlusResult(out, unit)
+    return _plus(p, _plus_plan(p.base, topology))
 
 
 class Sheafification(Record):
@@ -246,15 +245,16 @@ class Sheafification(Record):
 
 
 def sheafify(p: Presheaf, topology: Topology) -> Sheafification:
-    """Plus applied twice (always twice, for auditability), with the composite unit."""
-    first = plus(p, topology)
-    second = plus(first.presheaf, topology)
-    unit = {
-        c: {a: second.unit[c][first.unit[c][a]] for a in p.values[c]}
-        for c in p.base.objects
-    }
-    ok, witness = is_sheaf(second.presheaf, topology)
-    if not ok:
+    """Plus applied twice (always twice, for auditability), with the composite
+    unit.  One ``_plus_plan`` serves both steps and the final sheaf check."""
+    base = p.base
+    plan = _plus_plan(base, topology)
+    first = _plus(p, plan)
+    second = _plus(first.presheaf, plan)
+    unit = {c: {a: second.unit[c][first.unit[c][a]] for a in p.values[c]} for c in base.objects}
+    checked = ((c, family) for c, family in plan[0].items() if base.identity[c] not in family[0])
+    witness = _sheaf_witness(second.presheaf, checked)
+    if witness:
         raise StructureError("double plus failed to produce a sheaf: {}".format(witness))
     return Sheafification(second.presheaf, unit)
 
@@ -281,26 +281,24 @@ def _slots(p: Presheaf) -> list[tuple[str, str]]:
     return [(c, a) for c in p.base.objects for a in p.values[c]]
 
 
-def _natural_maps(p: Presheaf, q: Presheaf):
-    """All natural maps p -> q as tuples of images, one per slot of p, by
-    ``_assignments``: the slots in ``_slots`` order, each image in q's value
-    order.  The naturality entry of a non-identity arrow f: s -> t at a in
-    p(t) links h_s(p(f)(a)) = q(f)(h_t(a)).  Identity squares commute for
-    every validated pair of presheaves.
-    """
+def _natural_map_plan(p: Presheaf) -> tuple:
+    """The plan, as ``_family_plan``'s, whose ``_families`` for q are the
+    natural maps p -> q as image tuples over ``_slots(p)``.  A non-identity
+    f: s -> t links h_s(p(f)(a)) = q(f)(h_t(a)) at each a in p(t); identity
+    squares commute for every validated pair."""
     base = p.base
     slots = _slots(p)
     place = {slot: k for k, slot in enumerate(slots)}
-    links: list[list[tuple[int, dict[str, str], int]]] = [[] for _ in slots]
+    links: list[list[tuple[int, str, int]]] = [[] for _ in slots]
     for f in base.arrows:
         if base.is_identity(f):
             continue
         s, t = base.src[f], base.tgt[f]
-        pf, qf = p.action[f], q.action[f]
+        pf = p.action[f]
         for a in p.values[t]:
             at_s, at_t = place[s, pf[a]], place[t, a]
-            links[max(at_s, at_t)].append((at_s, qf, at_t))
-    return _assignments([q.values[c] for c, _ in slots], links)
+            links[max(at_s, at_t)].append((at_s, f, at_t))
+    return slots, tuple(c for c, _ in slots), links
 
 
 def _as_components(p: Presheaf, image: tuple[str, ...]) -> dict[str, dict[str, str]]:
@@ -318,11 +316,11 @@ class _Orderly:
 
     def __init__(self, base: FinCategory, plan, sz: dict[str, int]):
         self.base, self.sz = base, sz
-        self.non_id, self.rules, self.twice, self.decided, self.fresh, self.slot, self.perms = plan
-        self.indices = {c: range(sz[c]) for c in base.objects}
-        self.values = {c: tuple(str(k) for k in range(sz[c])) for c in base.objects}
+        self.non_id, self.rules, self.twice, self.decided, self.fresh, self.slot, self.perms, names, ranges = plan
+        self.indices = {c: ranges[sz[c]] for c in base.objects}
+        self.values = {c: names[sz[c]] for c in base.objects}
         # the image of every arrow assigned so far, identities included
-        self.images = {base.identity[c]: tuple(range(sz[c])) for c in base.objects}
+        self.images = {base.identity[c]: ranges[sz[c]] for c in base.objects}
 
     def candidates(self, i: int) -> list:
         """Per element a of P(tgt x), x = non_id[i], the sorted indices a may
@@ -360,11 +358,8 @@ class _Orderly:
 
     def presheaf(self) -> Presheaf:
         """The presheaf of the images assigned, validated in full."""
-        base, values = self.base, self.values
-        action = {}
-        for f in self.non_id:
-            dom, cod = values[base.tgt[f]], values[base.src[f]]
-            action[f] = dict(zip(dom, map(cod.__getitem__, self.images[f])))
+        base, values, images = self.base, self.values, self.images
+        action = {f: zip(values[base.tgt[f]], map(values[base.src[f]].__getitem__, images[f])) for f in self.non_id}
         return validate_presheaf(base, values, action)
 
     def extend(self, i: int, group):
@@ -506,7 +501,9 @@ def sheaf_targets(base: FinCategory, topology: Topology, max_size: int = 3, budg
         [(q, tuple(sorted(range(n), key=q.__getitem__))) for q in itertools.permutations(range(n))]
         for n in range(max_size + 1 if slot else 0)
     ]
-    plan = (non_id, rules, twice, decided, fresh, slot, perms)
+    ranges = [tuple(range(n)) for n in range(max_size + 1)]  # indices, and the identity's image
+    names = [tuple(map(str, r)) for r in ranges]
+    plan = (non_id, rules, twice, decided, fresh, slot, perms, names, ranges)
     for combo in sizes:
         if any(combo[k] != 1 for k in singletons):
             continue
@@ -516,23 +513,25 @@ def sheaf_targets(base: FinCategory, topology: Topology, max_size: int = 3, budg
         yield from _Orderly(base, plan, dict(zip(base.objects, combo))).extend(0, [()])
 
 
-def unit_universal_property(p: Presheaf, sh: Sheafification, target: Presheaf) -> tuple[bool, tuple]:
-    """The unit sh.unit: p -> sh.sheaf is universal for the sheaf target:
-    h |-> h . unit is a bijection Hom(sh.sheaf, target) -> Hom(p, target).
+def unit_universal_property(p: Presheaf, sh: Sheafification, targets) -> tuple[bool, tuple]:
+    """The unit sh.unit: p -> sh.sheaf is universal for each sheaf q of
+    ``targets``: h |-> h . unit is a bijection Hom(sh.sheaf, q) -> Hom(p, q).
 
-    One pass over Hom(sh.sheaf, target) counts the composites h . unit as
-    image tuples over the slots of p; then every map p -> target must have
-    been hit exactly once.  The witness is the first map, in enumeration
-    order, hit n != 1 times.
-    """
-    place = {slot: k for k, slot in enumerate(_slots(sh.sheaf))}
-    unit_at = [place[c, sh.unit[c][a]] for c, a in _slots(p)]
-    hits = Counter(tuple([h[k] for k in unit_at]) for h in _natural_maps(sh.sheaf, target))
-    for m in _natural_maps(p, target):
-        n = hits[m]
-        if n != 1:
-            witness = _as_components(p, m)
-            return False, ("factorisations", n, tuple(sorted((c, tuple(sorted(v.items()))) for c, v in witness.items())))
+    The natural-map plans of p and sh.sheaf and the unit's slot map are built
+    once.  Per target, one pass over Hom(sh.sheaf, q) counts the composites
+    h . unit as image tuples over the slots of p; then every map p -> q must
+    have been hit exactly once.  The witness is the first failing target's:
+    its first map, in enumeration order, hit n != 1 times."""
+    ours, theirs = _natural_map_plan(p), _natural_map_plan(sh.sheaf)
+    place = {slot: k for k, slot in enumerate(theirs[0])}
+    unit_at = [place[c, sh.unit[c][a]] for c, a in ours[0]]
+    for q in targets:
+        hits = Counter(tuple([h[k] for k in unit_at]) for h in _families(q.values, q.action, theirs))
+        for m in _families(q.values, q.action, ours):
+            n = hits[m]
+            if n != 1:
+                witness = _as_components(p, m)
+                return False, ("factorisations", n, tuple(sorted((c, tuple(sorted(v.items()))) for c, v in witness.items())))
     return True, ()
 
 

@@ -555,7 +555,7 @@ def test_finsite_leaves_no_cyclic_garbage(walk2, sier, capsys):
         assert list(sheaf_targets(chain3, corpus.chain3_topology(chain3), 2))
         targets = list(sheaf_targets(retract, corpus.retract_topology(retract), 2))
         p = representable(retract, "s")
-        assert unit_universal_property(p, sheafify(p, corpus.retract_topology(retract)), targets[-1])[0]
+        assert unit_universal_property(p, sheafify(p, corpus.retract_topology(retract)), targets)[0]
         assert sieves.topology_candidate_count(walk2) > 1
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
@@ -584,7 +584,11 @@ def test_cli_prop_exit_codes(capsys):
 
 @pytest.mark.parametrize(
     "exp_id, caps",
-    [("def-2.5-minimality", "enumeration_limit=1;instances=3"), ("continuity-cross-check", "sheaf_budget=1;instances=3")],
+    [
+        ("def-2.5-minimality", "enumeration_limit=1;instances=3"),
+        ("continuity-cross-check", "sheaf_budget=1;instances=3"),
+        ("sheafify-soundness", "sheaf_budget=1;instances=3"),
+    ],
 )
 def test_cli_prop_counts_a_corpus_case_that_skips(exp_id, caps, capsys):
     # the corpus case exceeds the cap as the three fuzz instances do

@@ -20,9 +20,10 @@ from finsite.presheaf import (
     Presheaf,
     _as_components,
     _assignments,
-    _natural_maps,
+    _families,
+    _family_plan,
+    _natural_map_plan,
     is_sheaf,
-    matching_families,
     plus,
     precompose,
     prop33_pullback_data,
@@ -46,6 +47,18 @@ from test_verify import enumerate_topologies
 @pytest.fixture
 def worked(walk2):
     return validate_presheaf(walk2, {"b": ("0", "1"), "a": ("*",)}, {"u": {"0": "*", "1": "*"}})
+
+
+def matching_families(p, sieve):
+    """The matching families on the sieve as dicts, in sorted member order:
+    the family plan's search, as ``plus`` and ``is_sheaf`` run it."""
+    plan = _family_plan(p.base, sieve)
+    return [dict(zip(plan[0], fam)) for fam in _families(p.values, p.action, plan)]
+
+
+def natural_maps(p, q):
+    """Every natural map p -> q as an image tuple over the slots of p."""
+    return _families(q.values, q.action, _natural_map_plan(p))
 
 
 def amalgamations(p, apex, sieve, family):
@@ -188,9 +201,8 @@ def test_sheafify_is_idempotent_up_to_iso(worked, sier):
 
 def test_unit_universal_property_on_walk2(worked, walk2, sier):
     sh = sheafify(worked, sier)
-    for target in sheaf_targets(walk2, sier, max_size=3):
-        ok, witness = unit_universal_property(worked, sh, target)
-        assert ok, witness
+    ok, witness = unit_universal_property(worked, sh, sheaf_targets(walk2, sier, max_size=3))
+    assert ok, witness
 
 
 def test_precompose_identity(worked, walk2):
@@ -257,7 +269,7 @@ def test_prop33_pullback_two_point_instance(two_point, walk2):
 def test_presheaf_morphism_enumeration_counts(walk2):
     singleton = validate_presheaf(walk2, {"a": ("*",), "b": ("*",)}, {"u": {"*": "*"}})
     pair = validate_presheaf(walk2, {"a": ("0", "1"), "b": ("0", "1")}, {"u": {"0": "0", "1": "1"}})
-    maps = [_as_components(singleton, image) for image in _natural_maps(singleton, pair)]
+    maps = [_as_components(singleton, image) for image in natural_maps(singleton, pair)]
     assert len(maps) == 2
 
 
@@ -425,22 +437,59 @@ def test_enumerate_presheaves_matches_the_full_scan_in_order():
 def test_presheaf_morphisms_match_the_full_scan_in_order():
     for cat, _, p in small_fuzzed_sites(60):
         for q in reference_enumerate_presheaves(cat, 3):
-            ours = [list((c, list(m.items())) for c, m in _as_components(p, h).items()) for h in _natural_maps(p, q)]
+            ours = [list((c, list(m.items())) for c, m in _as_components(p, h).items()) for h in natural_maps(p, q)]
             oracle = [list((c, list(m.items())) for c, m in h.items()) for h in reference_presheaf_morphisms(p, q)]
             assert ours == oracle
 
 
 def test_unit_universal_property_matches_the_pairwise_scan():
     # every enumerated target, not only sheaves, so failing verdicts with 0
-    # and with several factorisations are compared as well
+    # and with several factorisations are compared as well; one call over
+    # many targets gives the first failing target's verdict, and passes on
+    # the sheaf targets alone
     seen = set()
     for cat, topology, p in small_fuzzed_sites(60):
         sh = sheafify(p, topology)
-        for q in reference_enumerate_presheaves(cat, 3):
-            ours = unit_universal_property(p, sh, q)
+        targets = list(reference_enumerate_presheaves(cat, 3))
+        verdicts = []
+        for q in targets:
+            ours = unit_universal_property(p, sh, [q])
             assert ours == reference_unit_universal_property(p, topology, q)
             seen.add("ok" if ours[0] else min(ours[1][1], 2))
-    assert seen == {"ok", 0, 2}
+            verdicts.append(ours)
+        first = next((v for v in verdicts if not v[0]), (True, ()))
+        assert unit_universal_property(p, sh, targets) == first
+        if not first[0]:
+            seen.add("first failure")
+        sheaves = [q for q, v in zip(targets, verdicts) if is_sheaf(q, topology)[0]]
+        assert unit_universal_property(p, sh, sheaves) == (True, ())
+    assert seen == {"ok", 0, 2, "first failure"}
+
+
+def test_sheaf_oracles_build_each_plan_once_per_instance(monkeypatch):
+    # sheafify builds one family plan per object for both plus steps and its
+    # sheaf check; unit_universal_property builds the natural-map plans of p
+    # and of its sheafification once, however many targets it checks
+    builds = Counter()
+
+    def counting(name, build):
+        def counted(*args):
+            builds[name] += 1
+            return build(*args)
+        return counted
+
+    monkeypatch.setattr(presheaf, "_family_plan", counting("family", presheaf._family_plan))
+    monkeypatch.setattr(presheaf, "_natural_map_plan", counting("natural map", presheaf._natural_map_plan))
+    cat = corpus.retract()
+    topology = corpus.retract_topology(cat)
+    p = representable(cat, "s")
+    sh = sheafify(p, topology)
+    assert builds == {"family": len(cat.objects)}
+    targets = list(sheaf_targets(cat, topology, 2))
+    assert len(targets) >= 3
+    builds.clear()
+    assert unit_universal_property(p, sh, targets) == (True, ())
+    assert builds == {"natural map": 2}
 
 
 def reference_sheaf_targets(base, topology, max_size, budget=200_000):
@@ -1172,5 +1221,5 @@ def test_sheaf_targets_keep_the_first_failing_target_of_a_mismatched_unit():
     for cat, topology, p in small_fuzzed_sites(60):
         for other in enumerate_topologies(cat):
             sh = sheafify(p, other)
-            failing.append(same_first_failures(cat, topology, lambda q: unit_universal_property(p, sh, q), 3, 200_000))
+            failing.append(same_first_failures(cat, topology, lambda q: unit_universal_property(p, sh, [q]), 3, 200_000))
     assert max(failing) > 1
