@@ -269,7 +269,7 @@ def workspace_to_json(ws: Workspace) -> dict:
         return (fn.source, fn.target, tuple(sorted(fn.obj_map.items())), tuple(sorted(fn.arr_map.items())))
 
     cat_names = {}
-    doc: dict = {"categories": {}, "topologies": {}, "indexed": {}, "functors": {}, "naturals": {}, "presheaves": {}}
+    doc: dict = {section: {} for section in ws._fields}
     for name in sorted(ws.categories):
         cat_names[ws.categories[name]] = name
         doc["categories"][name] = category_to_json(ws.categories[name])

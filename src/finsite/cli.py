@@ -72,7 +72,7 @@ def _print_topology(topology: Topology, out) -> None:
 
 def cmd_validate(args, out) -> int:
     _, ws = _load(args.bundle)
-    for section in ("categories", "topologies", "indexed", "functors", "naturals", "presheaves"):
+    for section in ws._fields:
         for name in sorted(getattr(ws, section)):
             out.write("ok {}/{}\n".format(section, name))
     return 0

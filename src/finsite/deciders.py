@@ -25,7 +25,15 @@ witness re-fails its condition, a positive trace re-verifies.
 """
 from __future__ import annotations
 
-from .fincat import FinFunctor, NatTransform, Record, StructureError, compose_functors, validate_transform
+from .fincat import (
+    FinFunctor,
+    NatTransform,
+    Record,
+    StructureError,
+    compose_functors,
+    representatives,
+    validate_transform,
+)
 from .presheaf import prop33_pullback_data
 from .sieves import Topology, generate_sieve, image_cover_meet, image_sieve, sieve_without
 
@@ -101,20 +109,10 @@ def _comma_components(dcat, objects: dict, arrows) -> dict:
     separates the comma categories of every d_i.  Maps each pair to a
     representative of its component.
     """
-    parent = {(x, w): (x, w) for x, gx in objects.items() for w in dcat.into(gx)}
-
-    def find(pair):
-        while parent[pair] != pair:
-            parent[pair] = parent[parent[pair]]
-            pair = parent[pair]
-        return pair
-
-    for x, y, ga in arrows:
-        for w in dcat.into(objects[x]):
-            rx, ry = find((x, w)), find((y, dcat.compose(ga, w)))
-            if rx != ry:
-                parent[ry] = rx
-    return {pair: find(pair) for pair in parent}
+    return representatives(
+        [(x, w) for x, gx in objects.items() for w in dcat.into(gx)],
+        [((x, w), (y, dcat.compose(ga, w))) for x, y, ga in arrows for w in dcat.into(objects[x])],
+    )
 
 
 def is_continuous(sf: SiteFunctor) -> Verdict:

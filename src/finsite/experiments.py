@@ -10,6 +10,7 @@ release runner refuses to proceed when the union misses one.
 from __future__ import annotations
 
 import hashlib
+import random
 import time
 from collections.abc import Callable, Iterable
 # Failure, Report, ExperimentSpec and generate.Caps stay dataclasses, unlike
@@ -59,6 +60,8 @@ from .fibration import (
 from .generate import (
     Caps,
     GenerationError,
+    chain,
+    chain_map,
     collapse_morphism,
     constant_indexed,
     derive_seed,
@@ -66,7 +69,6 @@ from .generate import (
     gen_fibration,
     gen_functor,
     gen_galois,
-    gen_galois_into,
     gen_indexed,
     gen_indexed_morphism,
     gen_presheaf,
@@ -76,11 +78,9 @@ from .generate import (
     graded_chain_indexed,
     min_comorphism_topology,
     pushforward_topology,
+    random_family,
     representable_indexed,
     shrink_fibration,
-    _chain,
-    _chain_map,
-    _rng,
 )
 from . import limits
 from .presheaf import (
@@ -436,7 +436,7 @@ def _reflect_cartesian(inst, caps):
 
 
 def _make_reflect_cartesian(seed, caps):
-    rng = _rng(seed)
+    rng = random.Random(seed)
     dix, _ = gen_fibration(rng, caps)
     src, _ = gen_site(rng, _capped(caps, 3))
     return {"indexed": dix, "functor": gen_functor(rng, src, dix.base)}
@@ -518,7 +518,7 @@ def _over_site_functor(draw):
     caps)``, then an indexed category over its target from the same stream."""
 
     def make(seed, caps):
-        rng = _rng(seed)
+        rng = random.Random(seed)
         caps = _capped(caps, 3, 2)
         sf = draw(rng, seed, caps)
         return {"site_functor": sf, "indexed": gen_indexed(rng, sf.functor.target, caps)}
@@ -570,7 +570,7 @@ def _prop44(inst, caps):
 
 
 def _make_prop44(seed, caps):
-    rng = _rng(seed)
+    rng = random.Random(seed)
     caps = _capped(caps, 3)
     if rng.random() < 0.5:
         dix, _ = gen_fibration(rng, caps)
@@ -579,7 +579,7 @@ def _make_prop44(seed, caps):
         src, _ = gen_site(rng, caps)
         return {"flavor": "direct", "indexed": dix, "inner": gen_functor(rng, src, mid), "outer": outer}
     adj_inner = gen_galois(rng, caps)
-    adj_outer = gen_galois_into(rng, caps, adj_inner.left.source)
+    adj_outer = gen_galois(rng, caps, adj_inner.left.source)
     base = adj_inner.left.target
     if rng.random() < 0.5:
         cix = gen_indexed(rng, base, caps)
@@ -607,7 +607,7 @@ def _sheafify(inst, caps):
     again = sheafify(sh.sheaf, topology)
     for c in p.base.objects:
         comp = again.unit[c]
-        if sorted(comp.values()) != sorted(set(comp.values())) or len(set(comp.values())) != len(sh.sheaf.values[c]):
+        if sorted(comp.values()) != sorted(set(comp.values())) or set(comp.values()) != set(again.sheaf.values[c]):
             return "sheafifying a sheaf did not give an isomorphic unit at {}".format(c)
     if inst.get("expect_singleton"):
         if any(len(sh.sheaf.values[c]) != 1 for c in p.base.objects):
@@ -623,7 +623,7 @@ def _sheafify(inst, caps):
 
 
 def _make_sheafify(seed, caps):
-    rng = _rng(seed)
+    rng = random.Random(seed)
     cat, topology = gen_site(rng, _capped(caps, 2))
     p = gen_presheaf(rng, cat, caps.value_size)
     return {"presheaf": p, "topology": topology}
@@ -686,7 +686,7 @@ def _prop24(inst, caps):
 
 
 def _make_prop24(seed, caps):
-    rng = _rng(seed)
+    rng = random.Random(seed)
     caps = _capped(caps, 3)
     dense_sf = _dense_site_functor(rng, seed, caps)
     src, src_top = gen_site(rng, caps)
@@ -725,13 +725,13 @@ def _prop29(inst, caps):
 def _make_prop29(seed, caps):
     # Reflection needs the stated hypotheses: bases with finite limits and
     # a limit-preserving base functor.  Chains supply both cheaply.
-    rng = _rng(seed)
+    rng = random.Random(seed)
     caps = _capped(caps, 3, 3)
     tgt_size = rng.randint(1, caps.base_objects)
     src_size = rng.randint(1, caps.base_objects)
-    tgt = _chain(tgt_size, "d")
-    src = _chain(src_size, "c")
-    fn = _chain_map(rng, src_size, tgt_size, src, tgt)
+    tgt = chain(tgt_size, "d")
+    src = chain(src_size, "c")
+    fn = chain_map(rng, src_size, tgt_size, src, tgt)
     dix = graded_chain_indexed(rng, tgt, caps.fiber_objects)
     return {"indexed": dix, "functor": fn}
 
@@ -762,7 +762,7 @@ def _prop412(inst, caps):
 
 
 def _make_prop412(seed, caps):
-    rng = _rng(seed)
+    rng = random.Random(seed)
     inst = {**_morphism_over_site(rng, _capped(caps, 3, 2)), "extra": None}
     if rng.random() < 0.4:
         tgt_bundle = grothendieck(inst["morphism"].target)
@@ -770,8 +770,7 @@ def _make_prop412(seed, caps):
         gens = {c: [sorted(gir_tgt.least[c])] for c in tgt_bundle.total.objects}
         for c in tgt_bundle.total.objects:
             if rng.random() < 0.4:
-                into = sorted(tgt_bundle.total.into(c))
-                gens[c].append(rng.sample(into, rng.randint(0, min(2, len(into)))))
+                gens[c].append(random_family(rng, tgt_bundle.total, c))
         inst["extra"] = saturate(tgt_bundle.total, gens)
     return inst
 
@@ -796,7 +795,7 @@ def _structure(inst, caps):
 
 
 def _make_structure(seed, caps):
-    rng = _rng(seed)
+    rng = random.Random(seed)
     inst = _galois_over(rng, _capped(caps, 3, 2))
     adj = inst["adjunction"]
     inst["base_topology"] = gen_topology(rng, adj.left.target)
@@ -857,7 +856,7 @@ IN_SCOPE_TAGS = (
 EXPERIMENTS: dict[str, ExperimentSpec] = {
     "comma-kernel": ExperimentSpec(
         _comma_kernel,
-        lambda seed, caps: {"category": gen_category(_rng(seed), caps)[0]},
+        lambda seed, caps: {"category": gen_category(random.Random(seed), caps)[0]},
         lambda: [(name, {"category": cat}) for name, cat, _ in corpus.corpus_sites()],
         "comma categories vs the arrow-category and graph-reachability oracles",
         ("sec-2.1-comma",),
@@ -885,7 +884,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
     ),
     "thm-2.3-continuity": ExperimentSpec(
         _continuity,
-        lambda seed, caps: _morphism_over_site(_rng(seed), _capped(caps, 3, 3)),
+        lambda seed, caps: _morphism_over_site(random.Random(seed), _capped(caps, 3, 3)),
         lambda: [("twopoint", _twopoint_collapse())],
         "giraud projections are continuous comorphisms; fibration morphisms are continuous",
         ("def-2.3", "def-2.4", "def-2.9-prop-2.2", "def-2.5"),
@@ -899,7 +898,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
     ),
     "prop-2.7-agreement": ExperimentSpec(
         _adjoint_agreement,
-        lambda seed, caps: _galois_over(_rng(seed), caps),
+        lambda seed, caps: _galois_over(random.Random(seed), caps),
         lambda: [("walk2-terminal", _walk2_terminal())],
         "adjoint-route inverse images agree with the pointwise comma-colimit oracle",
         ("prop-2.7", "remark-4.1b"),
@@ -969,7 +968,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
     ),
     "prop-3.3-conditions": ExperimentSpec(
         _prop33,
-        lambda seed, caps: _morphism_over_site(_rng(seed), _capped(caps, 2, 2)),
+        lambda seed, caps: _morphism_over_site(random.Random(seed), _capped(caps, 2, 2)),
         lambda: [("twopoint-collapse", _twopoint_collapse())],
         "fixed-base morphisms of fibrations satisfy both comparison conditions",
         ("prop-3.3-iii",),

@@ -453,17 +453,6 @@ def compose_inverse_images(cix: IndexedCategory, adj_inner: Adjunction, adj_oute
 # Cartesian fibrations and the structure functor
 
 
-def _finite_limits(cat: FinCategory):
-    """``limits.finite_limits(cat)``, searched once per category and kept in
-    its ``_scratch``; the stored cones are read-only."""
-    from . import limits
-
-    found = cat._scratch.get("finite_limits")
-    if found is None:
-        found = cat._scratch["finite_limits"] = limits.finite_limits(cat)
-    return found
-
-
 def is_cartesian_fibration(cix: IndexedCategory) -> tuple[bool, tuple]:
     """Whether the Grothendieck construction of ``cix`` is a cartesian
     fibration, in the indexed formulation: every fiber has finite limits and
@@ -474,7 +463,7 @@ def is_cartesian_fibration(cix: IndexedCategory) -> tuple[bool, tuple]:
 
     cones = {}
     for c in cix.base.objects:
-        ok, witness, found = _finite_limits(cix.fiber[c])
+        ok, witness, found = limits.finite_limits(cix.fiber[c])
         if not ok:
             return False, ("fiber", c) + witness
         cones[c] = found

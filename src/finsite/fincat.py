@@ -102,8 +102,8 @@ class FinCategory(Record):
 
     ``table[(g, f)]`` is the composite "g after f"; it is defined exactly on
     the composable pairs.  Instances are immutable and hashable, so derived
-    data may be memoised against them in ``_scratch``: the sieve lattice of
-    each object (``"sieve_lattice"``) and the result of
+    data may be memoised against them in ``_scratch``, which two functions
+    fill: ``sieves.sieve_lattice`` (``"sieve_lattice"``, per object) and
     ``limits.finite_limits`` (``"finite_limits"``; its cones are read-only).
     Nothing else may go there: inside an ``interning()`` scope one instance
     serves every caller that builds the same presentation, so the instances
@@ -636,9 +636,12 @@ def arrow_category(cat: FinCategory) -> ArrowCategory:
     return ArrowCategory(acat, dom, cod, of_arrow)
 
 
-def connected_components(cat: FinCategory) -> tuple[tuple[str, ...], ...]:
-    """Partition of objects by zig-zag reachability (arrows in either direction)."""
-    parent = {c: c for c in cat.objects}
+def representatives(nodes, links) -> dict:
+    """Map each of ``nodes`` to a representative of its connected component
+    under the undirected ``links`` (pairs of nodes): union-find with path
+    halving, each link putting the root of its second node under the root of
+    its first."""
+    parent = {x: x for x in nodes}
 
     def find(x):
         while parent[x] != x:
@@ -646,13 +649,19 @@ def connected_components(cat: FinCategory) -> tuple[tuple[str, ...], ...]:
             x = parent[x]
         return x
 
-    for a in cat.arrows:
-        rx, ry = find(cat.src[a]), find(cat.tgt[a])
-        if rx != ry:
-            parent[ry] = rx
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+    return {x: find(x) for x in parent}
+
+
+def connected_components(cat: FinCategory) -> tuple[tuple[str, ...], ...]:
+    """Partition of objects by zig-zag reachability (arrows in either direction)."""
+    rep = representatives(cat.objects, ((cat.src[a], cat.tgt[a]) for a in cat.arrows))
     groups: dict[str, list[str]] = {}
     for c in cat.objects:
-        groups.setdefault(find(c), []).append(c)
+        groups.setdefault(rep[c], []).append(c)
     return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: sorted(g)[0]))
 
 

@@ -84,10 +84,6 @@ def derive_seed(seed: int, index: int) -> int:
     return (seed * 1_000_003 + index * 7_919 + 12_345) % (2**62)
 
 
-def _rng(seed: int) -> random.Random:
-    return random.Random(seed)
-
-
 # ---------------------------------------------------------------------------
 # Categories
 
@@ -146,14 +142,18 @@ def gen_category(rng: random.Random, caps: Caps):
 # Topologies and sites
 
 
+def random_family(rng: random.Random, cat: FinCategory, c: str) -> list[str]:
+    """At most two arrows into ``c``: a size, then a sample of that size of
+    the sorted arrows into ``c``."""
+    into = sorted(cat.into(c))
+    return rng.sample(into, rng.randint(0, min(2, len(into))))
+
+
 def gen_topology(rng: random.Random, cat: FinCategory) -> Topology:
     generators = {}
     for c in cat.objects:
         if rng.random() < 0.55:
-            into = list(cat.into(c))
-            k = rng.randint(0, min(2, len(into)))
-            fam = rng.sample(sorted(into), k)
-            generators[c] = [fam]
+            generators[c] = [random_family(rng, cat, c)]
     return saturate(cat, generators)
 
 
@@ -252,7 +252,7 @@ def coslice_indexed(base: FinCategory) -> IndexedCategory:
             for (a, (asrc, at)) in list(arrows.items()):
                 if at == bs:
                     w = base.compose(arr_data[b], arr_data[a])
-                    if base.is_identity(w) and asrc == bt:
+                    if base.is_identity(w):
                         compose[(b, a)] = "id_" + asrc
                     else:
                         compose[(b, a)] = "{}@{}->{}".format(w, asrc, bt)
@@ -270,13 +270,7 @@ def coslice_indexed(base: FinCategory) -> IndexedCategory:
             if fibers[t].is_identity(a):
                 arr_map[a] = fibers[s].identity[obj_map[fibers[t].src[a]]]
                 continue
-            w = arr_t[a]
-            o1, o2 = fibers[t].src[a], fibers[t].tgt[a]
-            m1, m2 = obj_map[o1], obj_map[o2]
-            if base.is_identity(w) and m1 == m2:
-                arr_map[a] = fibers[s].identity[m1]
-            else:
-                arr_map[a] = "{}@{}->{}".format(w, m1, m2)
+            arr_map[a] = "{}@{}->{}".format(arr_t[a], obj_map[fibers[t].src[a]], obj_map[fibers[t].tgt[a]])
         restriction[f] = validate_functor(obj_map, arr_map, fibers[t], fibers[s])
     return validate_indexed(base, fibers, restriction)
 
@@ -387,16 +381,17 @@ def gen_indexed_morphism(rng: random.Random, cix: IndexedCategory, caps: Caps) -
 # Cartesian (finite-limit) fibers
 
 
-def _chain(n: int, tag: str) -> FinCategory:
+def chain(n: int, tag: str) -> FinCategory:
+    """The chain poset on ``tag``0 < ``tag``1 < ... of ``n`` objects, listed bottom-to-top."""
     assert n <= 10, "single-digit ranks keep lexicographic order = chain order"
     objs = ["{}{}".format(tag, i) for i in range(n)]
     return poset_category(objs, [(objs[i], objs[i + 1]) for i in range(n - 1)])
 
 
-def _chain_map(rng: random.Random, src_size: int, tgt_size: int, src: FinCategory, tgt: FinCategory) -> FinFunctor:
+def chain_map(rng: random.Random, src_size: int, tgt_size: int, src: FinCategory, tgt: FinCategory) -> FinFunctor:
     """A random monotone top-preserving map of chains (preserves all finite limits).
 
-    Chain objects are assumed listed bottom-to-top, as _chain builds them.
+    Chain objects are assumed listed bottom-to-top, as ``chain`` builds them.
     """
     src_objs, tgt_objs = list(src.objects), list(tgt.objects)
     picks = sorted(rng.randint(0, tgt_size - 1) for _ in range(src_size))
@@ -410,10 +405,10 @@ def graded_chain_indexed(rng: random.Random, chain_base: FinCategory, max_fiber:
     n = len(chain_base.objects)
     objs = list(chain_base.objects)
     sizes = [rng.randint(1, max_fiber) for _ in range(n)]
-    fibers = {objs[i]: _chain(sizes[i], "v") for i in range(n)}
+    fibers = {objs[i]: chain(sizes[i], "v") for i in range(n)}
     steps = []
     for i in range(n - 1):
-        steps.append(_chain_map(rng, sizes[i + 1], sizes[i], fibers[objs[i + 1]], fibers[objs[i]]))
+        steps.append(chain_map(rng, sizes[i + 1], sizes[i], fibers[objs[i + 1]], fibers[objs[i]]))
     restriction = {}
     for a in chain_base.arrows:
         if chain_base.is_identity(a):
@@ -436,12 +431,9 @@ def _poset_leq(cat: FinCategory, x: str, y: str) -> bool:
 
 
 def _poset_functor(obj_map, src: FinCategory, tgt: FinCategory) -> FinFunctor:
-    arr_map = {a: _poset_arrow(tgt, obj_map[src.src[a]], obj_map[src.tgt[a]]) for a in src.arrows}
+    """The functor between thin categories with object map ``obj_map``."""
+    arr_map = {a: tgt.hom(obj_map[src.src[a]], obj_map[src.tgt[a]])[0] for a in src.arrows}
     return validate_functor(obj_map, arr_map, src, tgt)
-
-
-def _poset_arrow(cat: FinCategory, x: str, y: str) -> str:
-    return cat.identity[x] if x == y else "{}->{}".format(x, y)
 
 
 def _galois_attempt(rng: random.Random, p: FinCategory, q: FinCategory) -> Adjunction | None:
@@ -467,29 +459,21 @@ def _galois_attempt(rng: random.Random, p: FinCategory, q: FinCategory) -> Adjun
         right_map[qo] = top[0]
     left = _poset_functor(obj_map, p, q)
     right = _poset_functor(right_map, q, p)
-    unit = {x: _poset_arrow(p, x, right_map[obj_map[x]]) for x in p.objects}
-    counit = {qo: _poset_arrow(q, obj_map[right_map[qo]], qo) for qo in q.objects}
+    unit = {x: p.hom(x, right_map[obj_map[x]])[0] for x in p.objects}
+    counit = {qo: q.hom(obj_map[right_map[qo]], qo)[0] for qo in q.objects}
     return validate_adjunction(left, right, unit, counit)
 
 
-def gen_galois(rng: random.Random, caps: Caps) -> Adjunction:
-    """A verified Galois connection between two random posets, in at most 40 attempts."""
+def gen_galois(rng: random.Random, caps: Caps, target: FinCategory | None = None) -> Adjunction:
+    """A verified Galois connection from a random poset to a random poset, or
+    to ``target`` when it is given, in at most 40 attempts."""
     for _ in range(40):
         p = gen_poset(rng, caps.base_objects)
-        q = gen_poset(rng, caps.base_objects)
+        q = gen_poset(rng, caps.base_objects) if target is None else target
         adj = _galois_attempt(rng, p, q)
         if adj is not None:
             return adj
     raise GenerationError("no Galois connection within caps")
-
-
-def gen_galois_into(rng: random.Random, caps: Caps, target: FinCategory) -> Adjunction:
-    """A verified Galois connection whose lower adjoint lands in ``target``, in at most 40 attempts."""
-    for _ in range(40):
-        adj = _galois_attempt(rng, gen_poset(rng, caps.base_objects), target)
-        if adj is not None:
-            return adj
-    raise GenerationError("no Galois connection into the target within caps")
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +494,7 @@ def gen_dense_pair(rng: random.Random, caps: Caps):
         for c in cat.objects:
             fams = []
             if rng.random() < 0.4:
-                into = sorted(cat.into(c))
-                fams.append(rng.sample(into, rng.randint(0, min(2, len(into)))))
+                fams.append(random_family(rng, cat, c))
             if c not in objs:
                 fams.append([m for m in cat.into(c) if cat.src[m] in set(objs)])
             if fams:
@@ -551,8 +534,7 @@ def pushforward_topology(functor: FinFunctor, source_topology: Topology, rng: ra
     if rng is not None:
         for c in tgt.objects:
             if rng.random() < 0.3:
-                into = sorted(tgt.into(c))
-                generators[c].append(rng.sample(into, rng.randint(0, min(2, len(into)))))
+                generators[c].append(random_family(rng, tgt, c))
     return saturate(tgt, generators)
 
 
@@ -602,7 +584,7 @@ def generate_instance(kind: str, seed: int, caps: Caps) -> dict:
 
     Validity is re-checked by the constructors; recipes rejection-sample.
     """
-    rng = _rng(seed)
+    rng = random.Random(seed)
     if kind == "site":
         cat, topology = gen_site(rng, caps)
         return {"category": cat, "topology": topology}

@@ -71,7 +71,15 @@ class LimitCones(Record):
 
 def finite_limits(cat: FinCategory):
     """(ok, witness, cones): search a terminal object, all binary products and
-    all equalizers of parallel pairs."""
+    all equalizers of parallel pairs.  Memoised in the category's
+    ``_scratch``; the cones are read-only."""
+    found = cat._scratch.get("finite_limits")
+    if found is None:
+        found = cat._scratch["finite_limits"] = _search_limits(cat)
+    return found
+
+
+def _search_limits(cat: FinCategory):
     terminals = terminal_objects(cat)
     if not terminals:
         return False, ("no_terminal",), None

@@ -722,6 +722,22 @@ def test_the_package_imports_only_itself_and_the_standard_library():
     assert "deciders.py" in files and outside == []
 
 
+def test_no_package_module_imports_an_underscore_name_from_another():
+    """A name with a leading underscore is private to its ``finsite`` module:
+    no other module of the package imports it.  The files are parsed, not
+    imported."""
+    package = os.path.dirname(os.path.abspath(finsite.__file__))
+    files = sorted(name for name in os.listdir(package) if name.endswith(".py"))
+    private = []
+    for name in files:
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.partition(".")[0] == "finsite"):
+                private += [(name, alias.name) for alias in node.names if alias.name.startswith("_")]
+    assert "experiments.py" in files and private == []
+
+
 def cli_outputs_under_hash_seeds(argv):
     """Stdout of ``python -m finsite.cli <argv>`` under PYTHONHASHSEED 1 and 2."""
     return python_outputs_under_hash_seeds(["-m", "finsite.cli", *argv])

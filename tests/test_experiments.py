@@ -336,3 +336,30 @@ def test_a_structure_functor_failure_is_named_by_its_seed_not_a_shrunk_fibration
         assert "fibers" not in failure.minimized
         assert failure.minimized == failure.instance
         assert failure.instance.startswith("seed ")
+
+
+def test_sheafify_soundness_rejects_a_unit_onto_a_larger_sheaf(monkeypatch):
+    """Sheafifying a sheaf must give a bijective unit.  When the second
+    sheafification gains one element at every object, the unit stays
+    injective but misses that element, and the check names the first object."""
+    from types import SimpleNamespace
+
+    from finsite import experiments
+    from finsite.presheaf import Sheafification
+
+    real = experiments.sheafify
+    calls = []
+
+    def padded(p, topology):
+        result = real(p, topology)
+        calls.append(p)
+        if len(calls) != 2:
+            return result
+        values = {c: vals + ("extra",) for c, vals in result.sheaf.values.items()}
+        return Sheafification(SimpleNamespace(values=values), result.unit)
+
+    monkeypatch.setattr(experiments, "sheafify", padded)
+    spec = EXPERIMENTS["sheafify-soundness"]
+    [(_, inst)] = spec.fixed()
+    first = inst["presheaf"].base.objects[0]
+    assert spec.check(inst, Caps()) == "sheafifying a sheaf did not give an isomorphic unit at {}".format(first)

@@ -1,4 +1,5 @@
 import gc
+import random
 import weakref
 
 import pytest
@@ -38,7 +39,8 @@ from finsite.fibration import (
 from finsite.generate import (
     Caps,
     GenerationError,
-    _rng,
+    chain,
+    chain_map,
     collapse_morphism,
     constant_indexed,
     derive_seed,
@@ -46,7 +48,6 @@ from finsite.generate import (
     gen_fibration,
     gen_functor,
     gen_galois,
-    gen_galois_into,
     gen_indexed,
     gen_indexed_morphism,
     gen_poset,
@@ -54,11 +55,9 @@ from finsite.generate import (
     generate_instance,
     graded_chain_indexed,
     representable_indexed,
-    _chain,
-    _chain_map,
 )
 from finsite.limits import (
-    finite_limits,
+    _search_limits,
     is_equalizer_cone,
     is_product_cone,
     is_terminal,
@@ -345,7 +344,7 @@ def test_comparison_is_the_slice_functor_on_representables():
     """With a representable indexed category, the adjoint comparison is the
     slice functor [u] |-> [right(u)] after transposing the inverse image's
     fibers along the adjunction."""
-    adj = gen_galois(_rng(7), Caps(base_objects=3))
+    adj = gen_galois(random.Random(7), Caps(base_objects=3))
     base = adj.left.target
     dcat = adj.left.source
     c0 = sorted(base.objects)[-1]
@@ -385,9 +384,9 @@ def test_compose_direct_images_table_exact(two_point, walk2, one):
 
 
 def test_compose_inverse_images_identity_iso():
-    rng = _rng(11)
+    rng = random.Random(11)
     adj_inner = gen_galois(rng, Caps(base_objects=3))
-    adj_outer = gen_galois_into(rng, Caps(base_objects=3), adj_inner.left.source)
+    adj_outer = gen_galois(rng, Caps(base_objects=3), adj_inner.left.source)
     cix = representable_indexed(adj_inner.left.target, sorted(adj_inner.left.target.objects)[0])
     assert compose_inverse_images(cix, adj_inner, adj_outer)
 
@@ -400,8 +399,8 @@ def test_is_cartesian_fibration_examples(two_point, walk2):
 
 
 def test_graded_chain_indexed_is_cartesian():
-    rng = _rng(3)
-    base = _chain(3, "c")
+    rng = random.Random(3)
+    base = chain(3, "c")
     cix = graded_chain_indexed(rng, base, 3)
     assert is_cartesian_fibration(cix)[0]
 
@@ -494,7 +493,7 @@ def cartesian_table_cases(draws):
     yield inverse_image_adjoint(constant_indexed(corpus.one(), corpus.discrete(("p", "q"))), corpus.walk2_terminal_adjunction()).source
     caps = Caps(base_objects=3, fiber_objects=3)
     for index in range(draws):
-        rng = _rng(derive_seed(5, index))
+        rng = random.Random(derive_seed(5, index))
         try:
             yield grothendieck(generate_instance("fibration", derive_seed(6, index), caps)["indexed"])
             dix, _ = gen_fibration(rng, caps)
@@ -577,7 +576,7 @@ def test_validate_indexed_matches_the_composed_functor_check_on_random_tables():
     first witness (or acceptance) agrees with the composed-functor check."""
     outcomes = set()
     for index in range(150):
-        rng = _rng(derive_seed(8, index))
+        rng = random.Random(derive_seed(8, index))
         base = gen_poset(rng, 3)
         fiber = {c: corpus.discrete(tuple("xyz"[: rng.randint(1, 2)])) for c in base.objects}
         restriction = {}
@@ -679,12 +678,12 @@ def prop29_inputs(seed, count):
     checks on its first ``count`` instances at ``seed`` and the default caps."""
     caps = Caps()
     for i in range(count):
-        rng = _rng(derive_seed(seed, i))
+        rng = random.Random(derive_seed(seed, i))
         base_objects, fiber_objects = min(3, caps.base_objects), min(3, caps.fiber_objects)
         tgt_size = rng.randint(1, base_objects)
         src_size = rng.randint(1, base_objects)
-        tgt, src = _chain(tgt_size, "d"), _chain(src_size, "c")
-        fn = _chain_map(rng, src_size, tgt_size, src, tgt)
+        tgt, src = chain(tgt_size, "d"), chain(src_size, "c")
+        fn = chain_map(rng, src_size, tgt_size, src, tgt)
         yield graded_chain_indexed(rng, tgt, fiber_objects), fn
 
 
@@ -723,7 +722,7 @@ def test_reflects_limits_jointly_matches_the_reference_on_the_corpus():
 def test_reflects_limits_jointly_matches_the_reference_on_generated_functor_pairs():
     verdicts = set()
     for i in range(40):
-        rng = _rng(derive_seed(5, i))
+        rng = random.Random(derive_seed(5, i))
         src, image, base = (gen_category(rng, Caps())[0] for _ in range(3))
         try:
             functor, base_proj = gen_functor(rng, src, image), gen_functor(rng, src, base)
@@ -741,10 +740,10 @@ def test_reflects_limits_jointly_matches_the_reference_on_generated_functor_pair
 
 def reference_is_cartesian_fibration(cix):
     """``is_cartesian_fibration`` before fibers kept their finite limits: a
-    fresh ``finite_limits`` search per fiber on every call."""
+    fresh finite-limit search per fiber on every call."""
     cones = {}
     for c in cix.base.objects:
-        ok, witness, found = finite_limits(cix.fiber[c])
+        ok, witness, found = _search_limits(cix.fiber[c])
         if not ok:
             return False, ("fiber", c) + witness
         cones[c] = found
@@ -760,9 +759,9 @@ def reference_is_cartesian_fibration(cix):
 def random_step_chain_indexed(rng):
     """``graded_chain_indexed`` with any monotone step maps, so restrictions
     need not keep the top (the terminal object) of their fiber."""
-    base = _chain(rng.randint(2, 3), "c")
+    base = chain(rng.randint(2, 3), "c")
     objs = base.objects
-    fibers = {c: _chain(rng.randint(1, 3), "v") for c in objs}
+    fibers = {c: chain(rng.randint(1, 3), "v") for c in objs}
     steps = [gen_functor(rng, fibers[objs[i + 1]], fibers[objs[i]]) for i in range(len(objs) - 1)]
     restriction = {}
     for a in base.arrows:
@@ -785,8 +784,8 @@ def cartesian_fibration_cases():
             yield dix
             yield direct_image(dix, fn).indexed
     for i in range(20):
-        rng = _rng(derive_seed(11, i))
-        yield graded_chain_indexed(rng, _chain(rng.randint(1, 3), "c"), 3)
+        rng = random.Random(derive_seed(11, i))
+        yield graded_chain_indexed(rng, chain(rng.randint(1, 3), "c"), 3)
     ws = corpus.corpus_workspace()
     tp = ws.indexed["twopoint"]
     yield tp
@@ -796,7 +795,7 @@ def cartesian_fibration_cases():
     for cat in ws.categories.values():
         yield constant_one_indexed(cat)
     for i in range(60):
-        rng = _rng(derive_seed(12, i))
+        rng = random.Random(derive_seed(12, i))
         try:
             yield gen_fibration(rng, Caps())[0]
         except (GenerationError, CapExceeded):
@@ -918,7 +917,7 @@ def base_changes():
     adjoint = [(constant_indexed(corpus.one(), corpus.discrete(("p", "q"))), corpus.walk2_terminal_adjunction())]
     caps = Caps(base_objects=3, fiber_objects=3)
     for index in range(40):
-        rng = _rng(derive_seed(13, index))
+        rng = random.Random(derive_seed(13, index))
         cix, _ = gen_fibration(rng, caps)
         morphisms.append(gen_indexed_morphism(rng, cix, caps))
         src, _ = gen_site(rng, caps)

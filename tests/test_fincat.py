@@ -1,5 +1,6 @@
 
 import inspect
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,7 +36,7 @@ from finsite.fincat import (
     validate_functor,
     validate_transform,
 )
-from finsite.generate import gen_category, Caps, _rng, constant_indexed
+from finsite.generate import gen_category, Caps, constant_indexed
 from finsite.limits import finite_limits
 from finsite.presheaf import plus, sheafify, validate_presheaf
 from finsite.sieves import trivial_topology
@@ -141,7 +142,7 @@ def associativity_cases(seeds):
     random unital table on one object, and a fuzzed category with one
     non-identity composite moved to a parallel arrow where it has one."""
     for seed in seeds:
-        rng = _rng(seed)
+        rng = random.Random(seed)
         names = ["a{}".format(i) for i in range(rng.randint(1, 3))]
         arrows = {a: ("x", "x") for a in names + ["id_x"]}
         composites = {(g, f): rng.choice(names + ["id_x"]) for g in names for f in names}
@@ -340,7 +341,7 @@ def test_connected_components_examples(one, walk2):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6))
 def test_connected_components_match_graph_reachability(seed):
-    cat, _ = gen_category(_rng(seed), Caps())
+    cat, _ = gen_category(random.Random(seed), Caps())
     neighbours = {c: set() for c in cat.objects}
     for a in cat.arrows:
         neighbours[cat.src[a]].add(cat.tgt[a])
@@ -404,7 +405,7 @@ def test_fuzzed_galois_connections_give_hom_bijections(seed):
     from finsite.generate import GenerationError, gen_galois
 
     try:
-        adj = gen_galois(_rng(seed), Caps())
+        adj = gen_galois(random.Random(seed), Caps())
     except GenerationError:
         return
     assert check_adjunction(adj.left, adj.right, adj.unit, adj.counit)

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 from dataclasses import dataclass, replace
 
 import pytest
@@ -45,7 +46,6 @@ from finsite.fibration import (
 from finsite.generate import (
     Caps,
     GenerationError,
-    _rng,
     derive_seed,
     gen_fibration,
     gen_functor,
@@ -671,7 +671,7 @@ def cospan_site_functor():
 def comorphism_instance(seed, caps):
     """A random functor into a random site, with the least comorphism
     topology on its source."""
-    rng = _rng(seed)
+    rng = random.Random(seed)
     cat, topology = gen_site(rng, caps)
     for _ in range(30):
         src, _ = gen_site(rng, caps)
@@ -972,7 +972,7 @@ def experiment_prop33_squares(instances):
     """The fuzzed squares of `prop-3.3-conditions` at seed 0."""
     out = []
     for index in range(instances):
-        rng = _rng(derive_seed(0, index))
+        rng = random.Random(derive_seed(0, index))
         try:
             cix, topology = gen_fibration(rng, SQUARE_CAPS)
             morphism = gen_indexed_morphism(rng, cix, SQUARE_CAPS)
@@ -988,7 +988,7 @@ def terminal_base_squares(draws):
     one = terminal_category()
     out = []
     for index in range(draws):
-        rng = _rng(derive_seed(3, index))
+        rng = random.Random(derive_seed(3, index))
         try:
             cix, _ = gen_fibration(rng, SQUARE_CAPS)
             cat, src = cix.base, grothendieck(cix)
